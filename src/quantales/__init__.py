@@ -20,7 +20,7 @@ from .openness import (Check, FrobeniusReport, check_fr1, check_fr1_right,
                        frobenius_report, is_locale_quantale)
 from .tensor import (BiIdeal, DirectSum, TensorLattice, associator,
                      check_bimorphism, direct_sum, induced_from_bimorphism,
-                     pure_tensor, tensor_lattice, unit_iso)
+                     pure_tensor, unit_iso)
 from .subspaces import RationalSubspace
 from .freeprod import (GradedElement, PullbackContext, TruncatedFreeProduct,
                        Word, all_words, grade_of, pairing_map,

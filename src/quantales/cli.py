@@ -4,7 +4,13 @@ Exit codes: 0 all requested checks pass, 1 a violation was found, 2 usage
 or input error.  Reports carry a schema version, the command line, sha256
 digests plus embedded copies of the inputs, per-check verdicts with
 witnesses, seeds and timing, so that `report-verify` can replay every
-recorded witness without redoing any search.
+recorded failure of the top-level checks.
+
+`report-verify` fails closed: the verdict must agree with the checks, and
+each failed check is replayed through the definition that produced it (a
+law witness through its predicate or one-element sweep, a structural
+failure by reloading the embedded input) or counted as a problem.  The
+nested `frobenius` and `hypothesis` blocks are not read yet.
 """
 
 from __future__ import annotations
@@ -12,15 +18,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 
 from . import fileformats as ff
 from . import __version__
 from .fileformats import FormatError
 from .nucleus import nucleus_from_relation, quotient
-from .openness import (NotALocale, NotUnital, check_fr1, check_fr1_right,
-                       check_fr2, check_locale_meet_lemma, check_semiopen,
-                       check_wos, frobenius_report)
-from .quantale import InvalidQuantale, is_surjective, validate_quantale
+from .openness import (MAP_LAWS, MissingDirectImage, NotALocale, NotUnital,
+                       check_fr1, check_fr1_right, check_fr2,
+                       check_locale_meet_lemma, check_semiopen, check_wos,
+                       frobenius_report, violates)
+from .quantale import (HOM_LAWS, QUANTALE_LAWS, InvalidQuantale,
+                       is_surjective, validate_hom, validate_quantale)
+from .subspaces import RationalSubspace
 from .suplattice import LatticeError
 from .tensor import EnumerationBoundExceeded, TensorLattice, swap_map, unit_iso
 
@@ -56,11 +66,6 @@ class _Report:
             ff.save_json(path, self.doc)
 
 
-def _violation_check(kind, violation):
-    return {"check": kind, "ok": False, "law": violation.law,
-            "witness": list(violation.witness), "detail": violation.detail}
-
-
 def _print_check(check):
     status = "ok" if check.get("ok") else "VIOLATION"
     name = check.get("check", "?")
@@ -74,6 +79,24 @@ def _print_check(check):
 
 # -- validate -----------------------------------------------------------------
 
+def _parts(kind, doc):
+    """Load a document; its law-checked parts as (part, laws, arguments of
+    the law predicates, carrier of the witness elements)."""
+    if kind == "lattice":
+        ff.lattice_from_doc(doc)
+        return ()
+    if kind == "quantale":
+        q = ff.quantale_from_doc(doc, validate=False)
+        return (("quantale", QUANTALE_LAWS, (q,), q),)
+    if kind == "map":
+        p = ff.map_from_doc(doc, validate=False)
+        return (("source", QUANTALE_LAWS, (p.source,), p.source),
+                ("target", QUANTALE_LAWS, (p.target,), p.target),
+                ("inverse_image", HOM_LAWS, (p.star, p.target, p.source),
+                 p.target))
+    raise FormatError(f"cannot validate a {kind} document alone")
+
+
 def cmd_validate(args, argv):
     report = _Report(argv)
     worst = 0
@@ -81,32 +104,26 @@ def cmd_validate(args, argv):
         doc = ff.load_json(path)
         kind = ff.sniff_kind(doc)
         print(f"{path}: {kind}")
+        check = {"check": kind, "ok": True}
         try:
-            if kind == "lattice":
-                ff.lattice_from_doc(doc)
-                checks = [{"check": "lattice", "ok": True}]
-            elif kind == "quantale":
-                q = ff.quantale_from_doc(doc, validate=False)
-                v = validate_quantale(q)
-                checks = [{"check": "quantale", "ok": v is None}]
+            for part, laws, law_args, _ in _parts(kind, doc):
+                validate = validate_hom if laws is HOM_LAWS else \
+                    validate_quantale
+                v = validate(*law_args)
                 if v is not None:
-                    checks = [_violation_check("quantale", v)]
-            elif kind == "map":
-                ff.map_from_doc(doc, validate=True)
-                checks = [{"check": "map", "ok": True}]
-            else:
-                raise FormatError(f"cannot validate a {kind} document alone")
+                    check = {"check": kind, "ok": False, "part": part,
+                             "law": v.law, "witness": list(v.witness),
+                             "detail": v.detail}
+                    break
         except LatticeError as e:
-            checks = [{"check": kind, "ok": False, "law": type(e).__name__,
-                       "witness": list(getattr(e, "witness", ()) or ()),
-                       "detail": str(e)}]
-        except InvalidQuantale as e:
-            checks = [_violation_check(kind, e.violation)]
+            check = {"check": kind, "ok": False, "law": type(e).__name__,
+                     "witness": list(getattr(e, "witness", ()) or ()),
+                     "detail": str(e)}
+        check["input"] = path
         report.add_input(path, path, doc)
-        for c in checks:
-            report.add_check(c)
-            _print_check(c)
-        if any(not c["ok"] for c in checks):
+        report.add_check(check)
+        _print_check(check)
+        if not check["ok"]:
             worst = 1
     report.finish("pass" if worst == 0 else "violation")
     report.write(args.report)
@@ -150,9 +167,8 @@ def cmd_check_map(args, argv):
             failed |= not chk.ok
     if "wos" in requested:
         wos = check_wos(p, args.pool, args.seed)
-        doc_wos = wos.to_json()
-        doc_wos["check"] = "wos"
-        doc_wos["ok"] = wos.consistent
+        doc_wos = {**wos.to_json(), "check": "wos", "ok": wos.consistent,
+                   "pool": args.pool, "seed": args.seed}
         report.add_check(doc_wos)
         _print_check(doc_wos)
         failed |= not wos.consistent
@@ -254,7 +270,7 @@ def cmd_pullback_verify(args, argv):
                            verify_adjunction_on_words, verify_beck_chevalley,
                            verify_pullback_frobenius,
                            verify_relation_compatibility)
-    report = _Report(argv, seed=args.seed)
+    report = _Report(argv)
     pdoc = ff.load_json(args.p)
     fdoc = ff.load_json(args.f)
     report.add_input("p", args.p, pdoc)
@@ -405,147 +421,141 @@ def cmd_example(args, argv):
 
 
 # -- report-verify -----------------------------------------------------------------
+#
+# A replay rule takes the report and one failed check and returns one
+# boolean per recorded failure: does it still fail?  Malformed records
+# raise FormatError.
 
 def _rebuild_map(report_doc):
     inputs = report_doc.get("inputs", {})
-    p = None
     if "map" in inputs:
-        p = ff.map_from_doc(inputs["map"]["doc"])
-    else:
-        example = report_doc.get("example")
-        if example:
-            from . import examples as ex
-            if example["name"] == "matrix-max":
-                p = ex.matrix_support_map(example["n"])
-            elif example["name"] == "group-algebra":
-                p = ex.group_algebra_support_map(
-                    _group_by_name(example["group"]))
-    if p is not None and p.direct_image is None:
-        from .quantale import ensure_left_adjoint
-        try:
-            p = ensure_left_adjoint(p)
-        except Exception:
-            pass  # witnesses that need p_! then fail loudly during replay
-    return p
+        return ff.map_from_doc(inputs["map"]["doc"])
+    example = report_doc.get("example") or {}
+    from . import examples as ex
+    if example.get("name") == "matrix-max":
+        return ex.matrix_support_map(example["n"])
+    if example.get("name") == "group-algebra":
+        return ex.group_algebra_support_map(_group_by_name(example["group"]))
+    raise FormatError("the report embeds no map to replay against")
+
+
+def _witness(chk, carriers):
+    raw = chk.get("witness")
+    if not isinstance(raw, list) or len(raw) != len(carriers):
+        raise FormatError(f"{chk.get('check')} witness {raw!r} must have "
+                          f"{len(carriers)} elements")
+    return tuple(_witness_element(r, c) for r, c in zip(raw, carriers))
 
 
 def _witness_element(raw, carrier):
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, dict) and "basis" in raw:
-        from fractions import Fraction
-        from .subspaces import RationalSubspace
-        vectors = [[Fraction(x) for x in row] for row in raw["basis"]]
-        return RationalSubspace.from_vectors(raw["dim"], vectors)
-    raise FormatError(f"cannot replay witness element {raw!r}")
+    dim = getattr(carrier, "dim", None)
+    if carrier.is_finite:
+        if type(raw) is int and 0 <= raw < carrier.size:
+            return raw
+    elif dim is not None and isinstance(raw, dict) and raw.get("dim") == dim:
+        try:
+            vectors = [[Fraction(x) for x in row] for row in raw["basis"]]
+            return RationalSubspace.from_vectors(dim, vectors)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"witness element {raw!r} is not an element of "
+                      f"{carrier!r}")
 
 
-def _replay_fr(kind, p, witness):
-    Q, X = p.source, p.target
-    if kind == "fr1":
-        a, x = witness
-        return p.shriek(Q.mult(a, p.star(x))) != X.mult(p.shriek(a), x)
-    if kind == "fr1_right":
-        a, x = witness
-        return p.shriek(Q.mult(p.star(x), a)) != X.mult(x, p.shriek(a))
-    if kind == "fr2":
-        a, x, b = witness
-        lhs = p.shriek(Q.mult(Q.mult(a, p.star(x)), b))
-        return lhs != X.mult(X.mult(p.shriek(a), x), p.shriek(b))
-    if kind == "semiopen":
-        a, x = witness
-        if p.direct_image is None:
-            return True  # the witness was an adjunction failure during search
-        return X.leq(p.shriek(a), x) != Q.leq(a, p.star(x))
-    raise FormatError(f"no replay rule for {kind}")
+def _replay_document(doc, chk):
+    """A validate failure: a law witness, or the error of reloading."""
+    entry = doc.get("inputs", {}).get(chk.get("input"))
+    if entry is None:
+        raise FormatError(f"{chk.get('check')} check names no embedded input")
+    try:
+        parts = _parts(chk.get("check"), entry["doc"])
+    except LatticeError as e:
+        return [type(e).__name__ == chk.get("law")]
+    for part, laws, law_args, carrier in parts:
+        if part == chk.get("part"):
+            law = next((law for law in laws if law.name == chk.get("law")),
+                       None)
+            if law is None:
+                raise FormatError(f"no {part} law {chk.get('law')!r}")
+            witness = _witness(chk, [carrier] * law.arity)
+            return [not law.holds(*law_args, *witness)]
+    return [False]
 
 
-def _replay_quantale_violation(q, law, witness):
-    w = list(witness)
-    if law == "assoc":
-        a, b, c = w
-        return q.mult(q.mult(a, b), c) != q.mult(a, q.mult(b, c))
-    if law == "distrib-left":
-        a, b, c = w
-        return q.mult(a, q.join([b, c])) != q.join([q.mult(a, b),
-                                                    q.mult(a, c)])
-    if law == "distrib-right":
-        a, b, c = w
-        return q.mult(q.join([b, c]), a) != q.join([q.mult(b, a),
-                                                    q.mult(c, a)])
-    if law == "bottom-absorb-left":
-        return q.mult(q.bottom, w[0]) != q.bottom
-    if law == "bottom-absorb-right":
-        return q.mult(w[0], q.bottom) != q.bottom
-    if law == "involution-involutive":
-        return q.inv(q.inv(w[0])) != w[0]
-    if law == "involution-monotone":
-        a, b = w
-        return q.leq(a, b) and not q.leq(q.inv(a), q.inv(b))
-    if law == "involution-antimult":
-        a, b = w
-        return q.inv(q.mult(a, b)) != q.mult(q.inv(b), q.inv(a))
-    if law == "involution-join":
-        a, b = w
-        return q.inv(q.join([a, b])) != q.join([q.inv(a), q.inv(b)])
-    if law == "unit-left":
-        return q.mult(q.unit, w[0]) != w[0]
-    if law == "unit-right":
-        return q.mult(w[0], q.unit) != w[0]
-    return None  # structural laws (lattice axioms) re-raise on reload
+def _replay_map_law(doc, chk):
+    p = _rebuild_map(doc)
+    name = chk["check"]
+    carriers = [p.target if r == "x" else p.source
+                for r in MAP_LAWS[name][0]]
+    witness = _witness(chk, carriers)
+    try:
+        return [violates(p, name, witness)]
+    except MissingDirectImage:
+        return [False]
+
+
+def _replay_wos(doc, chk):
+    pool, seed = chk.get("pool"), chk.get("seed")
+    if not (type(pool) is int and pool > 0 and type(seed) is int):
+        raise FormatError("wos check records no pool and seed")
+    return [not check_wos(_rebuild_map(doc), pool, seed).consistent]
+
+
+def _replay_relation_compatibility(doc, chk):
+    from .freeprod import PullbackContext, Word, word_direct_image
+    pdoc = doc["inputs"]["p"]["doc"]
+    fdoc = doc["inputs"]["f"]["doc"]
+    ctx = PullbackContext.build(ff.map_from_doc(pdoc), ff.map_from_doc(fdoc),
+                                verify=False)
+    out = []
+    for fam in chk.get("families", {}).values():
+        for failure in fam.get("failures", []):
+            inst = failure["instance"]
+            lw = Word(tuple((t, e) for t, e in inst["left"]))
+            rw = Word(tuple((t, e) for t, e in inst["right"]))
+            out.append(word_direct_image(ctx, lw) != word_direct_image(ctx, rw))
+    return out
+
+
+_REPLAY_RULES = {
+    "lattice": _replay_document,
+    "quantale": _replay_document,
+    "map": _replay_document,
+    "wos": _replay_wos,
+    "relation-compatibility": _replay_relation_compatibility,
+    **{name: _replay_map_law for name in MAP_LAWS},
+}
 
 
 def cmd_report_verify(args, argv):
     doc = ff.load_json(args.path)
     if doc.get("schema") != SCHEMA:
         raise FormatError(f"unsupported report schema {doc.get('schema')!r}")
+    checks = doc.get("checks", [])
+    if not (isinstance(checks, list) and all(
+            isinstance(c, dict) and isinstance(c.get("ok"), bool)
+            for c in checks)):
+        raise FormatError("report checks must be objects with a boolean 'ok'")
     failures = []
     replayed = 0
-    p = None
-    for chk in doc.get("checks", []):
-        if chk.get("ok", True):
+    verdict = "pass" if all(c["ok"] for c in checks) else "violation"
+    if doc.get("verdict") != verdict:
+        failures.append(("verdict", f"recorded {doc.get('verdict')!r}, "
+                                    f"the checks give {verdict!r}"))
+    for chk in checks:
+        if chk["ok"]:
             continue
         kind = chk.get("check")
-        if kind in ("fr1", "fr1_right", "fr2", "semiopen"):
-            if p is None:
-                p = _rebuild_map(doc)
-            if p is None:
-                failures.append((kind, "cannot rebuild the map"))
-                continue
-            witness = [_witness_element(w, p.source)
-                       for w in chk.get("witness", [])]
-            confirmed = _replay_fr(kind, p, witness)
-            replayed += 1
-            if not confirmed:
-                failures.append((kind, "witness no longer violates"))
-        elif kind == "quantale" and "law" in chk:
-            role = next(iter(doc.get("inputs", {})), None)
-            if role is None:
-                failures.append((kind, "no embedded input"))
-                continue
-            q = ff.quantale_from_doc(doc["inputs"][role]["doc"],
-                                     validate=False)
-            confirmed = _replay_quantale_violation(q, chk["law"],
-                                                   chk["witness"])
-            replayed += 1
-            if confirmed is False:
-                failures.append((kind, f"{chk['law']} witness does not replay"))
-        elif kind == "relation-compatibility":
-            pdoc = doc["inputs"]["p"]["doc"]
-            fdoc = doc["inputs"]["f"]["doc"]
-            from .freeprod import PullbackContext, Word, word_direct_image
-            ctx = PullbackContext.build(ff.map_from_doc(pdoc),
-                                        ff.map_from_doc(fdoc), verify=False)
-            for fam in chk.get("families", {}).values():
-                for failure in fam.get("failures", []):
-                    inst = failure["instance"]
-                    lw = Word(tuple((t, e) for t, e in inst["left"]))
-                    rw = Word(tuple((t, e) for t, e in inst["right"]))
-                    replayed += 1
-                    if word_direct_image(ctx, lw) == word_direct_image(ctx, rw):
-                        failures.append((kind, "instance no longer violates"))
-        else:
-            print(f"  (no replay rule for failed check {kind!r}; skipped)")
+        rule = _REPLAY_RULES.get(kind)
+        if rule is None:
+            failures.append((kind, "no replay rule; not replayed"))
+            continue
+        results = rule(doc, chk)
+        replayed += len(results)
+        if not results:
+            failures.append((kind, "no recorded failure to replay"))
+        failures += [(kind, "recorded failure does not replay")
+                     ] * results.count(False)
     print(f"replayed {replayed} witnesses, {len(failures)} problems")
     for kind, why in failures:
         print(f"  {kind}: {why}")
@@ -595,7 +605,6 @@ def _build_parser():
     sp.add_argument("--maxlen", type=int, default=4)
     sp.add_argument("--truncation", type=int, default=8)
     sp.add_argument("--traces", type=int, default=25)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--report")
 
     sp = sub.add_parser("example", help="materialize or probe a named example")

@@ -215,7 +215,9 @@ def omega_quantale():
     carrier = FiniteSupLattice.chain(2, names=("0", "1"))
     q = FiniteInvQuantale(carrier, ((0, 0), (0, 1)), (0, 1), unit=1,
                           label="Omega")
-    assert validate_quantale(q) is None
+    v = validate_quantale(q)
+    if v is not None:
+        raise InvalidQuantale(v)
     return q
 
 
@@ -505,7 +507,9 @@ def locale_quantale(top, label=""):
     inv = list(range(n))
     q = FiniteInvQuantale(carrier, mult, inv, unit=carrier.top,
                           label=label or f"O({top.points}pt)")
-    assert validate_quantale(q) is None
+    v = validate_quantale(q)
+    if v is not None:
+        raise InvalidQuantale(v)
     return q
 
 

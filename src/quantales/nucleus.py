@@ -68,10 +68,13 @@ def saturated_elements(q, saturated):
     out = frozenset(
         alpha for alpha in q.elements
         if all(q.leq(r, alpha) == q.leq(s, alpha) for r, s in saturated))
-    assert q.top in out
+    if q.top not in out:
+        raise InternalInvariantViolation("top is not saturated")
     for a in out:  # meet-closure is forced by the defining condition
         for b in out:
-            assert q.carrier.meet2(a, b) in out
+            if q.carrier.meet2(a, b) not in out:
+                raise InternalInvariantViolation(
+                    f"saturated elements not meet-closed at ({a},{b})")
     return out
 
 
@@ -130,9 +133,6 @@ class QuotientQuantale:
         """The base element representing quotient index k."""
         return self.closed[k]
 
-    def embed_sup_map(self):
-        return SupMap(self.quantale.carrier, self.base.carrier, self.closed)
-
     def mono_map(self):
         """The regular mono into the base, inverse image = the quotient hom.
 
@@ -166,11 +166,11 @@ def quotient(q, nuc):
         raise InternalInvariantViolation(f"quotient is not a quantale: {v}")
     hom_values = tuple(index[nuc(a)] for a in q.elements)
     hom = SupMap(q.carrier, carrier, hom_values)
-    assert is_sup_map(hom) is None
     v = validate_hom(hom_values.__getitem__, q, quot)
     if v is not None:
         raise InternalInvariantViolation(f"quotient hom is not a hom: {v}")
-    assert set(hom_values) == set(range(n))  # surjective by construction
+    if set(hom_values) != set(range(n)):  # surjective by construction
+        raise InternalInvariantViolation("quotient hom is not onto")
     return QuotientQuantale(quot, q, nuc, closed, hom), hom
 
 
@@ -198,7 +198,8 @@ def factor_sup_map(h, rel):
     for a in q.elements:  # factored . hom == h
         if factored.values[hom.values[a]] != h.values[a]:
             raise InternalInvariantViolation(f"factorization wrong at {a}")
-    assert is_sup_map(factored) is None
+    if is_sup_map(factored) is not None:
+        raise InternalInvariantViolation("factored map does not preserve joins")
     return qq, factored
 
 
@@ -217,5 +218,6 @@ def equalizer(f, g):
     qq, hom = quotient(q, nucleus_from_relation(RelationPresentation(q, pairs)))
     mono = qq.mono_map()
     for v in x.elements:  # f and g agree after the mono
-        assert hom.values[f.star(v)] == hom.values[g.star(v)]
+        if hom.values[f.star(v)] != hom.values[g.star(v)]:
+            raise InternalInvariantViolation(f"equalizer disagrees at {v}")
     return qq, mono

@@ -1,11 +1,15 @@
 """Checkers for semiopenness, Frobenius reciprocity and related lemmas.
 
-Every check returns a Check record: verdict, witness (re-verified against
-the defining equation at construction time), and how the search ran
-(exhaustive, or sampled with pool size and seed).  Finite carriers are
+Every check returns a Check record: verdict, witness and how the search
+ran (exhaustive, or sampled with pool size and seed).  Finite carriers are
 swept exhaustively while the evaluation count stays under a cap; effective
 carriers are probed on deterministic pools of curated plus seeded-random
 handles, so reruns with the recorded seed reproduce the verdict.
+
+Each law of a map is written once, as the sweep of its MAP_LAWS entry over
+one pool per witness element.  A check runs the sweep on its search pools;
+the witness it finds is then re-verified, and a recorded witness replayed
+(`violates`), by running the same sweep on one-element pools.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .quantale import ensure_left_adjoint, is_surjective
-from .suplattice import NoLeftAdjoint
+from .quantale import is_surjective
+from .suplattice import left_adjoint_candidate
 
 EXHAUSTIVE_CAP = 10 ** 6
 DEFAULT_POOL = 50
@@ -84,51 +88,148 @@ def _pools(p, pool, seed):
     return qs, xs, mode, max(len(qs), len(xs))
 
 
-def _display(p, a=None, x=None, b=None):
-    parts = []
-    if a is not None:
-        parts.append(f"a={p.source.name_of(a)}")
-    if x is not None:
-        parts.append(f"x={p.target.name_of(x)}")
-    if b is not None:
-        parts.append(f"b={p.source.name_of(b)}")
-    return ", ".join(parts)
+def _display(p, roles, witness):
+    return ", ".join(
+        f"{r}={(p.target if r == 'x' else p.source).name_of(w)}"
+        for r, w in zip(roles, witness))
+
+
+# -- the laws ------------------------------------------------------------------
+#
+# sweep(p, *pools) walks one pool per witness element and returns the first
+# failing witness (or None) with the number of evaluations made.  Hoisting
+# p_!(a), and in fr2 the partial products, out of the inner loops is what
+# keeps the sweeps affordable on oracle carriers.
+
+def _pair_sweep(holds):
+    """Sweep pairs (a, y) with the law holds(p, a, p_!(a), y)."""
+    def sweep(p, As, Ys):
+        count = 0
+        for a in As:
+            sa = p.shriek(a)
+            for y in Ys:
+                count += 1
+                if not holds(p, a, sa, y):
+                    return (a, y), count
+        return None, count
+    return sweep
+
+
+def _sweep_fr2(p, As, Xs, Bs):
+    """p_!(a p*(x) b) = p_!(a) x p_!(b)."""
+    Q, X = p.source, p.target
+    count = 0
+    for a in As:
+        sa = p.shriek(a)
+        for x in Xs:
+            mid = Q.mult(a, p.star(x))
+            sax = X.mult(sa, x)
+            for b in Bs:
+                count += 1
+                if p.shriek(Q.mult(mid, b)) != X.mult(sax, p.shriek(b)):
+                    return (a, x, b), count
+    return None, count
+
+
+def _sweep_involution(p, As):
+    """p_!(a*) = p_!(a)*."""
+    count = 0
+    for a in As:
+        count += 1
+        if p.shriek(p.source.inv(a)) != p.target.inv(p.shriek(a)):
+            return (a,), count
+    return None, count
+
+
+def _semiopen(p, a, sa, x):  # p_!(a) <= x iff a <= p*(x)
+    return p.target.leq(sa, x) == p.source.leq(a, p.star(x))
+
+
+def _fr1(p, a, sa, x):  # p_!(a p*(x)) = p_!(a) x
+    return p.shriek(p.source.mult(a, p.star(x))) == p.target.mult(sa, x)
+
+
+def _fr1_right(p, a, sa, x):  # p_!(p*(x) a) = x p_!(a)
+    return p.shriek(p.source.mult(p.star(x), a)) == p.target.mult(x, sa)
+
+
+def _locale_meet(p, a, sa, b):  # p_!(a meet b) = p_!(a) meet p_!(b)
+    return (p.shriek(p.source.carrier.meet2(a, b))
+            == p.target.carrier.meet2(sa, p.shriek(b)))
+
+
+# name -> (roles, sweep); roles a and b range over the source Q, x over the
+# target X of p: Q -> X
+MAP_LAWS = {
+    "semiopen": ("ax", _pair_sweep(_semiopen)),
+    "fr1": ("ax", _pair_sweep(_fr1)),
+    "fr1_right": ("ax", _pair_sweep(_fr1_right)),
+    "fr2": ("axb", _sweep_fr2),
+    "direct_image_involution": ("a", _sweep_involution),
+    "locale-meet": ("ab", _pair_sweep(_locale_meet)),
+}
+
+
+class UnconfirmedWitness(RuntimeError):
+    """A witness found by a sweep does not fail its law on re-check."""
+
+
+def violates(p, name, witness):
+    """Whether the witness fails the named law of p.
+
+    The law's sweep runs on one-element pools.  Semiopenness of a finite
+    map without a direct image is judged on the meet candidate for p_!;
+    every other law needs p to be semiopen.
+    """
+    if p.direct_image is None:
+        p = _with_meet_candidate(p) if name == "semiopen" else \
+            _require_direct(p)
+    return MAP_LAWS[name][1](p, *([w] for w in witness))[0] is not None
+
+
+def _confirmed(p, name, witness):
+    if not violates(p, name, witness):
+        raise UnconfirmedWitness(f"{name} witness {witness} holds on re-check")
+    return witness
+
+
+def _check(name, p, pools, seed):
+    """Sweep the law over the search pools and re-verify any witness."""
+    qs, xs, mode, poolsize = pools
+    roles, sweep = MAP_LAWS[name]
+    witness, count = sweep(p, *(xs if r == "x" else qs for r in roles))
+    if witness is None:
+        return Check(name, True, mode=mode, pool=poolsize, seed=seed,
+                     evaluations=count)
+    return Check(name, False, _confirmed(p, name, witness),
+                 _display(p, roles, witness), mode, poolsize, seed, count)
+
+
+def _with_meet_candidate(p):
+    if not (p.source.is_finite and p.target.is_finite):
+        raise MissingDirectImage(
+            "an effective carrier needs a supplied direct image")
+    return p.with_direct_image(
+        left_adjoint_candidate(p.star_sup_map()).__getitem__)
 
 
 def check_semiopen(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """Equip p with a direct image, or report why none exists.
 
-    On finite carriers the left adjoint of p* is computed outright (the
-    witness of failure is an adjunction counterexample); a supplied direct
-    image, finite or effective, is verified against the adjunction on the
-    probe pools.  Returns (map_with_direct_image_or_None, Check).
+    On finite carriers without a supplied direct image the candidate
+    p_!(a) = meet {x : a <= p*(x)} is swept against the adjunction on all
+    pairs (it is the direct image exactly when the sweep passes); a
+    supplied direct image, finite or effective, is verified on the probe
+    pools.  Returns (map_with_direct_image_or_None, Check).
     """
-    Q, X = p.source, p.target
     if p.direct_image is None:
-        if not (Q.is_finite and X.is_finite):
-            raise MissingDirectImage(
-                "an effective carrier needs a supplied direct image")
-        try:
-            enriched = ensure_left_adjoint(p)
-        except NoLeftAdjoint as e:
-            a, x = e.witness  # candidate p_!(a) <= x iff a <= p*(x) failed here
-            chk = Check("semiopen", False, (a, x), _display(p, a=a, x=x),
-                        "exhaustive")
-            return None, chk
-        return enriched, Check("semiopen", True, mode="exhaustive")
-    qs, xs, mode, poolsize = _pools(p, pool, seed)
-    count = 0
-    for a in qs:
-        sa = p.shriek(a)
-        for x in xs:
-            count += 1
-            if X.leq(sa, x) != Q.leq(a, p.star(x)):
-                assert X.leq(p.shriek(a), x) != Q.leq(a, p.star(x))
-                return None, Check("semiopen", False, (a, x),
-                                   _display(p, a=a, x=x), mode, poolsize,
-                                   seed, count)
-    return p, Check("semiopen", True, mode=mode, pool=poolsize, seed=seed,
-                    evaluations=count)
+        p = _with_meet_candidate(p)
+        pools = (list(p.source.elements), list(p.target.elements),
+                 "exhaustive", None)
+        chk = _check("semiopen", p, pools, None)
+    else:
+        chk = _check("semiopen", p, _pools(p, pool, seed), seed)
+    return (p if chk.ok else None), chk
 
 
 def _require_direct(p):
@@ -140,77 +241,29 @@ def _require_direct(p):
     return p
 
 
+def _check_with_direct(name, p, pool, seed):
+    p = _require_direct(p)
+    return _check(name, p, _pools(p, pool, seed), seed)
+
+
 def check_fr1(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """p_!(a p*(x)) = p_!(a) x, exhaustively or on probe pools."""
-    p = _require_direct(p)
-    Q, X = p.source, p.target
-    qs, xs, mode, poolsize = _pools(p, pool, seed)
-    count = 0
-    for a in qs:
-        sa = p.shriek(a)
-        for x in xs:
-            count += 1
-            if p.shriek(Q.mult(a, p.star(x))) != X.mult(sa, x):
-                assert p.shriek(Q.mult(a, p.star(x))) != X.mult(p.shriek(a), x)
-                return Check("fr1", False, (a, x), _display(p, a=a, x=x),
-                             mode, poolsize, seed, count)
-    return Check("fr1", True, mode=mode, pool=poolsize, seed=seed,
-                 evaluations=count)
+    return _check_with_direct("fr1", p, pool, seed)
 
 
 def check_fr1_right(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """p_!(p*(x) a) = x p_!(a), the right-module version of fr1."""
-    p = _require_direct(p)
-    Q, X = p.source, p.target
-    qs, xs, mode, poolsize = _pools(p, pool, seed)
-    count = 0
-    for a in qs:
-        sa = p.shriek(a)
-        for x in xs:
-            count += 1
-            if p.shriek(Q.mult(p.star(x), a)) != X.mult(x, sa):
-                assert p.shriek(Q.mult(p.star(x), a)) != X.mult(x, p.shriek(a))
-                return Check("fr1_right", False, (a, x), _display(p, a=a, x=x),
-                             mode, poolsize, seed, count)
-    return Check("fr1_right", True, mode=mode, pool=poolsize, seed=seed,
-                 evaluations=count)
+    return _check_with_direct("fr1_right", p, pool, seed)
 
 
 def check_fr2(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """p_!(a p*(x) b) = p_!(a) x p_!(b); witness is the first failing triple."""
-    p = _require_direct(p)
-    Q, X = p.source, p.target
-    qs, xs, mode, poolsize = _pools(p, pool, seed)
-    count = 0
-    for a in qs:
-        sa = p.shriek(a)
-        for x in xs:
-            mid = Q.mult(a, p.star(x))
-            sax = X.mult(sa, x)
-            for b in qs:
-                count += 1
-                if p.shriek(Q.mult(mid, b)) != X.mult(sax, p.shriek(b)):
-                    lhs = p.shriek(Q.mult(Q.mult(a, p.star(x)), b))
-                    rhs = X.mult(X.mult(p.shriek(a), x), p.shriek(b))
-                    assert lhs != rhs
-                    return Check("fr2", False, (a, x, b),
-                                 _display(p, a=a, x=x, b=b), mode, poolsize,
-                                 seed, count)
-    return Check("fr2", True, mode=mode, pool=poolsize, seed=seed,
-                 evaluations=count)
+    return _check_with_direct("fr2", p, pool, seed)
 
 
 def check_direct_image_involution(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """p_!(a*) = p_!(a)*: direct images of semiopen maps preserve involution."""
-    p = _require_direct(p)
-    Q, X = p.source, p.target
-    qs, _, mode, poolsize = _pools(p, pool, seed)
-    for a in qs:
-        if p.shriek(Q.inv(a)) != X.inv(p.shriek(a)):
-            return Check("direct_image_involution", False, (a,),
-                         _display(p, a=a), mode, poolsize, seed)
-    return Check("direct_image_involution", True, mode=mode, pool=poolsize,
-                 seed=seed, evaluations=len(qs))
+    return _check_with_direct("direct_image_involution", p, pool, seed)
 
 
 @dataclass(frozen=True)
@@ -268,12 +321,14 @@ def frobenius_report(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     invc = check_direct_image_involution(p, pool, seed)
     mode = "exhaustive" if p.target.is_finite else "sampled"
     surj = is_surjective(p, random.Random(seed))
-    unit_id = None
-    e = p.target.unit
-    if e is not None:
-        unit_id = p.shriek(p.star(e)) == e
     return FrobeniusReport(p.name, semi, fr1, fr1r, fr2, invc,
-                           surj, mode, unit_id)
+                           surj, mode, _unit_identity(p))
+
+
+def _unit_identity(p):
+    """p_!(p*(e)) = e for the unit e of the target, None without a unit."""
+    e = p.target.unit
+    return None if e is None else p.shriek(p.star(e)) == e
 
 
 @dataclass(frozen=True)
@@ -298,8 +353,7 @@ def check_wos(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
         raise NotUnital("target has no declared unit")
     p = _require_direct(p)
     fr1 = check_fr1(p, pool, seed)
-    e = p.target.unit
-    unit_identity = p.shriek(p.star(e)) == e
+    unit_identity = _unit_identity(p)
     surjective = is_surjective(p, random.Random(seed))
     consistent = (not fr1.ok) or (unit_identity == surjective)
     return WosReport(p.name, fr1.ok, unit_identity, surjective, consistent)
@@ -328,9 +382,7 @@ def check_fr2_implies_fr1(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
         raise NotUnital("target has no declared unit")
     p = _require_direct(p)
     fr2 = check_fr2(p, pool, seed)
-    e = p.target.unit
-    unit_identity = p.shriek(p.star(e)) == e
-    if not (fr2.ok and unit_identity):
+    if not (fr2.ok and _unit_identity(p)):
         return ImplicationReport(p.name, False, None, None)
     fr1 = check_fr1(p, pool, seed)
     surj = is_surjective(p, random.Random(seed))
@@ -369,10 +421,9 @@ def check_locale_meet_lemma(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     fr2 = check_fr2(p, pool, seed)
     if not fr2.ok:
         return LocaleMeetReport(p.name, False, False, None, None)
-    Q, X = p.source, p.target
-    for a in Q.elements:
-        for b in Q.elements:
-            if p.shriek(Q.carrier.meet2(a, b)) != \
-                    X.carrier.meet2(p.shriek(a), p.shriek(b)):
-                return LocaleMeetReport(p.name, True, True, False, (a, b))
-    return LocaleMeetReport(p.name, True, True, True, None)
+    elements = list(p.source.elements)
+    witness, _ = MAP_LAWS["locale-meet"][1](p, elements, elements)
+    if witness is None:
+        return LocaleMeetReport(p.name, True, True, True, None)
+    return LocaleMeetReport(p.name, True, True, False,
+                            _confirmed(p, "locale-meet", witness))

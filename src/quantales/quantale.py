@@ -5,7 +5,11 @@ keeps full multiplication/involution tables over a validated lattice and
 supports exhaustive law checking; EffectiveInvQuantale is an oracle for
 carriers that are too large to enumerate (canonical element handles, an
 order test, finite joins, multiplication, involution and a seeded
-sampler), on which the same laws are asserted over finite probe pools.
+sampler), on which the same laws are checked over finite probe pools.
+
+Each law is written once, as an entry (name, arity, predicate) of
+QUANTALE_LAWS or HOM_LAWS: the validators loop over these tables, and a
+recorded witness is re-checked by calling the predicate of its law.
 
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
@@ -16,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .suplattice import SupMap, left_adjoint, validate_lattice
+from .suplattice import NoLeftAdjoint, SupMap, left_adjoint, validate_lattice
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,9 @@ class EffectiveInvQuantale:
     def join(self, items):
         raise NotImplementedError
 
+    def join2(self, a, b):
+        return self.join([a, b])
+
     def mult(self, a, b):
         raise NotImplementedError
 
@@ -180,13 +188,55 @@ class EffectiveInvQuantale:
         return pool
 
 
+# holds(q, *witness) for QUANTALE_LAWS and holds(h, source, target,
+# *witness) for HOM_LAWS, where h: source -> target
+Law = namedtuple("Law", "name arity holds")
+
+# Search order: unary, binary, ternary, then the unit laws (which hold
+# vacuously when no unit is declared).
+QUANTALE_LAWS = (
+    Law("bottom-absorb-right", 1, lambda q, a: q.mult(a, q.bottom) == q.bottom),
+    Law("bottom-absorb-left", 1, lambda q, a: q.mult(q.bottom, a) == q.bottom),
+    Law("involution-involutive", 1, lambda q, a: q.inv(q.inv(a)) == a),
+    Law("involution-monotone", 2,
+        lambda q, a, b: not q.leq(a, b) or q.leq(q.inv(a), q.inv(b))),
+    Law("involution-antimult", 2,
+        lambda q, a, b: q.inv(q.mult(a, b)) == q.mult(q.inv(b), q.inv(a))),
+    Law("involution-join", 2,
+        lambda q, a, b: q.inv(q.join2(a, b)) == q.join2(q.inv(a), q.inv(b))),
+    Law("assoc", 3,
+        lambda q, a, b, c: q.mult(q.mult(a, b), c) == q.mult(a, q.mult(b, c))),
+    Law("distrib-left", 3, lambda q, a, b, c: q.mult(a, q.join2(b, c))
+        == q.join2(q.mult(a, b), q.mult(a, c))),
+    Law("distrib-right", 3, lambda q, a, b, c: q.mult(q.join2(b, c), a)
+        == q.join2(q.mult(b, a), q.mult(c, a))),
+    Law("unit-left", 1, lambda q, a: q.unit is None or q.mult(q.unit, a) == a),
+    Law("unit-right", 1, lambda q, a: q.unit is None or q.mult(a, q.unit) == a),
+)
+
+HOM_LAWS = (
+    Law("hom-bottom", 0, lambda h, s, t: h(s.bottom) == t.bottom),
+    Law("hom-join", 2,
+        lambda h, s, t, a, b: h(s.join2(a, b)) == t.join2(h(a), h(b))),
+    Law("hom-mult", 2,
+        lambda h, s, t, a, b: h(s.mult(a, b)) == t.mult(h(a), h(b))),
+    Law("hom-involution", 1, lambda h, s, t, a: h(s.inv(a)) == t.inv(h(a))),
+)
+
+
+def _runs(laws):
+    """Consecutive laws of equal arity, as (arity, [(name, holds), ...])."""
+    return [(arity, [(law.name, law.holds) for law in run])
+            for arity, run in itertools.groupby(laws, lambda law: law.arity)]
+
+
 def validate_quantale(q, rng=None, samples=None):
     """None if all involutive-quantale laws hold, else a Violation with witness.
 
-    Finite carriers are checked exhaustively (associativity, bottom
-    absorption, distributivity over binary joins, involution laws and the
-    unit law when a unit is declared); effective carriers, or finite ones
-    when `samples` is given, are checked on probe pools of that size.
+    Finite carriers are checked exhaustively on every law of
+    QUANTALE_LAWS; effective carriers, or finite ones when `samples` is
+    given, are checked on probe pools of that size, with the ternary laws
+    on `5 * samples` triples drawn from the pool.
     """
     if q.is_finite and samples is None:
         if getattr(q, "_validated", False):
@@ -202,40 +252,24 @@ def validate_quantale(q, rng=None, samples=None):
 
 
 def _validate_on(q, pool, exhaustive, rng=None, triples=None):
-    bot = q.bottom
-    for a in pool:
-        if q.mult(a, bot) != bot:
-            return Violation("bottom-absorb-right", (a,))
-        if q.mult(bot, a) != bot:
-            return Violation("bottom-absorb-left", (a,))
-        if q.inv(q.inv(a)) != a:
-            return Violation("involution-involutive", (a,))
-    for a, b in itertools.product(pool, repeat=2):
-        if q.leq(a, b) and not q.leq(q.inv(a), q.inv(b)):
-            return Violation("involution-monotone", (a, b))
-        if q.inv(q.mult(a, b)) != q.mult(q.inv(b), q.inv(a)):
-            return Violation("involution-antimult", (a, b))
-        if q.inv(q.join([a, b])) != q.join([q.inv(a), q.inv(b)]):
-            return Violation("involution-join", (a, b))
-    if exhaustive:
-        triple_iter = itertools.product(pool, repeat=3)
-    else:
-        triple_iter = ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                       for _ in range(triples))
-    for a, b, c in triple_iter:
-        if q.mult(q.mult(a, b), c) != q.mult(a, q.mult(b, c)):
-            return Violation("assoc", (a, b, c))
-        if q.mult(a, q.join([b, c])) != q.join([q.mult(a, b), q.mult(a, c)]):
-            return Violation("distrib-left", (a, b, c))
-        if q.mult(q.join([b, c]), a) != q.join([q.mult(b, a), q.mult(c, a)]):
-            return Violation("distrib-right", (a, b, c))
-    if q.unit is not None:
-        e = q.unit
-        for a in pool:
-            if q.mult(e, a) != a:
-                return Violation("unit-left", (a,))
-            if q.mult(a, e) != a:
-                return Violation("unit-right", (a,))
+    for arity, laws in _runs(QUANTALE_LAWS):
+        if arity < 3:
+            for w in itertools.product(pool, repeat=arity):
+                for name, holds in laws:
+                    if not holds(q, *w):
+                        return Violation(name, w)
+            continue
+        # the hot loop of validation, spelled out: unpacking *w on every
+        # call would nearly double its cost
+        if exhaustive:
+            tuples = itertools.product(pool, repeat=3)
+        else:
+            tuples = ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
+                      for _ in range(triples))
+        for a, b, c in tuples:
+            for name, holds in laws:
+                if not holds(q, a, b, c):
+                    return Violation(name, (a, b, c))
     return None
 
 
@@ -248,7 +282,7 @@ def find_unit(q):
 
 
 def validate_hom(h, source, target, rng=None, samples=None):
-    """None if h: source -> target preserves joins, mult and involution.
+    """None if h: source -> target satisfies HOM_LAWS, else a Violation.
 
     Exhaustive over a finite source; otherwise checked on a probe pool.
     """
@@ -257,16 +291,11 @@ def validate_hom(h, source, target, rng=None, samples=None):
     else:
         rng = rng or random.Random(0)
         pool = source.probe_elements(rng, samples or 40)
-    if h(source.bottom) != target.bottom:
-        return Violation("hom-bottom", ())
-    for a, b in itertools.product(pool, repeat=2):
-        if h(source.join([a, b])) != target.join([h(a), h(b)]):
-            return Violation("hom-join", (a, b))
-        if h(source.mult(a, b)) != target.mult(h(a), h(b)):
-            return Violation("hom-mult", (a, b))
-    for a in pool:
-        if h(source.inv(a)) != target.inv(h(a)):
-            return Violation("hom-involution", (a,))
+    for arity, laws in _runs(HOM_LAWS):
+        for w in itertools.product(pool, repeat=arity):
+            for name, holds in laws:
+                if not holds(h, source, target, *w):
+                    return Violation(name, w)
     return None
 
 
@@ -341,20 +370,16 @@ def is_surjective(p, rng=None, samples=200):
     effective X without a direct image the question is undecidable here.
     """
     X = p.target
+    if p.direct_image is None and X.is_finite and p.source.is_finite:
+        try:
+            p = ensure_left_adjoint(p)
+        except NoLeftAdjoint:
+            pass
     if p.direct_image is not None:
-        if X.is_finite:
-            return all(p.shriek(p.star(x)) == x for x in X.elements)
-        rng = rng or random.Random(0)
-        return all(p.shriek(p.star(x)) == x
-                   for x in X.probe_elements(rng, samples))
+        xs = X.elements if X.is_finite else \
+            X.probe_elements(rng or random.Random(0), samples)
+        return all(p.shriek(p.star(x)) == x for x in xs)
     if X.is_finite:
-        if p.source.is_finite:
-            try:
-                q = ensure_left_adjoint(p)
-            except Exception:
-                q = None
-            if q is not None:
-                return all(q.shriek(q.star(x)) == x for x in X.elements)
         values = [p.star(x) for x in X.elements]
         return len(set(values)) == len(values)
     raise Undecidable("surjectivity of a map into an effective carrier "

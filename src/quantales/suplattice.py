@@ -236,8 +236,8 @@ def validate_lattice(leq, size=None, names=None):
         row = meet_table[i]
         for j in range(i, n):
             m = by_down.get(down[i] & down[j])
-            # cannot fail: a finite poset with bottom and all joins has all meets
-            assert m is not None
+            if m is None:  # a finite poset with bottom and all joins has all meets
+                raise LatticeError(f"pair ({i},{j}) has no meet")
             row[j] = m
             meet_table[j][i] = m
 
@@ -306,8 +306,17 @@ def right_adjoint(f):
     g = SupMap(cod, dom, values)
     for m in cod.elements:  # adjunction is guaranteed, keep a cheap self-check
         for l in dom.elements:
-            assert cod.leq(f.values[l], m) == dom.leq(l, g.values[m])
+            if cod.leq(f.values[l], m) != dom.leq(l, g.values[m]):
+                raise LatticeError(f"right adjoint fails at ({l},{m})")
     return g
+
+
+def left_adjoint_candidate(f):
+    """g(m) = meet { l : m <= f(l) }, the left adjoint of f if it has one."""
+    dom, cod = f.dom, f.cod
+    return tuple(
+        dom.meet(l for l in dom.elements if cod.leq(m, f.values[l]))
+        for m in cod.elements)
 
 
 def left_adjoint(f):
@@ -319,9 +328,7 @@ def left_adjoint(f):
     reported by the openness checkers.
     """
     dom, cod = f.dom, f.cod
-    values = tuple(
-        dom.meet(l for l in dom.elements if cod.leq(m, f.values[l]))
-        for m in cod.elements)
+    values = left_adjoint_candidate(f)
     for m in cod.elements:
         for l in dom.elements:
             if dom.leq(values[m], l) != cod.leq(m, f.values[l]):
@@ -379,7 +386,8 @@ def closure_from_closed_family(lat, closed):
             raise NotMeetClosed((a, b))
     values = tuple(lat.meet(c for c in cset if lat.leq(a, c)) for a in lat.elements)
     op = ClosureOperator(lat, values)
-    assert set(op.closed_elements()) == set(cset)
+    if set(op.closed_elements()) != set(cset):
+        raise LatticeError("closure does not fix exactly the given family")
     return op
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .suplattice import FiniteSupLattice, SupMap, is_sup_map, validate_lattice
+from .suplattice import (FiniteSupLattice, NotSupPreserving, SupMap,
+                         is_sup_map, validate_lattice)
 
 
 class EnumerationBoundExceeded(RuntimeError):
@@ -40,11 +41,13 @@ class BiIdeal:
     members: frozenset
 
     def leq(self, other):
-        assert self.factors == other.factors
+        if self.factors != other.factors:
+            raise ValueError("bi-ideals of different tensor products")
         return self.members <= other.members
 
     def meet(self, other):
-        assert self.factors == other.factors
+        if self.factors != other.factors:
+            raise ValueError("bi-ideals of different tensor products")
         return BiIdeal(self.factors, self.members & other.members)
 
     def __contains__(self, t):
@@ -208,10 +211,6 @@ def pure_tensor(factors, t):
     return TensorLattice(factors).pure(tuple(t))
 
 
-def tensor_lattice(factors, bound=4096):
-    return TensorLattice(factors, bound=bound)
-
-
 def check_bimorphism(b, factors, target):
     """None if b preserves joins (including empty) in every coordinate."""
     factors = tuple(factors)
@@ -250,9 +249,12 @@ def induced_from_bimorphism(b, factors, target, tensor=None):
     if T.grid_size <= T.bound:
         lat, elems = T.as_suplattice()
         sup_map = SupMap(lat, target, tuple(fn(g) for g in elems))
-        assert is_sup_map(sup_map) is None
+        w = is_sup_map(sup_map)
+        if w is not None:
+            raise NotSupPreserving(w)
         for t in T.grid():  # agreement on pure tensors
-            assert fn(T.pure(t)) == b(t)
+            if fn(T.pure(t)) != b(t):
+                raise RuntimeError(f"extension disagrees with b at {t}")
     return fn, sup_map
 
 

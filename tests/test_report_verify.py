@@ -1,0 +1,282 @@
+"""report-verify replays each failed top-level check through the definition
+that produced it, and fails closed on everything else."""
+
+import ast
+import pathlib
+
+import pytest
+
+from quantales import fileformats as ff
+from quantales.cli import main
+from quantales.examples import (cyclic_group, delta_embedding_map,
+                                discrete_to_point_map,
+                                group_powerset_quantale, omega_quantale,
+                                omega_support_map, rel_quantale,
+                                sierpinski_closed_point_map,
+                                z2_group_algebra_finite_map)
+from quantales.openness import UnconfirmedWitness, check_fr1
+from quantales.quantale import (HOM_LAWS, QUANTALE_LAWS, QuantaleMap,
+                                identity_map)
+
+PZ2 = group_powerset_quantale(cyclic_group(2))
+BASES = {"omega": omega_quantale, "pz2": lambda: PZ2,
+         "pz3": lambda: group_powerset_quantale(cyclic_group(3)),
+         "rel2": lambda: rel_quantale(2)}
+
+# law -> (base quantale, one edit of its tables that makes the law the first
+# to fail, a tuple where the law still holds)
+QUANTALE_CASES = {
+    "bottom-absorb-right": ("omega", ("mult", 1, 0, 1), [0]),
+    "bottom-absorb-left": ("omega", ("mult", 0, 1, 1), [0]),
+    "involution-involutive": ("omega", ("inv", 0, 1), [1]),
+    "involution-monotone": ("omega", ("swap-inv", 0, 1), [0, 0]),
+    "involution-antimult": ("pz2", ("mult", 2, 1, 3), [0, 0]),
+    "involution-join": ("pz2", ("swap-inv", 3, 2), [0, 0]),
+    "assoc": ("pz2", ("mult", 1, 1, 0), [0, 0, 0]),
+    "distrib-left": ("pz2", ("mult", 3, 3, 0), [0, 0, 0]),
+    "distrib-right": ("pz3", ("mult", 4, 2, 6), [0, 0, 0]),
+    "unit-left": ("omega", ("mult", 1, 1, 0), [0]),
+    "unit-right": ("rel2", ("unit", 3), [0]),
+}
+
+# law -> (map, inverse-image entries to overwrite, a tuple where it holds)
+HOM_CASES = {
+    "hom-bottom": (lambda: identity_map(PZ2), {0: 2}, None),
+    "hom-join": (lambda: identity_map(PZ2), {2: 1}, [0, 0]),
+    "hom-mult": (lambda: identity_map(PZ2), {2: 3}, [0, 0]),
+    "hom-involution": (lambda: delta_embedding_map(2), {1: 12}, [0]),
+}
+
+
+def _not_semiopen_map():
+    # p*(1) = {e} is a quantale hom Omega -> P(Z/2) that misses the top,
+    # so p* has no left adjoint
+    return QuantaleMap.from_table(PZ2, omega_quantale(), (0, 1),
+                                  name="not-semiopen")
+
+
+# map law -> (map that fails it, a tuple where it holds)
+MAP_CASES = [
+    ("semiopen", _not_semiopen_map, [0, 0]),
+    ("fr1", sierpinski_closed_point_map, [0, 0]),
+    ("fr1_right", sierpinski_closed_point_map, [0, 0]),
+    ("fr2", sierpinski_closed_point_map, [0, 0, 0]),
+    ("fr2", lambda: discrete_to_point_map(2), [0, 0, 0]),
+    ("fr2", z2_group_algebra_finite_map, [0, 0, 0]),
+]
+
+
+def _edited_quantale_doc(base, edit):
+    doc = ff.quantale_to_doc(BASES[base]())
+    op, *args = edit
+    if op == "mult":
+        i, j, k = args
+        next(t for t in doc["mult"] if t[:2] == [i, j])[2] = k
+    elif op == "inv":
+        i, k = args
+        next(t for t in doc["inv"] if t[0] == i)[1] = k
+    elif op == "swap-inv":
+        i, j = args
+        for t in doc["inv"]:
+            t[1] = {i: j, j: i}.get(t[0], t[1])
+    else:
+        doc["unit"] = args[0]
+    return doc
+
+
+def _write(path, doc):
+    ff.save_json(path, doc)
+    return str(path)
+
+
+def _replay(tmp_path, report_doc, name="edited.report.json"):
+    return main(["report-verify", _write(tmp_path / name, report_doc)])
+
+
+def _failed(report_path, check):
+    doc = ff.load_json(report_path)
+    return doc, next(c for c in doc["checks"] if c["check"] == check)
+
+
+def test_tables_cover_the_laws():
+    assert [law.name for law in QUANTALE_LAWS] == list(QUANTALE_CASES)
+    assert [law.name for law in HOM_LAWS] == list(HOM_CASES)
+    assert [law.arity for law in QUANTALE_LAWS] == [1, 1, 1, 2, 2, 2,
+                                                    3, 3, 3, 1, 1]
+
+
+@pytest.mark.parametrize("law", list(QUANTALE_CASES))
+def test_quantale_law_witness_replays_and_a_moved_one_does_not(law, tmp_path):
+    base, edit, holds_at = QUANTALE_CASES[law]
+    qpath = _write(tmp_path / "q.json", _edited_quantale_doc(base, edit))
+    report = tmp_path / "q.report.json"
+    assert main(["validate", qpath, "--report", str(report)]) == 1
+    doc, chk = _failed(report, "quantale")
+    assert chk["law"] == law and chk["part"] == "quantale"
+    assert main(["report-verify", str(report)]) == 0
+    chk["witness"] = holds_at
+    assert _replay(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("law", list(HOM_CASES))
+def test_hom_law_witness_replays_and_a_moved_one_does_not(law, tmp_path):
+    make, entries, holds_at = HOM_CASES[law]
+    mdoc = ff.map_to_doc(make())
+    for pair in mdoc["inverse_image"]:
+        pair[1] = entries.get(pair[0], pair[1])
+    mpath = _write(tmp_path / "m.json", mdoc)
+    report = tmp_path / "m.report.json"
+    assert main(["validate", mpath, "--report", str(report)]) == 1
+    doc, chk = _failed(report, "map")
+    assert chk["law"] == law and chk["part"] == "inverse_image"
+    assert main(["report-verify", str(report)]) == 0
+    if holds_at is not None:  # hom-bottom has the empty witness only
+        chk["witness"] = holds_at
+        assert _replay(tmp_path, doc) == 1
+
+
+def test_map_document_records_which_part_fails(tmp_path):
+    mdoc = ff.map_to_doc(identity_map(PZ2))
+    mdoc["target"] = _edited_quantale_doc("pz2", ("mult", 1, 1, 0))
+    mpath = _write(tmp_path / "m.json", mdoc)
+    report = tmp_path / "m.report.json"
+    assert main(["validate", mpath, "--report", str(report)]) == 1
+    doc, chk = _failed(report, "map")
+    assert (chk["part"], chk["law"]) == ("target", "assoc")
+    assert main(["report-verify", str(report)]) == 0
+    chk["part"] = "source"  # the source quantale satisfies the law
+    assert _replay(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("law,make,holds_at", MAP_CASES)
+def test_map_law_witness_replays_and_a_moved_one_does_not(law, make, holds_at,
+                                                          tmp_path):
+    mpath = _write(tmp_path / "m.json", ff.map_to_doc(make()))
+    report = tmp_path / "m.report.json"
+    flag = "--" + law.replace("_", "-")
+    assert main(["check-map", "--map", mpath, flag,
+                 "--report", str(report)]) == 1
+    doc, chk = _failed(report, law)
+    assert main(["report-verify", str(report)]) == 0
+    chk["witness"] = holds_at
+    assert _replay(tmp_path, doc) == 1
+
+
+def test_inconsistent_wos_claim_does_not_replay(tmp_path):
+    mpath = _write(tmp_path / "m.json", ff.map_to_doc(omega_support_map(PZ2)))
+    report = tmp_path / "m.report.json"
+    assert main(["check-map", "--map", mpath, "--wos",
+                 "--report", str(report)]) == 0
+    doc, chk = _failed(report, "wos")
+    chk["ok"] = False
+    doc["verdict"] = "violation"
+    assert _replay(tmp_path, doc) == 1
+
+
+def test_unreplayable_failed_check_fails_closed(tmp_path, capsys):
+    # the sierpinski map fails the pullback hypothesis; report-verify has no
+    # rule for that check and must not pass it
+    mpath = _write(tmp_path / "sp.json",
+                   ff.map_to_doc(sierpinski_closed_point_map()))
+    three = sierpinski_closed_point_map().target
+    ident = QuantaleMap.from_table(three, three, tuple(three.elements))
+    fpath = _write(tmp_path / "id.json", ff.map_to_doc(ident))
+    report = tmp_path / "pb.report.json"
+    assert main(["pullback-verify", "--p", mpath, "--f", fpath,
+                 "--report", str(report)]) == 1
+    assert ff.load_json(report)["seed"] is None
+    capsys.readouterr()
+    assert main(["report-verify", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert "replayed 0 witnesses, 1 problems" in out
+    assert "pullback-hypothesis: no replay rule" in out
+
+
+def test_structural_failures_are_replayed_by_reloading(tmp_path):
+    # a lattice with two incomparable tops has no join for them
+    bad_lattice = {"elements": ["0", "a", "b"], "leq": [[0, 1], [0, 2]]}
+    lpath = _write(tmp_path / "l.json", bad_lattice)
+    report = tmp_path / "l.report.json"
+    assert main(["validate", lpath, "--report", str(report)]) == 1
+    doc, chk = _failed(report, "lattice")
+    assert chk["law"] == "MissingJoin"
+    assert main(["report-verify", str(report)]) == 0
+    doc["inputs"][lpath]["doc"]["leq"].append([1, 2])  # now a chain
+    assert _replay(tmp_path, doc) == 1
+    chk["law"] = "NoBottom"
+    doc["inputs"][lpath]["doc"] = bad_lattice
+    assert _replay(tmp_path, doc) == 1
+
+    qdoc = ff.quantale_to_doc(omega_quantale())
+    qdoc["lattice"] = {"elements": ["0", "1"], "leq": []}  # no bottom
+    qpath = _write(tmp_path / "q.json", qdoc)
+    report = tmp_path / "q.report.json"
+    assert main(["validate", qpath, "--report", str(report)]) == 1
+    assert _failed(report, "quantale")[1]["law"] == "NoBottom"
+    assert main(["report-verify", str(report)]) == 0
+
+
+def test_verdict_must_agree_with_the_checks(tmp_path):
+    qpath = _write(tmp_path / "q.json",
+                   _edited_quantale_doc("pz2", ("mult", 1, 1, 0)))
+    report = tmp_path / "q.report.json"
+    assert main(["validate", qpath, "--report", str(report)]) == 1
+    doc = ff.load_json(report)
+    doc["verdict"] = "pass"
+    assert _replay(tmp_path, doc) == 1
+    ok_path = _write(tmp_path / "ok.json", ff.quantale_to_doc(PZ2))
+    assert main(["validate", ok_path, "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    doc["verdict"] = "violation"
+    assert _replay(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("witness", [[99, 1], [1], [1, 1, 1], [1, "1"],
+                                     [True, 1], "1,1"])
+def test_witness_outside_its_carrier_is_an_input_error(witness, tmp_path):
+    mpath = _write(tmp_path / "sp.json",
+                   ff.map_to_doc(sierpinski_closed_point_map()))
+    report = tmp_path / "sp.report.json"
+    assert main(["check-map", "--map", mpath, "--fr1",
+                 "--report", str(report)]) == 1
+    doc, chk = _failed(report, "fr1")
+    chk["witness"] = witness
+    assert _replay(tmp_path, doc) == 2
+
+
+def test_effective_witness_replays_and_is_checked_against_its_carrier(
+        tmp_path):
+    report = tmp_path / "ga.json"
+    assert main(["example", "group-algebra", "--group", "z2", "--pool", "12",
+                 "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    fr2 = next(c for c in doc["frobenius"]["checks"] if c["check"] == "fr2")
+    doc["checks"].append(fr2)
+    doc["verdict"] = "violation"
+    assert _replay(tmp_path, doc) == 0
+    fr2["witness"][0] = {"dim": 3, "basis": [["1", "1", "0"]]}
+    assert _replay(tmp_path, doc) == 2
+
+
+def test_search_witness_that_holds_on_recheck_raises():
+    # a direct image that answers wrongly once: the sweep finds a witness
+    # that the one-element re-run of the same sweep does not confirm
+    p = omega_support_map(PZ2)
+    calls = []
+
+    def flaky(a):
+        calls.append(a)
+        return 1 if len(calls) == 1 else p.direct_image(a)
+
+    with pytest.raises(UnconfirmedWitness):
+        check_fr1(p.with_direct_image(flaky))
+    assert check_fr1(p).ok
+
+
+def test_library_holds_no_assert_statements():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "quantales"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
