@@ -22,9 +22,8 @@ from .tensor import (BiIdeal, DirectSum, TensorLattice, associator,
                      check_bimorphism, direct_sum, induced_from_bimorphism,
                      pure_tensor, unit_iso)
 from .subspaces import RationalSubspace
-from .freeprod import (GradedElement, PullbackContext, TruncatedFreeProduct,
-                       Word, all_words, grade_of, pairing_map,
-                       pullback_relation_instances, verify_adjunction_on_words,
-                       verify_beck_chevalley, verify_pullback_frobenius,
-                       verify_relation_compatibility, word,
-                       word_direct_image, word_involution, word_multiply)
+from .freeprod import (PullbackContext, Word, all_words, grade_of,
+                       verify_adjunction_on_words, verify_beck_chevalley,
+                       verify_pullback_frobenius,
+                       verify_relation_compatibility, word, word_direct_image,
+                       word_involution, word_multiply)

@@ -6,11 +6,13 @@ digests plus embedded copies of the inputs, per-check verdicts with
 witnesses, seeds and timing, so that `report-verify` can replay every
 recorded failure of the top-level checks.
 
-`report-verify` fails closed: the verdict must agree with the checks, and
-each failed check is replayed through the definition that produced it (a
-law witness through its predicate or one-element sweep, a structural
-failure by reloading the embedded input) or counted as a problem.  The
-nested `frobenius` and `hypothesis` blocks are not read yet.
+`report-verify` fails closed: every embedded input must match its
+`doc_sha256` (the digest of its canonical JSON), the verdict must agree
+with the checks, and each failed check is replayed through the
+definition that produced it (a law witness through its predicate or
+one-element sweep, a structural failure by reloading the embedded input)
+or counted as a problem.  The nested `frobenius` and `hypothesis` blocks
+are not read yet.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class _Report:
 
     def add_input(self, role, path, doc):
         self.doc["inputs"][role] = {
-            "path": path, "sha256": ff.digest(path), "doc": doc}
+            "path": path, "sha256": ff.digest(path),
+            "doc_sha256": ff.doc_digest(doc), "doc": doc}
 
     def add_check(self, check_doc):
         self.doc["checks"].append(check_doc)
@@ -266,7 +269,7 @@ def cmd_tensor(args, argv):
 # -- pullback-verify ------------------------------------------------------------------
 
 def cmd_pullback_verify(args, argv):
-    from .freeprod import (HypothesisNotSatisfied, PullbackContext,
+    from .freeprod import (REDUCTION, HypothesisNotSatisfied, PullbackContext,
                            verify_adjunction_on_words, verify_beck_chevalley,
                            verify_pullback_frobenius,
                            verify_relation_compatibility)
@@ -278,7 +281,7 @@ def cmd_pullback_verify(args, argv):
     p = ff.map_from_doc(pdoc)
     f = ff.map_from_doc(fdoc)
     try:
-        ctx = PullbackContext.build(p, f, truncation=args.truncation)
+        ctx = PullbackContext.build(p, f)
     except HypothesisNotSatisfied as e:
         print("base map is not a certified semiopen surjection with both "
               "Frobenius conditions:")
@@ -293,21 +296,24 @@ def cmd_pullback_verify(args, argv):
     report.doc["hypothesis"] = ctx.report.to_json()
     report.add_check({"check": "pullback-hypothesis", "ok": True})
 
+    scope = REDUCTION["scope"]
     rc = verify_relation_compatibility(ctx, args.maxlen)
     report.add_check({"check": "relation-compatibility", "ok": rc.ok,
                       **rc.to_json()})
     print(f"relation compatibility: {'ok' if rc.ok else 'FAIL'} "
-          f"({rc.total_instances} instances over {len(rc.families)} families)")
+          f"({rc.total_instances} cores over {len(rc.families)} families, "
+          f"{scope})")
     for fam, res in sorted(rc.families.items()):
         print(f"    {fam:<11} [{res.hypothesis:<12}] "
-              f"{res.instances:>7} instances, {len(res.failures)} failures")
+              f"{res.instances:>7} cores, {len(res.failures)} failures")
 
     adj = verify_adjunction_on_words(ctx, args.maxlen, max_traces=args.traces)
     report.add_check({"check": "adjunction-on-words", "ok": adj.ok,
                       **adj.to_json(ctx)})
     print(f"adjunction on words: {'ok' if adj.ok else 'FAIL'} "
-          f"({adj.words_checked} words, {adj.traces_kept} rewrite traces, "
-          f"{len(adj.traces)} kept in the report)")
+          f"({ctx.Q.size} base units and {adj.cores} cores, {scope}; "
+          f"{adj.traces_kept} rewrite traces of words up to length "
+          f"{args.maxlen} recorded)")
 
     bc = verify_beck_chevalley(ctx)
     report.add_check({"check": "beck-chevalley", "ok": bc.ok, **bc.to_json()})
@@ -316,10 +322,11 @@ def cmd_pullback_verify(args, argv):
     pf = verify_pullback_frobenius(ctx, args.maxlen)
     report.add_check({"check": "pullback-frobenius", "ok": pf.ok,
                       **pf.to_json()})
-    n_cases = sum(v["instances"] for v in pf.cases.values())
+    n_cores = sum(v["instances"] for v in pf.cases.values()
+                  if "decided_by" not in v)
     print(f"pullback frobenius: {'ok' if pf.ok else 'FAIL'} "
-          f"({pf.module_instances} module instances, "
-          f"{len(pf.cases)} case shapes, {n_cases} case instances)")
+          f"({pf.module_instances} module cores and {n_cores} case cores "
+          f"deciding {len(pf.cases)} case shapes, {scope})")
 
     ok = rc.ok and adj.ok and bc.ok and pf.ok
     report.finish("pass" if ok else "violation")
@@ -536,14 +543,24 @@ def cmd_report_verify(args, argv):
             isinstance(c, dict) and isinstance(c.get("ok"), bool)
             for c in checks)):
         raise FormatError("report checks must be objects with a boolean 'ok'")
-    failures = []
+    inputs = doc.get("inputs", {})
+    if not (isinstance(inputs, dict) and all(
+            isinstance(e, dict) and isinstance(e.get("doc_sha256"), str)
+            for e in inputs.values())):
+        raise FormatError("report inputs must be objects with a 'doc_sha256'")
+    edited = [role for role, e in inputs.items()
+              if ff.doc_digest(e.get("doc")) != e["doc_sha256"]]
+    # a failure replayed against an edited input would show nothing
+    failures = [(f"input {role}", "embedded doc does not match its "
+                                  "doc_sha256; nothing replayed")
+                for role in edited]
     replayed = 0
     verdict = "pass" if all(c["ok"] for c in checks) else "violation"
     if doc.get("verdict") != verdict:
         failures.append(("verdict", f"recorded {doc.get('verdict')!r}, "
                                     f"the checks give {verdict!r}"))
     for chk in checks:
-        if chk["ok"]:
+        if chk["ok"] or edited:
             continue
         kind = chk.get("check")
         rule = _REPLAY_RULES.get(kind)
@@ -563,6 +580,14 @@ def cmd_report_verify(args, argv):
 
 
 # -- entry point --------------------------------------------------------------------
+
+def _maxlen(text):
+    from .freeprod import check_maxlen
+    try:
+        return check_maxlen(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -602,8 +627,7 @@ def _build_parser():
                         help="verify the pullback identities for p along f")
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
-    sp.add_argument("--maxlen", type=int, default=4)
-    sp.add_argument("--truncation", type=int, default=8)
+    sp.add_argument("--maxlen", type=_maxlen, default=4)
     sp.add_argument("--traces", type=int, default=25)
     sp.add_argument("--report")
 

@@ -185,6 +185,12 @@ def digest(path):
     return h.hexdigest()
 
 
+def doc_digest(doc):
+    """sha256 of a document's canonical JSON: sorted keys, compact separators."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def sniff_kind(doc):
     """Which document kind a JSON object represents, by its key shape."""
     if not isinstance(doc, dict):

@@ -2,12 +2,17 @@
 
 The oracles deliberately avoid the library's own formulas: joins are found
 by scanning upper bounds, adjoints by enumerating all value tables, least
-nuclei by enumerating all closure operators.  Expected values frozen in the
-tests were computed with these.
+nuclei by enumerating all closure operators, and the pullback verdicts by
+enumerating flanked instances instead of using the flank lemma.  Expected
+values frozen in the tests were computed with these.
 """
 
 import itertools
 
+from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
+                                ChainFailure, Instance, Word, _unit_chain,
+                                all_words, family_instance,
+                                word_direct_image, word_multiply)
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
                                   validate_lattice)
 
@@ -101,3 +106,154 @@ def sup_maps_between(dom, cod, limit=None):
             if limit and len(maps) >= limit:
                 break
     return maps
+
+
+# -- brute-force oracle for the pullback verifiers ------------------------------
+#
+# The bounded enumerations the reduced verifiers in quantales.freeprod
+# replace: every flanked instance, every word and every flanked Frobenius
+# case up to a word length.
+
+def words_shaped(Y, Q, max_len, start=None, end=None, allow_empty=False):
+    """Words filtered by boundary tags; optionally include the empty flank."""
+    if allow_empty:
+        yield ()
+    for w in all_words(Y, Q, max_len):
+        if start is not None and w.first_tag != start:
+            continue
+        if end is not None and w.last_tag != end:
+            continue
+        yield w.letters
+
+
+def pullback_relation_instances(ctx, maxlen=4):
+    """All instances of the nine families with both sides within the budget.
+
+    The flanks range over every alternating word of the appropriate
+    boundary tags (plus the empty flank); an instance is kept when both of
+    its sides fit in maxlen letters.
+    """
+    Y, Q, X = ctx.Y, ctx.Q, ctx.X
+    out = []
+
+    def emit(family, x, **kw):
+        lhs, rhs = family_instance(ctx, family, x, **kw)
+        if len(lhs) <= maxlen and len(rhs) <= maxlen:
+            out.append(Instance(family, FAMILY_HYPOTHESIS[family], x,
+                                lhs, rhs))
+
+    ys = range(Y.size)
+    qs = range(Q.size)
+
+    def flank_pairs(budget, end_tag, start_tag):
+        # total flank letters bounded by the longer side's slack
+        for t in words_shaped(Y, Q, budget, end=end_tag, allow_empty=True):
+            rest = budget - len(t)
+            for t2 in words_shaped(Y, Q, rest, start=start_tag,
+                                   allow_empty=True):
+                yield t, t2
+
+    for x in X.elements:
+        emit("standalone", x)
+        for t in words_shaped(Y, Q, maxlen - 2, start=Y_TAG, allow_empty=True):
+            for a in qs:
+                emit("head_q", x, a=a, left=t)
+        for t in words_shaped(Y, Q, maxlen - 2, start=Q_TAG, allow_empty=True):
+            for y in ys:
+                emit("head_y", x, y=y, left=t)
+        for t in words_shaped(Y, Q, maxlen - 2, end=Y_TAG, allow_empty=True):
+            for a in qs:
+                emit("tail_q", x, a=a, left=t)
+        for t in words_shaped(Y, Q, maxlen - 2, end=Q_TAG, allow_empty=True):
+            for y in ys:
+                emit("tail_y", x, y=y, left=t)
+        for t, t2 in flank_pairs(maxlen - 3, Y_TAG, Y_TAG):
+            for a in qs:
+                for a2 in qs:
+                    emit("mid_qq", x, a=a, a2=a2, left=t, right=t2)
+        for t, t2 in flank_pairs(maxlen - 2, Q_TAG, Y_TAG):
+            for y in ys:
+                for a in qs:
+                    emit("mid_yq", x, y=y, a=a, left=t, right=t2)
+        for t, t2 in flank_pairs(maxlen - 2, Y_TAG, Q_TAG):
+            for a in qs:
+                for y in ys:
+                    emit("mid_qy", x, a=a, y=y, left=t, right=t2)
+        for t, t2 in flank_pairs(maxlen - 3, Q_TAG, Q_TAG):
+            for y in ys:
+                for y2 in ys:
+                    emit("mid_yy", x, y=y, y2=y2, left=t, right=t2)
+    return out
+
+
+def oracle_relation_failures(ctx, maxlen):
+    """Family -> the enumerated instances up to maxlen on which h differs."""
+    out = {fam: [] for fam in FAMILIES}
+    for inst in pullback_relation_instances(ctx, maxlen):
+        if word_direct_image(ctx, inst.left_word) != \
+                word_direct_image(ctx, inst.right_word):
+            out[inst.family].append(inst)
+    return out
+
+
+def oracle_adjunction_ok(ctx, maxlen):
+    """Counit on every letter, and the unit chain of every word up to maxlen."""
+    if any(word_direct_image(ctx, Word(((Y_TAG, y),))) != y
+           for y in ctx.Y.elements):
+        return False
+    for w in all_words(ctx.Y, ctx.Q, maxlen):
+        try:
+            _unit_chain(ctx, w)
+        except ChainFailure:
+            return False
+    return True
+
+
+def oracle_frobenius_failures(ctx, maxlen, flank_budget=1):
+    """Module condition on every word up to maxlen, and the sixteen case
+    shapes with flanks up to flank_budget letters; failing case names."""
+    Y, Q = ctx.Y, ctx.Q
+    failing = set()
+
+    def h(w):
+        return word_direct_image(ctx, w)
+
+    def mul(w1, w2):
+        return word_multiply(Y, Q, w1, w2)
+
+    for w in all_words(Y, Q, maxlen):
+        hw = h(w)
+        for y in Y.elements:
+            yw = Word(((Y_TAG, y),))
+            if h(mul(w, yw)) != Y.mult(hw, y):
+                failing.add("right-action")
+            if h(mul(yw, w)) != Y.mult(y, hw):
+                failing.add("left-action")
+
+    def letters_of(tag):
+        alg = Y if tag == Y_TAG else Q
+        return [(tag, e) for e in alg.elements]
+
+    for lflank, ztag, z2tag, rflank in itertools.product(
+            (False, True), (Y_TAG, Q_TAG), (Y_TAG, Q_TAG), (False, True)):
+        case = (f"{'t|' if lflank else ''}{ztag}.y.{z2tag}"
+                f"{'|t' if rflank else ''}")
+        lefts = [()] if not lflank else list(
+            words_shaped(Y, Q, flank_budget,
+                         end=Q_TAG if ztag == Y_TAG else Y_TAG))
+        rights = [()] if not rflank else list(
+            words_shaped(Y, Q, flank_budget,
+                         start=Q_TAG if z2tag == Y_TAG else Y_TAG))
+        for lf in lefts:
+            for z in letters_of(ztag):
+                alpha = Word(lf + (z,))
+                ha = h(alpha)
+                for rf in rights:
+                    for z2 in letters_of(z2tag):
+                        beta = Word((z2,) + rf)
+                        hb = h(beta)
+                        for y in Y.elements:
+                            prod = mul(mul(alpha, Word(((Y_TAG, y),))), beta)
+                            if h(prod) != Y.mult(Y.mult(ha, y), hb):
+                                failing.add(case)
+    return failing

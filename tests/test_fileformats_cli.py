@@ -169,6 +169,15 @@ def test_cli_pullback_verify_and_report(files):
     assert main(["report-verify", str(report)]) == 0
 
 
+@pytest.mark.parametrize("maxlen", ["0", "2"])
+def test_cli_pullback_verify_rejects_a_maxlen_below_the_longest_core(
+        files, maxlen):
+    # such a bound once printed "ok (0 instances over 9 families)"
+    assert main(["pullback-verify", "--p", str(files / "omega-support.map.json"),
+                 "--f", str(files / "delta.map.json"),
+                 "--maxlen", maxlen]) == 2
+
+
 def test_cli_pullback_verify_rejects_bad_base(files, tmp_path):
     # the sierpinski map fails the hypothesis, so the run reports a violation
     mpath = tmp_path / "sp.map.json"

@@ -7,10 +7,7 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 z2_group_algebra_finite_map)
 from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS,
                                 HypothesisNotSatisfied, PullbackContext,
-                                TruncatedFreeProduct, TruncationOverflow,
-                                Word, all_words, family_instance, grade_of,
-                                grade_pattern, pairing_map,
-                                pullback_relation_instances,
+                                Word, family_instance, grade_of,
                                 verify_adjunction_on_words,
                                 verify_beck_chevalley,
                                 verify_pullback_frobenius,
@@ -19,9 +16,10 @@ from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS,
                                 word_multiply)
 from quantales.quantale import identity_map
 
+from _helpers import oracle_relation_failures, pullback_relation_instances
+
 Y = rel_quantale(2)
 Q = group_powerset_quantale(cyclic_group(2))
-TFP = TruncatedFreeProduct(Y, Q, truncation=32)
 
 
 def ctx_small():
@@ -43,10 +41,15 @@ def test_grades_of_short_words():
 
 
 def test_grade_patterns_invert_grade_of():
-    for n in range(1, 20):
-        pattern = grade_pattern(n)
-        w = Word(tuple((t, 1) for t in pattern))
-        assert grade_of(w).n == n
+    # each alternating letter pattern up to length 10 has its own grade,
+    # and together they fill grades 1 to 20
+    grades = []
+    for length in range(1, 11):
+        for start, other in (("y", "q"), ("q", "y")):
+            w = Word(tuple((start if i % 2 == 0 else other, 1)
+                           for i in range(length)))
+            grades.append(grade_of(w).n)
+    assert sorted(grades) == list(range(1, 21))
 
 
 def test_word_rejects_nonalternating_sequences():
@@ -122,77 +125,11 @@ def test_multiplication_is_associative(w1, w2, w3):
     assert lhs == rhs
 
 
-def test_graded_embed_and_multiply():
-    e1 = TFP.embed(word(("y", 3)))
-    e2 = TFP.embed(word(("y", 5)))
-    assert TFP.graded_multiply(e1, e2) == TFP.embed(word(("y", Y.mult(3, 5))))
-    g5 = TFP.embed(word(("y", 3), ("q", 1), ("y", 5)))
-    g6 = TFP.embed(word(("q", 2), ("y", 7), ("q", 3)))
-    prod = TFP.graded_multiply(g5, g6)
-    assert prod.grades == (11,)
-
-
-def test_graded_product_of_pures_is_pure():
-    for w1 in all_words(Y, Q, 2):
-        for w2 in list(all_words(Y, Q, 2))[::37]:
-            prod = TFP.graded_multiply(TFP.embed(w1), TFP.embed(w2))
-            assert len(prod.components) <= 1
-            for _, ws in prod.components:
-                assert len(ws) == 1
-
-
-def test_truncation_overflow_is_a_hard_error():
-    small = TruncatedFreeProduct(Y, Q, truncation=4)
-    g3 = small.embed(word(("y", 1), ("q", 1)))
-    with pytest.raises(TruncationOverflow):
-        small.graded_multiply(g3, g3)
-    with pytest.raises(TruncationOverflow):
-        small.embed(word(("y", 1), ("q", 1), ("y", 2), ("q", 2), ("y", 3)))
-
-
-def test_bottom_letters_vanish():
-    assert TFP.embed(word(("y", 0))).is_bottom()
-    ge = TFP.graded_join([TFP.embed(word(("y", 3))),
-                          TFP.embed(word(("q", 0)))])
-    assert ge.grades == (1,)
-
-
-def test_graded_join_prunes_dominated_generators():
-    lo = TFP.embed(word(("y", 1)))
-    hi = TFP.embed(word(("y", Y.top)))
-    joined = TFP.graded_join([lo, hi])
-    assert joined == hi
-
-
-def test_projections_are_homomorphisms_on_the_truncation():
-    pi1, pi2 = TFP.projections()
-    bot = pi1.star(Y.bottom)
-    assert bot.is_bottom()
-    for y1 in (1, 5, Y.top):
-        for y2 in (2, 9):
-            lhs = pi1.star(Y.mult(y1, y2))
-            rhs = TFP.graded_multiply(pi1.star(y1), pi1.star(y2))
-            assert lhs == rhs
-        joined = TFP.graded_join([pi1.star(y1), pi1.star(9)])
-        assert TFP.same_element(joined, pi1.star(Y.join2(y1, 9)))
-    for a in Q.elements:
-        assert pi2.star(Q.inv(a)) == TFP.graded_involution(pi2.star(a))
-
-
-def test_pairing_on_words_and_graded_elements():
-    # both legs into the same carrier collapse the word to a product
-    R = Q
-    f = identity_map(R)
-    g = identity_map(R)
-    evaluate = pairing_map(f, g)
-    tfp = TruncatedFreeProduct(R, R, truncation=8)
-    w = Word((("y", 1), ("q", 2), ("y", 3)))
-    assert evaluate(w) == R.mult(R.mult(1, 2), 3)
-    assert evaluate(Word((("y", 2),))) == 2
-    assert evaluate(Word((("y", 1), ("q", 2)))) == R.mult(1, 2)
-    ge = tfp.graded_join([tfp.embed(Word((("y", 1),))),
-                          tfp.embed(Word((("q", 2),)))])
-    assert evaluate(ge) == R.join2(1, 2)
+def test_bottom_letters_vanish(ctx):
+    # a bottom letter anywhere sends the whole word to bottom under h
+    for w in (word(("y", 0)), word(("q", 0)), word(("y", 3), ("q", 0)),
+              word(("q", 2), ("y", 0), ("q", 3))):
+        assert word_direct_image(ctx, w) == ctx.Y.bottom
 
 
 def test_relation_instance_shapes(ctx):
@@ -216,15 +153,6 @@ def test_instances_cover_all_nine_families(ctx):
         assert i.hypothesis == FAMILY_HYPOTHESIS[i.family]
 
 
-def test_instances_respect_the_truncation(ctx):
-    with pytest.raises(ValueError):
-        pullback_relation_instances(ctx, maxlen=5)  # grade 10 > truncation 8
-    tfp = ctx.words()
-    for inst in pullback_relation_instances(ctx, maxlen=4)[::997]:
-        left, right = inst.graded(tfp)
-        assert all(g <= ctx.truncation for g in left.grades + right.grades)
-
-
 def test_direct_image_of_words(ctx):
     # single letters
     for y in ctx.Y.elements:
@@ -246,15 +174,20 @@ def test_relation_compatibility_passes(ctx):
 
 
 def test_relation_compatibility_with_longer_flanks():
-    # a tighter base square over tiny carriers affords maxlen 5, which
-    # exercises the two-flank shapes of the between-letters families
+    # a tighter base square over tiny carriers affords the oracle at
+    # maxlen 5, which exercises the two-flank shapes of the between-letters
+    # families that the cores decide
     om = omega_quantale()
     p = omega_support_map(om)
-    ctx = PullbackContext.build(p, identity_map(om), truncation=12)
+    ctx = PullbackContext.build(p, identity_map(om))
     report = verify_relation_compatibility(ctx, maxlen=5)
     assert report.ok
     mid_qq = report.families["mid_qq"]
     assert mid_qq.instances > 0
+    flanked = [i for i in pullback_relation_instances(ctx, maxlen=5)
+               if i.family == "mid_qq" and len(i.right_word) == 5]
+    assert flanked
+    assert not any(oracle_relation_failures(ctx, maxlen=5).values())
 
 
 def test_adjunction_on_words(ctx):
@@ -289,13 +222,14 @@ def test_pullback_frobenius_cases(ctx):
     assert len(report.cases) == 16
     assert all(v["instances"] > 0 for v in report.cases.values())
     # spot values: h((a) pi1*(y)) = f*(p_!(a)) y and h((y)(y')) = y y'
-    tfp = ctx.words()
     a, y = 1, 6
     lhs = word_direct_image(
-        ctx, tfp.multiply_words(Word((("q", a),)), Word((("y", y),))))
+        ctx, word_multiply(ctx.Y, ctx.Q, Word((("q", a),)),
+                           Word((("y", y),))))
     assert lhs == ctx.Y.mult(ctx.f.star(ctx.p.shriek(a)), y)
     yy = word_direct_image(
-        ctx, tfp.multiply_words(Word((("y", 3),)), Word((("y", y),))))
+        ctx, word_multiply(ctx.Y, ctx.Q, Word((("y", 3),)),
+                           Word((("y", y),))))
     assert yy == ctx.Y.mult(3, y)
 
 

@@ -192,6 +192,25 @@ def test_unreplayable_failed_check_fails_closed(tmp_path, capsys):
     assert "pullback-hypothesis: no replay rule" in out
 
 
+def test_embedded_inputs_are_checked_against_their_digest(tmp_path, capsys):
+    pz2 = group_powerset_quantale(cyclic_group(2))
+    mpath = _write(tmp_path / "p.json", ff.map_to_doc(omega_support_map(pz2)))
+    fpath = _write(tmp_path / "f.json", ff.map_to_doc(delta_embedding_map(2)))
+    report = tmp_path / "pb.report.json"
+    assert main(["pullback-verify", "--p", mpath, "--f", fpath,
+                 "--maxlen", "3", "--report", str(report)]) == 0
+    assert main(["report-verify", str(report)]) == 0
+    doc = ff.load_json(report)
+    doc["inputs"]["p"]["doc"]["inverse_image"] = [[0, 3], [1, 0]]
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 1
+    assert "input p: embedded doc does not match its doc_sha256" in \
+        capsys.readouterr().out
+    doc = ff.load_json(report)
+    del doc["inputs"]["f"]["doc_sha256"]
+    assert _replay(tmp_path, doc) == 2
+
+
 def test_structural_failures_are_replayed_by_reloading(tmp_path):
     # a lattice with two incomparable tops has no join for them
     bad_lattice = {"elements": ["0", "a", "b"], "leq": [[0, 1], [0, 2]]}
