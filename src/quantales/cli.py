@@ -18,9 +18,9 @@ are not read yet.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from fractions import Fraction
 
 from . import fileformats as ff
 from . import __version__
@@ -347,78 +347,92 @@ def _group_by_name(name):
     raise FormatError(f"unknown group {name!r} (use z2, z3 or s3)")
 
 
-def _write_example(report, args, docs):
-    import os
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    for fname, doc in docs:
-        path = os.path.join(outdir, fname)
-        ff.save_json(path, doc)
-        print(f"wrote {path}")
-    report.add_check({"check": "materialize", "ok": True,
-                      "files": [f for f, _ in docs]})
+def _materialized_examples(ex, args):
+    """Example name -> (file name, document writer, builder) for the
+    examples that are written out as files."""
+    locales = {"sierpinski": ex.sierpinski_closed_point_map,
+               "two-point": ex.discrete_to_point_map,
+               "open-inclusion": ex.open_inclusion_map}
+
+    def locale_map():
+        if args.which not in locales:
+            raise FormatError(f"unknown locale example {args.which!r}")
+        return locales[args.which]()
+
+    def powerset():
+        return ex.group_powerset_quantale(_group_by_name(args.group))
+
+    return {
+        "rel": (f"rel{args.n}.quantale.json", ff.quantale_to_doc,
+                lambda: ex.rel_quantale(args.n)),
+        "group": (f"p-{args.group}.quantale.json", ff.quantale_to_doc,
+                  powerset),
+        "locale": (f"locale-{args.which}.map.json", ff.map_to_doc,
+                   locale_map),
+        "omega-support": (f"omega-support-{args.group}.map.json",
+                          ff.map_to_doc,
+                          lambda: ex.omega_support_map(powerset())),
+        "delta-embedding": (f"delta-embedding-{args.n}.map.json",
+                            ff.map_to_doc,
+                            lambda: ex.delta_embedding_map(args.n)),
+    }
+
+
+def _example_map(example):
+    """The support map that a probed example runs its suite on, from the
+    report's `example` record."""
+    from . import examples as ex
+    if example.get("name") == "matrix-max":
+        return ex.matrix_support_map(example["n"])
+    if example.get("name") == "group-algebra":
+        return ex.group_algebra_support_map(_group_by_name(example["group"]))
+    raise FormatError("the report embeds no map to replay against")
+
+
+# probed example -> (its option, suite line, `expected` of the suite check,
+# suite verdict of the frobenius report)
+_SUITES = {
+    "matrix-max": ("n", "semiopen surjection with fr1 and fr2", None,
+                   lambda rep: rep.hypothesis_for_pullback),
+    "group-algebra": ("group", "fr1 holds, fr2 fails with witness",
+                      "fr1 holds, fr2 has a witness",
+                      lambda rep: rep.fr1.ok and rep.fr1_right.ok
+                      and rep.surjective and not rep.fr2.ok),
+}
 
 
 def cmd_example(args, argv):
     from . import examples as ex
     report = _Report(argv, seed=args.seed)
     name = args.name
-    code = 0
-    if name == "rel":
-        q = ex.rel_quantale(args.n)
-        _write_example(report, args, [(f"rel{args.n}.quantale.json",
-                                       ff.quantale_to_doc(q))])
-    elif name == "group":
-        q = ex.group_powerset_quantale(_group_by_name(args.group))
-        _write_example(report, args, [(f"p-{args.group}.quantale.json",
-                                       ff.quantale_to_doc(q))])
-    elif name == "locale":
-        maps = {
-            "sierpinski": ex.sierpinski_closed_point_map,
-            "two-point": ex.discrete_to_point_map,
-            "open-inclusion": ex.open_inclusion_map,
-        }
-        if args.which not in maps:
-            raise FormatError(f"unknown locale example {args.which!r}")
-        m = maps[args.which]()
-        _write_example(report, args, [(f"locale-{args.which}.map.json",
-                                       ff.map_to_doc(m))])
-    elif name == "omega-support":
-        q = ex.group_powerset_quantale(_group_by_name(args.group))
-        m = ex.omega_support_map(q)
-        _write_example(report, args, [(f"omega-support-{args.group}.map.json",
-                                       ff.map_to_doc(m))])
-    elif name == "delta-embedding":
-        m = ex.delta_embedding_map(args.n)
-        _write_example(report, args, [(f"delta-embedding-{args.n}.map.json",
-                                       ff.map_to_doc(m))])
-    elif name == "matrix-max":
-        p = ex.matrix_support_map(args.n)
-        rep = frobenius_report(p, pool=args.pool, seed=args.seed)
-        report.doc["example"] = {"name": name, "n": args.n}
+    materialized = _materialized_examples(ex, args)
+    if name in materialized:
+        fname, to_doc, build = materialized[name]
+        doc = to_doc(build())
+        outdir = args.out or "."
+        os.makedirs(outdir, exist_ok=True)
+        path = os.path.join(outdir, fname)
+        ff.save_json(path, doc)
+        print(f"wrote {path}")
+        report.add_check({"check": "materialize", "ok": True,
+                          "files": [fname]})
+        code = 0
+    elif name in _SUITES:
+        option, line, expected, verdict = _SUITES[name]
+        example = {"name": name, option: getattr(args, option)}
+        rep = frobenius_report(_example_map(example), pool=args.pool,
+                               seed=args.seed)
+        report.doc["example"] = example
         report.doc["frobenius"] = rep.to_json()
-        for chk in rep.to_json()["checks"]:
+        for chk in report.doc["frobenius"]["checks"]:
             _print_check(chk)
         print(f"  surjective: {rep.surjective}")
-        suite_ok = rep.hypothesis_for_pullback
-        report.add_check({"check": "matrix-max-suite", "ok": suite_ok})
-        print(f"suite (semiopen surjection with fr1 and fr2): "
-              f"{'ok' if suite_ok else 'FAIL'}")
-        code = 0 if suite_ok else 1
-    elif name == "group-algebra":
-        p = ex.group_algebra_support_map(_group_by_name(args.group))
-        rep = frobenius_report(p, pool=args.pool, seed=args.seed)
-        report.doc["example"] = {"name": name, "group": args.group}
-        report.doc["frobenius"] = rep.to_json()
-        for chk in rep.to_json()["checks"]:
-            _print_check(chk)
-        print(f"  surjective: {rep.surjective}")
-        suite_ok = (rep.fr1.ok and rep.fr1_right.ok and rep.surjective
-                    and not rep.fr2.ok)
-        report.add_check({"check": "group-algebra-suite", "ok": suite_ok,
-                          "expected": "fr1 holds, fr2 has a witness"})
-        print(f"suite (fr1 holds, fr2 fails with witness): "
-              f"{'ok' if suite_ok else 'FAIL'}")
+        suite_ok = verdict(rep)
+        check = {"check": f"{name}-suite", "ok": suite_ok}
+        if expected:
+            check["expected"] = expected
+        report.add_check(check)
+        print(f"suite ({line}): {'ok' if suite_ok else 'FAIL'}")
         code = 0 if suite_ok else 1
     else:
         raise FormatError(f"unknown example {name!r}")
@@ -437,13 +451,7 @@ def _rebuild_map(report_doc):
     inputs = report_doc.get("inputs", {})
     if "map" in inputs:
         return ff.map_from_doc(inputs["map"]["doc"])
-    example = report_doc.get("example") or {}
-    from . import examples as ex
-    if example.get("name") == "matrix-max":
-        return ex.matrix_support_map(example["n"])
-    if example.get("name") == "group-algebra":
-        return ex.group_algebra_support_map(_group_by_name(example["group"]))
-    raise FormatError("the report embeds no map to replay against")
+    return _example_map(report_doc.get("example") or {})
 
 
 def _witness(chk, carriers):
@@ -459,11 +467,10 @@ def _witness_element(raw, carrier):
     if carrier.is_finite:
         if type(raw) is int and 0 <= raw < carrier.size:
             return raw
-    elif dim is not None and isinstance(raw, dict) and raw.get("dim") == dim:
+    elif dim is not None:
         try:
-            vectors = [[Fraction(x) for x in row] for row in raw["basis"]]
-            return RationalSubspace.from_vectors(dim, vectors)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            return RationalSubspace.from_json(raw, dim)
+        except ValueError:
             pass
     raise FormatError(f"witness element {raw!r} is not an element of "
                       f"{carrier!r}")
@@ -590,6 +597,7 @@ def _maxlen(text):
 
 
 def _build_parser():
+    from .freeprod import DEFAULT_TRACES
     parser = argparse.ArgumentParser(
         prog="quantales",
         description="construct and check involutive quantales, their maps, "
@@ -628,7 +636,7 @@ def _build_parser():
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--maxlen", type=_maxlen, default=4)
-    sp.add_argument("--traces", type=int, default=25)
+    sp.add_argument("--traces", type=int, default=DEFAULT_TRACES)
     sp.add_argument("--report")
 
     sp = sub.add_parser("example", help="materialize or probe a named example")

@@ -1,11 +1,16 @@
 """Concrete quantales and maps, over finite sets and exact rational arithmetic.
 
 Everything here is built from scratch and validated before being handed
-out: powerset quantales of finite groupoids (binary relations are the pair
-groupoid case, group powersets the one-object case), subspace quantales of
-matrix algebras and group algebras over Q with their support maps, locales
-of finite topological spaces, and small "seed" maps that satisfy both
-Frobenius conditions and feed the pullback verifiers.
+out: powerset quantales of finite groupoids, subspace quantales of their
+rational algebras with the support maps between the two, locales of finite
+topological spaces, and small "seed" maps that satisfy both Frobenius
+conditions and feed the pullback verifiers.
+
+One groupoid table builds both carrier kinds.  Its composition table
+multiplies subsets in P(G) and basis vectors in the algebra, its inverse
+table gives both involutions, and its units give both units.  The pair
+groupoid on n objects yields Rel(n) and Max M_n(Q); a group, the groupoid
+with one unit, yields P(G) and Max Q[G].
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class HypothesisFailure(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroupoidData:
-    """A finite groupoid by tables; mult entries are None where undefined."""
+    """A finite groupoid by tables; mult entries are None where undefined.
+    A group is the groupoid with one unit."""
     names: tuple
     mult: tuple
     inv: tuple
@@ -65,47 +71,30 @@ class FiniteGroupoidData:
         return len(self.names)
 
     def validate(self):
-        n = self.size
+        n, mult, inv = self.size, self.mult, self.inv
+        entries = {c for row in mult for c in row if c is not None}
+        if (len(mult) != n or any(len(row) != n for row in mult)
+                or len(inv) != n
+                or not entries | set(inv) | set(self.units) <= set(range(n))):
+            raise InvalidGroupTable("tables do not match the arrows")
+        # the target x x^-1 and the source x^-1 x of each arrow x
+        target = [mult[i][inv[i]] for i in range(n)]
+        source = [mult[inv[i]][i] for i in range(n)]
+        if set(target) | set(source) != set(self.units):
+            raise InvalidGroupTable("the units are not the arrows x x^-1")
         for i in range(n):
-            if self.mult[self.inv[i]][i] is None or self.mult[i][self.inv[i]] is None:
-                raise InvalidGroupTable(f"element {i} not composable with its inverse")
-            if self.mult[self.mult[i][self.inv[i]]][i] != i:
-                raise InvalidGroupTable(f"x x^-1 x != x at {i}")
+            if mult[target[i]][i] != i or mult[i][source[i]] != i:
+                raise InvalidGroupTable(f"unit law fails at {i}")
+        for i, j in itertools.product(range(n), repeat=2):
+            if (mult[i][j] is None) == (source[i] == target[j]):
+                raise InvalidGroupTable(f"({i},{j}) must compose exactly "
+                                        f"when the source of {i} is the "
+                                        f"target of {j}")
         for i, j, k in itertools.product(range(n), repeat=3):
-            ij, jk = self.mult[i][j], self.mult[j][k]
+            ij, jk = mult[i][j], mult[j][k]
             if ij is not None and jk is not None:
-                if self.mult[ij][k] != self.mult[i][jk]:
+                if mult[ij][k] != mult[i][jk]:
                     raise InvalidGroupTable(f"associativity fails at ({i},{j},{k})")
-        for u in self.units:
-            for i in range(n):
-                if self.mult[u][i] is not None and self.mult[u][i] != i:
-                    raise InvalidGroupTable(f"unit {u} does not fix {i}")
-
-
-@dataclass(frozen=True)
-class FiniteGroupData:
-    names: tuple
-    mult: tuple
-    inv: tuple
-    identity: int
-
-    @property
-    def size(self):
-        return len(self.names)
-
-    def to_groupoid(self):
-        return FiniteGroupoidData(self.names, self.mult, self.inv,
-                                  (self.identity,))
-
-    def validate(self):
-        g = self.to_groupoid()
-        g.validate()
-        n = self.size
-        for i in range(n):
-            if self.mult[self.identity][i] != i or self.mult[i][self.identity] != i:
-                raise InvalidGroupTable(f"identity law fails at {i}")
-            if self.mult[i][self.inv[i]] != self.identity:
-                raise InvalidGroupTable(f"inverse law fails at {i}")
 
 
 @functools.cache
@@ -114,7 +103,7 @@ def cyclic_group(n):
                   for i in range(n))
     mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    g = FiniteGroupData(names, mult, inv, 0)
+    g = FiniteGroupoidData(names, mult, inv, (0,))
     g.validate()
     return g
 
@@ -136,8 +125,8 @@ def symmetric_group_3():
     mult = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms)
                  for p in perms)
     inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
-    g = FiniteGroupData(tuple(name(p) for p in perms), mult, inv,
-                        index[(0, 1, 2)])
+    g = FiniteGroupoidData(tuple(name(p) for p in perms), mult, inv,
+                           (index[(0, 1, 2)],))
     g.validate()
     return g
 
@@ -206,7 +195,7 @@ def rel_quantale(n):
 @functools.cache
 def group_powerset_quantale(group):
     group.validate()
-    return powerset_quantale(group.to_groupoid(), label=f"P(G{group.size})")
+    return powerset_quantale(group, label=f"P(G{group.size})")
 
 
 @functools.cache
@@ -247,24 +236,23 @@ def product_quantale(q1, q2):
 # -- subspace quantales over Q ------------------------------------------------
 
 class MaxAlgebraQuantale(EffectiveInvQuantale):
-    """Subspaces of a finite-dimensional involutive Q-algebra.
+    """Subspaces of the rational algebra of a finite groupoid.
 
-    Multiplication is the span of pairwise products of basis vectors, the
-    involution acts on basis vectors, joins are subspace sums and the order
-    is containment.  Handles are RationalSubspace values in RREF, hence
-    canonical.  Over Q every subspace of a finite-dimensional space is
-    closed, so no completion step is involved.
+    The basis is the set of arrows: the product of two arrows is their
+    composite when they compose and zero otherwise, the involution sends
+    an arrow to its inverse and the unit is the sum of the units.
+    Multiplication is the span of pairwise products of basis vectors,
+    joins are subspace sums and the order is containment.  Handles are
+    RationalSubspace values in RREF, hence canonical.  Over Q every
+    subspace of a finite-dimensional space is closed, so no completion
+    step is involved.
     """
 
-    def __init__(self, dim, product, involution, unit_vector=None,
-                 curated=(), label=""):
-        self.dim = dim
-        self._product = product
-        self._involution = involution
-        self._bottom = RationalSubspace.zero(dim)
-        self.unit = None
-        if unit_vector is not None:
-            self.unit = RationalSubspace.from_vectors(dim, [unit_vector])
+    def __init__(self, groupoid, curated=(), label=""):
+        self.groupoid = groupoid
+        self.dim = groupoid.size
+        self._bottom = RationalSubspace.zero(self.dim)
+        self.unit = _line(_indicator(self.dim, groupoid.units))
         self._curated = list(curated)
         self.label = label
 
@@ -281,13 +269,27 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
             vectors.extend(s.basis)
         return RationalSubspace.from_vectors(self.dim, vectors)
 
+    def _product(self, u, v):
+        # RREF rows of curated handles are mostly zero: skip those entries
+        out = [0] * self.dim
+        right = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                row = self.groupoid.mult[i]
+                for j, y in right:
+                    k = row[j]
+                    if k is not None:
+                        out[k] += x * y
+        return out
+
     def mult(self, a, b):
         products = [self._product(u, v) for u in a.basis for v in b.basis]
         return RationalSubspace.from_vectors(self.dim, products)
 
     def inv(self, a):
+        # the coefficient of x in u* is that of x^-1 in u
         return RationalSubspace.from_vectors(
-            self.dim, [self._involution(u) for u in a.basis])
+            self.dim, [[u[k] for k in self.groupoid.inv] for u in a.basis])
 
     def sample(self, rng):
         k = rng.randint(0, min(self.dim, 3))
@@ -298,52 +300,25 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
     def curated_elements(self):
         return [self._bottom] + self._curated + [RationalSubspace.full(self.dim)]
 
-    def name_of(self, a):
-        return repr(a)
+
+def _indicator(dim, arrows):
+    """The sum of the basis vectors of the given arrows."""
+    return tuple(Fraction(int(i in arrows)) for i in range(dim))
 
 
-def _unit_vec(dim, at):
-    return tuple(Fraction(int(i == at)) for i in range(dim))
+def _line(vector):
+    return RationalSubspace.from_vectors(len(vector), [vector])
 
 
-@functools.cache
-def matrix_max_quantale(n):
-    """All subspaces of the n x n rational matrix algebra."""
-    dim = n * n
-
-    def product(u, v):
-        out = [Fraction(0)] * dim
-        for i in range(n):
-            for j in range(n):
-                out[i * n + j] = sum((u[i * n + k] * v[k * n + j]
-                                      for k in range(n)), Fraction(0))
-        return tuple(out)
-
-    def involution(u):
-        return tuple(u[j * n + i] for i in range(n) for j in range(n))
-
-    identity = tuple(Fraction(int(i == j)) for i in range(n) for j in range(n))
-    curated = [RationalSubspace.from_vectors(dim, [_unit_vec(dim, i * n + j)])
-               for i in range(n) for j in range(n)]
-    curated.append(RationalSubspace.from_vectors(dim, [identity]))
-    diag = [_unit_vec(dim, i * n + i) for i in range(n)]
-    curated.append(RationalSubspace.from_vectors(dim, diag))
-    upper = [_unit_vec(dim, i * n + j) for i in range(n) for j in range(n) if j >= i]
-    curated.append(RationalSubspace.from_vectors(dim, upper))
-    return MaxAlgebraQuantale(dim, product, involution, identity, curated,
-                              label=f"Max M{n}(Q)")
-
-
-def matrix_support_map(n):
-    """p: Max Mn(Q) -> Rel(n); p* spans matrix units over a relation and
-    p_! is the support relation of a subspace."""
-    source = matrix_max_quantale(n)
-    target = rel_quantale(n)
-    dim = n * n
+def _support_map(source, target, name):
+    """p: Max A -> P(G) for the algebra A of a groupoid G, with target the
+    powerset quantale of G: p* spans the arrows of a subset and p_! takes
+    the support of a subspace."""
+    dim = source.dim
 
     def inverse_image(u_mask):
-        vectors = [_unit_vec(dim, b) for b in _bits(u_mask)]
-        return RationalSubspace.from_vectors(dim, vectors)
+        return RationalSubspace.from_vectors(
+            dim, [_indicator(dim, (b,)) for b in _bits(u_mask)])
 
     def direct_image(subspace):
         out = 0
@@ -353,74 +328,56 @@ def matrix_support_map(n):
                     out |= 1 << b
         return out
 
-    return QuantaleMap(source, target, inverse_image, direct_image,
-                       name=f"matrix-support-{n}")
+    return QuantaleMap(source, target, inverse_image, direct_image, name=name)
+
+
+@functools.cache
+def matrix_max_quantale(n):
+    """All subspaces of the n x n rational matrix algebra, the algebra of
+    the pair groupoid: the arrow (i, j) is the matrix unit E_ij."""
+    g = pair_groupoid(n)
+    dim = g.size
+    curated = [_line(_indicator(dim, (a,))) for a in range(dim)]
+    curated.append(_line(_indicator(dim, g.units)))
+    curated.append(RationalSubspace.from_vectors(
+        dim, [_indicator(dim, (u,)) for u in g.units]))
+    curated.append(RationalSubspace.from_vectors(
+        dim, [_indicator(dim, (i * n + j,))
+              for i in range(n) for j in range(n) if j >= i]))
+    return MaxAlgebraQuantale(g, curated, label=f"Max M{n}(Q)")
+
+
+def matrix_support_map(n):
+    """p: Max Mn(Q) -> Rel(n); p* spans matrix units over a relation and
+    p_! is the support relation of a subspace."""
+    return _support_map(matrix_max_quantale(n), rel_quantale(n),
+                       f"matrix-support-{n}")
 
 
 @functools.cache
 def group_algebra_quantale(group):
     """All subspaces of the rational group algebra of a finite group."""
     group.validate()
-    dim = group.size
-    mult, inv = group.mult, group.inv
-
-    def product(u, v):
-        out = [Fraction(0)] * dim
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            row = mult[i]
-            for j in range(dim):
-                if v[j] != 0:
-                    out[row[j]] += u[i] * v[j]
-        return tuple(out)
-
-    def involution(u):
-        out = [Fraction(0)] * dim
-        for i in range(dim):
-            out[inv[i]] = u[i]
-        return tuple(out)
-
-    e = group.identity
+    if len(group.units) != 1:
+        raise InvalidGroupTable("a group has exactly one unit")
+    e, dim = group.units[0], group.size
+    others = [h for h in range(dim) if h != e]
     # the augmentation line and the difference lines lead the pool: they are
     # where two-sided Frobenius failures live, so witness searches hit them
     # before the expensive high-rank handles
-    curated = [RationalSubspace.from_vectors(
-        dim, [tuple(Fraction(1) for _ in range(dim))])]
-    for h in range(dim):
-        if h != e:
-            minus = tuple(Fraction((i == e) - (i == h)) for i in range(dim))
-            curated.append(RationalSubspace.from_vectors(dim, [minus]))
-    for h in range(dim):
-        if h != e:
-            plus = tuple(Fraction(int(i in (e, h))) for i in range(dim))
-            curated.append(RationalSubspace.from_vectors(dim, [plus]))
-    curated.extend(RationalSubspace.from_vectors(dim, [_unit_vec(dim, g)])
-                   for g in range(dim))
-    return MaxAlgebraQuantale(dim, product, involution, _unit_vec(dim, e),
-                              curated, label=f"Max Q[{dim}]")
+    curated = [_line(_indicator(dim, range(dim)))]
+    curated += [_line(tuple(Fraction((i == e) - (i == h)) for i in range(dim)))
+                for h in others]
+    curated += [_line(_indicator(dim, (e, h))) for h in others]
+    curated += [_line(_indicator(dim, (g,))) for g in range(dim)]
+    return MaxAlgebraQuantale(group, curated, label=f"Max Q[{dim}]")
 
 
 def group_algebra_support_map(group):
     """p: Max QG -> P(G); p* spans a subset of G, p_! takes supports."""
-    source = group_algebra_quantale(group)
-    target = group_powerset_quantale(group)
-    dim = group.size
-
-    def inverse_image(u_mask):
-        vectors = [_unit_vec(dim, b) for b in _bits(u_mask)]
-        return RationalSubspace.from_vectors(dim, vectors)
-
-    def direct_image(subspace):
-        out = 0
-        for row in subspace.basis:
-            for g, x in enumerate(row):
-                if x != 0:
-                    out |= 1 << g
-        return out
-
-    return QuantaleMap(source, target, inverse_image, direct_image,
-                       name=f"group-algebra-support-{dim}")
+    return _support_map(group_algebra_quantale(group),
+                       group_powerset_quantale(group),
+                       f"group-algebra-support-{group.size}")
 
 
 def z2_group_algebra_finite_map():

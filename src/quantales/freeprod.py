@@ -202,6 +202,10 @@ LONGEST_CORE = 3
 # how the reduced verifiers' reports say what they cover
 REDUCTION = {"scope": "all lengths", "reduction": "flank lemma"}
 
+# rewrite traces recorded by default: the verdict needs none, and every
+# word up to maxlen 4 is 9,620 traces on P(Z/2) and millions on P(S3)
+DEFAULT_TRACES = 25
+
 
 def check_maxlen(maxlen):
     """Reject a word-length bound shorter than the longest core.
@@ -545,7 +549,7 @@ class AdjunctionReport:
                 "traces_kept": self.traces_kept}
 
 
-def verify_adjunction_on_words(ctx, maxlen=4, max_traces=None):
+def verify_adjunction_on_words(ctx, maxlen=4, max_traces=DEFAULT_TRACES):
     """Counit and word-level unit of the candidate adjunction.
 
     The counit is h(y) = y for every y.  The unit raises each Q-letter a
@@ -553,8 +557,8 @@ def verify_adjunction_on_words(ctx, maxlen=4, max_traces=None):
     through UNIT_FAMILIES instances at x = p_!(a).  By the flank lemma it
     holds on words of every length when a <= p*(p_!(a)) for every a in Q
     and the cores of those four families hold at every x in p_!(Q).  The
-    rewrite traces are recorded for the words up to maxlen (all of them
-    by default, the first max_traces otherwise), and a chain that fails
+    rewrite traces are recorded for the first max_traces words up to
+    maxlen (all of them when max_traces is None), and a chain that fails
     there is a failure too.  Scope note: the unit is checked on words,
     the join-generators of the quotient, not on arbitrary joins of them.
     """

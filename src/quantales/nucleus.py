@@ -1,14 +1,13 @@
 """Quantic nuclei presented by relations, quotients, factorization, equalizers.
 
 A binary relation R on a finite involutive quantale is first saturated by
-a worklist fixpoint (closing pairs under involution and under left and
-right multiplication by arbitrary elements; the right-multiplied pairs are
-derivable from the other two clauses but are included so that downstream
-condition enumerations can use them directly).  The elements alpha with
-"r <= alpha iff s <= alpha" for every saturated pair form a meet-closed
-family, and the closure operator it induces is the least involutive
-quantic nucleus identifying the pairs of R.  Its fixed points carry the
-quotient quantale, with multiplication (a, b) -> j(ab).
+a worklist fixpoint closing pairs under involution and under left
+multiplication by arbitrary elements.  The result is closed under right
+multiplication too, since (r a, s a) = ((a* r*)*, (a* s*)*).  The
+elements alpha with "r <= alpha iff s <= alpha" for every saturated pair
+form a meet-closed family, and the closure operator it induces is the
+least involutive quantic nucleus identifying the pairs of R.  Its fixed
+points carry the quotient quantale, with multiplication (a, b) -> j(ab).
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ class RelationPresentation:
 
 
 def saturate_relation(rel):
-    """Least superset of the pairs closed under involution and one-sided products."""
+    """Least superset of the pairs closed under involution and one-sided
+    products; closing under involution and left products suffices."""
     q = rel.quantale
     done = set()
     todo = deque(rel.pairs)
@@ -59,7 +59,6 @@ def saturate_relation(rel):
         todo.append((q.inv(r), q.inv(s)))
         for a in q.elements:
             todo.append((q.mult(a, r), q.mult(a, s)))
-            todo.append((q.mult(r, a), q.mult(s, a)))
     return frozenset(done)
 
 

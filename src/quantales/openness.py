@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .quantale import is_surjective
+from .subspaces import RationalSubspace
 from .suplattice import left_adjoint_candidate
 
 EXHAUSTIVE_CAP = 10 ** 6
@@ -66,10 +67,8 @@ def _jsonable(value):
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    from .subspaces import RationalSubspace
     if isinstance(value, RationalSubspace):
-        return {"dim": value.dim,
-                "basis": [[str(x) for x in row] for row in value.basis]}
+        return value.to_json()
     return repr(value)
 
 

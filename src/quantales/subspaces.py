@@ -3,7 +3,8 @@
 A subspace of Q^dim is stored as the tuple of rows of its RREF basis.
 RREF is unique per subspace, so equal subspaces have identical (and
 hashable) representations, which is what makes handles of the subspace
-quantales canonical.
+quantales canonical.  Reports write a subspace as its dimension and the
+rows of its RREF basis, each entry a string such as "1" or "-1/2".
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ class RationalSubspace:
     def full(dim):
         eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
         return RationalSubspace(dim, rref(eye, dim))
+
+    def to_json(self):
+        return {"dim": self.dim,
+                "basis": [[str(x) for x in row] for row in self.basis]}
+
+    @staticmethod
+    def from_json(raw, dim):
+        """Inverse of to_json; ValueError unless raw is a subspace of Q^dim."""
+        if not (isinstance(raw, dict) and raw.get("dim") == dim):
+            raise ValueError(f"{raw!r} is not a subspace of Q^{dim}")
+        try:
+            vectors = [[Fraction(x) for x in row] for row in raw["basis"]]
+        except (KeyError, TypeError, ZeroDivisionError) as e:
+            raise ValueError(f"{raw!r} is not a subspace of Q^{dim}") from e
+        return RationalSubspace.from_vectors(dim, vectors)
 
     @property
     def rank(self):

@@ -95,6 +95,24 @@ def least_closure_identifying(q, pairs):
     return tuple(lat.meet(j[a] for j in kept) for a in lat.elements)
 
 
+def three_clause_saturation(q, pairs):
+    """Least superset of the pairs closed under involution, left and right
+    products, each clause applied directly."""
+    done = set()
+    todo = list(pairs)
+    while todo:
+        pair = todo.pop()
+        if pair in done:
+            continue
+        done.add(pair)
+        r, s = pair
+        todo.append((q.inv(r), q.inv(s)))
+        for a in q.elements:
+            todo.append((q.mult(a, r), q.mult(a, s)))
+            todo.append((q.mult(r, a), q.mult(s, a)))
+    return frozenset(done)
+
+
 def sup_maps_between(dom, cod, limit=None):
     maps = []
     for values in itertools.product(range(cod.size), repeat=dom.size):

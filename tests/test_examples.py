@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quantales.examples import (FiniteTopology, HypothesisFailure,
+from quantales.examples import (FiniteGroupoidData, FiniteTopology,
+                                HypothesisFailure, InvalidGroupTable,
                                 NotContinuous, NotOpen, cyclic_group,
                                 delta_embedding_map, discrete_topology,
                                 finite_locale_map, group_algebra_quantale,
@@ -127,6 +128,58 @@ def test_rel_quantale_composition_and_converse():
 def test_pair_groupoid_units_are_the_diagonal():
     g = pair_groupoid(3)
     assert [g.names[u] for u in g.units] == ["(1,1)", "(2,2)", "(3,3)"]
+
+
+def test_groups_are_one_unit_groupoids():
+    for g in (cyclic_group(2), cyclic_group(3), symmetric_group_3()):
+        assert isinstance(g, FiniteGroupoidData)
+        assert [g.names[u] for u in g.units] == ["e"]
+        assert all(x is not None for row in g.mult for x in row)
+
+
+def _z2_with(**tables):
+    z2 = cyclic_group(2)
+    return FiniteGroupoidData(z2.names, tables.get("mult", z2.mult),
+                              tables.get("inv", z2.inv),
+                              tables.get("units", z2.units))
+
+
+@pytest.mark.parametrize("tables", [
+    {"units": (0, 1)},                # g is not an identity arrow
+    {"units": (1,)},                  # g does not fix e
+    {"inv": (0, 0)},                  # g g^-1 = g is not a unit
+    {"mult": ((0, 1), (1, None))},    # g g undefined in a group
+    {"mult": ((0, 1), (1, 1))},       # g g = g: a monoid, not a group
+    {"mult": ((0, 1), (1, 2))},       # entry outside the arrows
+    {"mult": ((0, 1),)},              # a row short
+])
+def test_groupoid_validation_rejects_broken_tables(tables):
+    with pytest.raises(InvalidGroupTable):
+        _z2_with(**tables).validate()
+
+
+def _dense_matrix_product(n, u, v):
+    return [sum((u[i * n + k] * v[k * n + j] for k in range(n)), Fraction(0))
+            for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_groupoid_algebra_is_the_matrix_algebra(n):
+    # the composite of arrows (i,j)(j,l) = (i,l) is the product of matrix
+    # units, and the arrow inverse is the transpose
+    mm = matrix_max_quantale(n)
+    rng = random.Random(n)
+    for _ in range(20):
+        u, v = ([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(n * n)] for _ in range(2))
+        a = RationalSubspace.from_vectors(n * n, [u])
+        b = RationalSubspace.from_vectors(n * n, [v])
+        assert mm.mult(a, b) == RationalSubspace.from_vectors(
+            n * n, [_dense_matrix_product(n, u, v)])
+        transpose = [u[j * n + i] for i in range(n) for j in range(n)]
+        assert mm.inv(a) == RationalSubspace.from_vectors(n * n, [transpose])
+    identity = [Fraction(int(i == j)) for i in range(n) for j in range(n)]
+    assert mm.unit == RationalSubspace.from_vectors(n * n, [identity])
 
 
 def test_omega_support_map_requires_the_hypothesis():

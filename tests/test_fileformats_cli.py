@@ -220,9 +220,10 @@ def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "quantales", "example",
-                           "rel", "--n", "1", "--out", "/tmp/qcli-smoke"],
+                           "rel", "--n", "1", "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rel1.quantale.json" in proc.stdout
+    assert (tmp_path / "rel1.quantale.json").exists()

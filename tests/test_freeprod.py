@@ -5,7 +5,7 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 group_powerset_quantale, omega_quantale,
                                 omega_support_map, rel_quantale,
                                 z2_group_algebra_finite_map)
-from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS,
+from quantales.freeprod import (DEFAULT_TRACES, FAMILIES, FAMILY_HYPOTHESIS,
                                 HypothesisNotSatisfied, PullbackContext,
                                 Word, family_instance, grade_of,
                                 verify_adjunction_on_words,
@@ -203,6 +203,17 @@ def test_adjunction_on_words(ctx):
     assert trace.bound == Word((("q", 3), ("y", 5)))
     assert len(trace.steps) == 1 and trace.steps[0].family == "head_y"
     assert trace.result == 5
+
+
+def test_adjunction_records_the_default_number_of_traces(ctx):
+    # the verdict rests on the cores, so the default bound on recorded
+    # traces leaves it as the full enumeration of 9,620 words gives it
+    full = verify_adjunction_on_words(ctx, maxlen=4, max_traces=None)
+    default = verify_adjunction_on_words(ctx, maxlen=4)
+    assert default.traces_kept == default.words_checked == DEFAULT_TRACES
+    assert DEFAULT_TRACES == 25
+    assert (default.ok, default.counit_ok, default.cores, default.failures) \
+        == (full.ok, full.counit_ok, full.cores, full.failures)
 
 
 def test_beck_chevalley(ctx):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from quantales.examples import (cyclic_group, group_powerset_quantale,
-                                omega_quantale, product_quantale)
+                                omega_quantale, product_quantale,
+                                rel_quantale, symmetric_group_3)
 from quantales.nucleus import (NoFactorization, Nucleus, RelationPresentation,
                                equalizer, factor_sup_map,
                                nucleus_from_relation, quotient,
@@ -14,7 +15,7 @@ from quantales.quantale import QuantaleMap, quantale_isomorphism, validate_hom
 from quantales.suplattice import SupMap
 
 from _helpers import least_closure_identifying, small_quantales, \
-    sup_maps_between
+    sup_maps_between, three_clause_saturation
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
 
@@ -45,28 +46,32 @@ def test_saturation_closed_under_one_sided_products():
             assert (PZ2.mult(r, a), PZ2.mult(s, a)) in sat
 
 
+def test_saturation_matches_the_three_clause_closure():
+    # closing under involution and left products also closes under right
+    # products: (r a, s a) = ((a* r*)*, (a* s*)*).  The small corpus is
+    # commutative and its involutions fix every atom, so Rel(2), P(Z/3)
+    # and P(S3) are what tell the clauses apart
+    rng = random.Random(17)
+    quantales = [*small_quantales().values(), rel_quantale(2),
+                 group_powerset_quantale(cyclic_group(3)),
+                 group_powerset_quantale(symmetric_group_3())]
+    for q in quantales:
+        for _ in range(20):
+            pairs = {(rng.choice(q.elements), rng.choice(q.elements))
+                     for _ in range(rng.randint(1, 3))}
+            assert saturate_relation(rel(q, pairs)) == \
+                three_clause_saturation(q, pairs)
+
+
 def test_left_only_saturation_gives_the_same_saturated_elements():
-    # closing under involution and left products alone must cut out the
-    # same elements as the two-sided closure
+    # saturate_relation closes under involution and left products only; it
+    # must cut out the same elements as the closure that adds right products
     for q in small_quantales().values():
         for r, s in itertools.product(q.elements, repeat=2):
-            presentation = rel(q, [(r, s)])
-            two_sided = saturated_elements(q, saturate_relation(presentation))
-            pairs = set()
-            todo = [(r, s)]
-            while todo:
-                pair = todo.pop()
-                if pair in pairs:
-                    continue
-                pairs.add(pair)
-                u, v = pair
-                todo.append((q.inv(u), q.inv(v)))
-                for a in q.elements:
-                    todo.append((q.mult(a, u), q.mult(a, v)))
-            left_only = frozenset(
-                alpha for alpha in q.elements
-                if all(q.leq(u, alpha) == q.leq(v, alpha) for u, v in pairs))
-            assert left_only == two_sided
+            left_only = saturate_relation(rel(q, [(r, s)]))
+            two_sided = three_clause_saturation(q, [(r, s)])
+            assert saturated_elements(q, left_only) == \
+                saturated_elements(q, two_sided)
 
 
 def test_saturated_elements():

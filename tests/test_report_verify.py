@@ -3,6 +3,8 @@ that produced it, and fails closed on everything else."""
 
 import ast
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
 from quantales.openness import UnconfirmedWitness, check_fr1
 from quantales.quantale import (HOM_LAWS, QUANTALE_LAWS, QuantaleMap,
                                 identity_map)
+from quantales.subspaces import RationalSubspace
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
 BASES = {"omega": omega_quantale, "pz2": lambda: PZ2,
@@ -263,8 +266,12 @@ def test_witness_outside_its_carrier_is_an_input_error(witness, tmp_path):
     assert _replay(tmp_path, doc) == 2
 
 
+@pytest.mark.parametrize("element", [
+    {"dim": 3, "basis": [["1", "1", "0"]]}, {"dim": 2, "basis": [["1"]]},
+    {"dim": 2, "basis": [["1", "x"]]}, {"dim": 2, "basis": [["1/0", "1"]]},
+    {"dim": 2, "basis": 1}, {"dim": 2}, [["1", "1"]], 3])
 def test_effective_witness_replays_and_is_checked_against_its_carrier(
-        tmp_path):
+        element, tmp_path):
     report = tmp_path / "ga.json"
     assert main(["example", "group-algebra", "--group", "z2", "--pool", "12",
                  "--report", str(report)]) == 0
@@ -273,8 +280,26 @@ def test_effective_witness_replays_and_is_checked_against_its_carrier(
     doc["checks"].append(fr2)
     doc["verdict"] = "violation"
     assert _replay(tmp_path, doc) == 0
-    fr2["witness"][0] = {"dim": 3, "basis": [["1", "1", "0"]]}
+    fr2["witness"][0] = element
     assert _replay(tmp_path, doc) == 2
+
+
+def test_subspace_witness_json_round_trips():
+    # the encoding of reports written before it moved to subspaces.py
+    line = RationalSubspace.from_vectors(3, [(2, 1, 0)])
+    assert line.to_json() == {"dim": 3, "basis": [["1", "1/2", "0"]]}
+    assert RationalSubspace.from_json(
+        {"dim": 2, "basis": [["1", "1"]]}, 2) == \
+        RationalSubspace.from_vectors(2, [(1, 1)])
+    rng = random.Random(2)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        space = RationalSubspace.from_vectors(dim, [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(dim)] for _ in range(rng.randint(0, dim))])
+        assert RationalSubspace.from_json(space.to_json(), dim) == space
+        with pytest.raises(ValueError):
+            RationalSubspace.from_json(space.to_json(), dim + 1)
 
 
 def test_search_witness_that_holds_on_recheck_raises():
