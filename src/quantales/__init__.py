@@ -15,8 +15,7 @@ from .nucleus import (Nucleus, QuotientQuantale, RelationPresentation,
                       quotient, quotient_by_relation, saturate_relation,
                       saturated_elements)
 from .openness import (Check, FrobeniusReport, check_fr1, check_fr1_right,
-                       check_fr2, check_fr2_implies_fr1,
-                       check_locale_meet_lemma, check_semiopen, check_wos,
+                       check_fr2, check_locale_meet_lemma, check_semiopen,
                        frobenius_report, is_locale_quantale)
 from .tensor import (BiIdeal, DirectSum, TensorLattice, associator,
                      check_bimorphism, direct_sum, induced_from_bimorphism,

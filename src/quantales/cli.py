@@ -4,7 +4,9 @@ Exit codes: 0 all requested checks pass, 1 a violation was found, 2 usage
 or input error.  Reports carry a schema version, the command line, sha256
 digests plus embedded copies of the inputs, per-check verdicts with
 witnesses, seeds and timing, so that `report-verify` can replay every
-recorded failure of the top-level checks.
+recorded failure of the top-level checks.  `main` opens the report for the
+subcommand to fill and, when the subcommand returns, writes it with the
+verdict that its exit code gives; a subcommand that raises writes none.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -22,16 +24,15 @@ import os
 import sys
 import time
 
+from . import examples as ex
 from . import fileformats as ff
 from . import __version__
 from .fileformats import FormatError
 from .nucleus import nucleus_from_relation, quotient
 from .openness import (MAP_LAWS, MissingDirectImage, NotALocale, NotUnital,
-                       check_fr1, check_fr1_right, check_fr2,
-                       check_locale_meet_lemma, check_semiopen, check_wos,
-                       frobenius_report, violates)
+                       check_locale_meet_lemma, frobenius_report, violates)
 from .quantale import (HOM_LAWS, QUANTALE_LAWS, InvalidQuantale,
-                       is_surjective, validate_hom, validate_quantale)
+                       validate_hom, validate_quantale)
 from .subspaces import RationalSubspace
 from .suplattice import LatticeError
 from .tensor import EnumerationBoundExceeded, TensorLattice, swap_map, unit_iso
@@ -100,8 +101,7 @@ def _parts(kind, doc):
     raise FormatError(f"cannot validate a {kind} document alone")
 
 
-def cmd_validate(args, argv):
-    report = _Report(argv)
+def cmd_validate(args, report):
     worst = 0
     for path in args.paths:
         doc = ff.load_json(path)
@@ -128,73 +128,62 @@ def cmd_validate(args, argv):
         _print_check(check)
         if not check["ok"]:
             worst = 1
-    report.finish("pass" if worst == 0 else "violation")
-    report.write(args.report)
     return worst
 
 
 # -- check-map ------------------------------------------------------------------
 
-def cmd_check_map(args, argv):
-    report = _Report(argv, seed=args.seed)
+def cmd_check_map(args, report):
     doc = ff.load_json(args.map)
     report.add_input("map", args.map, doc)
-    p = ff.map_from_doc(doc)
+    rep = frobenius_report(ff.map_from_doc(doc), args.pool, args.seed)
     requested = [name for name, on in (
         ("semiopen", args.semiopen), ("fr1", args.fr1),
         ("fr1-right", args.fr1_right), ("fr2", args.fr2),
         ("wos", args.wos), ("locale-meet", args.locale_meet)) if on]
     if not requested:
         requested = ["semiopen", "fr1", "fr1-right", "fr2"]
-    failed = False
 
-    enriched, semi = check_semiopen(p, args.pool, args.seed)
-    if "semiopen" in requested:
-        report.add_check(semi.to_json())
-        _print_check(semi.to_json())
-        failed |= not semi.ok
-    if enriched is None:
+    if rep.certified is None:
+        # every other check needs p_!, so its absence fails each of them
+        chk = rep.semiopen.to_json()
+        report.add_check(chk)
+        _print_check(chk)
         if set(requested) - {"semiopen"}:
             print("  (remaining checks skipped: map is not semiopen)")
-        report.finish("violation" if failed else "pass")
-        report.write(args.report)
-        return 1 if failed else 0
-    p = enriched
+        return 1
 
-    for name, fn in (("fr1", check_fr1), ("fr1-right", check_fr1_right),
-                     ("fr2", check_fr2)):
-        if name in requested:
-            chk = fn(p, args.pool, args.seed)
-            report.add_check(chk.to_json())
-            _print_check(chk.to_json())
-            failed |= not chk.ok
-    if "wos" in requested:
-        wos = check_wos(p, args.pool, args.seed)
-        doc_wos = {**wos.to_json(), "check": "wos", "ok": wos.consistent,
+    laws = {"semiopen": rep.semiopen, "fr1": rep.fr1,
+            "fr1-right": rep.fr1_right, "fr2": rep.fr2}
+    failed = False
+    for name in requested:
+        if name in laws:
+            chk = laws[name].to_json()
+        elif name == "wos":
+            if rep.unit_identity is None:
+                raise NotUnital("target has no declared unit")
+            chk = {"check": "wos", "map": rep.map_name,
+                   "weakly_open": rep.weakly_open,
+                   "unit_identity": rep.unit_identity,
+                   "surjective": rep.surjective,
+                   "consistent": rep.wos_consistent,
+                   "ok": rep.wos_consistent,
                    "pool": args.pool, "seed": args.seed}
-        report.add_check(doc_wos)
-        _print_check(doc_wos)
-        failed |= not wos.consistent
-    if "locale-meet" in requested:
-        lm = check_locale_meet_lemma(p, args.pool, args.seed)
-        doc_lm = lm.to_json()
-        doc_lm["check"] = "locale-meet"
-        doc_lm["ok"] = lm.meet_preserved is not False
-        report.add_check(doc_lm)
-        _print_check(doc_lm)
-        failed |= not doc_lm["ok"]
-    surj = is_surjective(p)
-    report.doc["surjective"] = surj
-    print(f"  surjective: {surj}")
-    report.finish("violation" if failed else "pass")
-    report.write(args.report)
+        else:
+            lm = check_locale_meet_lemma(rep.certified, args.pool, args.seed)
+            chk = {**lm.to_json(), "check": "locale-meet",
+                   "ok": lm.meet_preserved is not False}
+        report.add_check(chk)
+        _print_check(chk)
+        failed |= not chk["ok"]
+    report.doc["surjective"] = rep.surjective
+    print(f"  surjective: {rep.surjective}")
     return 1 if failed else 0
 
 
 # -- quotient ---------------------------------------------------------------------
 
-def cmd_quotient(args, argv):
-    report = _Report(argv)
+def cmd_quotient(args, report):
     qdoc = ff.load_json(args.quantale)
     rdoc = ff.load_json(args.relation)
     report.add_input("quantale", args.quantale, qdoc)
@@ -217,15 +206,12 @@ def cmd_quotient(args, argv):
                       "size": qq.quantale.size})
     print(f"quotient has {qq.quantale.size} elements "
           f"(closed: {[q.name_of(c) for c in qq.closed]})")
-    report.finish("pass")
-    report.write(args.report)
     return 0
 
 
 # -- tensor ------------------------------------------------------------------------
 
-def cmd_tensor(args, argv):
-    report = _Report(argv)
+def cmd_tensor(args, report):
     lattices = []
     for path in args.lattices:
         doc = ff.load_json(path)
@@ -238,8 +224,6 @@ def cmd_tensor(args, argv):
         print(str(e))
         report.add_check({"check": "tensor-enumeration", "ok": False,
                           "detail": str(e)})
-        report.finish("violation")
-        report.write(args.report)
         return 2
     print(f"tensor of {[l.size for l in lattices]} has {count} elements")
     report.add_check({"check": "tensor-count", "ok": True, "count": count})
@@ -261,19 +245,16 @@ def cmd_tensor(args, argv):
             report.add_check({"check": "tensor-unit-iso",
                               "ok": round1 and round2})
             ok &= round1 and round2
-    report.finish("pass" if ok else "violation")
-    report.write(args.report)
     return 0 if ok else 1
 
 
 # -- pullback-verify ------------------------------------------------------------------
 
-def cmd_pullback_verify(args, argv):
+def cmd_pullback_verify(args, report):
     from .freeprod import (REDUCTION, HypothesisNotSatisfied, PullbackContext,
                            verify_adjunction_on_words, verify_beck_chevalley,
                            verify_pullback_frobenius,
                            verify_relation_compatibility)
-    report = _Report(argv)
     pdoc = ff.load_json(args.p)
     fdoc = ff.load_json(args.f)
     report.add_input("p", args.p, pdoc)
@@ -290,8 +271,6 @@ def cmd_pullback_verify(args, argv):
         for chk in rep["checks"]:
             _print_check(chk)
         report.add_check({"check": "pullback-hypothesis", "ok": False})
-        report.finish("violation")
-        report.write(args.report)
         return 1
     report.doc["hypothesis"] = ctx.report.to_json()
     report.add_check({"check": "pullback-hypothesis", "ok": True})
@@ -329,25 +308,22 @@ def cmd_pullback_verify(args, argv):
           f"deciding {len(pf.cases)} case shapes, {scope})")
 
     ok = rc.ok and adj.ok and bc.ok and pf.ok
-    report.finish("pass" if ok else "violation")
-    report.write(args.report)
     return 0 if ok else 1
 
 
 # -- example -----------------------------------------------------------------------
 
 def _group_by_name(name):
-    from .examples import cyclic_group, symmetric_group_3
     if name == "z2":
-        return cyclic_group(2)
+        return ex.cyclic_group(2)
     if name == "z3":
-        return cyclic_group(3)
+        return ex.cyclic_group(3)
     if name == "s3":
-        return symmetric_group_3()
+        return ex.symmetric_group_3()
     raise FormatError(f"unknown group {name!r} (use z2, z3 or s3)")
 
 
-def _materialized_examples(ex, args):
+def _materialized_examples(args):
     """Example name -> (file name, document writer, builder) for the
     examples that are written out as files."""
     locales = {"sierpinski": ex.sierpinski_closed_point_map,
@@ -381,7 +357,6 @@ def _materialized_examples(ex, args):
 def _example_map(example):
     """The support map that a probed example runs its suite on, from the
     report's `example` record."""
-    from . import examples as ex
     if example.get("name") == "matrix-max":
         return ex.matrix_support_map(example["n"])
     if example.get("name") == "group-algebra":
@@ -401,11 +376,9 @@ _SUITES = {
 }
 
 
-def cmd_example(args, argv):
-    from . import examples as ex
-    report = _Report(argv, seed=args.seed)
+def cmd_example(args, report):
     name = args.name
-    materialized = _materialized_examples(ex, args)
+    materialized = _materialized_examples(args)
     if name in materialized:
         fname, to_doc, build = materialized[name]
         doc = to_doc(build())
@@ -436,8 +409,6 @@ def cmd_example(args, argv):
         code = 0 if suite_ok else 1
     else:
         raise FormatError(f"unknown example {name!r}")
-    report.finish("pass" if code == 0 else "violation")
-    report.write(args.report)
     return code
 
 
@@ -512,7 +483,7 @@ def _replay_wos(doc, chk):
     pool, seed = chk.get("pool"), chk.get("seed")
     if not (type(pool) is int and pool > 0 and type(seed) is int):
         raise FormatError("wos check records no pool and seed")
-    return [not check_wos(_rebuild_map(doc), pool, seed).consistent]
+    return [not frobenius_report(_rebuild_map(doc), pool, seed).wos_consistent]
 
 
 def _replay_relation_compatibility(doc, chk):
@@ -541,7 +512,7 @@ _REPLAY_RULES = {
 }
 
 
-def cmd_report_verify(args, argv):
+def cmd_report_verify(args, report):
     doc = ff.load_json(args.path)
     if doc.get("schema") != SCHEMA:
         raise FormatError(f"unsupported report schema {doc.get('schema')!r}")
@@ -672,14 +643,19 @@ def main(argv=None):
         "example": cmd_example,
         "report-verify": cmd_report_verify,
     }
+    report = _Report(argv, seed=getattr(args, "seed", None))
     try:
-        return handlers[args.cmd](args, argv)
-    except (FormatError, OSError, NotUnital, NotALocale) as e:
+        code = handlers[args.cmd](args, report)
+    except (FormatError, OSError, NotUnital, NotALocale,
+            ex.TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (LatticeError, InvalidQuantale) as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
+    report.finish("pass" if code == 0 else "violation")
+    report.write(getattr(args, "report", None))
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .openness import frobenius_report
-from .quantale import InvalidQuantale, ensure_left_adjoint, validate_quantale
+from .quantale import InvalidQuantale, validate_quantale
 
 Y_TAG = "y"
 Q_TAG = "q"
@@ -175,8 +175,8 @@ class PullbackContext:
         report = frobenius_report(p)
         if verify and not report.hypothesis_for_pullback:
             raise HypothesisNotSatisfied(report)
-        if report.semiopen.ok and p.direct_image is None:
-            p = ensure_left_adjoint(p)
+        if report.certified is not None:
+            p = report.certified
         return PullbackContext(p, f, report)
 
 

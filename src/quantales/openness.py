@@ -10,6 +10,13 @@ Each law of a map is written once, as the sweep of its MAP_LAWS entry over
 one pool per witness element.  A check runs the sweep on its search pools;
 the witness it finds is then re-verified, and a recorded witness replayed
 (`violates`), by running the same sweep on one-element pools.
+
+`frobenius_report` runs the battery on a map once: semiopenness, fr1, its
+right-module version, fr2, the involution of p_!, surjectivity and the
+unit identity p_!(p*(e)) = e.  Weak openness, the pullback hypothesis and
+the two lemmas (surjectivity via the unit for weakly open maps; fr2 with
+the unit identity forcing fr1 and surjectivity) are properties of that
+one report, which also keeps the map it certified with its direct image.
 """
 
 from __future__ import annotations
@@ -267,7 +274,9 @@ def check_direct_image_involution(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
 
 @dataclass(frozen=True)
 class FrobeniusReport:
+    """The whole battery on one map; every notion about p is read off it."""
     map_name: str
+    certified: object  # p carrying its direct image, None unless semiopen
     semiopen: Check
     fr1: Check | None
     fr1_right: Check | None
@@ -275,7 +284,7 @@ class FrobeniusReport:
     direct_image_involution: Check | None
     surjective: bool | None
     surjective_mode: str | None
-    unit_identity: bool | None
+    unit_identity: bool | None  # p_!(p*(e)) = e, None without a unit e
 
     @property
     def weakly_open(self):
@@ -291,6 +300,20 @@ class FrobeniusReport:
     def hypothesis_for_pullback(self):
         return bool(self.semiopen.ok and self.surjective
                     and self.fr1 and self.fr1.ok and self.fr2 and self.fr2.ok)
+
+    @property
+    def wos_consistent(self):
+        """A weakly open map into a unital target is a surjection iff
+        p_!(p*(e)) = e."""
+        return (not self.weakly_open or self.unit_identity is None
+                or self.unit_identity == self.surjective)
+
+    @property
+    def fr2_forces_fr1(self):
+        """fr2 together with p_!(p*(e)) = e forces fr1 and surjectivity."""
+        if not (self.fr2 is not None and self.fr2.ok and self.unit_identity):
+            return True
+        return bool(self.fr1.ok and self.surjective)
 
     def to_json(self):
         checks = [c.to_json() for c in
@@ -311,7 +334,7 @@ def frobenius_report(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     """Run the whole battery on one map and collect the verdicts."""
     enriched, semi = check_semiopen(p, pool, seed)
     if enriched is None:
-        return FrobeniusReport(p.name, semi, None, None, None, None,
+        return FrobeniusReport(p.name, None, semi, None, None, None, None,
                                None, None, None)
     p = enriched
     fr1 = check_fr1(p, pool, seed)
@@ -320,72 +343,10 @@ def frobenius_report(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     invc = check_direct_image_involution(p, pool, seed)
     mode = "exhaustive" if p.target.is_finite else "sampled"
     surj = is_surjective(p, random.Random(seed))
-    return FrobeniusReport(p.name, semi, fr1, fr1r, fr2, invc,
-                           surj, mode, _unit_identity(p))
-
-
-def _unit_identity(p):
-    """p_!(p*(e)) = e for the unit e of the target, None without a unit."""
     e = p.target.unit
-    return None if e is None else p.shriek(p.star(e)) == e
-
-
-@dataclass(frozen=True)
-class WosReport:
-    """The surjectivity-via-unit biconditional for weakly open maps."""
-    map_name: str
-    weakly_open: bool
-    unit_identity: bool
-    surjective: bool
-    consistent: bool
-
-    def to_json(self):
-        return {"map": self.map_name, "weakly_open": self.weakly_open,
-                "unit_identity": self.unit_identity,
-                "surjective": self.surjective, "consistent": self.consistent}
-
-
-def check_wos(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
-    """Evaluate p_!(p*(e)) = e against surjectivity; they must agree when
-    the map is weakly open over a unital target."""
-    if p.target.unit is None:
-        raise NotUnital("target has no declared unit")
-    p = _require_direct(p)
-    fr1 = check_fr1(p, pool, seed)
-    unit_identity = _unit_identity(p)
-    surjective = is_surjective(p, random.Random(seed))
-    consistent = (not fr1.ok) or (unit_identity == surjective)
-    return WosReport(p.name, fr1.ok, unit_identity, surjective, consistent)
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    """fr2 plus the unit identity force fr1 and surjectivity."""
-    map_name: str
-    applicable: bool
-    fr1_ok: bool | None
-    surjective: bool | None
-
-    @property
-    def holds(self):
-        return (not self.applicable) or bool(self.fr1_ok and self.surjective)
-
-    def to_json(self):
-        return {"map": self.map_name, "applicable": self.applicable,
-                "fr1_ok": self.fr1_ok, "surjective": self.surjective,
-                "holds": self.holds}
-
-
-def check_fr2_implies_fr1(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
-    if p.target.unit is None:
-        raise NotUnital("target has no declared unit")
-    p = _require_direct(p)
-    fr2 = check_fr2(p, pool, seed)
-    if not (fr2.ok and _unit_identity(p)):
-        return ImplicationReport(p.name, False, None, None)
-    fr1 = check_fr1(p, pool, seed)
-    surj = is_surjective(p, random.Random(seed))
-    return ImplicationReport(p.name, True, fr1.ok, surj)
+    unit_identity = None if e is None else p.shriek(p.star(e)) == e
+    return FrobeniusReport(p.name, p, semi, fr1, fr1r, fr2, invc,
+                           surj, mode, unit_identity)
 
 
 def is_locale_quantale(q):

@@ -13,6 +13,7 @@ from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
                                 ChainFailure, Instance, Word, _unit_chain,
                                 all_words, family_instance,
                                 word_direct_image, word_multiply)
+from quantales.quantale import FiniteInvQuantale, validate_quantale
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
                                   validate_lattice)
 
@@ -33,7 +34,12 @@ def corpus_lattices():
 
 
 def small_quantales():
-    """Corpus quantales with at most 5 elements, for nucleus oracles."""
+    """Corpus quantales with at most 5 elements, for nucleus oracles.
+
+    swap4 and m3 have an involution that swaps two atoms, and m3 is
+    noncommutative, so a saturation that drops its involution clause
+    shows on this corpus.
+    """
     from quantales.examples import (cyclic_group, group_powerset_quantale,
                                     locale_quantale, omega_quantale,
                                     product_quantale, rel_quantale,
@@ -50,7 +56,35 @@ def small_quantales():
         "omega-squared": product_quantale(omega_quantale(), omega_quantale()),
         "discrete2-locale": locale_quantale(discrete_topology(2)),
         "chain5-locale": locale_quantale(chain5_top),
+        # subsets of {a, b}: a* = b, aa = a, bb = b, ab = ba = 0, unit top
+        "swap4": _atomic_quantale(FiniteSupLattice.powerset(["a", "b"]),
+                                  {(1, 1): 1, (2, 2): 2}, (0, 2, 1, 3), 3),
+        # M3 = 0 < a, b, c < 1 with a* = b, c* = c
+        "m3": _atomic_quantale(
+            corpus_lattices()["diamond"],
+            {(1, 1): 1, (1, 2): 4, (1, 3): 3, (2, 1): 4, (2, 2): 2,
+             (2, 3): 4, (3, 1): 4, (3, 2): 3, (3, 3): 4}, (0, 2, 1, 3, 4)),
     }
+
+
+def _atomic_quantale(lattice, atom_products, inv, unit=None):
+    """The validated quantale whose product joins the products of atoms
+    below its arguments (pairs missing from atom_products give bottom)."""
+    atoms = [e for e in lattice.elements
+             if e != lattice.bottom and all(
+                 d in (e, lattice.bottom) for d in lattice.elements
+                 if lattice.leq(d, e))]
+
+    def mult(x, y):
+        return lattice.join(atom_products.get((i, j), lattice.bottom)
+                            for i in atoms if lattice.leq(i, x)
+                            for j in atoms if lattice.leq(j, y))
+    q = FiniteInvQuantale(lattice, [[mult(x, y) for y in lattice.elements]
+                                    for x in lattice.elements], inv, unit)
+    violation = validate_quantale(q)
+    if violation is not None:
+        raise ValueError(f"not a quantale: {violation}")
+    return q
 
 
 def brute_force_join(lat, subset):

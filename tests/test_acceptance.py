@@ -26,9 +26,8 @@ from quantales.freeprod import (PullbackContext, Word, grade_of,
                                 word_multiply)
 from quantales.nucleus import (RelationPresentation, nucleus_from_relation,
                                quotient_by_relation, saturate_relation)
-from quantales.openness import (check_fr1, check_fr1_right, check_fr2,
-                                check_fr2_implies_fr1, check_semiopen,
-                                check_wos, frobenius_report)
+from quantales.openness import (check_fr1, check_fr2, check_semiopen,
+                                frobenius_report)
 from quantales.quantale import is_surjective, quantale_isomorphism
 from quantales.subspaces import RationalSubspace
 from quantales.suplattice import FiniteSupLattice, is_sup_map
@@ -110,24 +109,19 @@ def test_criterion_4_lemma_suite():
     with criterion(4, "lemma-suite", 5):
         checked = 0
         for name, p in standard_map_corpus():
-            enriched, semi = check_semiopen(p, pool=15, seed=0)
-            if not semi.ok:
+            rep = frobenius_report(p, pool=15, seed=0)
+            if not rep.semiopen.ok:
                 continue
-            p = enriched
-            fr1 = check_fr1(p, pool=15, seed=0)
-            if fr1.ok:
-                assert check_fr1_right(p, pool=15, seed=0).ok, name
-            if p.target.unit is not None:
-                wos = check_wos(p, pool=15, seed=0)
-                assert wos.consistent, name
-                imp = check_fr2_implies_fr1(p, pool=15, seed=0)
-                assert imp.holds, name
+            if rep.fr1.ok:
+                assert rep.fr1_right.ok, name
+            assert rep.wos_consistent and rep.fr2_forces_fr1, name
             checked += 1
         assert checked >= 10
         # the non-surjective projection exercises the false-false branch
         from quantales.examples import omega_pair_projection_map
-        wos = check_wos(omega_pair_projection_map())
-        assert not wos.unit_identity and not wos.surjective and wos.consistent
+        rep = frobenius_report(omega_pair_projection_map())
+        assert rep.weakly_open and rep.wos_consistent
+        assert not rep.unit_identity and not rep.surjective
 
 
 def test_criterion_5_nucleus_engine():

@@ -8,10 +8,12 @@ from quantales.cli import main
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 group_powerset_quantale, omega_quantale,
                                 omega_support_map, rel_quantale,
-                                sierpinski_closed_point_map)
+                                sierpinski_closed_point_map,
+                                standard_map_corpus)
 from quantales.fileformats import FormatError
 from quantales.nucleus import RelationPresentation
-from quantales.quantale import QuantaleMap
+from quantales.openness import frobenius_report
+from quantales.quantale import QuantaleMap, identity_map
 
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
@@ -129,6 +131,85 @@ def test_cli_check_map_wos_needs_a_unit(files):
     mpath = files / "nounit.map.json"
     ff.save_json(mpath, doc)
     assert main(["check-map", "--map", str(mpath), "--wos"]) == 2
+
+
+def _not_semiopen_map():
+    # p* = (0, 1, 1, 1) from P(Z/2) to Omega does not preserve the meet
+    # {e} and {g}, so it has no left adjoint
+    return QuantaleMap.from_table(omega_quantale(), PZ2, (0, 1, 1, 1),
+                                  name="not-semiopen")
+
+
+@pytest.mark.parametrize("flags", [["--fr1"], ["--fr1-right"], ["--fr2"],
+                                   ["--wos"], ["--fr2", "--locale-meet"]])
+def test_cli_check_map_fails_checks_it_cannot_run(files, flags, capsys):
+    # a requested check that needs p_! fails with the semiopen check when
+    # p_! does not exist; it once exited 0 with verdict "pass"
+    mpath = files / "ns.map.json"
+    ff.save_json(mpath, ff.map_to_doc(_not_semiopen_map()))
+    report = files / "ns.json"
+    assert main(["check-map", "--map", str(mpath), *flags,
+                 "--report", str(report)]) == 1
+    assert "remaining checks skipped" in capsys.readouterr().out
+    doc = ff.load_json(report)
+    assert doc["verdict"] == "violation"
+    assert [(c["check"], c["ok"]) for c in doc["checks"]] == \
+        [("semiopen", False)]
+    assert main(["report-verify", str(report)]) == 0
+
+
+FINITE_CORPUS = dict(standard_map_corpus(include_effective=False))
+
+
+@pytest.mark.parametrize("name", FINITE_CORPUS)
+def test_cli_check_map_reports_the_frobenius_battery(files, name):
+    mpath = files / f"{name}.map.json"
+    ff.save_json(mpath, ff.map_to_doc(FINITE_CORPUS[name]))
+    report = files / f"{name}.json"
+    main(["check-map", "--map", str(mpath), "--semiopen", "--fr1",
+          "--fr1-right", "--fr2", "--wos", "--pool", "7", "--seed", "3",
+          "--report", str(report)])
+    doc = ff.load_json(report)
+    rep = frobenius_report(ff.map_from_doc(doc["inputs"]["map"]["doc"]),
+                           7, 3)
+    battery = {c["check"]: c for c in rep.to_json()["checks"]}
+    for chk in doc["checks"]:
+        if chk["check"] == "wos":
+            assert (chk["ok"], chk["unit_identity"], chk["surjective"]) == \
+                (rep.wos_consistent, rep.unit_identity, rep.surjective), name
+        else:
+            assert chk == battery[chk["check"]], name
+    if rep.semiopen.ok:
+        assert doc["surjective"] == rep.surjective
+        assert [c["check"] for c in doc["checks"]] == \
+            ["semiopen", "fr1", "fr1_right", "fr2", "wos"]
+
+
+@pytest.mark.parametrize("make,flags", [
+    (lambda: omega_support_map(PZ2), ["--fr1", "--wos"]),
+    (lambda: omega_support_map(PZ2), ["--fr2", "--locale-meet"]),
+    (lambda: identity_map(PZ2), ["--locale-meet"])])
+def test_cli_check_map_lemma_input_errors(files, make, flags):
+    # --wos needs a unital target and --locale-meet two locales
+    doc = ff.map_to_doc(make())
+    if "--wos" in flags:
+        del doc["target"]["unit"]
+    mpath = files / "m.map.json"
+    ff.save_json(mpath, doc)
+    report = files / "m.json"
+    assert main(["check-map", "--map", str(mpath), *flags,
+                 "--report", str(report)]) == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("example", [["rel", "--n", "4"],
+                                     ["delta-embedding", "--n", "4"],
+                                     ["matrix-max", "--n", "0"],
+                                     ["matrix-max", "--n", "4"]])
+def test_cli_example_out_of_range_is_an_input_error(example, tmp_path,
+                                                     capsys):
+    assert main(["example", *example, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_quotient(files):

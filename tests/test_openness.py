@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from quantales.examples import (cyclic_group, discrete_to_point_map,
@@ -8,11 +10,9 @@ from quantales.examples import (cyclic_group, discrete_to_point_map,
                                 sierpinski_closed_point_map,
                                 standard_map_corpus,
                                 z2_group_algebra_finite_map)
-from quantales.openness import (MissingDirectImage, NotALocale, NotUnital,
-                                check_fr1, check_fr1_right, check_fr2,
-                                check_fr2_implies_fr1,
-                                check_locale_meet_lemma, check_semiopen,
-                                check_wos, frobenius_report,
+from quantales.openness import (MissingDirectImage, NotALocale, check_fr1,
+                                check_fr2, check_locale_meet_lemma,
+                                check_semiopen, frobenius_report,
                                 is_locale_quantale)
 from quantales.quantale import FiniteInvQuantale, QuantaleMap, identity_map
 from quantales.subspaces import RationalSubspace
@@ -91,35 +91,66 @@ def test_group_algebra_fr1_but_not_fr2():
     assert not rep.open_by_sufficient_condition
 
 
-def test_wos_biconditional_three_ways():
+@pytest.fixture(scope="module")
+def lemma_reports():
+    # one report per map, read by every lemma test below
+    return {
+        "matrix": frobenius_report(matrix_support_map(2), pool=15),
+        "omega-support": frobenius_report(omega_support_map(PZ2)),
+        "pair-projection": frobenius_report(omega_pair_projection_map()),
+        "group-algebra": frobenius_report(
+            group_algebra_support_map(cyclic_group(2)), pool=30),
+    }
+
+
+def test_wos_biconditional_three_ways(lemma_reports):
     # surjective with the unit identity
-    m = matrix_support_map(2)
-    w = check_wos(m, pool=15)
-    assert w.weakly_open and w.unit_identity and w.surjective and w.consistent
+    m = lemma_reports["matrix"]
+    assert m.weakly_open and m.unit_identity and m.surjective
+    assert m.wos_consistent
     # omega support on the powerset
-    w2 = check_wos(omega_support_map(PZ2))
-    assert w2.unit_identity and w2.surjective and w2.consistent
+    w2 = lemma_reports["omega-support"]
+    assert w2.unit_identity and w2.surjective and w2.wos_consistent
     # not surjective, and the unit identity fails too
-    w3 = check_wos(omega_pair_projection_map())
+    w3 = lemma_reports["pair-projection"]
     assert w3.weakly_open and not w3.unit_identity and not w3.surjective
-    assert w3.consistent
+    assert w3.wos_consistent
 
 
 def test_wos_requires_a_unit():
+    # without a unit there is no unit identity, and the lemma says nothing
     stripped = FiniteInvQuantale(PZ2.carrier, PZ2.mult_table, PZ2.inv_table)
     p = QuantaleMap.from_table(PZ2, stripped, tuple(PZ2.elements))
-    with pytest.raises(NotUnital):
-        check_wos(p)
+    rep = frobenius_report(p)
+    assert rep.weakly_open and rep.surjective
+    assert rep.unit_identity is None
+    assert rep.wos_consistent and rep.fr2_forces_fr1
 
 
-def test_fr2_implies_fr1_reports():
-    applicable = check_fr2_implies_fr1(matrix_support_map(2), pool=15)
-    assert applicable.applicable and applicable.holds
-    also = check_fr2_implies_fr1(omega_support_map(PZ2))
-    assert also.applicable and also.holds
-    vacuous = check_fr2_implies_fr1(
-        group_algebra_support_map(cyclic_group(2)), pool=30)
-    assert not vacuous.applicable and vacuous.holds
+def test_fr2_implies_fr1_reports(lemma_reports):
+    for name in ("matrix", "omega-support"):
+        rep = lemma_reports[name]
+        # the premises hold, so the lemma has content
+        assert rep.fr2.ok and rep.unit_identity, name
+        assert rep.fr2_forces_fr1 and rep.fr1.ok and rep.surjective, name
+    vacuous = lemma_reports["group-algebra"]
+    assert not vacuous.fr2.ok and vacuous.fr2_forces_fr1
+
+
+def test_lemmas_read_the_battery_of_the_report(lemma_reports):
+    # a report whose checks contradict a lemma makes its property false
+    rep = lemma_reports["pair-projection"]
+    assert not replace(rep, unit_identity=True).wos_consistent
+    rep = lemma_reports["omega-support"]
+    assert not replace(rep, fr1=replace(rep.fr1, ok=False)).fr2_forces_fr1
+
+
+def test_report_keeps_the_map_it_certified():
+    rep = frobenius_report(sierpinski_closed_point_map())
+    assert [rep.certified.shriek(a) for a in rep.certified.source.elements] \
+        == [0, 2]
+    stripped = QuantaleMap.from_table(PZ2, omega_quantale(), (0, 1))
+    assert frobenius_report(stripped).certified is None
 
 
 def test_missing_direct_image_on_effective_carrier():
@@ -166,15 +197,9 @@ def test_corpus_lemma_sweep():
     # biconditional; and fr2 with the unit identity forces fr1 and
     # surjectivity
     for name, p in standard_map_corpus():
-        enriched, semi = check_semiopen(p, pool=25)
-        if not semi.ok:
+        rep = frobenius_report(p, pool=25)
+        if not rep.semiopen.ok:
             continue
-        p = enriched
-        fr1 = check_fr1(p, pool=25)
-        if fr1.ok:
-            assert check_fr1_right(p, pool=25).ok, name
-        if p.target.unit is not None:
-            w = check_wos(p, pool=25)
-            assert w.consistent, name
-            imp = check_fr2_implies_fr1(p, pool=25)
-            assert imp.holds, name
+        if rep.fr1.ok:
+            assert rep.fr1_right.ok, name
+        assert rep.wos_consistent and rep.fr2_forces_fr1, name
