@@ -26,7 +26,7 @@ from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, InvalidQuantale,
                        QuantaleMap, finite_subquantale, validate_hom,
                        validate_quantale)
 from .subspaces import RationalSubspace
-from .suplattice import FiniteSupLattice, _bits, validate_lattice
+from .suplattice import FiniteSupLattice, _bits
 
 
 class InvalidGroupTable(ValueError):
@@ -151,10 +151,7 @@ def powerset_quantale(groupoid, label=""):
     if k > 9:
         raise TooLarge(f"powerset of {k} arrows is beyond table bounds")
     n = 1 << k
-    pairs = [(u, v) for u in range(n) for v in range(n) if u & ~v == 0]
-    names = ["{" + ",".join(groupoid.names[b] for b in _bits(u)) + "}"
-             for u in range(n)]
-    carrier = validate_lattice(pairs, size=n, names=names)
+    carrier = FiniteSupLattice.powerset(groupoid.names)
     mult = [[0] * n for _ in range(n)]
     for u in range(n):
         ubits = list(_bits(u))
@@ -350,6 +347,8 @@ def matrix_max_quantale(n):
 def matrix_support_map(n):
     """p: Max Mn(Q) -> Rel(n); p* spans matrix units over a relation and
     p_! is the support relation of a subspace."""
+    if n < 1 or n > 3:
+        raise TooLarge("matrix algebras M_n(Q) are available for 1 <= n <= 3")
     return _support_map(matrix_max_quantale(n), rel_quantale(n),
                        f"matrix-support-{n}")
 

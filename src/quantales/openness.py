@@ -373,13 +373,15 @@ class LocaleMeetReport:
                 "witness": _jsonable(self.witness)}
 
 
-def check_locale_meet_lemma(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
-    """For locale maps satisfying fr2, p_! preserves binary meets."""
+def check_locale_meet_lemma(report):
+    """For locale maps satisfying fr2, p_! preserves binary meets; fr2
+    is read off the map's `frobenius_report`."""
+    p = report.certified
+    if p is None:
+        raise MissingDirectImage("map is not semiopen")
     if not (is_locale_quantale(p.source) and is_locale_quantale(p.target)):
         raise NotALocale("both carriers must be locales viewed as quantales")
-    p = _require_direct(p)
-    fr2 = check_fr2(p, pool, seed)
-    if not fr2.ok:
+    if not report.fr2.ok:
         return LocaleMeetReport(p.name, False, False, None, None)
     elements = list(p.source.elements)
     witness, _ = MAP_LAWS["locale-meet"][1](p, elements, elements)

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own formulas: joins are found
 by scanning upper bounds, adjoints by enumerating all value tables, least
 nuclei by enumerating all closure operators, and the pullback verdicts by
-enumerating flanked instances instead of using the flank lemma.  Expected
+enumerating flanked instances instead of using the flank lemma or the
+Y-letter lemma.  Expected
 values frozen in the tests were computed with these.
 """
 

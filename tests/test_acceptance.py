@@ -266,7 +266,9 @@ def test_criterion_8_pullback_theorem_instance():
 
         pf = verify_pullback_frobenius(ctx, maxlen=4)
         assert pf.ok and len(pf.cases) == 16
-        assert all(v["instances"] > 0 for v in pf.cases.values())
+        # decided by the Y-letter lemma, so no word is evaluated
+        assert all(v["instances"] == 0 and v["decided_by"]
+                   for v in pf.cases.values())
 
         # trivial base change: the descent map collapses onto p_!
         from quantales.quantale import identity_map

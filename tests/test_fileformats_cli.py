@@ -209,7 +209,28 @@ def test_cli_check_map_lemma_input_errors(files, make, flags):
 def test_cli_example_out_of_range_is_an_input_error(example, tmp_path,
                                                      capsys):
     assert main(["example", *example, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # the message names what was asked for
+    subject = "matrix algebras" if example[0] == "matrix-max" else \
+        "relation quantales"
+    assert subject in err
+
+
+def test_cli_pullback_verify_rejects_maps_of_different_targets(tmp_path,
+                                                               capsys):
+    out = str(tmp_path)
+    assert main(["example", "locale", "--which", "sierpinski",
+                 "--out", out]) == 0
+    assert main(["example", "delta-embedding", "--n", "2", "--out", out]) == 0
+    report = tmp_path / "pb.json"
+    assert main(["pullback-verify",
+                 "--p", str(tmp_path / "locale-sierpinski.map.json"),
+                 "--f", str(tmp_path / "delta-embedding-2.map.json"),
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == \
+        "error: p and f must share their target\n"
+    assert not report.exists()
 
 
 def test_cli_quotient(files):

@@ -54,18 +54,18 @@ def test_open_inclusion_passes_fr2_and_preserves_meets():
     p = open_inclusion_map()
     rep = frobenius_report(p)
     assert rep.fr1.ok and rep.fr2.ok and not rep.surjective
-    lm = check_locale_meet_lemma(p)
+    lm = check_locale_meet_lemma(rep)
     assert lm.applicable and lm.meet_preserved
 
 
 def test_locale_meet_lemma_not_applicable_when_fr2_fails():
-    lm = check_locale_meet_lemma(discrete_to_point_map(2))
+    lm = check_locale_meet_lemma(frobenius_report(discrete_to_point_map(2)))
     assert not lm.applicable and lm.meet_preserved is None
 
 
 def test_locale_meet_lemma_rejects_non_locales():
     with pytest.raises(NotALocale):
-        check_locale_meet_lemma(identity_map(PZ2))
+        check_locale_meet_lemma(frobenius_report(identity_map(PZ2)))
     assert is_locale_quantale(omega_quantale())
     assert not is_locale_quantale(PZ2)
 

@@ -1,8 +1,9 @@
 """The reduced pullback verifiers against the brute-force oracle.
 
-The verifiers decide relation compatibility, the word-level adjunction
-and the Frobenius conditions on cores by the flank lemma; the oracle in
-_helpers enumerates every flanked instance and word up to maxlen.
+The verifiers decide relation compatibility and the word-level
+adjunction on cores by the flank lemma, and the Frobenius conditions by
+the Y-letter lemma; the oracle in _helpers enumerates every flanked
+instance and word up to maxlen.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
 from quantales.freeprod import (PullbackContext, verify_adjunction_on_words,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility)
-from quantales.quantale import InvalidQuantale, identity_map
+from quantales.quantale import InvalidQuantale, Undecidable, identity_map
 
 from _helpers import (oracle_adjunction_ok, oracle_frobenius_failures,
                       oracle_relation_failures)
@@ -45,6 +46,23 @@ def _zero_direct_image():
                                  identity_map(p.target), verify=False)
 
 
+def _arbitrary_direct_image():
+    # the README square with p_! replaced by a fixed table that is neither
+    # monotone nor bottom-preserving: the Y-letter lemma holds for any p_!
+    p = omega_support_map(group_powerset_quantale(cyclic_group(2)))
+    return PullbackContext.build(p.with_direct_image((1, 0, 1, 0).__getitem__),
+                                 delta_embedding_map(2), verify=False)
+
+
+def _non_associative_context():
+    # PZ2 with {e}.{e} changed to bottom: ({e}.{e}).{g} = 0 but
+    # {e}.({e}.{g}) = {g}
+    doc = ff.quantale_to_doc(group_powerset_quantale(cyclic_group(2)))
+    next(t for t in doc["mult"] if t[:2] == [1, 1])[2] = 0
+    bad = ff.quantale_from_doc(doc, validate=False)
+    return PullbackContext(identity_map(bad), identity_map(bad))
+
+
 # the corpus maps along the identity of their targets; the negative
 # control of acceptance criterion 9 is the corpus's z2-algebra-fragment
 CONTEXTS = {
@@ -53,6 +71,7 @@ CONTEXTS = {
                                                 verify=False))
        for name, p in CORPUS},
     "zero-direct-image": _zero_direct_image,
+    "arbitrary-direct-image": _arbitrary_direct_image,
 }
 
 
@@ -113,14 +132,26 @@ def test_maxlen_below_the_longest_core_is_rejected(verifier, maxlen):
 
 @pytest.mark.parametrize("verifier", VERIFIERS)
 def test_the_premise_rejects_a_non_associative_y(verifier):
-    # PZ2 with {e}.{e} changed to bottom: ({e}.{e}).{g} = 0 but
-    # {e}.({e}.{g}) = {g}, so a core no longer decides its flanked instances
-    doc = ff.quantale_to_doc(group_powerset_quantale(cyclic_group(2)))
-    next(t for t in doc["mult"] if t[:2] == [1, 1])[2] = 0
-    bad = ff.quantale_from_doc(doc, validate=False)
+    # a core no longer decides its flanked instances
     with pytest.raises(InvalidQuantale) as e:
-        verifier(PullbackContext(identity_map(bad), identity_map(bad)))
+        verifier(_non_associative_context())
     assert e.value.violation.law == "assoc"
+
+
+def test_the_y_letter_lemma_needs_an_associative_y():
+    # without the premise the Frobenius conditions do fail: the verifier
+    # may not skip checking it
+    failing = oracle_frobenius_failures(_non_associative_context(), maxlen=4)
+    assert {"q.y.y", "right-action", "left-action"} <= failing
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+def test_a_base_map_without_a_direct_image_is_undecidable(verifier):
+    # h is undefined without p_!, so no verdict, not a vacuous pass
+    ctx = _readme_square()
+    bare = PullbackContext(ctx.p.with_direct_image(None), ctx.f)
+    with pytest.raises(Undecidable):
+        verifier(bare)
 
 
 def test_maxlen_does_not_narrow_the_verdict():
@@ -136,12 +167,14 @@ def test_maxlen_does_not_narrow_the_verdict():
 
 def test_pullback_frobenius_records_the_deciding_shapes():
     pf = verify_pullback_frobenius(_readme_square())
-    assert len(pf.cases) == 16
-    for case, stats in pf.cases.items():
-        core = stats.get("decided_by", case)
-        assert "|" not in core
-        assert stats["instances"] == pf.cases[core]["instances"] > 0
-    assert sum("decided_by" in v for v in pf.cases.values()) == 12
+    doc = pf.to_json()
+    assert (doc["scope"], doc["reduction"]) == \
+        ("all lengths", "Y-letter lemma")
+    assert len(pf.cases) == 16 and pf.module_instances == 0
+    assert all(stats == {"decided_by": "Y-letter lemma", "instances": 0}
+               for stats in pf.cases.values())
+    assert {case.count("|") for case in pf.cases} == {0, 1, 2}
+    assert sum("|" not in case for case in pf.cases) == 4
 
 
 def test_pullback_verify_on_the_s3_base_end_to_end(tmp_path, capsys):
@@ -163,5 +196,7 @@ def test_pullback_verify_on_the_s3_base_end_to_end(tmp_path, capsys):
     for name in ("relation-compatibility", "adjunction-on-words",
                  "pullback-frobenius"):
         assert checks[name]["scope"] == "all lengths"
+    for name in ("relation-compatibility", "adjunction-on-words"):
         assert checks[name]["reduction"] == "flank lemma"
+    assert checks["pullback-frobenius"]["reduction"] == "Y-letter lemma"
     assert main(["report-verify", str(report)]) == 0
