@@ -561,6 +561,18 @@ def _maxlen(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _at_least(minimum):
+    """An argparse type for integers >= minimum: smaller ones are usage
+    errors rather than values the checkers or a replay would refuse."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{value} is below the least allowed value {minimum}")
+        return value
+    return count
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quantales",
@@ -581,7 +593,7 @@ def _build_parser():
     sp.add_argument("--wos", action="store_true")
     sp.add_argument("--locale-meet", dest="locale_meet", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pool", type=int, default=50)
+    sp.add_argument("--pool", type=_at_least(1), default=50)
     sp.add_argument("--report")
 
     sp = sub.add_parser("quotient", help="quotient a quantale by a relation")
@@ -600,7 +612,8 @@ def _build_parser():
     sp.add_argument("--p", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--maxlen", type=_maxlen, default=4)
-    sp.add_argument("--traces", type=int, default=DEFAULT_TRACES)
+    sp.add_argument("--traces", type=_at_least(0),
+                    default=DEFAULT_TRACES)
     sp.add_argument("--report")
 
     sp = sub.add_parser("example", help="materialize or probe a named example")
@@ -612,7 +625,7 @@ def _build_parser():
     sp.add_argument("--which", default="sierpinski")
     sp.add_argument("--out")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pool", type=int, default=50)
+    sp.add_argument("--pool", type=_at_least(1), default=50)
     sp.add_argument("--report")
 
     sp = sub.add_parser("report-verify", help="replay the witnesses of a report")

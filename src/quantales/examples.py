@@ -267,7 +267,7 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
         return RationalSubspace.from_vectors(self.dim, vectors)
 
     def _product(self, u, v):
-        # RREF rows of curated handles are mostly zero: skip those entries
+        # integer rows of curated handles are mostly zero: skip those entries
         out = [0] * self.dim
         right = [(j, y) for j, y in enumerate(v) if y]
         for i, x in enumerate(u):
@@ -280,17 +280,22 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
         return out
 
     def mult(self, a, b):
-        products = [self._product(u, v) for u in a.basis for v in b.basis]
+        # a rescaled row spans the same line, so the products of the integer
+        # rescalings of the two bases span a.b
+        right = b.integer_rows()
+        products = [self._product(u, v)
+                    for u in a.integer_rows() for v in right]
         return RationalSubspace.from_vectors(self.dim, products)
 
     def inv(self, a):
         # the coefficient of x in u* is that of x^-1 in u
         return RationalSubspace.from_vectors(
-            self.dim, [[u[k] for k in self.groupoid.inv] for u in a.basis])
+            self.dim, [[u[k] for k in self.groupoid.inv]
+                       for u in a.integer_rows()])
 
     def sample(self, rng):
         k = rng.randint(0, min(self.dim, 3))
-        vectors = [[Fraction(rng.randint(-9, 9)) for _ in range(self.dim)]
+        vectors = [[rng.randint(-9, 9) for _ in range(self.dim)]
                    for _ in range(k)]
         return RationalSubspace.from_vectors(self.dim, vectors)
 
@@ -310,12 +315,13 @@ def _line(vector):
 def _support_map(source, target, name):
     """p: Max A -> P(G) for the algebra A of a groupoid G, with target the
     powerset quantale of G: p* spans the arrows of a subset and p_! takes
-    the support of a subspace."""
+    the support of a subspace.  The unit rows of a subset, in increasing
+    arrow order, are already the RREF basis of their span."""
     dim = source.dim
+    units = [_indicator(dim, (b,)) for b in range(dim)]
 
     def inverse_image(u_mask):
-        return RationalSubspace.from_vectors(
-            dim, [_indicator(dim, (b,)) for b in _bits(u_mask)])
+        return RationalSubspace(dim, tuple(units[b] for b in _bits(u_mask)))
 
     def direct_image(subspace):
         out = 0

@@ -4,11 +4,13 @@ The oracles deliberately avoid the library's own formulas: joins are found
 by scanning upper bounds, adjoints by enumerating all value tables, least
 nuclei by enumerating all closure operators, and the pullback verdicts by
 enumerating flanked instances instead of using the flank lemma or the
-Y-letter lemma.  Expected
-values frozen in the tests were computed with these.
+Y-letter lemma, and the subspace oracles eliminate in `Fraction`s where
+the library reduces integer rows.  Expected values frozen in the tests
+were computed with these.
 """
 
 import itertools
+from fractions import Fraction
 
 from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
                                 ChainFailure, Instance, Word, _unit_chain,
@@ -310,3 +312,42 @@ def oracle_frobenius_failures(ctx, maxlen, flank_budget=1):
                             if h(prod) != Y.mult(Y.mult(ha, y), hb):
                                 failing.add(case)
     return failing
+
+
+def rref_oracle(vectors, dim):
+    """Reduced row echelon form of the span of the vectors; zero rows dropped."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    for v in rows:
+        if len(v) != dim:
+            raise ValueError("vector has wrong length")
+    rank = 0
+    for col in range(dim):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = Fraction(1, 1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in rows[:rank])
+
+
+def mult_oracle(q, a, b):
+    """The product of two subspaces of a groupoid algebra, from the
+    definition: the span of the products of their RREF rows, in Fractions."""
+    mult = q.groupoid.mult
+    products = []
+    for u in a.basis:
+        for v in b.basis:
+            out = [Fraction(0)] * q.dim
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    if mult[i][j] is not None:
+                        out[mult[i][j]] += x * y
+            products.append(out)
+    return rref_oracle(products, q.dim)

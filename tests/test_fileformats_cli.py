@@ -280,6 +280,30 @@ def test_cli_pullback_verify_rejects_a_maxlen_below_the_longest_core(
                  "--maxlen", maxlen]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pullback-verify", "--p", "{files}/omega-support.map.json",
+     "--f", "{files}/delta.map.json", "--traces", "-1"],
+    ["check-map", "--map", "{files}/omega-support.map.json", "--wos",
+     "--pool", "0"],
+    ["check-map", "--map", "{files}/omega-support.map.json", "--wos",
+     "--pool", "-5"],
+    ["example", "group-algebra", "--group", "z2", "--pool", "0"],
+    ["example", "matrix-max", "--n", "2", "--pool", "-5"],
+    ["check-map", "--map", "{files}/omega-support.map.json", "--pool", "x"],
+], ids=["traces-1", "check-map-pool0", "check-map-pool-5",
+        "example-pool0", "example-pool-5", "pool-not-an-integer"])
+def test_cli_counts_below_their_least_value_are_usage_errors(files, capsys,
+                                                             argv):
+    # --traces -1 once ended in an islice traceback, and check-map --pool 0
+    # wrote a wos record that report-verify refused as having no pool
+    report = files / "count.report.json"
+    argv = [a.format(files=files) for a in argv] + ["--report", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[argv.index("--report") - 2] in err
+    assert not report.exists()
+
+
 def test_cli_pullback_verify_rejects_bad_base(files, tmp_path):
     # the sierpinski map fails the hypothesis, so the run reports a violation
     mpath = tmp_path / "sp.map.json"
