@@ -12,9 +12,10 @@ verdict that its exit code gives; a subcommand that raises writes none.
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
 with the checks, and each failed check is replayed through the
 definition that produced it (a law witness through its predicate or
-one-element sweep, a structural failure by reloading the embedded input)
-or counted as a problem.  The nested `frobenius` and `hypothesis` blocks
-are not read yet.
+one-element sweep, a structural failure by reloading the embedded input,
+a relation failure by rebuilding its instance from family, x and
+parameters) or counted as a problem.  The nested `frobenius` and
+`hypothesis` blocks are not read yet.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from . import examples as ex
 from . import fileformats as ff
 from . import __version__
 from .fileformats import FormatError
-from .freeprod import (DEFAULT_TRACES, REDUCTION, Y_LETTER_LEMMA,
-                       HypothesisNotSatisfied, NotASquare, PullbackContext,
-                       check_maxlen, verify_adjunction_on_words,
+from .freeprod import (CORE_PARAMETERS, DEFAULT_TRACES, Q_TAG, REDUCTION,
+                       Y_LETTER_LEMMA, Y_TAG, HypothesisNotSatisfied,
+                       NotASquare, PullbackContext, check_maxlen,
+                       family_instance, verify_adjunction_on_words,
                        verify_beck_chevalley, verify_pullback_frobenius,
-                       verify_relation_compatibility)
+                       verify_relation_compatibility, word_direct_image)
 from .nucleus import nucleus_from_relation, quotient
 from .openness import (MAP_LAWS, MissingDirectImage, NotALocale, NotUnital,
                        check_locale_meet_lemma, frobenius_report, violates)
@@ -482,19 +484,45 @@ def _replay_wos(doc, chk):
 
 
 def _replay_relation_compatibility(doc, chk):
-    from .freeprod import PullbackContext, Word, word_direct_image
-    pdoc = doc["inputs"]["p"]["doc"]
-    fdoc = doc["inputs"]["f"]["doc"]
-    ctx = PullbackContext.build(ff.map_from_doc(pdoc), ff.map_from_doc(fdoc),
+    """Rebuild each recorded failure from its family, x and parameters; it
+    replays when its words are that instance and h still differs on them."""
+    inputs = doc.get("inputs", {})
+    if not {"p", "f"} <= inputs.keys():
+        raise FormatError("relation-compatibility needs the embedded p and f")
+    ctx = PullbackContext.build(ff.map_from_doc(inputs["p"].get("doc")),
+                                ff.map_from_doc(inputs["f"].get("doc")),
                                 verify=False)
     out = []
-    for fam in chk.get("families", {}).values():
-        for failure in fam.get("failures", []):
-            inst = failure["instance"]
-            lw = Word(tuple((t, e) for t, e in inst["left"]))
-            rw = Word(tuple((t, e) for t, e in inst["right"]))
-            out.append(word_direct_image(ctx, lw) != word_direct_image(ctx, rw))
+    for family, x, values, recorded in _relation_records(ctx, chk):
+        lhs, rhs = family_instance(ctx, family, x, **values)
+        out.append(recorded == (lhs.letters, rhs.letters) and
+                   word_direct_image(ctx, lhs) != word_direct_image(ctx, rhs))
     return out
+
+
+def _relation_records(ctx, chk):
+    """(family, x, parameters, (left, right)) of each recorded failure, every
+    element checked against its carrier."""
+    carrier_of = {Y_TAG: ctx.Y, Q_TAG: ctx.Q}
+    try:
+        records = []
+        for res in chk.get("families", {}).values():
+            for failure in res.get("failures", []):
+                inst, params = failure["instance"], failure["parameters"]
+                names = CORE_PARAMETERS[inst["family"]]
+                if sorted(params) != sorted(names):
+                    raise FormatError(f"parameters {params!r} do not name "
+                                      f"the {inst['family']} core")
+                values = {n: _witness_element(
+                    params[n], ctx.Q if n[0] == "a" else ctx.Y) for n in names}
+                words = tuple(tuple((t, _witness_element(e, carrier_of[t]))
+                                    for t, e in w)
+                              for w in (inst["left"], inst["right"]))
+                x = _witness_element(inst["x"], ctx.X)
+                records.append((inst["family"], x, values, words))
+        return records
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed relation failure: {e}") from None
 
 
 _REPLAY_RULES = {
@@ -509,6 +537,8 @@ _REPLAY_RULES = {
 
 def cmd_report_verify(args, report):
     doc = ff.load_json(args.path)
+    if not isinstance(doc, dict):
+        raise FormatError("a report must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise FormatError(f"unsupported report schema {doc.get('schema')!r}")
     checks = doc.get("checks", [])

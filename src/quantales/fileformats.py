@@ -42,7 +42,7 @@ def _int_pairs(raw, what):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise FormatError(f"{what} entries must be pairs")
         i, j = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise FormatError(f"{what} entries must hold integers")
         out.append((i, j))
     return out
@@ -84,7 +84,7 @@ def quantale_from_doc(doc, validate=True, label=""):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise FormatError("mult entries must be triples")
         i, j, k = entry
-        if not all(isinstance(v, int) and 0 <= v < n for v in (i, j, k)):
+        if not all(type(v) is int and 0 <= v < n for v in (i, j, k)):
             raise FormatError(f"mult triple {entry} out of range")
         if mult[i][j] is not None:
             raise FormatError(f"duplicate mult entry for ({i},{j})")
@@ -103,7 +103,7 @@ def quantale_from_doc(doc, validate=True, label=""):
     if any(v is None for v in inv):
         raise FormatError("inv table incomplete")
     unit = doc.get("unit")
-    if unit is not None and not (isinstance(unit, int) and 0 <= unit < n):
+    if unit is not None and not (type(unit) is int and 0 <= unit < n):
         raise FormatError("unit out of range")
     q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
     if validate:

@@ -9,14 +9,23 @@ letterwise involutions.
 
 On top of the word algebra sits the pullback machinery for a square with
 a base map p: Q -> X (a semiopen surjection satisfying both Frobenius
-conditions) and an arbitrary map f: Y -> X.  The pullback is presented by
-nine families of relation instances on words.  The candidate direct image
+conditions) and an arbitrary map f: Y -> X.  The candidate direct image
 h of the first projection replaces every Q-letter a by f*(p_!(a)) and
-multiplies the result out in Y; the verifiers check that h respects all
-nine families, that it is left adjoint to the first projection on words
-(with explicit rewrite traces), that it satisfies both Frobenius
-conditions in all sixteen word shapes, and that the resulting square of
-direct and inverse images commutes.
+multiplies the result out in Y; the verifiers check that h respects the
+relations presenting the pullback, that it is left adjoint to the first
+projection on words (with explicit rewrite traces), that it satisfies
+both Frobenius conditions in all sixteen word shapes, and that the
+resulting square of direct and inverse images commutes.
+
+The swap rule.  The pullback is presented by one relation: the Q-letter
+p*(x) may be swapped for the Y-letter f*(x) between optional neighbours
+z, z', each merging into the swapped letter when their tags agree and
+standing beside it otherwise.  The nine relation families are the nine
+choices of neighbour tags (NEIGHBOURS).  h applies f* p_! to a merged
+Q-letter whole and to separate ones one by one, so the number of
+Q-neighbours picks what h needs of p: with none, f*(p_!(p*(x))) = f*(x),
+surjectivity; with one, p_!(a.p*(x)) = p_!(a) x, FR1 (or its mirror);
+with two, p_!(a.p*(x).a') = p_!(a) x p_!(a'), FR2.
 
 The flank lemma.  Every relation instance and rewrite step is a core c
 of at most three letters between two flanks t and t', either of which
@@ -146,9 +155,9 @@ def word_involution(Y, Q, w):
     return Word(out)
 
 
-def all_words(Y, Q, max_len, min_len=1):
+def all_words(Y, Q, max_len):
     """Every alternating word over the two carriers up to the given length."""
-    for length in range(min_len, max_len + 1):
+    for length in range(1, max_len + 1):
         for start in (Y_TAG, Q_TAG):
             pattern = tuple(start if i % 2 == 0 else
                             (Q_TAG if start == Y_TAG else Y_TAG)
@@ -240,85 +249,73 @@ def _check_premise(ctx, maxlen):
         raise InvalidQuantale(violation)
 
 
-# -- the nine relation families -------------------------------------------------
+# -- the swap rule -----------------------------------------------------------------
 
-FAMILIES = ("standalone", "head_q", "head_y", "tail_q", "tail_y",
-            "mid_qq", "mid_yq", "mid_qy", "mid_yy")
-
-FAMILY_HYPOTHESIS = {
-    "standalone": "surjectivity",
-    "head_q": "fr1",
-    "head_y": "surjectivity",
-    "tail_q": "fr1",
-    "tail_y": "surjectivity",
-    "mid_qq": "fr2",
-    "mid_yq": "fr1",
-    "mid_qy": "fr1",
-    "mid_yy": "surjectivity",
+# family -> tags of the letters before and after the swapped letter (None
+# where there is none); the family tables below derive from it
+NEIGHBOURS = {
+    "standalone": (None, None),
+    "head_q": (None, Q_TAG),
+    "head_y": (None, Y_TAG),
+    "tail_q": (Q_TAG, None),
+    "tail_y": (Y_TAG, None),
+    "mid_qq": (Q_TAG, Q_TAG),
+    "mid_yq": (Y_TAG, Q_TAG),
+    "mid_qy": (Q_TAG, Y_TAG),
+    "mid_yy": (Y_TAG, Y_TAG),
 }
+
+FAMILIES = tuple(NEIGHBOURS)
+
+# the hypothesis on p that a family needs, by its number of Q-neighbours
+FAMILY_HYPOTHESIS = {fam: ("surjectivity", "fr1", "fr2")[tags.count(Q_TAG)]
+                     for fam, tags in NEIGHBOURS.items()}
+
+# the families whose rewrite leaves no Q-letter: the unit chain's steps
+UNIT_FAMILIES = tuple(fam for fam, tags in NEIGHBOURS.items()
+                      if Q_TAG not in tags)
+
+_FAMILY_OF = {tags: fam for fam, tags in NEIGHBOURS.items()}
+
+# family -> where each neighbour's value sits in (a, a2, y, y2): a Q-letter
+# takes a and a Y-letter y, the second of two alike a2 or y2
+_SLOTS = {fam: tuple(None if t is None
+                     else 2 * (t == Y_TAG) + tags[:i].count(t)
+                     for i, t in enumerate(tags))
+          for fam, tags in NEIGHBOURS.items()}
 
 # the parameters of each family's core: a, a2 range over Q and y, y2 over Y
-CORE_PARAMETERS = {
-    "standalone": (),
-    "head_q": ("a",),
-    "head_y": ("y",),
-    "tail_q": ("a",),
-    "tail_y": ("y",),
-    "mid_qq": ("a", "a2"),
-    "mid_yq": ("y", "a"),
-    "mid_qy": ("a", "y"),
-    "mid_yy": ("y", "y2"),
-}
+CORE_PARAMETERS = {fam: tuple(("a", "a2", "y", "y2")[i] for i in slots
+                              if i is not None)
+                   for fam, slots in _SLOTS.items()}
 
 
 def family_instance(ctx, family, x, a=None, a2=None, y=None, y2=None,
                     left=(), right=()):
-    """One generated relation pair (left word, right word).
+    """One relation instance (left word, right word) of the swap rule.
 
-    Shapes, with x^ = p*(x) and fx = f*(x), t/t' the optional flanks:
-      standalone:  (x^)                ~ (fx)
-      head_q:      (x^ a | t)          ~ (fx | a | t)
-      head_y:      (x^ | y | t)        ~ (fx.y | t)
-      tail_q:      (t | a x^)          ~ (t | a | fx)
-      tail_y:      (t | y | x^)        ~ (t | y.fx)
-      mid_qq:      (t | a x^ a' | t')  ~ (t | a | fx | a' | t')
-      mid_yq:      (t | y | x^ a | t') ~ (t | y.fx | a | t')
-      mid_qy:      (t | a x^ | y | t') ~ (t | a | fx.y | t')
-      mid_yy:      (t | y | x^ | y' | t') ~ (t | y.fx.y' | t')
+    The Q-letter p*(x) is swapped for the Y-letter f*(x) between the
+    family's neighbours, inside the flanks `left` before the core and
+    `right` after it; e.g. mid_yq is (t | y | p*(x).a | t') ~
+    (t | y.f*(x) | a | t').
     """
-    Y, Q = ctx.Y, ctx.Q
-    xh = ctx.p.star(x)
-    fx = ctx.f.star(x)
-    if family == "standalone":
-        return Word(((Q_TAG, xh),)), Word(((Y_TAG, fx),))
-    if family == "head_q":
-        lhs = ((Q_TAG, Q.mult(xh, a)),) + left
-        rhs = ((Y_TAG, fx), (Q_TAG, a)) + left
-    elif family == "head_y":
-        lhs = ((Q_TAG, xh), (Y_TAG, y)) + left
-        rhs = ((Y_TAG, Y.mult(fx, y)),) + left
-    elif family == "tail_q":
-        lhs = left + ((Q_TAG, Q.mult(a, xh)),)
-        rhs = left + ((Q_TAG, a), (Y_TAG, fx))
-    elif family == "tail_y":
-        lhs = left + ((Y_TAG, y), (Q_TAG, xh))
-        rhs = left + ((Y_TAG, Y.mult(y, fx)),)
-    elif family == "mid_qq":
-        mid = Q.mult(Q.mult(a, xh), a2)
-        lhs = left + ((Q_TAG, mid),) + right
-        rhs = left + ((Q_TAG, a), (Y_TAG, fx), (Q_TAG, a2)) + right
-    elif family == "mid_yq":
-        lhs = left + ((Y_TAG, y), (Q_TAG, Q.mult(xh, a))) + right
-        rhs = left + ((Y_TAG, Y.mult(y, fx)), (Q_TAG, a)) + right
-    elif family == "mid_qy":
-        lhs = left + ((Q_TAG, Q.mult(a, xh)), (Y_TAG, y)) + right
-        rhs = left + ((Q_TAG, a), (Y_TAG, Y.mult(fx, y))) + right
-    elif family == "mid_yy":
-        lhs = left + ((Y_TAG, y), (Q_TAG, xh), (Y_TAG, y2)) + right
-        rhs = left + ((Y_TAG, Y.mult(Y.mult(y, fx), y2)),) + right
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return Word(lhs), Word(rhs)
+    try:
+        (before, after), (i, j) = NEIGHBOURS[family], _SLOTS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    values = (a, a2, y, y2)
+    qx, fx = ctx.p.star(x), ctx.f.star(x)
+    lpre = lpost = rpre = rpost = ()
+    if before == Q_TAG:
+        qx, rpre = ctx.Q.mult(values[i], qx), ((Q_TAG, values[i]),)
+    elif before == Y_TAG:
+        fx, lpre = ctx.Y.mult(values[i], fx), ((Y_TAG, values[i]),)
+    if after == Q_TAG:
+        qx, rpost = ctx.Q.mult(qx, values[j]), ((Q_TAG, values[j]),)
+    elif after == Y_TAG:
+        fx, lpost = ctx.Y.mult(fx, values[j]), ((Y_TAG, values[j]),)
+    return (Word(left + lpre + ((Q_TAG, qx),) + lpost + right),
+            Word(left + rpre + ((Y_TAG, fx),) + rpost + right))
 
 
 @dataclass(frozen=True)
@@ -378,6 +375,7 @@ def _check_cores(ctx, families, xs):
                 inst = Instance(fam, res.hypothesis, x, lhs, rhs)
                 res.failures.append({
                     "instance": inst.to_json(ctx),
+                    "parameters": dict(zip(names, values)),
                     "h_left": ctx.Y.name_of(hl),
                     "h_right": ctx.Y.name_of(hr),
                 })
@@ -454,79 +452,52 @@ class RewriteTrace:
         return out
 
 
-# the families whose instances rewrite a raised word to a single Y-letter
-UNIT_FAMILIES = ("standalone", "head_y", "tail_y", "mid_yy")
-
-
 def _unit_chain(ctx, w):
     """The word-level unit of the adjunction for one word.
 
     Raise each Q-letter a to p*(p_!(a)) (recording the base element), check
     the letterwise bound, then eliminate the raised letters left to right
     through relation instances until a single Y-letter remains; that letter
-    must be the direct image of the original word.
+    must be the direct image of the original word.  Each step's family is
+    the one whose NEIGHBOURS are the raised letter's neighbours.
     """
-    Y, Q = ctx.Y, ctx.Q
     letters = []
-    xs = {}
+    pending = []  # the base elements of the raised letters, left to right
     for idx, (t, e) in enumerate(w.letters):
         if t == Q_TAG:
             x = ctx.p.shriek(e)
             raised = ctx.p.star(x)
-            if not Q.leq(e, raised):
+            if not ctx.Q.leq(e, raised):
                 raise ChainFailure(0, f"unit of the base adjunction fails "
                                       f"at letter {idx}")
             letters.append((Q_TAG, raised))
-            xs[len(letters) - 1] = x
+            pending.append(x)
         else:
             letters.append((t, e))
     bound = Word(tuple(letters))
 
     steps = []
-    current = list(letters)
-    current_xs = dict(xs)
-    while True:
-        qpos = next((i for i, (t, _) in enumerate(current) if t == Q_TAG),
-                    None)
-        if qpos is None:
-            break
-        x = current_xs.pop(qpos)
-        before = Word(tuple(current))
-        if len(current) == 1:
-            family = "standalone"
-            lhs, rhs = family_instance(ctx, family, x)
-        elif qpos == 0:
-            family = "head_y"
-            y = current[1][1]
-            flank = tuple(current[2:])
-            lhs, rhs = family_instance(ctx, family, x, y=y, left=flank)
-        elif qpos == len(current) - 1:
-            family = "tail_y"
-            y = current[qpos - 1][1]
-            flank = tuple(current[:qpos - 1])
-            lhs, rhs = family_instance(ctx, family, x, y=y, left=flank)
-        else:
-            family = "mid_yy"
-            y, y2 = current[qpos - 1][1], current[qpos + 1][1]
-            fl = tuple(current[:qpos - 1])
-            fr = tuple(current[qpos + 2:])
-            lhs, rhs = family_instance(ctx, family, x, y=y, y2=y2,
-                                       left=fl, right=fr)
-        if lhs != before:
+    current = bound
+    for x in pending:
+        ls = current.letters
+        q = next(i for i, (t, _) in enumerate(ls) if t == Q_TAG)
+        near = (ls[max(q - 1, 0):q], ls[q + 1:q + 2])  # () where none
+        family = _FAMILY_OF[tuple(n[0][0] if n else None for n in near)]
+        values = [n[0][1] for n in near if n]
+        lhs, rhs = family_instance(
+            ctx, family, x, **dict(zip(CORE_PARAMETERS[family], values)),
+            left=ls[:q - len(near[0])], right=ls[q + 2:])
+        if lhs != current:
             raise ChainFailure(len(steps),
                                f"{family} instance does not match the word")
         if word_direct_image(ctx, lhs) != word_direct_image(ctx, rhs):
             raise ChainFailure(len(steps),
                                f"direct image changes across a {family} step")
-        steps.append(RewriteStep(family, x, before, rhs))
-        shift = len(before) - len(rhs)
-        current = list(rhs.letters)
-        current_xs = {i - shift if i > qpos else i: v
-                      for i, v in current_xs.items()}
-    final = Word(tuple(current))
-    if len(final) != 1 or final.first_tag != Y_TAG:
+        steps.append(RewriteStep(family, x, current, rhs))
+        current = rhs
+    if len(current) != 1 or current.first_tag != Y_TAG:
         raise ChainFailure(len(steps), "chain did not end in a single Y-letter")
-    result = final.letters[0][1]
+    result = current.letters[0][1]
     if result != word_direct_image(ctx, w):
         raise ChainFailure(len(steps),
                            "chain result differs from the direct image")

@@ -106,9 +106,6 @@ class FiniteSupLattice:
     def elements(self):
         return range(self.size)
 
-    def upset(self, i):
-        return list(_bits(self.up[i]))
-
     def downset(self, i):
         return list(_bits(self.down[i]))
 

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quantales
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (cyclic_group, delta_embedding_map,
@@ -103,6 +105,30 @@ def test_cli_validate_violation_and_replay(files, capsys):
 def test_cli_validate_malformed_json(files):
     bad = files / "bad.json"
     bad.write_text("{not json")
+    assert main(["validate", str(bad)]) == 2
+
+
+def _with_boolean(doc, key, value):
+    # the first entry of `key` whose last index equals the boolean's
+    # integer value, rewritten as that boolean
+    entry = next(e for e in doc[key] if e[-1] == int(value))
+    entry[-1] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: {**d, "unit": True},
+    lambda d: _with_boolean(d, "mult", True),
+    lambda d: _with_boolean(d, "mult", False),
+    lambda d: _with_boolean(d, "inv", True),
+    lambda d: {**d, "lattice": _with_boolean(d["lattice"], "leq", True)},
+], ids=["unit", "mult-true", "mult-false", "inv", "leq"])
+def test_cli_validate_rejects_booleans_as_element_indices(edit, files):
+    # JSON true and false are not indices, although Python's bool is an int
+    doc = ff.quantale_to_doc(PZ2)
+    assert doc["unit"] == 1
+    bad = files / "bool.quantale.json"
+    ff.save_json(bad, edit(doc))
     assert main(["validate", str(bad)]) == 2
 
 
@@ -347,9 +373,13 @@ def test_cli_usage_error():
 
 
 def test_console_entry_point_runs(tmp_path):
+    # the child imports the package under test, installed or not
+    root = os.path.dirname(os.path.dirname(quantales.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "quantales", "example",
                            "rel", "--n", "1", "--out", str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "rel1.quantale.json" in proc.stdout
     assert (tmp_path / "rel1.quantale.json").exists()

@@ -6,21 +6,27 @@ the Y-letter lemma; the oracle in _helpers enumerates every flanked
 instance and word up to maxlen.
 """
 
+import itertools
+
 import pytest
 
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 group_powerset_quantale, omega_support_map,
-                                standard_map_corpus,
+                                rel_quantale, standard_map_corpus,
+                                symmetric_group_3,
                                 z2_group_algebra_finite_map)
-from quantales.freeprod import (PullbackContext, verify_adjunction_on_words,
+from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
+                                NEIGHBOURS, UNIT_FAMILIES, PullbackContext,
+                                all_words, family_instance,
+                                verify_adjunction_on_words,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility)
 from quantales.quantale import InvalidQuantale, Undecidable, identity_map
 
-from _helpers import (oracle_adjunction_ok, oracle_frobenius_failures,
-                      oracle_relation_failures)
+from _helpers import (family_instance_oracle, oracle_adjunction_ok,
+                      oracle_frobenius_failures, oracle_relation_failures)
 
 VERIFIERS = (verify_relation_compatibility, verify_adjunction_on_words,
              verify_pullback_frobenius)
@@ -36,6 +42,12 @@ def _readme_square():
 def _negative_control():
     p = z2_group_algebra_finite_map()
     return PullbackContext.build(p, identity_map(p.target), verify=False)
+
+
+def _s3_base():
+    return PullbackContext.build(
+        omega_support_map(group_powerset_quantale(symmetric_group_3())),
+        delta_embedding_map(2))
 
 
 def _zero_direct_image():
@@ -200,3 +212,84 @@ def test_pullback_verify_on_the_s3_base_end_to_end(tmp_path, capsys):
         assert checks[name]["reduction"] == "flank lemma"
     assert checks["pullback-frobenius"]["reduction"] == "Y-letter lemma"
     assert main(["report-verify", str(report)]) == 0
+
+
+# -- the swap rule against the per-family oracle --------------------------------
+
+def test_the_family_tables_derive_from_the_neighbours():
+    # the tables as they were kept by hand, family by family
+    assert FAMILIES == ("standalone", "head_q", "head_y", "tail_q", "tail_y",
+                        "mid_qq", "mid_yq", "mid_qy", "mid_yy")
+    assert FAMILY_HYPOTHESIS == {
+        "standalone": "surjectivity", "head_q": "fr1",
+        "head_y": "surjectivity", "tail_q": "fr1", "tail_y": "surjectivity",
+        "mid_qq": "fr2", "mid_yq": "fr1", "mid_qy": "fr1",
+        "mid_yy": "surjectivity"}
+    assert CORE_PARAMETERS == {
+        "standalone": (), "head_q": ("a",), "head_y": ("y",),
+        "tail_q": ("a",), "tail_y": ("y",), "mid_qq": ("a", "a2"),
+        "mid_yq": ("y", "a"), "mid_qy": ("a", "y"), "mid_yy": ("y", "y2")}
+    assert UNIT_FAMILIES == ("standalone", "head_y", "tail_y", "mid_yy")
+    assert sorted(NEIGHBOURS.values(), key=str) == sorted(
+        itertools.product((None, "y", "q"), repeat=2), key=str)
+
+
+def _cores(ctx, family):
+    names = CORE_PARAMETERS[family]
+    ranges = [ctx.Q.elements if n[0] == "a" else ctx.Y.elements
+              for n in names]
+    for x in ctx.X.elements:
+        for values in itertools.product(*ranges):
+            yield x, dict(zip(names, values))
+
+
+def _outcome(build, *args, **kw):
+    try:
+        return build(*args, **kw)
+    except ValueError:  # the flanks do not alternate with the core
+        return "rejected"
+
+
+def _rel2_identity():
+    # Rel(2) along itself: p*(x) = x does not commute with every a, so the
+    # order of each merge shows
+    rel2 = rel_quantale(2)
+    return PullbackContext(identity_map(rel2), identity_map(rel2))
+
+
+@pytest.mark.parametrize("make", [_readme_square, _s3_base,
+                                  _negative_control, _rel2_identity])
+def test_family_instance_agrees_with_the_oracle_on_every_core(make):
+    ctx = make()
+    for family in FAMILIES:
+        for x, kw in _cores(ctx, family):
+            assert family_instance(ctx, family, x, **kw) == \
+                family_instance_oracle(ctx, family, x, **kw)
+
+
+def test_family_instance_agrees_with_the_oracle_on_flanks():
+    # every flank of up to two letters on the README square, each flank
+    # (pair) with the next core in turn; the oracle takes a head family's
+    # trailing flank as `left`, and no flank for standalone
+    ctx = _readme_square()
+    flanks = [()] + [w.letters for w in all_words(ctx.Y, ctx.Q, 2)]
+    shapes = {  # (our flanks, the oracle's flanks)
+        "head": [(((), t), (t, ())) for t in flanks],
+        "tail": [((t, ()), (t, ())) for t in flanks],
+        "mid": [(pair, pair) for pair in itertools.product(flanks, repeat=2)]}
+    compared = 0
+    for family in FAMILIES[1:]:
+        cores = itertools.cycle(list(_cores(ctx, family)))
+        pairs = shapes[family.split("_")[0]]
+        for ((l1, r1), (l2, r2)), (x, kw) in zip(pairs, cores):
+            got = _outcome(family_instance, ctx, family, x, left=l1,
+                           right=r1, **kw)
+            assert got == _outcome(family_instance_oracle, ctx, family, x,
+                                   left=l2, right=r2, **kw), \
+                (family, x, kw, l1, r1)
+            compared += got != "rejected"
+        if family.startswith("head"):  # nothing precedes a head core
+            x, kw = next(cores)
+            assert _outcome(family_instance, ctx, family, x,
+                            left=flanks[1], **kw) == "rejected"
+    assert compared > 10000

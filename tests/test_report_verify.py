@@ -9,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from quantales import fileformats as ff
-from quantales.cli import main
+from quantales.cli import SCHEMA, main
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 discrete_to_point_map,
                                 group_powerset_quantale, omega_quantale,
                                 omega_support_map, rel_quantale,
                                 sierpinski_closed_point_map,
                                 z2_group_algebra_finite_map)
+from quantales.freeprod import (PullbackContext, family_instance,
+                                verify_relation_compatibility)
 from quantales.openness import UnconfirmedWitness, check_fr1
 from quantales.quantale import (HOM_LAWS, QUANTALE_LAWS, QuantaleMap,
                                 identity_map)
@@ -315,6 +317,100 @@ def test_search_witness_that_holds_on_recheck_raises():
     with pytest.raises(UnconfirmedWitness):
         check_fr1(p.with_direct_image(flaky))
     assert check_fr1(p).ok
+
+
+def _negative_control_report():
+    # pullback-verify stops at the failed hypothesis on the negative
+    # control, so its relation failures go into a report built here
+    p = z2_group_algebra_finite_map()
+    f = identity_map(p.target)
+    rc = verify_relation_compatibility(
+        PullbackContext.build(p, f, verify=False))
+    inputs = {role: {"doc": doc, "doc_sha256": ff.doc_digest(doc)}
+              for role, doc in (("p", ff.map_to_doc(p)),
+                                ("f", ff.map_to_doc(f)))}
+    check = {"check": "relation-compatibility", "ok": False, **rc.to_json()}
+    return {"schema": SCHEMA, "inputs": inputs, "checks": [check],
+            "verdict": "violation"}
+
+
+def _first_failure(doc):
+    return doc["checks"][0]["families"]["mid_qq"]["failures"][0]
+
+
+def _passing_core(doc):
+    # a=a2=bottom: both sides of the core go to bottom under h
+    p = ff.map_from_doc(doc["inputs"]["p"]["doc"])
+    ctx = PullbackContext.build(p, ff.map_from_doc(doc["inputs"]["f"]["doc"]),
+                                verify=False)
+    lhs, rhs = family_instance(ctx, "mid_qq", 1, a=0, a2=0)
+    failure = _first_failure(doc)
+    failure["parameters"] = {"a": 0, "a2": 0}
+    failure["instance"].update(x=1, left=lhs.letters, right=rhs.letters)
+
+
+def _other_words(doc):
+    failures = doc["checks"][0]["families"]["mid_qq"]["failures"]
+    failures[0]["instance"]["right"] = failures[1]["instance"]["right"]
+
+
+def test_relation_failures_replay_from_family_x_and_parameters(tmp_path,
+                                                                capsys):
+    doc = _negative_control_report()
+    rc = doc["checks"][0]
+    assert [f for f, r in rc["families"].items() if r["failures"]] == \
+        ["mid_qq"]
+    assert _replay(tmp_path, doc) == 0
+    assert "replayed 6 witnesses, 0 problems" in capsys.readouterr().out
+    assert _first_failure(doc)["parameters"].keys() == {"a", "a2"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: _first_failure(d)["instance"].update(left=[["y", 1]],
+                                                   right=[["y", 2]]),
+    _other_words,
+    lambda d: _first_failure(d)["parameters"].update(a=0),
+    _passing_core,
+], ids=["made-up", "other-words", "moved-parameters", "passing-core"])
+def test_a_moved_relation_failure_does_not_replay(edit, tmp_path, capsys):
+    doc = _negative_control_report()
+    edit(doc)
+    assert _replay(tmp_path, doc) == 1
+    assert "relation-compatibility: recorded failure does not replay" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f["instance"].pop("left"),
+    lambda f: f["instance"].update(right=[["q", 99]]),
+    lambda f: f["instance"].update(right=[["z", 1]]),
+    lambda f: f["instance"].update(right=[["q", True]]),
+    lambda f: f["instance"].update(left="q0"),
+    lambda f: f.pop("parameters"),
+    lambda f: f["parameters"].update(y=1),
+    lambda f: f["parameters"].update(a2=[0]),
+    lambda f: f["instance"].update(family="mid_zz"),
+    lambda f: f["instance"].update(family=["mid_qq"]),
+    lambda f: f["instance"].update(x=99),
+    lambda f: f["instance"].update(x=True),
+    lambda f: f.pop("instance"),
+], ids=["no-left", "letter-out-of-range", "unknown-tag", "boolean-letter",
+        "word-not-a-list", "no-parameters", "extra-parameter",
+        "parameter-not-an-element", "unknown-family", "family-not-a-name",
+        "x-out-of-range", "boolean-x", "no-instance"])
+def test_a_malformed_relation_failure_is_an_input_error(edit, tmp_path,
+                                                         capsys):
+    doc = _negative_control_report()
+    edit(_first_failure(doc))
+    assert _replay(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("top", [[], "report", 1, None])
+def test_a_report_that_is_not_an_object_is_an_input_error(top, tmp_path,
+                                                          capsys):
+    assert _replay(tmp_path, top) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_library_holds_no_assert_statements():
