@@ -32,16 +32,16 @@ from .fileformats import FormatError
 from .freeprod import (CORE_PARAMETERS, DEFAULT_TRACES, Q_TAG, REDUCTION,
                        Y_LETTER_LEMMA, Y_TAG, HypothesisNotSatisfied,
                        NotASquare, PullbackContext, check_maxlen,
-                       family_instance, verify_adjunction_on_words,
+                       core_failure, verify_adjunction_on_words,
                        verify_beck_chevalley, verify_pullback_frobenius,
-                       verify_relation_compatibility, word_direct_image)
+                       verify_relation_compatibility)
 from .nucleus import nucleus_from_relation, quotient
 from .openness import (MAP_LAWS, MissingDirectImage, NotALocale, NotUnital,
                        check_locale_meet_lemma, frobenius_report, violates)
 from .quantale import (HOM_LAWS, QUANTALE_LAWS, InvalidQuantale,
                        validate_hom, validate_quantale)
 from .subspaces import RationalSubspace
-from .suplattice import LatticeError
+from .suplattice import LatticeError, join_irreducibles
 from .tensor import EnumerationBoundExceeded, TensorLattice, swap_map, unit_iso
 
 SCHEMA = 1
@@ -116,14 +116,22 @@ def cmd_validate(args, report):
         print(f"{path}: {kind}")
         check = {"check": kind, "ok": True}
         try:
-            for part, laws, law_args, _ in _parts(kind, doc):
+            parts = _parts(kind, doc)
+            # the ternary quantale laws are swept on join-irreducibles
+            sizes = {part: len(join_irreducibles(carrier.carrier))
+                     for part, laws, _, carrier in parts
+                     if laws is QUANTALE_LAWS}
+            reduction = {"reduction": "join-irreducibles",
+                         "join_irreducibles": sizes} if sizes else {}
+            check.update(reduction)
+            for part, laws, law_args, _ in parts:
                 validate = validate_hom if laws is HOM_LAWS else \
                     validate_quantale
                 v = validate(*law_args)
                 if v is not None:
                     check = {"check": kind, "ok": False, "part": part,
                              "law": v.law, "witness": list(v.witness),
-                             "detail": v.detail}
+                             "detail": v.detail, **reduction}
                     break
         except LatticeError as e:
             check = {"check": kind, "ok": False, "law": type(e).__name__,
@@ -485,28 +493,28 @@ def _replay_wos(doc, chk):
 
 def _replay_relation_compatibility(doc, chk):
     """Rebuild each recorded failure from its family, x and parameters; it
-    replays when its words are that instance and h still differs on them."""
+    replays when it is filed under its family and equals, field for field,
+    the failure record that the check writes for that core."""
     inputs = doc.get("inputs", {})
     if not {"p", "f"} <= inputs.keys():
         raise FormatError("relation-compatibility needs the embedded p and f")
-    ctx = PullbackContext.build(ff.map_from_doc(inputs["p"].get("doc")),
-                                ff.map_from_doc(inputs["f"].get("doc")),
+    ctx = PullbackContext.build(ff.map_from_doc(inputs["p"]["doc"]),
+                                ff.map_from_doc(inputs["f"]["doc"]),
                                 verify=False)
-    out = []
-    for family, x, values, recorded in _relation_records(ctx, chk):
-        lhs, rhs = family_instance(ctx, family, x, **values)
-        out.append(recorded == (lhs.letters, rhs.letters) and
-                   word_direct_image(ctx, lhs) != word_direct_image(ctx, rhs))
-    return out
+    # compared as canonical JSON, in which the rebuilt tuples are lists
+    return [filed == family and ff.doc_digest(recorded) ==
+            ff.doc_digest(core_failure(ctx, family, x, values))
+            for filed, family, x, values, recorded
+            in _relation_records(ctx, chk)]
 
 
 def _relation_records(ctx, chk):
-    """(family, x, parameters, (left, right)) of each recorded failure, every
-    element checked against its carrier."""
+    """(family it is filed under, family, x, parameters, record) of each
+    recorded failure, every element checked against its carrier."""
     carrier_of = {Y_TAG: ctx.Y, Q_TAG: ctx.Q}
     try:
         records = []
-        for res in chk.get("families", {}).values():
+        for filed, res in chk.get("families", {}).items():
             for failure in res.get("failures", []):
                 inst, params = failure["instance"], failure["parameters"]
                 names = CORE_PARAMETERS[inst["family"]]
@@ -515,11 +523,11 @@ def _relation_records(ctx, chk):
                                       f"the {inst['family']} core")
                 values = {n: _witness_element(
                     params[n], ctx.Q if n[0] == "a" else ctx.Y) for n in names}
-                words = tuple(tuple((t, _witness_element(e, carrier_of[t]))
-                                    for t, e in w)
-                              for w in (inst["left"], inst["right"]))
+                for word in (inst["left"], inst["right"]):
+                    for tag, e in word:
+                        _witness_element(e, carrier_of[tag])
                 x = _witness_element(inst["x"], ctx.X)
-                records.append((inst["family"], x, values, words))
+                records.append((filed, inst["family"], x, values, failure))
         return records
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed relation failure: {e}") from None
@@ -548,11 +556,13 @@ def cmd_report_verify(args, report):
         raise FormatError("report checks must be objects with a boolean 'ok'")
     inputs = doc.get("inputs", {})
     if not (isinstance(inputs, dict) and all(
-            isinstance(e, dict) and isinstance(e.get("doc_sha256"), str)
+            isinstance(e, dict) and isinstance(e.get("doc"), dict)
+            and isinstance(e.get("doc_sha256"), str)
             for e in inputs.values())):
-        raise FormatError("report inputs must be objects with a 'doc_sha256'")
+        raise FormatError("report inputs must be objects with a 'doc' "
+                          "object and a 'doc_sha256'")
     edited = [role for role, e in inputs.items()
-              if ff.doc_digest(e.get("doc")) != e["doc_sha256"]]
+              if ff.doc_digest(e["doc"]) != e["doc_sha256"]]
     # a failure replayed against an edited input would show nothing
     failures = [(f"input {role}", "embedded doc does not match its "
                                   "doc_sha256; nothing replayed")

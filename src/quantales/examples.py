@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,8 +173,7 @@ def powerset_quantale(groupoid, label=""):
     for a in groupoid.units:
         unit |= 1 << a
     q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
-    samples = None if n <= 64 else 64
-    v = validate_quantale(q, rng=random.Random(0), samples=samples)
+    v = validate_quantale(q)
     if v is not None:
         raise InvalidQuantale(v)
     return q

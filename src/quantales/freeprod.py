@@ -355,6 +355,22 @@ class FamilyResult:
                 "failure_count": len(self.failures)}
 
 
+def core_failure(ctx, family, x, parameters):
+    """The report record of the core of `family` at x and the parameters
+    (its instance, parameters and the h-values of both sides), or None
+    when h agrees on its sides."""
+    lhs, rhs = family_instance(ctx, family, x, **parameters)
+    hl = word_direct_image(ctx, lhs)
+    hr = word_direct_image(ctx, rhs)
+    if hl == hr:
+        return None
+    if word_direct_image(ctx, lhs) == word_direct_image(ctx, rhs):
+        raise RuntimeError(f"{family} failure does not reproduce")
+    inst = Instance(family, FAMILY_HYPOTHESIS[family], x, lhs, rhs)
+    return {"instance": inst.to_json(ctx), "parameters": dict(parameters),
+            "h_left": ctx.Y.name_of(hl), "h_right": ctx.Y.name_of(hr)}
+
+
 def _check_cores(ctx, families, xs):
     """h(left) = h(right) on the cores (the instances with empty flanks) of
     each family, at every x in xs and every choice of its parameters."""
@@ -365,20 +381,10 @@ def _check_cores(ctx, families, xs):
         ranges = [ctx.Q.elements if n.startswith("a") else ctx.Y.elements
                   for n in names]
         for x, values in itertools.product(xs, itertools.product(*ranges)):
-            lhs, rhs = family_instance(ctx, fam, x, **dict(zip(names, values)))
             res.instances += 1
-            hl = word_direct_image(ctx, lhs)
-            hr = word_direct_image(ctx, rhs)
-            if hl != hr:
-                if word_direct_image(ctx, lhs) == word_direct_image(ctx, rhs):
-                    raise RuntimeError(f"{fam} failure does not reproduce")
-                inst = Instance(fam, res.hypothesis, x, lhs, rhs)
-                res.failures.append({
-                    "instance": inst.to_json(ctx),
-                    "parameters": dict(zip(names, values)),
-                    "h_left": ctx.Y.name_of(hl),
-                    "h_right": ctx.Y.name_of(hr),
-                })
+            failure = core_failure(ctx, fam, x, dict(zip(names, values)))
+            if failure is not None:
+                res.failures.append(failure)
     return results
 
 

@@ -11,6 +11,24 @@ Each law is written once, as an entry (name, arity, predicate) of
 QUANTALE_LAWS or HOM_LAWS: the validators loop over these tables, and a
 recorded witness is re-checked by calling the predicate of its law.
 
+On a finite carrier the unary and binary laws are swept over every
+element and pair, and each ternary law declares the pools its arguments
+range over, J being the join-irreducibles (every element of a finite
+lattice is the join of those below it):
+- assoc on J x J x J: once both distributive laws hold, both sides of
+  (ab)c = a(bc) preserve joins in each argument (bottom absorption
+  covers the empty join);
+- distrib-left on Q x Q x J: a(b v c) = ab v ac for every c follows by
+  induction on c = j1 v ... v jk, with bottom-absorb-right for the empty
+  join;
+- distrib-right is derived, with no sweep: (b v c)a = (a*(b* v c*))* =
+  (a*b* v a*c*)* = ba v ca by involution-involutive, involution-join,
+  involution-antimult and distrib-left.
+A table that passes every declared sweep is therefore a quantale; one
+that fails may report a different first law than the full n^3 sweep, and
+never distrib-right.  Effective carriers, and finite ones validated on
+samples, sweep all three ternary laws on sampled triples.
+
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
 p_!: Q -> X (left adjoint of p*).
@@ -23,7 +41,8 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .suplattice import NoLeftAdjoint, SupMap, left_adjoint, validate_lattice
+from .suplattice import (NoLeftAdjoint, SupMap, join_irreducibles,
+                         left_adjoint, validate_lattice)
 
 
 @dataclass(frozen=True)
@@ -189,8 +208,13 @@ class EffectiveInvQuantale:
 
 
 # holds(q, *witness) for QUANTALE_LAWS and holds(h, source, target,
-# *witness) for HOM_LAWS, where h: source -> target
-Law = namedtuple("Law", "name arity holds")
+# *witness) for HOM_LAWS, where h: source -> target.  `finite` is how the
+# exhaustive path sweeps a ternary law: one pool per argument, "Q" for
+# every element and "J" for the join-irreducibles, or DERIVED for a law
+# that follows from the laws before it; other laws take every element.
+Law = namedtuple("Law", "name arity holds finite", defaults=(None,))
+
+DERIVED = "derived"
 
 # Search order: unary, binary, ternary, then the unit laws (which hold
 # vacuously when no unit is declared).
@@ -204,12 +228,19 @@ QUANTALE_LAWS = (
         lambda q, a, b: q.inv(q.mult(a, b)) == q.mult(q.inv(b), q.inv(a))),
     Law("involution-join", 2,
         lambda q, a, b: q.inv(q.join2(a, b)) == q.join2(q.inv(a), q.inv(b))),
+    # both sides preserve joins in each argument once both distributive
+    # laws hold, and distrib-left is checked next
     Law("assoc", 3,
-        lambda q, a, b, c: q.mult(q.mult(a, b), c) == q.mult(a, q.mult(b, c))),
+        lambda q, a, b, c: q.mult(q.mult(a, b), c) == q.mult(a, q.mult(b, c)),
+        ("J", "J", "J")),
+    # every c is a join of join-irreducibles: induct on it, using
+    # bottom-absorb-right for the empty join
     Law("distrib-left", 3, lambda q, a, b, c: q.mult(a, q.join2(b, c))
-        == q.join2(q.mult(a, b), q.mult(a, c))),
+        == q.join2(q.mult(a, b), q.mult(a, c)), ("Q", "Q", "J")),
+    # (b v c)a = (a*(b* v c*))* = (a*b* v a*c*)* = ba v ca, by the three
+    # involution laws on all pairs and distrib-left
     Law("distrib-right", 3, lambda q, a, b, c: q.mult(q.join2(b, c), a)
-        == q.join2(q.mult(b, a), q.mult(c, a))),
+        == q.join2(q.mult(b, a), q.mult(c, a)), DERIVED),
     Law("unit-left", 1, lambda q, a: q.unit is None or q.mult(q.unit, a) == a),
     Law("unit-right", 1, lambda q, a: q.unit is None or q.mult(a, q.unit) == a),
 )
@@ -225,18 +256,20 @@ HOM_LAWS = (
 
 
 def _runs(laws):
-    """Consecutive laws of equal arity, as (arity, [(name, holds), ...])."""
-    return [(arity, [(law.name, law.holds) for law in run])
+    """Consecutive laws of equal arity, as (arity, [law, ...])."""
+    return [(arity, list(run))
             for arity, run in itertools.groupby(laws, lambda law: law.arity)]
 
 
 def validate_quantale(q, rng=None, samples=None):
     """None if all involutive-quantale laws hold, else a Violation with witness.
 
-    Finite carriers are checked exhaustively on every law of
-    QUANTALE_LAWS; effective carriers, or finite ones when `samples` is
-    given, are checked on probe pools of that size, with the ternary laws
-    on `5 * samples` triples drawn from the pool.
+    Finite carriers are checked exhaustively: the unary and binary laws
+    of QUANTALE_LAWS on every element and pair, the ternary ones on the
+    pools each declares (see the module docstring).  Effective carriers,
+    or finite ones when `samples` is given, are checked on probe pools of
+    that size, with the ternary laws on `5 * samples` triples drawn from
+    the pool.
     """
     if q.is_finite and samples is None:
         if getattr(q, "_validated", False):
@@ -252,24 +285,31 @@ def validate_quantale(q, rng=None, samples=None):
 
 
 def _validate_on(q, pool, exhaustive, rng=None, triples=None):
+    if exhaustive:
+        pools = {"Q": pool, "J": join_irreducibles(q.carrier)}
     for arity, laws in _runs(QUANTALE_LAWS):
         if arity < 3:
             for w in itertools.product(pool, repeat=arity):
-                for name, holds in laws:
-                    if not holds(q, *w):
-                        return Violation(name, w)
-            continue
-        # the hot loop of validation, spelled out: unpacking *w on every
-        # call would nearly double its cost
-        if exhaustive:
-            tuples = itertools.product(pool, repeat=3)
+                for law in laws:
+                    if not law.holds(q, *w):
+                        return Violation(law.name, w)
+        elif exhaustive:
+            for law in laws:
+                if law.finite == DERIVED:
+                    continue
+                holds = law.holds
+                for a, b, c in itertools.product(
+                        *(pools[kind] for kind in law.finite)):
+                    if not holds(q, a, b, c):
+                        return Violation(law.name, (a, b, c))
         else:
-            tuples = ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                      for _ in range(triples))
-        for a, b, c in tuples:
-            for name, holds in laws:
-                if not holds(q, a, b, c):
-                    return Violation(name, (a, b, c))
+            # the hot loop of sampling, spelled out: unpacking *w on every
+            # call would nearly double its cost
+            for _ in range(triples):
+                a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+                for law in laws:
+                    if not law.holds(q, a, b, c):
+                        return Violation(law.name, (a, b, c))
     return None
 
 
@@ -293,9 +333,9 @@ def validate_hom(h, source, target, rng=None, samples=None):
         pool = source.probe_elements(rng, samples or 40)
     for arity, laws in _runs(HOM_LAWS):
         for w in itertools.product(pool, repeat=arity):
-            for name, holds in laws:
-                if not holds(h, source, target, *w):
-                    return Violation(name, w)
+            for law in laws:
+                if not law.holds(h, source, target, *w):
+                    return Violation(law.name, w)
     return None
 
 

@@ -274,6 +274,18 @@ class SupMap:
         return SupMap(lat, lat, tuple(range(lat.size)))
 
 
+def join_irreducibles(lattice):
+    """The join-irreducible elements, in index order: each j other than
+    bottom that is not the join of the elements strictly below it.
+
+    Every element of a finite lattice is the join of the join-irreducibles
+    below it, so a map preserving joins in each argument is fixed by its
+    values on them.
+    """
+    return [j for j in lattice.elements if j != lattice.bottom
+            and lattice.join(_bits(lattice.down[j] & ~(1 << j))) != j]
+
+
 def is_sup_map(f):
     """None if f preserves bottom and all binary joins, else a witness.
 

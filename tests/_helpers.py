@@ -5,8 +5,10 @@ by scanning upper bounds, adjoints by enumerating all value tables, least
 nuclei by enumerating all closure operators, and the pullback verdicts by
 enumerating flanked instances instead of using the flank lemma or the
 Y-letter lemma, with the nine relation families written out one by one
-instead of derived from the swap rule, and the subspace oracles
-eliminate in `Fraction`s where the library reduces integer rows.
+instead of derived from the swap rule, the subspace oracles
+eliminate in `Fraction`s where the library reduces integer rows, and the
+quantale laws are swept on all n^3 triples instead of on
+join-irreducibles.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
                                 ChainFailure, Instance, Word, _unit_chain,
                                 all_words, word_direct_image, word_multiply)
-from quantales.quantale import FiniteInvQuantale, validate_quantale
+from quantales.quantale import (QUANTALE_LAWS, FiniteInvQuantale, Violation,
+                                validate_quantale)
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
                                   validate_lattice)
 
@@ -88,6 +91,44 @@ def _atomic_quantale(lattice, atom_products, inv, unit=None):
     if violation is not None:
         raise ValueError(f"not a quantale: {violation}")
     return q
+
+
+def validate_quantale_oracle(q):
+    """The exhaustive validator before the join-irreducible reduction:
+    every law of QUANTALE_LAWS on every tuple of elements, the ternary laws
+    on all n^3 triples, interleaved per triple."""
+    pool = list(q.elements)
+    runs = [(arity, [(law.name, law.holds) for law in run])
+            for arity, run in itertools.groupby(QUANTALE_LAWS,
+                                                lambda law: law.arity)]
+    for arity, laws in runs:
+        if arity < 3:
+            for w in itertools.product(pool, repeat=arity):
+                for name, holds in laws:
+                    if not holds(q, *w):
+                        return Violation(name, w)
+            continue
+        for a, b, c in itertools.product(pool, repeat=3):
+            for name, holds in laws:
+                if not holds(q, a, b, c):
+                    return Violation(name, (a, b, c))
+    return None
+
+
+def reduction_corpus():
+    """Name -> finite quantale: small_quantales(), P(S3), Rel(2), the
+    product of the noncommutative m3 with P(Z/2) and two quotients of
+    P(S3); the last three, like m3, have lattices that are not
+    distributive."""
+    from quantales.examples import (group_powerset_quantale, product_quantale,
+                                    rel_quantale, symmetric_group_3)
+    from quantales.nucleus import quotient_by_relation
+    small = small_quantales()
+    ps3 = group_powerset_quantale(symmetric_group_3())
+    return {**small, "PS3": ps3, "rel2": rel_quantale(2),
+            "m3xPZ2": product_quantale(small["m3"], small["PZ2"]),
+            "PS3/(3,25)": quotient_by_relation(ps3, {(3, 25)})[0].quantale,
+            "PS3/(6,34)": quotient_by_relation(ps3, {(6, 34)})[0].quantale}
 
 
 def brute_force_join(lat, subset):

@@ -2,6 +2,7 @@
 that produced it, and fails closed on everything else."""
 
 import ast
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -28,8 +29,9 @@ BASES = {"omega": omega_quantale, "pz2": lambda: PZ2,
          "pz3": lambda: group_powerset_quantale(cyclic_group(3)),
          "rel2": lambda: rel_quantale(2)}
 
-# law -> (base quantale, one edit of its tables that makes the law the first
-# to fail, a tuple where the law still holds)
+# law -> (base quantale, one edit of its tables that makes the law fail
+# (the first to fail in `validate`, but for distrib-right, which validate
+# derives from the laws before it), a tuple where the law still holds)
 QUANTALE_CASES = {
     "bottom-absorb-right": ("omega", ("mult", 1, 0, 1), [0]),
     "bottom-absorb-left": ("omega", ("mult", 0, 1, 1), [0]),
@@ -117,8 +119,17 @@ def test_quantale_law_witness_replays_and_a_moved_one_does_not(law, tmp_path):
     report = tmp_path / "q.report.json"
     assert main(["validate", qpath, "--report", str(report)]) == 1
     doc, chk = _failed(report, "quantale")
+    if law == "distrib-right":
+        # an earlier law fails first; record a genuine distrib-right
+        # witness of the edited table in its place
+        assert chk["law"] in ("assoc", "distrib-left")
+        q = ff.quantale_from_doc(doc["inputs"][qpath]["doc"], validate=False)
+        holds = next(x for x in QUANTALE_LAWS if x.name == law).holds
+        chk["law"], chk["witness"] = law, next(
+            list(w) for w in itertools.product(q.elements, repeat=3)
+            if not holds(q, *w))
     assert chk["law"] == law and chk["part"] == "quantale"
-    assert main(["report-verify", str(report)]) == 0
+    assert _replay(tmp_path, doc) == 0
     chk["witness"] = holds_at
     assert _replay(tmp_path, doc) == 1
 
@@ -214,6 +225,67 @@ def test_embedded_inputs_are_checked_against_their_digest(tmp_path, capsys):
     doc = ff.load_json(report)
     del doc["inputs"]["f"]["doc_sha256"]
     assert _replay(tmp_path, doc) == 2
+
+
+def _check_map_report(tmp_path):
+    mpath = _write(tmp_path / "sp.json",
+                   ff.map_to_doc(sierpinski_closed_point_map()))
+    report = tmp_path / "sp.report.json"
+    assert main(["check-map", "--map", mpath, "--fr1",
+                 "--report", str(report)]) == 1
+    return ff.load_json(report), "map"
+
+
+def _validate_report(tmp_path):
+    qpath = _write(tmp_path / "q.json",
+                   _edited_quantale_doc("pz2", ("mult", 1, 1, 0)))
+    report = tmp_path / "q.report.json"
+    assert main(["validate", qpath, "--report", str(report)]) == 1
+    return ff.load_json(report), qpath
+
+
+@pytest.mark.parametrize("make", [
+    _check_map_report, _validate_report,
+    lambda tmp_path: (_negative_control_report(), "p"),
+], ids=["map-law", "document", "relation-compatibility"])
+@pytest.mark.parametrize("doc_edit", ["missing", "null", "list"])
+def test_an_input_without_its_document_is_an_input_error(make, doc_edit,
+                                                         tmp_path, capsys):
+    doc, role = make(tmp_path)
+    assert _replay(tmp_path, doc) == 0
+    entry = doc["inputs"][role]
+    if doc_edit == "missing":
+        del entry["doc"]
+    else:
+        entry["doc"] = {"null": None, "list": []}[doc_edit]
+    # a digest that matches what is left, so only the shape can refuse it
+    entry["doc_sha256"] = ff.doc_digest(entry.get("doc"))
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_records_the_join_irreducible_reduction(tmp_path):
+    qpath = _write(tmp_path / "q.json", ff.quantale_to_doc(PZ2))
+    mpath = _write(tmp_path / "m.json",
+                   ff.map_to_doc(omega_support_map(PZ2)))
+    lpath = _write(tmp_path / "l.json", ff.lattice_to_doc(PZ2.carrier))
+    report = tmp_path / "v.report.json"
+    assert main(["validate", qpath, mpath, lpath, "--report",
+                 str(report)]) == 0
+    doc = ff.load_json(report)
+    q, m, lat = doc["checks"]
+    assert (q["reduction"], q["join_irreducibles"]) == \
+        ("join-irreducibles", {"quantale": 2})
+    # Omega has one join-irreducible, P(Z/2) the two singletons
+    assert m["join_irreducibles"] == {"source": 2, "target": 1}
+    assert "reduction" not in lat and "join_irreducibles" not in lat
+    # a failed check records them too, and report-verify does not read them
+    doc, _ = _validate_report(tmp_path)
+    chk = doc["checks"][0]
+    assert chk["join_irreducibles"] == {"quantale": 2}
+    chk["reduction"], chk["join_irreducibles"] = "none", {"quantale": 99}
+    assert _replay(tmp_path, doc) == 0
 
 
 def test_structural_failures_are_replayed_by_reloading(tmp_path):
@@ -354,6 +426,16 @@ def _other_words(doc):
     failures[0]["instance"]["right"] = failures[1]["instance"]["right"]
 
 
+def _filed_elsewhere(doc):
+    families = doc["checks"][0]["families"]
+    families["mid_yy"]["failures"].append(
+        families["mid_qq"]["failures"].pop(0))
+
+
+def _copy_field(record, key, source):
+    record[key] = record[source]
+
+
 def test_relation_failures_replay_from_family_x_and_parameters(tmp_path,
                                                                 capsys):
     doc = _negative_control_report()
@@ -371,7 +453,18 @@ def test_relation_failures_replay_from_family_x_and_parameters(tmp_path,
     _other_words,
     lambda d: _first_failure(d)["parameters"].update(a=0),
     _passing_core,
-], ids=["made-up", "other-words", "moved-parameters", "passing-core"])
+    lambda d: _copy_field(_first_failure(d), "h_left", "h_right"),
+    lambda d: _copy_field(_first_failure(d), "h_right", "h_left"),
+    lambda d: _first_failure(d)["instance"].update(hypothesis="surjectivity"),
+    lambda d: _copy_field(_first_failure(d)["instance"], "left_display",
+                    "right_display"),
+    lambda d: _copy_field(_first_failure(d)["instance"], "right_display",
+                    "left_display"),
+    lambda d: _first_failure(d).update(note="extra"),
+    _filed_elsewhere,
+], ids=["made-up", "other-words", "moved-parameters", "passing-core",
+        "h-left", "h-right", "hypothesis", "left-display", "right-display",
+        "extra-field", "filed-elsewhere"])
 def test_a_moved_relation_failure_does_not_replay(edit, tmp_path, capsys):
     doc = _negative_control_report()
     edit(doc)
