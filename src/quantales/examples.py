@@ -10,7 +10,9 @@ One groupoid table builds both carrier kinds.  Its composition table
 multiplies subsets in P(G) and basis vectors in the algebra, its inverse
 table gives both involutions, and its units give both units.  The pair
 groupoid on n objects yields Rel(n) and Max M_n(Q); a group, the groupoid
-with one unit, yields P(G) and Max Q[G].
+with one unit, yields P(G) and Max Q[G]; products of groupoids give the
+rest.  Each support map Max Q[G] -> P(G) records G, and its Frobenius
+battery is decided from G's table (the lemma beside `_support_map`).
 """
 
 from __future__ import annotations
@@ -144,35 +146,89 @@ def pair_groupoid(n):
     return g
 
 
+def product_groupoid(g, h):
+    """G x H: pairs of arrows, composed componentwise where both compose."""
+    m = h.size
+    arrows = list(itertools.product(range(g.size), range(m)))
+
+    def compose(x, y):
+        a, b = g.mult[x[0]][y[0]], h.mult[x[1]][y[1]]
+        return None if a is None or b is None else a * m + b
+
+    names = tuple(f"({g.names[a]},{h.names[b]})" for a, b in arrows)
+    mult = tuple(tuple(compose(x, y) for y in arrows) for x in arrows)
+    inv = tuple(g.inv[a] * m + h.inv[b] for a, b in arrows)
+    units = tuple(sorted(u * m + v for u in g.units for v in h.units))
+    gh = FiniteGroupoidData(names, mult, inv, units)
+    gh.validate()
+    return gh
+
+
+class GroupoidPowerset(EffectiveInvQuantale):
+    """P(G) as an oracle: a subset of arrows is a bitmask, and products,
+    converses and names are computed from the groupoid table on demand.
+    `powerset_quantale` tabulates it, up to nine arrows; the oracle has no
+    such bound."""
+
+    def __init__(self, groupoid):
+        self.groupoid = groupoid
+        self.unit = sum(1 << u for u in groupoid.units)
+        self.label = f"P(G{groupoid.size})"
+
+    @property
+    def bottom(self):
+        return 0
+
+    def leq(self, a, b):
+        return a & ~b == 0
+
+    def join(self, items):
+        out = 0
+        for a in items:
+            out |= a
+        return out
+
+    def mult(self, a, b):
+        out = 0
+        right = list(_bits(b))
+        for x in _bits(a):
+            row = self.groupoid.mult[x]
+            for y in right:
+                c = row[y]
+                if c is not None:
+                    out |= 1 << c
+        return out
+
+    def inv(self, a):
+        out = 0
+        for x in _bits(a):
+            out |= 1 << self.groupoid.inv[x]
+        return out
+
+    def sample(self, rng):
+        return rng.getrandbits(self.groupoid.size)
+
+    def curated_elements(self):
+        n = self.groupoid.size
+        return [0] + [1 << x for x in range(n)] + [(1 << n) - 1]
+
+    def name_of(self, a):
+        return "{" + ",".join(self.groupoid.names[x] for x in _bits(a)) + "}"
+
+
 def powerset_quantale(groupoid, label=""):
-    """Subsets of a groupoid under setwise product, converse and union."""
+    """Subsets of a groupoid under setwise product, converse and union,
+    tabulated from `GroupoidPowerset`."""
     k = groupoid.size
     if k > 9:
         raise TooLarge(f"powerset of {k} arrows is beyond table bounds")
     n = 1 << k
-    carrier = FiniteSupLattice.powerset(groupoid.names)
-    mult = [[0] * n for _ in range(n)]
-    for u in range(n):
-        ubits = list(_bits(u))
-        for v in range(n):
-            out = 0
-            for a in ubits:
-                row = groupoid.mult[a]
-                for b in _bits(v):
-                    c = row[b]
-                    if c is not None:
-                        out |= 1 << c
-            mult[u][v] = out
-    inv = [0] * n
-    for u in range(n):
-        out = 0
-        for a in _bits(u):
-            out |= 1 << groupoid.inv[a]
-        inv[u] = out
-    unit = 0
-    for a in groupoid.units:
-        unit |= 1 << a
-    q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
+    subsets = GroupoidPowerset(groupoid)
+    q = FiniteInvQuantale(FiniteSupLattice.powerset(groupoid.names),
+                          [[subsets.mult(u, v) for v in range(n)]
+                           for u in range(n)],
+                          [subsets.inv(u) for u in range(n)],
+                          unit=subsets.unit, label=label)
     v = validate_quantale(q)
     if v is not None:
         raise InvalidQuantale(v)
@@ -314,7 +370,52 @@ def _support_map(source, target, name):
     """p: Max A -> P(G) for the algebra A of a groupoid G, with target the
     powerset quantale of G: p* spans the arrows of a subset and p_! takes
     the support of a subspace.  The unit rows of a subset, in increasing
-    arrow order, are already the RREF basis of their span."""
+    arrow order, are already the RREF basis of their span.
+
+    The map records G, and `openness` decides its Frobenius battery from
+    G's table by the following lemma.  Write e_k for the basis vector of
+    the arrow k and supp(u) for the arrows where u is nonzero.
+
+    Lemma.  Semiopenness, FR1, FR1-right, the involution law
+    p_!(a*) = p_!(a)* and surjectivity hold for every G.  FR2 holds iff
+    G is principal, that is, iff every isotropy group of G is trivial.
+
+    Proof.
+    (1) Lines suffice.  The support of a sum of subspaces is the union of
+        their supports, the product of subspaces distributes over sums,
+        p* sends unions to sums and the product of P(G) distributes over
+        unions.  So each side of FR1, FR1-right and FR2 preserves joins
+        in a, x and b, and it is enough to take lines a = span{u},
+        singletons x = {g} and lines b = span{v}.
+    (2) Semiopenness: V <= p*(U) iff every vector of V vanishes off U iff
+        supp(V) is contained in U.  Surjectivity: p*(U) is spanned by the
+        e_k with k in U, so its support is U.  Involution: the
+        coefficient of u* at k is that of u at k^-1, so
+        supp(u*) = supp(u)^-1.
+    (3) a p*(x) b is the line through u.e_g.v, the sum of u_s v_t e_sgt
+        over the pairs (s, t) for which s g t is defined.  So
+        p_!(a p*(x) b) = supp(u.e_g.v) is contained in
+        supp(u).g.supp(v) = p_!(a) x p_!(b), and the two differ only
+        where the coefficient at k, the sum of u_s v_t over s g t = k,
+        cancels.  The same holds for u.e_g and e_g.v.
+    (4) FR1 and FR1-right: s g = s' g forces s = s' (multiply by g^-1 on
+        the right), so each coefficient of u.e_g is one nonzero u_s and
+        nothing cancels.  Likewise for e_g.u.
+    (5) G is principal when no two distinct arrows share both source and
+        target; equivalently every loop is a unit, since parallel s != s'
+        give the loop s^-1 s' != unit.  Then s g t = s' g t' forces s and
+        s' to share their target (that of s g t) and their source (the
+        target of g), so s = s', and t = t' by cancelling s g.  Each
+        coefficient is one nonzero product u_s v_t, and FR2 holds.
+    (6) Let the unit y have a loop h != y, and let I_y, the isotropy
+        group at y, be the loops at y.  Take a = span{sum of e_s over
+        s in I_y}, x = {y} and b = span{e_y - e_h}.  Then u.e_y.v is the
+        sum of e_s minus the sum of e_sh over s in I_y, which is 0
+        because s -> s h permutes I_y.  So p_!(a p*(x) b) is empty, while
+        p_!(a) x p_!(b) = I_y {y} {y, h} = I_y is not: FR2 fails.
+    The checks take y the first unit with such a loop and h its first
+    loop, and confirm that witness on the definition before reporting it.
+    """
     dim = source.dim
     units = [_indicator(dim, (b,)) for b in range(dim)]
 
@@ -329,7 +430,18 @@ def _support_map(source, target, name):
                     out |= 1 << b
         return out
 
-    return QuantaleMap(source, target, inverse_image, direct_image, name=name)
+    return QuantaleMap(source, target, inverse_image, direct_image, name=name,
+                       groupoid=source.groupoid)
+
+
+def groupoid_support_map(groupoid):
+    """p: Max Q[G] -> P(G) for any finite groupoid G, validated first, as
+    the lemma needs.  Its target is the `GroupoidPowerset` oracle, so G may
+    have more than nine arrows."""
+    groupoid.validate()
+    return _support_map(
+        MaxAlgebraQuantale(groupoid, label=f"Max Q[G{groupoid.size}]"),
+        GroupoidPowerset(groupoid), f"groupoid-support-{groupoid.size}")
 
 
 @functools.cache
@@ -366,8 +478,9 @@ def group_algebra_quantale(group):
     e, dim = group.units[0], group.size
     others = [h for h in range(dim) if h != e]
     # the augmentation line and the difference lines lead the pool: they are
-    # where two-sided Frobenius failures live, so witness searches hit them
-    # before the expensive high-rank handles
+    # where two-sided Frobenius failures live, so the sampled sweep, which
+    # runs on these maps once their groupoid is dropped, hits them before
+    # the expensive high-rank handles
     curated = [_line(_indicator(dim, range(dim)))]
     curated += [_line(tuple(Fraction((i == e) - (i == h)) for i in range(dim)))
                 for h in others]
@@ -604,4 +717,9 @@ def standard_map_corpus(include_effective=True):
                        group_algebra_support_map(cyclic_group(2))))
         corpus.append(("group-algebra-S3",
                        group_algebra_support_map(symmetric_group_3())))
+        # not principal with two units, and principal with four
+        corpus.append(("groupoid-Z2xpair2", groupoid_support_map(
+            product_groupoid(cyclic_group(2), pair_groupoid(2)))))
+        corpus.append(("groupoid-pair2xpair2", groupoid_support_map(
+            product_groupoid(pair_groupoid(2), pair_groupoid(2)))))
     return corpus

@@ -1,10 +1,14 @@
 """Checkers for semiopenness, Frobenius reciprocity and related lemmas.
 
-Every check returns a Check record: verdict, witness and how the search
-ran (exhaustive, or sampled with pool size and seed).  Finite carriers are
-swept exhaustively while the evaluation count stays under a cap; effective
-carriers are probed on deterministic pools of curated plus seeded-random
-handles, so reruns with the recorded seed reproduce the verdict.
+Every check returns a Check record: verdict, witness and how it was
+decided (exhaustive, sampled with pool size and seed, or decided from a
+groupoid table).  Finite carriers are swept exhaustively while the
+evaluation count stays under a cap; effective carriers are probed on
+deterministic pools of curated plus seeded-random handles, so reruns with
+the recorded seed reproduce the verdict.  A support map Max Q[G] -> P(G)
+that records its groupoid G is not searched at all: the lemma beside
+`examples._support_map` decides each law from G's table (`TABLE_LAWS`),
+and the evaluations of such a check count the table entries it read.
 
 Each law of a map is written once, as the sweep of its MAP_LAWS entry over
 one pool per witness element.  A check runs the sweep on its search pools;
@@ -31,6 +35,7 @@ from .suplattice import left_adjoint_candidate
 EXHAUSTIVE_CAP = 10 ** 6
 DEFAULT_POOL = 50
 DEFAULT_SEED = 0
+GROUPOID_TABLE = "groupoid table"
 
 
 class NotUnital(ValueError):
@@ -55,9 +60,10 @@ class Check:
     pool: int | None = None
     seed: int | None = None
     evaluations: int = 0
+    reduction: str | None = None
 
     def to_json(self):
-        return {
+        out = {
             "check": self.name,
             "ok": self.ok,
             "witness": _jsonable(self.witness),
@@ -67,6 +73,9 @@ class Check:
             "seed": self.seed,
             "evaluations": self.evaluations,
         }
+        if self.reduction is not None:
+            out["reduction"] = self.reduction
+        return out
 
 
 def _jsonable(value):
@@ -176,6 +185,46 @@ MAP_LAWS = {
 }
 
 
+# -- the laws of a groupoid support map, from its table -------------------------
+#
+# decide(G) returns the first failing witness (or None) and the number of
+# table entries read; the lemma beside `examples._support_map` says why.
+
+def _holds_for_every_groupoid(groupoid):
+    return None, 0
+
+
+def _fr2_from_table(groupoid):
+    """FR2 fails iff some unit y has a loop h != y; the witness is
+    (span{sum of the loops at y}, {y}, span{y - h}) for the first such y
+    and its first such h."""
+    mult, inv, dim = groupoid.mult, groupoid.inv, groupoid.size
+    loops = []  # (unit, arrow) for each arrow whose source is its target
+    for k in range(dim):
+        target, source = mult[k][inv[k]], mult[inv[k]][k]
+        if target == source:
+            loops.append((source, k))
+    reads = 3 * dim  # inv[k] and the two products per arrow
+    nontrivial = [(y, h) for y, h in loops if h != y]
+    if not nontrivial:
+        return None, reads
+    y, h = min(nontrivial)
+    isotropy = {k for unit, k in loops if unit == y}
+    a = [int(k in isotropy) for k in range(dim)]
+    b = [(k == y) - (k == h) for k in range(dim)]
+    return (RationalSubspace.from_vectors(dim, [a]), 1 << y,
+            RationalSubspace.from_vectors(dim, [b])), reads
+
+
+TABLE_LAWS = {
+    "semiopen": _holds_for_every_groupoid,
+    "fr1": _holds_for_every_groupoid,
+    "fr1_right": _holds_for_every_groupoid,
+    "fr2": _fr2_from_table,
+    "direct_image_involution": _holds_for_every_groupoid,
+}
+
+
 class UnconfirmedWitness(RuntimeError):
     """A witness found by a sweep does not fail its law on re-check."""
 
@@ -199,7 +248,21 @@ def _confirmed(p, name, witness):
     return witness
 
 
-def _check(name, p, pools, seed):
+def _check(name, p, pool, seed):
+    """Decide the law of a groupoid support map from its table; sweep it on
+    any other map over the probe pools of pool and seed."""
+    if p.groupoid is None:
+        return _swept(name, p, _pools(p, pool, seed), seed)
+    witness, count = TABLE_LAWS[name](p.groupoid)
+    if witness is None:
+        return Check(name, True, mode="decided", evaluations=count,
+                     reduction=GROUPOID_TABLE)
+    return Check(name, False, _confirmed(p, name, witness),
+                 _display(p, MAP_LAWS[name][0], witness), "decided",
+                 evaluations=count, reduction=GROUPOID_TABLE)
+
+
+def _swept(name, p, pools, seed):
     """Sweep the law over the search pools and re-verify any witness."""
     qs, xs, mode, poolsize = pools
     roles, sweep = MAP_LAWS[name]
@@ -226,15 +289,16 @@ def check_semiopen(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     p_!(a) = meet {x : a <= p*(x)} is swept against the adjunction on all
     pairs (it is the direct image exactly when the sweep passes); a
     supplied direct image, finite or effective, is verified on the probe
-    pools.  Returns (map_with_direct_image_or_None, Check).
+    pools, or decided from the table of a groupoid support map.  Returns
+    (map_with_direct_image_or_None, Check).
     """
     if p.direct_image is None:
         p = _with_meet_candidate(p)
         pools = (list(p.source.elements), list(p.target.elements),
                  "exhaustive", None)
-        chk = _check("semiopen", p, pools, None)
+        chk = _swept("semiopen", p, pools, None)
     else:
-        chk = _check("semiopen", p, _pools(p, pool, seed), seed)
+        chk = _check("semiopen", p, pool, seed)
     return (p if chk.ok else None), chk
 
 
@@ -248,8 +312,7 @@ def _require_direct(p):
 
 
 def _check_with_direct(name, p, pool, seed):
-    p = _require_direct(p)
-    return _check(name, p, _pools(p, pool, seed), seed)
+    return _check(name, _require_direct(p), pool, seed)
 
 
 def check_fr1(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
@@ -341,8 +404,12 @@ def frobenius_report(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
     fr1r = check_fr1_right(p, pool, seed)
     fr2 = check_fr2(p, pool, seed)
     invc = check_direct_image_involution(p, pool, seed)
-    mode = "exhaustive" if p.target.is_finite else "sampled"
-    surj = is_surjective(p, random.Random(seed))
+    if p.groupoid is not None:
+        # p_!(p*(U)) = U for every groupoid (examples._support_map)
+        mode, surj = "decided", True
+    else:
+        mode = "exhaustive" if p.target.is_finite else "sampled"
+        surj = is_surjective(p, random.Random(seed))
     e = p.target.unit
     unit_identity = None if e is None else p.shriek(p.star(e)) == e
     return FrobeniusReport(p.name, p, semi, fr1, fr1r, fr2, invc,

@@ -341,12 +341,19 @@ def validate_hom(h, source, target, rng=None, samples=None):
 
 @dataclass(frozen=True)
 class QuantaleMap:
-    """A map p: source -> target, held as its inverse image p*: target -> source."""
+    """A map p: source -> target, held as its inverse image p*: target -> source.
+
+    `groupoid` is the finite groupoid G when p is its support map
+    Max Q[G] -> P(G) (`examples._support_map`); the openness checks then
+    decide from G's table.  `with_direct_image` keeps it; the other
+    constructors leave it None.
+    """
     source: object
     target: object
     inverse_image: object
     direct_image: object = None
     name: str = ""
+    groupoid: object = None
 
     def star(self, x):
         return self.inverse_image(x)

@@ -54,6 +54,14 @@ def _fraction_row(row, d):
                  for x in row)
 
 
+def _canonical(entry):
+    """Whether entry is `str` of a Fraction, the form reports write."""
+    try:
+        return type(entry) is str and str(Fraction(entry)) == entry
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
 def rref(vectors, dim):
     """Reduced row echelon form of the span of the vectors; zero rows dropped.
 
@@ -114,14 +122,16 @@ class RationalSubspace:
 
     @staticmethod
     def from_json(raw, dim):
-        """Inverse of to_json; ValueError unless raw is a subspace of Q^dim."""
-        if not (isinstance(raw, dict) and raw.get("dim") == dim):
+        """Inverse of to_json; ValueError unless raw is a subspace of Q^dim
+        written as to_json writes one: an int `dim` and a list of rows, each
+        a list of strings that `str` of a Fraction gives ("1", "-1/2")."""
+        if not (isinstance(raw, dict) and type(raw.get("dim")) is int
+                and raw["dim"] == dim and type(raw.get("basis")) is list
+                and all(type(row) is list and all(map(_canonical, row))
+                        for row in raw["basis"])):
             raise ValueError(f"{raw!r} is not a subspace of Q^{dim}")
-        try:
-            vectors = [[Fraction(x) for x in row] for row in raw["basis"]]
-        except (KeyError, TypeError, ZeroDivisionError) as e:
-            raise ValueError(f"{raw!r} is not a subspace of Q^{dim}") from e
-        return RationalSubspace.from_vectors(dim, vectors)
+        return RationalSubspace.from_vectors(
+            dim, [[Fraction(x) for x in row] for row in raw["basis"]])
 
     @property
     def rank(self):

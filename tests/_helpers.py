@@ -6,9 +6,10 @@ nuclei by enumerating all closure operators, and the pullback verdicts by
 enumerating flanked instances instead of using the flank lemma or the
 Y-letter lemma, with the nine relation families written out one by one
 instead of derived from the swap rule, the subspace oracles
-eliminate in `Fraction`s where the library reduces integer rows, and the
+eliminate in `Fraction`s where the library reduces integer rows, the
 quantale laws are swept on all n^3 triples instead of on
-join-irreducibles.
+join-irreducibles, and FR2 of a groupoid support map is decided by
+injectivity of (s, t) -> s.g.t instead of by the isotropy groups.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -446,3 +447,52 @@ def mult_oracle(q, a, b):
                         out[mult[i][j]] += x * y
             products.append(out)
     return rref_oracle(products, q.dim)
+
+
+def sgt_injective(groupoid):
+    """Whether (s, t) -> s.g.t is injective on the pairs where it is
+    defined, for every arrow g: the O(|G|^3) form of FR2 for the support
+    map Max Q[G] -> P(G), with no cancellation possible."""
+    mult, n = groupoid.mult, groupoid.size
+    for g in range(n):
+        seen = set()
+        for s in range(n):
+            sg = mult[s][g]
+            if sg is None:
+                continue
+            for t in range(n):
+                k = mult[sg][t]
+                if k is not None:
+                    if k in seen:
+                        return False
+                    seen.add(k)
+    return True
+
+
+def support_fr2_violated(groupoid, a_rows, x, b_rows):
+    """p_!(a p*(x) b) != p_!(a) x p_!(b) for the support map of the
+    groupoid, evaluated in Fractions on spanning vectors of a and b and the
+    arrows of the bitmask x: the support of a span is the union of the
+    supports of its spanning vectors."""
+    mult, n = groupoid.mult, groupoid.size
+    arrows = [g for g in range(n) if x >> g & 1]
+
+    def support(rows):
+        return {k for row in rows for k in range(n) if row[k] != 0}
+
+    products = []
+    for u in a_rows:
+        for g in arrows:
+            for v in b_rows:
+                out = [Fraction(0)] * n
+                for s in range(n):
+                    for t in range(n):
+                        sg = mult[s][g]
+                        if u[s] and v[t] and sg is not None \
+                                and mult[sg][t] is not None:
+                            out[mult[sg][t]] += Fraction(u[s]) * v[t]
+                products.append(out)
+    rhs = {mult[mult[s][g]][t] for s in support(a_rows) for g in arrows
+           for t in support(b_rows)
+           if mult[s][g] is not None and mult[mult[s][g]][t] is not None}
+    return support(products) != rhs

@@ -7,6 +7,7 @@ success) and enforces its wall-clock budget.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 discrete_to_point_map,
@@ -53,7 +54,12 @@ def criterion(number, label, limit_s):
 
 def test_criterion_1_matrix_example():
     with criterion(1, "matrix-support-map", 10):
-        p = matrix_support_map(2)
+        decided = frobenius_report(matrix_support_map(2))
+        assert decided.hypothesis_for_pullback
+        assert {c.mode for c in (decided.semiopen, decided.fr1,
+                                 decided.fr2)} == {"decided"}
+        # the same battery swept on probe pools, without the groupoid
+        p = replace(matrix_support_map(2), groupoid=None)
         enriched, semi = check_semiopen(p, pool=20, seed=0)
         assert semi.ok
         p = enriched
@@ -70,19 +76,25 @@ def test_criterion_1_matrix_example():
 def test_criterion_2_group_algebra_example():
     with criterion(2, "group-algebra-support-maps", 10):
         for group, pool in ((cyclic_group(2), 50), (symmetric_group_3(), 15)):
-            p = group_algebra_support_map(group)
+            decided = check_fr2(group_algebra_support_map(group))
+            assert not decided.ok and decided.mode == "decided"
+            # swept on probe pools, without the groupoid
+            p = replace(group_algebra_support_map(group), groupoid=None)
             enriched, semi = check_semiopen(p, pool=pool, seed=0)
             assert semi.ok
             fr1 = check_fr1(enriched, pool=pool, seed=0)
             assert fr1.ok and fr1.evaluations >= 200
             fr2 = check_fr2(enriched, pool=pool, seed=0)
             assert not fr2.ok and fr2.witness is not None
-        # the canonical witness for Z/2 is found verbatim
-        p = group_algebra_support_map(cyclic_group(2))
-        enriched, _ = check_semiopen(p, pool=50, seed=0)
-        fr2 = check_fr2(enriched, pool=50, seed=0)
+        # the canonical witness for Z/2 is found verbatim, decided from the
+        # table and swept alike
         plus = RationalSubspace.from_vectors(2, [(1, 1)])
         minus = RationalSubspace.from_vectors(2, [(1, -1)])
+        p = group_algebra_support_map(cyclic_group(2))
+        assert check_fr2(p).witness == (plus, 1, minus)
+        enriched, _ = check_semiopen(replace(p, groupoid=None), pool=50,
+                                     seed=0)
+        fr2 = check_fr2(enriched, pool=50, seed=0)
         assert fr2.witness == (plus, 1, minus)
         ga, px = enriched.source, enriched.target
         lhs = enriched.shriek(ga.mult(ga.mult(plus, enriched.star(1)), minus))

@@ -278,6 +278,26 @@ def test_cli_tensor(files, tmp_path):
     assert main(["tensor", "--lattices", str(two), str(two)]) == 0
 
 
+def test_cli_tensor_past_its_bound_is_an_input_error(tmp_path, capsys):
+    # it once exited 2 with a report whose failed tensor-enumeration check
+    # report-verify could not replay
+    two = tmp_path / "two.lattice.json"
+    ff.save_json(two, ff.lattice_to_doc(omega_quantale().carrier))
+    report = tmp_path / "tensor.report.json"
+    assert main(["tensor", "--lattices", str(two), str(two), "--bound", "3",
+                 "--report", str(report)]) == 2
+    assert "error: grid of 4 tuples exceeds the enumeration bound 3" in \
+        capsys.readouterr().err
+    assert not report.exists()
+    for bound in ("0", "-1"):
+        assert main(["tensor", "--lattices", str(two), str(two),
+                     "--bound", bound, "--report", str(report)]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not report.exists()
+    assert main(["tensor", "--lattices", str(two), str(two), "--bound", "4",
+                 "--report", str(report)]) == 0
+
+
 def test_cli_pullback_verify_and_report(files):
     report = files / "pb.json"
     code = main(["pullback-verify", "--p", str(files / "omega-support.map.json"),

@@ -1,0 +1,187 @@
+"""The Frobenius battery of groupoid support maps, decided from the table.
+
+`openness` decides each law of p: Max Q[G] -> P(G) by the lemma beside
+`examples._support_map`: FR2 holds iff G is principal, and the rest of the
+battery holds for every G.  The tests compare the decided verdicts with
+the O(|G|^3) injectivity test of `_helpers.sgt_injective`, confirm every
+decided witness on the definition twice (the library's one-element sweep
+and `_helpers.support_fr2_violated`), and run the sampled sweep on lines,
+singletons and lines, which the lemma says is enough: FR2 on the principal
+groupoids, the rest of the battery on all of them.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from _helpers import sgt_injective, support_fr2_violated
+from quantales import fileformats as ff
+from quantales.cli import main
+from quantales.examples import (GroupoidPowerset, cyclic_group,
+                                group_algebra_support_map,
+                                groupoid_support_map, matrix_support_map,
+                                pair_groupoid, powerset_quantale,
+                                product_groupoid, standard_map_corpus,
+                                symmetric_group_3,
+                                z2_group_algebra_finite_map)
+from quantales.openness import (GROUPOID_TABLE, MAP_LAWS, UnconfirmedWitness,
+                                check_fr2, check_semiopen, frobenius_report,
+                                violates)
+from quantales.quantale import compose_maps, identity_map, validate_quantale
+from quantales.subspaces import RationalSubspace
+
+GROUPOIDS = {
+    "z2": lambda: cyclic_group(2),
+    "z3": lambda: cyclic_group(3),
+    "s3": symmetric_group_3,
+    "pair2": lambda: pair_groupoid(2),
+    "pair3": lambda: pair_groupoid(3),
+    "z2xpair2": lambda: product_groupoid(cyclic_group(2), pair_groupoid(2)),
+    "z3xpair2": lambda: product_groupoid(cyclic_group(3), pair_groupoid(2)),
+    "pair2xpair2": lambda: product_groupoid(pair_groupoid(2),
+                                            pair_groupoid(2)),
+}
+PRINCIPAL = {"pair2", "pair3", "pair2xpair2"}
+
+
+def _battery(rep):
+    return (rep.semiopen, rep.fr1, rep.fr1_right, rep.fr2,
+            rep.direct_image_involution)
+
+
+def _lines(rng, dim, count):
+    """Seeded lines span{u} with small entries and small supports."""
+    lines = set()
+    while len(lines) < count:
+        support = rng.sample(range(dim), rng.randint(1, min(dim, 4)))
+        u = [0] * dim
+        for k in support:
+            u[k] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
+        lines.add(RationalSubspace.from_vectors(dim, [u]))
+    return sorted(lines, key=repr)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_decided_fr2_is_the_injectivity_test(name):
+    g = GROUPOIDS[name]()
+    p = groupoid_support_map(g)
+    rep = frobenius_report(p, pool=7, seed=3)
+    assert sgt_injective(g) == (name in PRINCIPAL)
+    assert rep.fr2.ok == sgt_injective(g)
+    for chk in _battery(rep):
+        assert (chk.mode, chk.reduction, chk.pool, chk.seed) == (
+            "decided", GROUPOID_TABLE, None, None)
+        assert chk.ok or chk.name == "fr2"
+        assert chk.to_json()["reduction"] == GROUPOID_TABLE
+    # FR2 reads the inverse and both products x x^-1, x^-1 x of each arrow
+    assert rep.fr2.evaluations == 3 * g.size
+    assert rep.surjective and rep.surjective_mode == "decided"
+    assert rep.unit_identity and rep.weakly_open
+    assert rep.hypothesis_for_pullback == (name in PRINCIPAL)
+    if rep.fr2.ok:
+        return
+    a, x, b = rep.fr2.witness
+    assert violates(p, "fr2", rep.fr2.witness)
+    assert support_fr2_violated(g, a.basis, x, b.basis)
+    # the witness is the line through the sum of the loops at the first
+    # unit y with a loop h != y, the unit y, and the line through y - h
+    loops = {y: [k for k in range(g.size)
+                 if g.mult[k][g.inv[k]] == y == g.mult[g.inv[k]][k]]
+             for y in g.units}
+    y = min(y for y in g.units if len(loops[y]) > 1)
+    h = min(k for k in loops[y] if k != y)
+    assert (a.rank, x, b.rank) == (1, 1 << y, 1)
+    assert a.basis[0] == tuple(int(k in loops[y]) for k in range(g.size))
+    assert {k for k, c in enumerate(b.basis[0]) if c} == {y, h}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_sampled_sweep_on_lines_agrees_with_the_decided_battery(name):
+    # the laws that hold for every groupoid hold on the lines of each, and
+    # FR2 on those of the principal ones
+    g = GROUPOIDS[name]()
+    p = replace(groupoid_support_map(g), groupoid=None)
+    lines = _lines(random.Random(f"lines:{name}"), g.size, 16)
+    singletons = [1 << k for k in range(g.size)]
+    for law in ("semiopen", "fr1", "fr1_right"):
+        witness, count = MAP_LAWS[law][1](p, lines, singletons)
+        assert witness is None and count == len(lines) * g.size, law
+    assert MAP_LAWS["direct_image_involution"][1](p, lines) == (
+        None, len(lines))
+    if name in PRINCIPAL:
+        witness, count = MAP_LAWS["fr2"][1](p, lines, singletons, lines)
+        assert witness is None and count == len(lines) ** 2 * g.size
+
+
+def test_named_support_maps_record_their_groupoid():
+    assert matrix_support_map(2).groupoid == pair_groupoid(2)
+    assert group_algebra_support_map(symmetric_group_3()).groupoid \
+        is symmetric_group_3()
+    p = group_algebra_support_map(cyclic_group(2))
+    assert p.with_direct_image(p.direct_image).groupoid is cyclic_group(2)
+    enriched, semi = check_semiopen(p)
+    assert enriched.groupoid is cyclic_group(2) and semi.mode == "decided"
+    # maps built otherwise are swept, not decided
+    fragment = z2_group_algebra_finite_map()
+    assert fragment.groupoid is None
+    assert frobenius_report(fragment).fr2.mode == "exhaustive"
+    composite = compose_maps(identity_map(p.target), p)
+    assert composite.groupoid is None
+    names = {name for name, _ in standard_map_corpus()}
+    assert {"groupoid-Z2xpair2", "groupoid-pair2xpair2"} <= names
+
+
+def test_a_decided_witness_that_does_not_fail_is_refused():
+    # with_direct_image keeps the groupoid, so a direct image sending every
+    # subspace to the whole group still has FR2 decided false, but the
+    # table's witness holds for it on re-check
+    p = group_algebra_support_map(cyclic_group(2)).with_direct_image(
+        lambda a: 3)
+    with pytest.raises(UnconfirmedWitness):
+        check_fr2(p)
+
+
+def test_product_groupoid_composes_componentwise():
+    g, h = cyclic_group(2), pair_groupoid(2)
+    gh = product_groupoid(g, h)
+    assert gh.size == 8 and len(gh.units) == 2
+    assert gh.names[:2] == ("(e,(1,1))", "(e,(1,2))")
+    for (a, b), (c, d) in [((x // 4, x % 4), (y // 4, y % 4))
+                           for x in range(8) for y in range(8)]:
+        left, right = g.mult[a][c], h.mult[b][d]
+        want = None if left is None or right is None else left * 4 + right
+        assert gh.mult[a * 4 + b][c * 4 + d] == want
+
+
+def test_powerset_oracle_is_the_powerset_table():
+    g = product_groupoid(cyclic_group(2), pair_groupoid(2))
+    table, oracle = powerset_quantale(g), GroupoidPowerset(g)
+    rng = random.Random(0)
+    for _ in range(500):
+        u, v = rng.randrange(256), rng.randrange(256)
+        assert oracle.mult(u, v) == table.mult(u, v)
+        assert oracle.inv(u) == table.inv(u)
+        assert oracle.name_of(u) == table.name_of(u)
+        assert oracle.leq(u, v) == table.leq(u, v)
+        assert oracle.join([u, v]) == table.join([u, v])
+        # the product from the definition, arrow by arrow
+        assert oracle.mult(u, v) == sum({
+            1 << g.mult[s][t] for s in range(8) for t in range(8)
+            if u >> s & 1 and v >> t & 1 and g.mult[s][t] is not None})
+    assert oracle.unit == table.unit
+    big = GroupoidPowerset(GROUPOIDS["pair2xpair2"]())
+    assert validate_quantale(big, random.Random(1), samples=20) is None
+
+
+def test_matrix_max_3_is_decided(tmp_path, capsys):
+    # the sampled sweep took over 400 s on Max M3(Q) -> Rel(3)
+    report = tmp_path / "mm3.json"
+    assert main(["example", "matrix-max", "--n", "3",
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "suite (semiopen surjection with fr1 and fr2): ok\n")
+    doc = ff.load_json(report)
+    assert doc["checks"] == [{"check": "matrix-max-suite", "ok": True}]
+    assert {c["mode"] for c in doc["frobenius"]["checks"]} == {"decided"}
+    assert main(["report-verify", str(report)]) == 0

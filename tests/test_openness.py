@@ -71,13 +71,18 @@ def test_locale_meet_lemma_rejects_non_locales():
 
 
 def test_matrix_support_map_full_profile():
+    # decided from the pair groupoid's table, and swept without it
     p = matrix_support_map(2)
-    rep = frobenius_report(p, pool=20)
-    assert rep.semiopen.ok and rep.semiopen.mode == "sampled"
-    assert rep.fr1.ok and rep.fr1_right.ok and rep.fr2.ok
-    assert rep.surjective and rep.unit_identity
-    assert rep.direct_image_involution.ok
-    assert rep.hypothesis_for_pullback
+    for mode, surjective_mode, q in (
+            ("decided", "decided", p),
+            ("sampled", "exhaustive", replace(p, groupoid=None))):
+        rep = frobenius_report(q, pool=20)
+        assert rep.semiopen.ok and rep.semiopen.mode == mode
+        assert rep.surjective_mode == surjective_mode
+        assert rep.fr1.ok and rep.fr1_right.ok and rep.fr2.ok
+        assert rep.surjective and rep.unit_identity
+        assert rep.direct_image_involution.ok
+        assert rep.hypothesis_for_pullback
 
 
 def test_group_algebra_fr1_but_not_fr2():
@@ -161,7 +166,7 @@ def test_missing_direct_image_on_effective_carrier():
 
 
 def test_sampled_checks_reproduce_from_the_seed():
-    p = group_algebra_support_map(cyclic_group(2))
+    p = replace(group_algebra_support_map(cyclic_group(2)), groupoid=None)
     enriched, _ = check_semiopen(p, pool=30, seed=9)
     first = check_fr2(enriched, pool=30, seed=9)
     second = check_fr2(enriched, pool=30, seed=9)

@@ -358,6 +358,29 @@ def test_effective_witness_replays_and_is_checked_against_its_carrier(
     assert _replay(tmp_path, doc) == 2
 
 
+@pytest.mark.parametrize("element", [
+    {"dim": 2, "basis": [[True, True]]}, {"dim": 2, "basis": [[1.0, 1]]},
+    {"dim": 2, "basis": [[1, 1]]}, {"dim": 2, "basis": [["1.0", "1"]]},
+    {"dim": 2, "basis": [["2/2", "1"]]}, {"dim": 2, "basis": [[" 1", "1"]]},
+    {"dim": 2.0, "basis": [["1", "1"]]}, {"dim": 2, "basis": "11"},
+    {"dim": 2, "basis": [["1", None]]}],
+    ids=["bools", "floats", "ints", "decimal", "unreduced", "space",
+         "float-dim", "string-basis", "null"])
+def test_effective_witness_entries_are_the_strings_reports_write(
+        element, tmp_path):
+    # [[true, true]] and [[1.0, 1]] once replayed as span{[1,1]}
+    report = tmp_path / "ga.json"
+    assert main(["example", "group-algebra", "--group", "z2",
+                 "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    fr2 = next(c for c in doc["frobenius"]["checks"] if c["check"] == "fr2")
+    doc["checks"].append(fr2)
+    doc["verdict"] = "violation"
+    assert _replay(tmp_path, doc) == 0
+    fr2["witness"][0] = element
+    assert _replay(tmp_path, doc) == 2
+
+
 def test_subspace_witness_json_round_trips():
     # the encoding of reports written before it moved to subspaces.py
     line = RationalSubspace.from_vectors(3, [(2, 1, 0)])

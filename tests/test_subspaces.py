@@ -6,6 +6,7 @@ eliminate in Fractions.  The handles must be the same, entry for entry.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from quantales.examples import (cyclic_group, group_algebra_quantale,
                                 group_algebra_support_map,
                                 matrix_max_quantale, matrix_support_map,
                                 symmetric_group_3)
+from quantales.openness import frobenius_report
 from quantales.subspaces import RationalSubspace, rref
 
 
@@ -117,6 +119,8 @@ def test_mult_agrees_with_the_fraction_product(build, pool):
 
 # Stdout and per-check evaluation counts of the effective examples, captured
 # from the Fraction elimination; the integer kernel must reproduce them.
+# The command line decides the battery from the groupoid table; the counts
+# are those of the sampled sweep, run on the same map without its groupoid.
 _SUITE_OK = ("  semiopen: ok\n  fr1: ok\n  fr1_right: ok\n  fr2: ok\n"
              "  direct_image_involution: ok\n  surjective: True\n"
              "suite (semiopen surjection with fr1 and fr2): ok\n")
@@ -132,21 +136,25 @@ def _fr2_fails(witness):
 PINNED = {
     "matrix-max-2": (
         ["example", "matrix-max", "--n", "2", "--pool", "30", "--seed", "0"],
-        _SUITE_OK, [480, 480, 480, 14400, 30]),
+        _SUITE_OK, lambda: matrix_support_map(2), 30,
+        [480, 480, 480, 14400, 30]),
     "group-algebra-s3": (
         ["example", "group-algebra", "--group", "s3", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1,1,1,1,1]}, x={e}, b=span{[1,-1,0,0,0,0]}"),
+        lambda: group_algebra_support_map(symmetric_group_3()), 50,
         [3200, 3200, 3200, 3253, 50]),
     "group-algebra-z3": (
         ["example", "group-algebra", "--group", "z3", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1,1]}, x={e}, b=span{[1,-1,0]}"),
+        lambda: group_algebra_support_map(cyclic_group(3)), 50,
         [400, 400, 400, 453, 50]),
     "group-algebra-z2": (
         ["example", "group-algebra", "--group", "z2", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1]}, x={e}, b=span{[1,-1]}"),
+        lambda: group_algebra_support_map(cyclic_group(2)), 50,
         [200, 200, 200, 253, 50]),
 }
 
@@ -154,12 +162,20 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_effective_examples_print_the_pinned_verdicts(name, tmp_path,
                                                       capsys):
-    argv, stdout, evaluations = PINNED[name]
+    argv, stdout, build, pool, evaluations = PINNED[name]
     report = tmp_path / "report.json"
     assert main(argv + ["--report", str(report)]) == 0
     assert capsys.readouterr().out == stdout
     checks = ff.load_json(report)["frobenius"]["checks"]
     assert [c["check"] for c in checks] == [
         "semiopen", "fr1", "fr1_right", "fr2", "direct_image_involution"]
-    assert [c["evaluations"] for c in checks] == evaluations
+    assert {(c["mode"], c["reduction"]) for c in checks} == {
+        ("decided", "groupoid table")}
     assert main(["report-verify", str(report)]) == 0
+    rep = frobenius_report(replace(build(), groupoid=None), pool=pool, seed=0)
+    swept = (rep.semiopen, rep.fr1, rep.fr1_right, rep.fr2,
+             rep.direct_image_involution)
+    assert [c.evaluations for c in swept] == evaluations
+    # the sweep finds the witness that the table gives
+    assert [(c["ok"], c["witness_display"]) for c in checks] == [
+        (c.ok, c.witness_display) for c in swept]
