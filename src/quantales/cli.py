@@ -376,6 +376,9 @@ _SUITES = {
 
 
 def cmd_example(args, report):
+    # a report names the seed only when a check of its frobenius block was
+    # sampled with it
+    report.doc["seed"] = None
     name = args.name
     materialized = _materialized_examples(args)
     if name in materialized:
@@ -398,6 +401,8 @@ def cmd_example(args, report):
         report.doc["frobenius"] = rep.to_json()
         for chk in report.doc["frobenius"]["checks"]:
             _print_check(chk)
+            if chk["seed"] is not None:
+                report.doc["seed"] = args.seed
         print(f"  surjective: {rep.surjective}")
         suite_ok = verdict(rep)
         check = {"check": f"{name}-suite", "ok": suite_ok}

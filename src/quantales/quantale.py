@@ -345,7 +345,9 @@ class QuantaleMap:
 
     `groupoid` is the finite groupoid G when p is its support map
     Max Q[G] -> P(G) (`examples._support_map`); the openness checks then
-    decide from G's table.  `with_direct_image` keeps it; the other
+    decide from G's table.  `with_direct_image` keeps it only when the new
+    direct image is the support map itself (the same function object),
+    because the table decides the laws of that map and no other; the other
     constructors leave it None.
     """
     source: object
@@ -377,7 +379,8 @@ class QuantaleMap:
         return tuple(self.inverse_image(x) for x in self.target.elements)
 
     def with_direct_image(self, fn):
-        return replace(self, direct_image=fn)
+        groupoid = self.groupoid if fn is self.direct_image else None
+        return replace(self, direct_image=fn, groupoid=groupoid)
 
     def star_sup_map(self):
         """p* as a SupMap between finite carriers."""

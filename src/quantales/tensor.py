@@ -4,10 +4,24 @@ Tensor elements are bi-ideals: subsets of the cartesian grid of the factor
 carriers that are down-closed and closed under joins in each coordinate
 separately, including the empty join, which forces every tuple with a
 bottom coordinate into every bi-ideal.  Order is inclusion, meets are
-intersections, and joins close the union.  Pure tensors (least bi-ideal
-through one tuple) join-generate everything, so full enumeration, when the
-grid is within the configured bound, closes the pure tensors under binary
-joins.
+intersections, and joins close the union.
+
+Full enumeration, when the grid is within the configured bound, closes
+the bottom under joins with the generators pure(j1, ..., jn), one per
+tuple of join-irreducibles ji of the factors Li.  These reach every
+bi-ideal:
+
+- every bi-ideal is the join of the pure tensors (least bi-ideals through
+  one tuple) of its members;
+- a pure tensor with a bottom coordinate is the bottom;
+- in any finite lattice ti = join {j in J(Li) : j <= ti}, and the pure
+  tensor preserves joins in each coordinate, so pure(t) is the join of
+  the generators pure(j) with every ji <= ti.
+
+No distributivity is needed.  A generator already below a found bi-ideal
+g is skipped, which is a membership test of its tuple, so the
+enumeration costs at most |T| * prod |J(Li)| joins; joining every pair of
+found bi-ideals, the oracle of the tests, costs O(|T|^2).
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .suplattice import (FiniteSupLattice, NotSupPreserving, SupMap,
-                         is_sup_map, validate_lattice)
+                         is_sup_map, join_irreducibles, validate_lattice)
 
 
 class EnumerationBoundExceeded(RuntimeError):
@@ -110,7 +124,12 @@ class TensorLattice:
         return self._axes
 
     def close(self, seed):
-        """Least bi-ideal containing the seed tuples."""
+        """Least bi-ideal containing the seed tuples.
+
+        Alternates down-closure with one join per line (a coordinate i and
+        fixed other coordinates): a down-closed set whose line values
+        contain their own join is closed under the binary joins along it.
+        """
         members = set(self.axes)
         facs = self.factors
         arity = len(facs)
@@ -136,13 +155,9 @@ class TensorLattice:
                     by_rest.setdefault((i, t[:i] + t[i + 1:]), set()).add(t[i])
             new = []
             for (i, rest), vals in by_rest.items():
-                lat = facs[i]
-                vals = list(vals)
-                for u, v in itertools.combinations(vals, 2):
-                    w = lat.join2(u, v)
-                    t = rest[:i] + (w,) + rest[i:]
-                    if t not in members:
-                        new.append(t)
+                t = rest[:i] + (facs[i].join(vals),) + rest[i:]
+                if t not in members:
+                    new.append(t)
             if not new:
                 break
             down_close(new)
@@ -177,17 +192,21 @@ class TensorLattice:
         return self.close(united)
 
     def elements(self):
-        """All bi-ideals, as joins of pure tensors (within the bound)."""
+        """All bi-ideals, as joins of join-irreducible pure tensors (within
+        the bound), sorted by size and then by members."""
         if self._elements is None:
             if self.grid_size > self.bound:
                 raise EnumerationBoundExceeded(self.grid_size, self.bound)
-            pures = {self.pure(t) for t in self.grid()}
-            found = set(pures)
-            frontier = list(pures)
+            gens = [(t, self.pure(t)) for t in itertools.product(
+                *(join_irreducibles(l) for l in self.factors))]
+            found = {self.bottom}
+            frontier = [self.bottom]
             while frontier:
                 g = frontier.pop()
-                for h in list(found):
-                    u = self.join([g, h])
+                for t, p in gens:
+                    if t in g.members:
+                        continue
+                    u = self.join([g, p])
                     if u not in found:
                         found.add(u)
                         frontier.append(u)

@@ -9,7 +9,10 @@ instead of derived from the swap rule, the subspace oracles
 eliminate in `Fraction`s where the library reduces integer rows, the
 quantale laws are swept on all n^3 triples instead of on
 join-irreducibles, and FR2 of a groupoid support map is decided by
-injectivity of (s, t) -> s.g.t instead of by the isotropy groups.
+injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
+the bi-ideals of a tensor come from closing every pure tensor under
+binary joins, each join closed pairwise along every line, instead of
+the join-irreducible ones under joins with a generator.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -23,6 +26,7 @@ from quantales.quantale import (QUANTALE_LAWS, FiniteInvQuantale, Violation,
                                 validate_quantale)
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
                                   validate_lattice)
+from quantales.tensor import BiIdeal
 
 
 def corpus_lattices():
@@ -203,6 +207,49 @@ def sup_maps_between(dom, cod, limit=None):
             if limit and len(maps) >= limit:
                 break
     return maps
+
+
+def pairwise_tensor_close(T, seed):
+    """Least bi-ideal of T containing the seed tuples: down-closure, then
+    every binary join along every line of a coordinate, to a fixpoint."""
+    facs = T.factors
+    members = set(T.axes)
+    pending = list(seed)
+    while pending:
+        while pending:
+            t = pending.pop()
+            if t not in members:
+                members.add(t)
+                pending.extend(t[:i] + (u,) + t[i + 1:]
+                               for i, lat in enumerate(facs)
+                               for u in lat.downset(t[i]))
+        lines = {}
+        for t in members:
+            for i in range(len(facs)):
+                lines.setdefault((i, t[:i] + t[i + 1:]), set()).add(t[i])
+        for (i, rest), vals in lines.items():
+            for u, v in itertools.combinations(vals, 2):
+                t = rest[:i] + (facs[i].join2(u, v),) + rest[i:]
+                if t not in members:
+                    pending.append(t)
+    return BiIdeal(T.factors, frozenset(members))
+
+
+def pairwise_tensor_elements(T):
+    """The bi-ideals of an enumerable TensorLattice, as the closure of all
+    its pure tensors under binary joins (O(|T|^2) joins), sorted as
+    `TensorLattice.elements` sorts them."""
+    pures = {T.pure(t) for t in T.grid()}
+    found = set(pures)
+    frontier = list(pures)
+    while frontier:
+        g = frontier.pop()
+        for h in list(found):
+            u = pairwise_tensor_close(T, g.members | h.members)
+            if u not in found:
+                found.add(u)
+                frontier.append(u)
+    return sorted(found, key=lambda g: (len(g.members), sorted(g.members)))
 
 
 # -- brute-force oracle for the pullback verifiers ------------------------------

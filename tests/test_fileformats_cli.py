@@ -1,21 +1,25 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import quantales
+from quantales import cli
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 group_powerset_quantale, omega_quantale,
                                 omega_support_map, rel_quantale,
                                 sierpinski_closed_point_map,
-                                standard_map_corpus)
+                                standard_map_corpus, symmetric_group_3,
+                                z2_group_algebra_finite_map)
 from quantales.fileformats import FormatError
 from quantales.nucleus import RelationPresentation
 from quantales.openness import frobenius_report
 from quantales.quantale import QuantaleMap, identity_map
+from quantales.suplattice import FiniteSupLattice
 
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
@@ -278,6 +282,16 @@ def test_cli_tensor(files, tmp_path):
     assert main(["tensor", "--lattices", str(two), str(two)]) == 0
 
 
+def test_cli_tensor_of_two_three_atom_boolean_lattices(tmp_path, capsys):
+    # 512 bi-ideals on each side of the symmetry check, in about a second
+    bool3 = tmp_path / "bool3.lattice.json"
+    ff.save_json(bool3, ff.lattice_to_doc(FiniteSupLattice.powerset(3)))
+    assert main(["tensor", "--lattices", str(bool3), str(bool3)]) == 0
+    out = capsys.readouterr().out
+    assert "tensor of [8, 8] has 512 elements" in out
+    assert "symmetry bijection onto the reversed tensor: True" in out
+
+
 def test_cli_tensor_past_its_bound_is_an_input_error(tmp_path, capsys):
     # it once exited 2 with a report whose failed tensor-enumeration check
     # report-verify could not replay
@@ -388,18 +402,64 @@ def test_cli_example_suites(tmp_path):
     assert main(["example", "matrix-max", "--n", "2", "--pool", "12"]) == 0
 
 
+def test_effective_examples_name_no_seed_that_nothing_used(tmp_path,
+                                                            monkeypatch):
+    report = tmp_path / "mm.json"
+    argv = ["example", "matrix-max", "--n", "2", "--pool", "30", "--seed",
+            "7", "--report", str(report)]
+    assert main(argv) == 0
+    doc = ff.load_json(report)
+    assert doc["seed"] is None
+    assert all(c["mode"] == "decided" and c["pool"] is None
+               and c["seed"] is None for c in doc["frobenius"]["checks"])
+    assert main(["report-verify", str(report)]) == 0
+    # swept without its groupoid, the suite samples with the seed it names
+    swept = cli._example_map
+    monkeypatch.setattr(cli, "_example_map",
+                        lambda e: replace(swept(e), groupoid=None))
+    assert main(argv) == 0
+    doc = ff.load_json(report)
+    assert doc["seed"] == 7
+    assert {c["seed"] for c in doc["frobenius"]["checks"]} == {7}
+
+
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 
 
-def test_console_entry_point_runs(tmp_path):
+def _child_env():
     # the child imports the package under test, installed or not
     root = os.path.dirname(os.path.dirname(quantales.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "quantales", "example",
                            "rel", "--n", "1", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "rel1.quantale.json" in proc.stdout
     assert (tmp_path / "rel1.quantale.json").exists()
+
+
+def test_violations_do_not_depend_on_assert(tmp_path):
+    # python -O strips asserts; the verdicts must not change with it
+    doc = ff.quantale_to_doc(group_powerset_quantale(symmetric_group_3()))
+    entry = next(e for e in doc["mult"] if e[:2] == [3, 8])
+    entry[2] = (entry[2] + 1) % 64
+    ps3 = str(tmp_path / "ps3.quantale.json")
+    fragment = str(tmp_path / "fragment.map.json")
+    ff.save_json(ps3, doc)
+    ff.save_json(fragment, ff.map_to_doc(z2_group_algebra_finite_map()))
+    runs = [(["validate", ps3],
+             "  quantale: VIOLATION  [involution-antimult at [3, 8]]"),
+            (["check-map", "--map", fragment, "--fr2"],
+             "  fr2: VIOLATION  [a=span{[1,1]}, x={e}, b=span{[1,-1]}]")]
+    for argv, verdict in runs:
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "quantales", *argv],
+                capture_output=True, text=True, env=_child_env())
+            assert (proc.returncode, proc.stderr) == (1, ""), flags
+            assert verdict in proc.stdout.splitlines(), flags

@@ -26,8 +26,8 @@ from quantales.examples import (GroupoidPowerset, cyclic_group,
                                 symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.openness import (GROUPOID_TABLE, MAP_LAWS, UnconfirmedWitness,
-                                check_fr2, check_semiopen, frobenius_report,
-                                violates)
+                                check_fr1, check_fr2, check_semiopen,
+                                frobenius_report, violates)
 from quantales.quantale import compose_maps, identity_map, validate_quantale
 from quantales.subspaces import RationalSubspace
 
@@ -133,13 +133,24 @@ def test_named_support_maps_record_their_groupoid():
 
 
 def test_a_decided_witness_that_does_not_fail_is_refused():
-    # with_direct_image keeps the groupoid, so a direct image sending every
+    # a map that keeps the groupoid with a direct image sending every
     # subspace to the whole group still has FR2 decided false, but the
     # table's witness holds for it on re-check
-    p = group_algebra_support_map(cyclic_group(2)).with_direct_image(
-        lambda a: 3)
+    p = replace(group_algebra_support_map(cyclic_group(2)),
+                direct_image=lambda a: 3)
     with pytest.raises(UnconfirmedWitness):
         check_fr2(p)
+
+
+def test_a_replaced_direct_image_is_swept_not_decided():
+    # the table decides the laws of the support map only, so a replaced
+    # direct image drops the groupoid and FR1 fails at the zero subspace
+    p = group_algebra_support_map(cyclic_group(2)).with_direct_image(
+        lambda a: 3)
+    assert p.groupoid is None
+    fr1 = check_fr1(p)
+    assert not fr1.ok and fr1.mode == "sampled"
+    assert fr1.witness_display == "a=span{}, x={}"
 
 
 def test_product_groupoid_composes_componentwise():

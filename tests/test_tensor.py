@@ -10,10 +10,12 @@ from quantales.tensor import (EnumerationBoundExceeded, NotBimorphism,
                               direct_sum, induced_from_bimorphism, swap_map,
                               unit_iso)
 
-from _helpers import corpus_lattices, sup_maps_between
+from _helpers import (corpus_lattices, pairwise_tensor_elements,
+                      sup_maps_between)
 
 TWO = FiniteSupLattice.chain(2)
 CORPUS = corpus_lattices()
+SMALL = [name for name, lat in CORPUS.items() if lat.size <= 5]
 
 
 def test_omega_tensor_omega_has_two_elements():
@@ -58,6 +60,18 @@ def test_bi_ideal_invariants_hold_on_enumeration(factors):
     T = TensorLattice(lats)
     for g in T.elements():
         g.check_invariants()
+
+
+@pytest.mark.parametrize("factors", [
+    *itertools.product(SMALL, repeat=2),
+    ("chain2", "chain3", "powerset2"), ("chain3", "diamond", "chain2")],
+    ids="-".join)
+def test_enumeration_agrees_with_the_pairwise_oracle(factors):
+    # the join-irreducible generators reach every bi-ideal, including on
+    # the non-distributive diamond (M3) and pentagon (N5)
+    lats = tuple(CORPUS[f] for f in factors)
+    assert TensorLattice(lats).elements() == \
+        pairwise_tensor_elements(TensorLattice(lats))
 
 
 def test_pure_tensors_join_generate():
