@@ -149,6 +149,9 @@ def cmd_validate(args, report):
 # -- check-map ------------------------------------------------------------------
 
 def cmd_check_map(args, report):
+    # a report names the seed only when a check it records was sampled
+    # with it (as in cmd_example)
+    report.doc["seed"] = None
     doc = ff.load_json(args.map)
     report.add_input("map", args.map, doc)
     rep = frobenius_report(ff.map_from_doc(doc), args.pool, args.seed)
@@ -170,6 +173,11 @@ def cmd_check_map(args, report):
 
     laws = {"semiopen": rep.semiopen, "fr1": rep.fr1,
             "fr1-right": rep.fr1_right, "fr2": rep.fr2}
+    # the checks of the battery each recorded verdict is read from
+    reads = {**{name: [chk] for name, chk in laws.items()},
+             "wos": [rep.semiopen, rep.fr1], "locale-meet": [rep.fr2]}
+    if any(chk.seed is not None for name in requested for chk in reads[name]):
+        report.doc["seed"] = args.seed
     failed = False
     for name in requested:
         if name in laws:

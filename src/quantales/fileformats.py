@@ -7,10 +7,21 @@ Map:       {"source": <quantale>, "target": <quantale>,
             "inverse_image": [[x, q], ...], "name"?: str}
 Relation:  {"pairs": [[r, s], ...]}
 
-Reflexive leq pairs may be omitted; they are restored at load.  Loaders
-raise FormatError for malformed documents; semantic failures (a relation
-that is not a lattice, a table that is not a quantale, a table that is not
-a homomorphism) surface as the validation errors of the owning modules.
+Reflexive leq pairs may be omitted; they are restored at load.
+
+Every file written here, documents and reports alike, holds the
+document's canonical JSON on one line (`canonical_json`: sorted keys,
+"," and ":" as separators) and a newline.  That line is the text whose
+sha256 a report records as an input's `doc_sha256`; the input's `sha256`
+digests the file as it lies on disk.  `python -m json.tool FILE` prints
+it indented.  A file written in the indented layout of earlier versions
+loads to the same value and so keeps its `doc_sha256`; only its file
+`sha256` differs from that of the same document written now.
+
+Loaders raise FormatError for malformed documents; semantic failures (a
+relation that is not a lattice, a table that is not a quantale, a table
+that is not a homomorphism) surface as the validation errors of the
+owning modules.
 """
 
 from __future__ import annotations
@@ -172,10 +183,22 @@ def load_json(path):
             raise FormatError(f"{path}: {e}") from e
 
 
+def canonical_json(doc):
+    """A document's canonical text: sorted keys, compact separators.
+
+    `json.dumps` runs CPython's C encoder only without `indent`, so this
+    one call is also the fast way to write a large table.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def save_json(path, doc):
+    """Write the canonical text and a newline.  The document is serialized
+    before the file is opened, so one that cannot be (a TypeError) leaves
+    an existing file as it was."""
+    text = canonical_json(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def digest(path):
@@ -186,9 +209,8 @@ def digest(path):
 
 
 def doc_digest(doc):
-    """sha256 of a document's canonical JSON: sorted keys, compact separators."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """sha256 of a document's canonical text (`canonical_json`)."""
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
 def sniff_kind(doc):

@@ -263,8 +263,11 @@ def _check(name, p, pool, seed):
 
 
 def _swept(name, p, pools, seed):
-    """Sweep the law over the search pools and re-verify any witness."""
+    """Sweep the law over the search pools and re-verify any witness; the
+    seed is recorded only when the pools were sampled with it."""
     qs, xs, mode, poolsize = pools
+    if mode == "exhaustive":
+        seed = None
     roles, sweep = MAP_LAWS[name]
     witness, count = sweep(p, *(xs if r == "x" else qs for r in roles))
     if witness is None:

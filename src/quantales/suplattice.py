@@ -87,6 +87,11 @@ class FiniteSupLattice:
     def join2(self, i, j):
         return self._join[i][j]
 
+    @property
+    def join_table(self):
+        """join_table[i][j] is the join of i and j."""
+        return self._join
+
     def meet2(self, i, j):
         return self._meet[i][j]
 
@@ -284,6 +289,34 @@ def join_irreducibles(lattice):
     """
     return [j for j in lattice.elements if j != lattice.bottom
             and lattice.join(_bits(lattice.down[j] & ~(1 << j))) != j]
+
+
+def distributive_peeling(lattice):
+    """The peeling of a distributive lattice, or None if it is not one.
+
+    Write J(a) for the set of join-irreducibles below a.  The lattice is
+    distributive iff J(a v b) = J(a) | J(b) for all a and b, and by
+    induction on b = j1 v ... v jk it suffices to take b in J: n |J| mask
+    comparisons.  Then every down-set of J is some J(a), so each a other
+    than bottom is a' v j with j maximal in J(a) and J(a') = J(a) - {j}.
+    The result lists (a', j) for every a, with (bottom, bottom) at bottom;
+    following a' back to bottom visits one j of J(a) per step.
+    """
+    J = join_irreducibles(lattice)
+    jbits = sum(1 << j for j in J)
+    below = [d & jbits for d in lattice.down]
+    for j in J:
+        row = lattice.join_table[j]
+        for a in lattice.elements:
+            if below[row[a]] != below[a] | below[j]:
+                return None
+    by_mask = {m: a for a, m in enumerate(below)}
+    peel = []
+    for a in lattice.elements:
+        m = below[a]
+        j = next((j for j in _bits(m) if lattice.up[j] & m == 1 << j), None)
+        peel.append((a, a) if j is None else (by_mask[m ^ (1 << j)], j))
+    return peel
 
 
 def is_sup_map(f):

@@ -8,7 +8,8 @@ Y-letter lemma, with the nine relation families written out one by one
 instead of derived from the swap rule, the subspace oracles
 eliminate in `Fraction`s where the library reduces integer rows, the
 quantale laws are swept on all n^3 triples instead of on
-join-irreducibles, and FR2 of a groupoid support map is decided by
+join-irreducibles, distrib-left is swept on Q x Q x J instead of decided
+from the rows of a distributive carrier, and FR2 of a groupoid support map is decided by
 injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
 the bi-ideals of a tensor come from closing every pure tensor under
 binary joins, each join closed pairwise along every line, instead of
@@ -22,10 +23,10 @@ from fractions import Fraction
 from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
                                 ChainFailure, Instance, Word, _unit_chain,
                                 all_words, word_direct_image, word_multiply)
-from quantales.quantale import (QUANTALE_LAWS, FiniteInvQuantale, Violation,
-                                validate_quantale)
+from quantales.quantale import (DERIVED, QUANTALE_LAWS, FiniteInvQuantale,
+                                Violation, validate_quantale)
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
-                                  validate_lattice)
+                                  join_irreducibles, validate_lattice)
 from quantales.tensor import BiIdeal
 
 
@@ -117,6 +118,29 @@ def validate_quantale_oracle(q):
             for name, holds in laws:
                 if not holds(q, a, b, c):
                     return Violation(name, (a, b, c))
+    return None
+
+
+def validate_quantale_swept(q):
+    """The exhaustive validator before distrib-left was decided on
+    distributive carriers: the unary and binary laws on every element and
+    pair, then assoc on J^3 and distrib-left on Q x Q x J, each swept."""
+    pools = {"Q": list(q.elements), "J": join_irreducibles(q.carrier)}
+    for arity, run in itertools.groupby(QUANTALE_LAWS,
+                                        lambda law: law.arity):
+        laws = list(run)
+        if arity < 3:
+            for w in itertools.product(pools["Q"], repeat=arity):
+                for law in laws:
+                    if not law.holds(q, *w):
+                        return Violation(law.name, w)
+            continue
+        for law in laws:
+            if law.finite == DERIVED:
+                continue
+            for w in itertools.product(*(pools[kind] for kind in law.finite)):
+                if not law.holds(q, *w):
+                    return Violation(law.name, w)
     return None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -421,6 +422,55 @@ def test_effective_examples_name_no_seed_that_nothing_used(tmp_path,
     doc = ff.load_json(report)
     assert doc["seed"] == 7
     assert {c["seed"] for c in doc["frobenius"]["checks"]} == {7}
+
+
+def test_check_map_names_no_seed_that_nothing_used(tmp_path):
+    # every check on the Z/2 fragment is swept exhaustively; the wos entry
+    # keeps the pool and seed that its replay reruns the battery with
+    mpath = tmp_path / "frag.map.json"
+    ff.save_json(mpath, ff.map_to_doc(z2_group_algebra_finite_map()))
+    report = tmp_path / "frag.json"
+    assert main(["check-map", "--map", str(mpath), "--fr1", "--fr1-right",
+                 "--fr2", "--wos", "--seed", "5", "--report",
+                 str(report)]) == 1
+    doc = ff.load_json(report)
+    assert doc["seed"] is None
+    laws = [c for c in doc["checks"] if c["check"] != "wos"]
+    assert [c["check"] for c in laws] == ["fr1", "fr1_right", "fr2"]
+    assert all(c["mode"] == "exhaustive" and c["pool"] is None
+               and c["seed"] is None for c in laws)
+    wos = next(c for c in doc["checks"] if c["check"] == "wos")
+    assert (wos["pool"], wos["seed"]) == (50, 5)
+    assert main(["report-verify", str(report)]) == 0
+
+
+def test_files_hold_the_canonical_text_that_doc_sha256_digests(tmp_path):
+    doc = ff.map_to_doc(omega_support_map(PZ2))
+    path = tmp_path / "m.json"
+    ff.save_json(path, doc)
+    text = path.read_text(encoding="utf-8")
+    assert text == ff.canonical_json(doc) + "\n" and text.count("\n") == 1
+    assert ff.load_json(path) == doc
+    report = tmp_path / "r.json"
+    assert main(["check-map", "--map", str(path), "--report",
+                 str(report)]) == 0
+    entry = ff.load_json(report)["inputs"]["map"]
+    assert entry["doc_sha256"] == ff.doc_digest(doc) == hashlib.sha256(
+        text[:-1].encode("utf-8")).hexdigest()
+    assert entry["sha256"] == ff.digest(path)
+
+
+def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
+        tmp_path):
+    path = tmp_path / "q.json"
+    ff.save_json(path, ff.quantale_to_doc(PZ2))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        ff.save_json(path, {"pairs": {(1, 2)}})
+    assert path.read_bytes() == before
+    with pytest.raises(TypeError):
+        ff.save_json(tmp_path / "new.json", {"pairs": {(1, 2)}})
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_cli_usage_error():

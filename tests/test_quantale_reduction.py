@@ -1,7 +1,10 @@
 """The exhaustive quantale validator sweeps the ternary laws on
 join-irreducibles: associativity on J^3, left distributivity on Q x Q x J,
 right distributivity derived.  It is compared against the n^3 loop it
-replaced (`validate_quantale_oracle` in _helpers)."""
+replaced (`validate_quantale_oracle` in _helpers).  On a distributive
+carrier a pass of left distributivity is decided from the J-extension of
+each row, compared against the Q x Q x J sweep that it replaced there
+(`validate_quantale_swept`)."""
 
 import itertools
 import random
@@ -9,9 +12,10 @@ import random
 from quantales.examples import rel_quantale
 from quantales.quantale import (DERIVED, QUANTALE_LAWS, FiniteInvQuantale,
                                 validate_quantale)
-from quantales.suplattice import join_irreducibles
+from quantales.suplattice import distributive_peeling, join_irreducibles
 
-from _helpers import corpus_lattices, reduction_corpus, validate_quantale_oracle
+from _helpers import (corpus_lattices, reduction_corpus,
+                      validate_quantale_oracle, validate_quantale_swept)
 
 CORPUS = reduction_corpus()
 LAW = {law.name: law for law in QUANTALE_LAWS}
@@ -87,6 +91,35 @@ def test_join_irreducibles_match_their_definition():
                    for x in lat.elements)
 
 
+def _distributive_by_definition(lat):
+    return all(lat.meet2(a, lat.join2(b, c))
+               == lat.join2(lat.meet2(a, b), lat.meet2(a, c))
+               for a, b, c in itertools.product(lat.elements, repeat=3))
+
+
+def test_distributive_peeling_matches_its_definition():
+    carriers = [q.carrier for q in CORPUS.values()]
+    carriers += list(corpus_lattices().values())
+    for lat in carriers:
+        peel = distributive_peeling(lat)
+        assert (peel is not None) == _distributive_by_definition(lat)
+        if peel is None:
+            continue
+        J = join_irreducibles(lat)
+
+        def below(a):
+            return {j for j in J if lat.leq(j, a)}
+        for a, (rest, j) in zip(lat.elements, peel):
+            if a == lat.bottom:
+                assert (rest, j) == (a, a)
+                continue
+            # j is a maximal join-irreducible below a, and rest holds the others
+            assert j in below(a) and not any(
+                k != j and lat.leq(j, k) for k in below(a))
+            assert below(rest) == below(a) - {j}
+            assert lat.join2(rest, j) == a
+
+
 def test_ternary_laws_declare_their_finite_sweep():
     assert {law.name: law.finite for law in QUANTALE_LAWS if law.arity == 3} \
         == {"assoc": ("J", "J", "J"), "distrib-left": ("Q", "Q", "J"),
@@ -116,6 +149,22 @@ def test_reduced_validator_agrees_with_the_n3_loop_on_mutants():
     assert 0 < survivors < counted
 
 
+def test_deciding_distrib_left_keeps_every_violation_of_the_sweep():
+    # the same law and witness as the Q x Q x J sweep, mutant by mutant;
+    # on distributive carriers the decision passes the mutants that fail
+    # no law up to distrib-left and hands those failing it to the sweep
+    order = [law.name for law in QUANTALE_LAWS]
+    decided = swept = 0
+    for name, m in _all_mutants():
+        v = validate_quantale(m)
+        assert v == validate_quantale_swept(m), (name, v)
+        if distributive_peeling(m.carrier) is not None:
+            first = len(order) if v is None else order.index(v.law)
+            decided += first > order.index("distrib-left")
+            swept += first == order.index("distrib-left")
+    assert decided >= 100 and swept >= 150
+
+
 def test_a_table_failing_distrib_right_fails_an_earlier_law():
     # the derivation of distrib-right, checked law by law on the definition
     # (the carriers of up to 25 elements, where the full sweeps are cheap)
@@ -142,12 +191,10 @@ class _CountingQuantale(FiniteInvQuantale):
         return self.mult_table[a][b]
 
 
-def test_ps3_validation_makes_the_reduced_number_of_products():
-    ps3 = CORPUS["PS3"]
-    n, nj = ps3.size, len(join_irreducibles(ps3.carrier))
-    assert (n, nj) == (64, 6)
-    q = _CountingQuantale(ps3.carrier, ps3.mult_table, ps3.inv_table,
-                          ps3.unit)
+def _ternary_products(q):
+    """(n, |J|, products) of validating a counting copy of q, less those
+    of the unary and binary laws."""
+    q = _CountingQuantale(q.carrier, q.mult_table, q.inv_table, q.unit)
     for law in QUANTALE_LAWS:
         if law.arity < 3:
             for w in itertools.product(q.elements, repeat=law.arity):
@@ -155,10 +202,26 @@ def test_ps3_validation_makes_the_reduced_number_of_products():
     other = q.calls
     q.calls = 0
     assert validate_quantale(q) is None
-    ternary = q.calls - other
-    # distrib-left makes three products per triple of Q x Q x J, assoc
-    # four per triple of J^3; the n^3 sweep made ten per triple
-    assert ternary == 3 * n * n * nj + 4 * nj ** 3 == 74_592
+    return q.size, len(join_irreducibles(q.carrier)), q.calls - other
+
+
+def test_ps3_validation_makes_the_reduced_number_of_products():
+    n, nj, ternary = _ternary_products(CORPUS["PS3"])
+    assert (n, nj) == (64, 6)
+    # assoc makes four products per triple of J^3, and distrib-left reads
+    # each of the n^2 products once to compare the rows with their
+    # J-extensions; the Q x Q x J sweep made three products per triple
+    # (74,592 in all with assoc), the n^3 sweep ten
+    assert ternary == n * n + 4 * nj ** 3 == 4_960
+
+
+def test_non_distributive_carriers_sweep_distrib_left():
+    names = [name for name, q in CORPUS.items()
+             if distributive_peeling(q.carrier) is None]
+    assert names == ["m3", "m3xPZ2", "PS3/(3,25)", "PS3/(6,34)"]
+    for name in names:
+        n, nj, ternary = _ternary_products(CORPUS[name])
+        assert ternary == 3 * n * n * nj + 4 * nj ** 3, name
 
 
 def test_rel3_is_validated_exhaustively():
@@ -174,3 +237,4 @@ def test_rel3_is_validated_exhaustively():
     broken = FiniteInvQuantale(r3.carrier, mult, r3.inv_table, r3.unit)
     v = validate_quantale(broken)
     assert v is not None and not LAW[v.law].holds(broken, *v.witness)
+    assert v == validate_quantale_swept(broken)

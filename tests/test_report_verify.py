@@ -529,10 +529,49 @@ def test_a_report_that_is_not_an_object_is_an_input_error(top, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_library_holds_no_assert_statements():
+def _library_nodes():
+    """(module file name, node) for every AST node of the library."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "quantales"
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
+def _lint(flagged):
+    return [f"{name}:{node.lineno}" for name, node in _library_nodes()
+            if flagged(name, node)]
+
+
+def test_library_holds_no_assert_statements():
+    # `python -O` strips asserts, so no invariant may rest on one
+    assert _lint(lambda name, node: isinstance(node, ast.Assert)) == []
+
+
+def _catches_everything(name, node):
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+        else [node.type]
+    return any(isinstance(t, ast.Name)
+               and t.id in ("Exception", "BaseException") for t in caught)
+
+
+def test_library_has_no_bare_or_catch_all_except():
+    assert _lint(_catches_everything) == []
+
+
+def _serializes_json(name, node):
+    if name == "fileformats.py":
+        return False
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(
+            a.name in ("dump", "dumps") for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+
+
+def test_only_fileformats_writes_json():
+    # one writer: every document goes out as fileformats.canonical_json
+    assert _lint(_serializes_json) == []
