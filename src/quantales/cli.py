@@ -117,7 +117,7 @@ def cmd_validate(args, report):
         check = {"check": kind, "ok": True}
         try:
             parts = _parts(kind, doc)
-            # the ternary quantale laws are swept on join-irreducibles
+            # the quantale laws are decided or swept on join-irreducibles
             sizes = {part: len(join_irreducibles(carrier.carrier))
                      for part, laws, _, carrier in parts
                      if laws is QUANTALE_LAWS}

@@ -95,7 +95,10 @@ def quantale_from_doc(doc, validate=True, label=""):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise FormatError("mult entries must be triples")
         i, j, k = entry
-        if not all(type(v) is int and 0 <= v < n for v in (i, j, k)):
+        # spelled out: a generator over (i, j, k) per entry was about half
+        # of loading Rel(3)
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and 0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise FormatError(f"mult triple {entry} out of range")
         if mult[i][j] is not None:
             raise FormatError(f"duplicate mult entry for ({i},{j})")

@@ -11,10 +11,31 @@ Each law is written once, as an entry (name, arity, predicate) of
 QUANTALE_LAWS or HOM_LAWS: the validators loop over these tables, and a
 recorded witness is re-checked by calling the predicate of its law.
 
-On a finite carrier the unary and binary laws are swept over every
-element and pair, and each ternary law declares the pools its arguments
-range over, J being the join-irreducibles (every element of a finite
-lattice is the join of those below it):
+On a finite carrier the unary laws are swept over every element.  The
+binary laws are decided on Q x J, J being the join-irreducibles (every
+element of a finite lattice is the join of those below it), by raw
+table lookups made once per validation (`_QuantaleFacts`); only the
+laws a decision does not pass are swept over every pair.  A decision
+passes only a law that holds, and a law that holds never fails a sweep,
+so a table fails with the same law and witness as when every pair is
+swept:
+- involution-join: if inv(a v j) = inv(a) v inv(j) for every a and every
+  j in J, then by induction on b = j1 v ... v jk inv(a v b) =
+  inv(a) v inv(b) for every b other than bottom, and a = bottom gives
+  inv(bottom) <= inv(b).  An involution is a bijection, so some b has
+  inv(b) = bottom; hence inv(bottom) = bottom, which covers the empty
+  join;
+- involution-monotone follows from the same decision: a <= b means
+  b = a v b, so inv(b) = inv(a) v inv(b);
+- involution-antimult on Q x J, when the join decision passes and the
+  rows are their J-extensions (the decision of distrib-left below, made
+  once and shared).  The law on Q x J reads xj = (j*x*)*, so
+  (b v c)j = (j*(b* v c*))* = (j*b* v j*c*)* = bj v cj, and by
+  distrib-left in the right argument (b v c)a = ba v ca for every a:
+  distrib-right.  So for b = j1 v ... v jk, (ab)* = V(a jm)* =
+  V jm* a* = (V jm*)a* = b*a*, and bottom absorption covers b = bottom.
+  On a carrier that is not distributive the law is swept.
+Each ternary law declares the pools its arguments range over:
 - assoc on J x J x J: once both distributive laws hold, both sides of
   (ab)c = a(bc) preserve joins in each argument (bottom absorption
   covers the empty join);
@@ -27,7 +48,7 @@ lattice is the join of those below it):
   equals its J-extension therefore satisfies distrib-left (and every
   row of a quantale does, by bottom-absorb-right and distrib-left).
   The comparison peels one maximal j off J(b) at a time
-  (`suplattice.distributive_peeling`): n^2 products and joins in all.
+  (`suplattice.distributive_peeling`): n^2 table reads and joins in all.
   Only a pass is decided this way: when some row differs, or the
   carrier is not distributive, the Q x Q x J sweep runs, so a table
   fails with the same law and witness as it would without the decision;
@@ -41,7 +62,15 @@ samples, sweep all three ternary laws on sampled triples.
 
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
-p_!: Q -> X (left adjoint of p*).
+p_!: Q -> X (left adjoint of p*).  When both carriers of a homomorphism
+h: X -> Q are finite and already validated, and h(bottom) = bottom,
+the other laws of HOM_LAWS are decided the same way (`_HomFacts`):
+- hom-join on X x J(X): the induction above makes h a sup-map;
+- hom-mult on J x J: for a = V J(a) and b = V J(b), both products
+  distribute over joins (and bottom absorbs), so h(ab) = V h(ij) =
+  V h(i)h(j) = h(a)h(b);
+- hom-involution on J: the involutions of X and Q preserve joins, so
+  h(a*) = V h(j*) = V h(j)* = h(a)*, and both fix bottom.
 """
 
 from __future__ import annotations
@@ -50,6 +79,7 @@ import itertools
 import random
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .suplattice import (NoLeftAdjoint, SupMap, distributive_peeling,
                          join_irreducibles, left_adjoint, validate_lattice)
@@ -222,26 +252,95 @@ class EffectiveInvQuantale:
 # exhaustive path sweeps a ternary law: one pool per argument, "Q" for
 # every element and "J" for the join-irreducibles, or DERIVED for a law
 # that follows from the laws before it; other laws take every element.
-# `decide(q)`, where given, is True only when the exhaustive path may
-# pass the law without its sweep.
+# `decide(facts)`, where given, is True only when the exhaustive path may
+# pass the law without its sweep; `facts` is the _QuantaleFacts or
+# _HomFacts of the table under validation.
 Law = namedtuple("Law", "name arity holds finite decide",
                  defaults=(None, None))
 
 DERIVED = "derived"
 
 
-def _rows_are_j_extensions(q):
-    """True when q's carrier is distributive and each row of the product
-    equals the J-extension of its values on J (module docstring)."""
-    peel = distributive_peeling(q.carrier)
-    if peel is None:
-        return False
-    join, mult = q.carrier.join_table, q.mult
-    for a in q.elements:
-        row = [mult(a, b) for b in q.elements]
-        if row != [join[row[b]][row[j]] for b, j in peel]:
+class _QuantaleFacts:
+    """The premises the decisions of one exhaustive validation of a finite
+    table read, each computed on first use, from the raw tables (module
+    docstring).  A decision is asked only once the laws before it hold."""
+
+    def __init__(self, q):
+        self.q = q
+        self.J = join_irreducibles(q.carrier)
+
+    @cached_property
+    def inv_preserves_joins(self):
+        """inv(a v j) = inv(a) v inv(j) for every a and every j in J."""
+        q, J = self.q, self.J
+        inv, join = q.inv_table, q.carrier.join_table
+        return all(inv[join[a][j]] == join[inv[a]][inv[j]]
+                   for a in q.elements for j in J)
+
+    @cached_property
+    def rows_are_j_extensions(self):
+        """The carrier is distributive and each row of the product equals
+        the J-extension of its values on J."""
+        peel = distributive_peeling(self.q.carrier)
+        if peel is None:
             return False
-    return True
+        join = self.q.carrier.join_table
+        return all(list(row) == [join[row[b]][row[j]] for b, j in peel]
+                   for row in self.q.mult_table)
+
+    def antimult_on_j(self):
+        """(aj)* = j*a* for every a and every j in J, on the two premises
+        above."""
+        if not (self.inv_preserves_joins and self.rows_are_j_extensions):
+            return False
+        q, J = self.q, self.J
+        inv, mult = q.inv_table, q.mult_table
+        return all(inv[mult[a][j]] == mult[inv[j]][inv[a]]
+                   for a in q.elements for j in J)
+
+
+class _HomFacts:
+    """The same for a homomorphism h between finite validated quantales
+    with h(bottom) = bottom."""
+
+    def __init__(self, h, source, target):
+        self.h, self.source, self.target = h, source, target
+        self.J = join_irreducibles(source.carrier)
+
+    @cached_property
+    def values(self):
+        return [self.h(a) for a in self.source.elements]
+
+    @cached_property
+    def preserves_joins(self):
+        """h(a v j) = h(a) v h(j) for every a and every j in J."""
+        h, J = self.values, self.J
+        sjoin = self.source.carrier.join_table
+        tjoin = self.target.carrier.join_table
+        return all(h[sjoin[a][j]] == tjoin[h[a]][h[j]]
+                   for a in self.source.elements for j in J)
+
+    def mult_on_j(self):
+        """h(ij) = h(i)h(j) for i and j in J, h being a sup-map."""
+        if not self.preserves_joins:
+            return False
+        h, J = self.values, self.J
+        smult, tmult = self.source.mult_table, self.target.mult_table
+        return all(h[smult[i][j]] == tmult[h[i]][h[j]] for i in J for j in J)
+
+    def involution_on_j(self):
+        """h(j*) = h(j)* for j in J, h being a sup-map."""
+        if not self.preserves_joins:
+            return False
+        h = self.values
+        sinv, tinv = self.source.inv_table, self.target.inv_table
+        return all(h[sinv[j]] == tinv[h[j]] for j in self.J)
+
+
+def _undecided(laws, facts):
+    """The laws of a run that facts do not decide, in order."""
+    return [law for law in laws if not (law.decide and law.decide(facts))]
 
 
 # Search order: unary, binary, ternary, then the unit laws (which hold
@@ -250,12 +349,17 @@ QUANTALE_LAWS = (
     Law("bottom-absorb-right", 1, lambda q, a: q.mult(a, q.bottom) == q.bottom),
     Law("bottom-absorb-left", 1, lambda q, a: q.mult(q.bottom, a) == q.bottom),
     Law("involution-involutive", 1, lambda q, a: q.inv(q.inv(a)) == a),
+    # the binary laws are decided on Q x J (module docstring): monotone
+    # and join by one decision, antimult on a distributive carrier
     Law("involution-monotone", 2,
-        lambda q, a, b: not q.leq(a, b) or q.leq(q.inv(a), q.inv(b))),
+        lambda q, a, b: not q.leq(a, b) or q.leq(q.inv(a), q.inv(b)),
+        None, lambda facts: facts.inv_preserves_joins),
     Law("involution-antimult", 2,
-        lambda q, a, b: q.inv(q.mult(a, b)) == q.mult(q.inv(b), q.inv(a))),
+        lambda q, a, b: q.inv(q.mult(a, b)) == q.mult(q.inv(b), q.inv(a)),
+        None, _QuantaleFacts.antimult_on_j),
     Law("involution-join", 2,
-        lambda q, a, b: q.inv(q.join2(a, b)) == q.join2(q.inv(a), q.inv(b))),
+        lambda q, a, b: q.inv(q.join2(a, b)) == q.join2(q.inv(a), q.inv(b)),
+        None, lambda facts: facts.inv_preserves_joins),
     # both sides preserve joins in each argument once both distributive
     # laws hold, and distrib-left is checked next
     Law("assoc", 3,
@@ -266,7 +370,7 @@ QUANTALE_LAWS = (
     # of each row on a distributive carrier
     Law("distrib-left", 3, lambda q, a, b, c: q.mult(a, q.join2(b, c))
         == q.join2(q.mult(a, b), q.mult(a, c)), ("Q", "Q", "J"),
-        _rows_are_j_extensions),
+        lambda facts: facts.rows_are_j_extensions),
     # (b v c)a = (a*(b* v c*))* = (a*b* v a*c*)* = ba v ca, by the three
     # involution laws on all pairs and distrib-left
     Law("distrib-right", 3, lambda q, a, b, c: q.mult(q.join2(b, c), a)
@@ -275,13 +379,17 @@ QUANTALE_LAWS = (
     Law("unit-right", 1, lambda q, a: q.unit is None or q.mult(a, q.unit) == a),
 )
 
+# decided on J between finite validated quantales (module docstring)
 HOM_LAWS = (
     Law("hom-bottom", 0, lambda h, s, t: h(s.bottom) == t.bottom),
     Law("hom-join", 2,
-        lambda h, s, t, a, b: h(s.join2(a, b)) == t.join2(h(a), h(b))),
+        lambda h, s, t, a, b: h(s.join2(a, b)) == t.join2(h(a), h(b)),
+        None, lambda facts: facts.preserves_joins),
     Law("hom-mult", 2,
-        lambda h, s, t, a, b: h(s.mult(a, b)) == t.mult(h(a), h(b))),
-    Law("hom-involution", 1, lambda h, s, t, a: h(s.inv(a)) == t.inv(h(a))),
+        lambda h, s, t, a, b: h(s.mult(a, b)) == t.mult(h(a), h(b)),
+        None, _HomFacts.mult_on_j),
+    Law("hom-involution", 1, lambda h, s, t, a: h(s.inv(a)) == t.inv(h(a)),
+        None, _HomFacts.involution_on_j),
 )
 
 
@@ -294,9 +402,10 @@ def _runs(laws):
 def validate_quantale(q, rng=None, samples=None):
     """None if all involutive-quantale laws hold, else a Violation with witness.
 
-    Finite carriers are checked exhaustively: the unary and binary laws
-    of QUANTALE_LAWS on every element and pair, the ternary ones on the
-    pools each declares (see the module docstring).  Effective carriers,
+    Finite carriers are checked exhaustively: the unary laws of
+    QUANTALE_LAWS on every element, the binary ones on every pair unless
+    decided on Q x J, the ternary ones on the pools each declares unless
+    decided (see the module docstring).  Effective carriers,
     or finite ones when `samples` is given, are checked on probe pools of
     that size, with the ternary laws on `5 * samples` triples drawn from
     the pool.
@@ -316,8 +425,11 @@ def validate_quantale(q, rng=None, samples=None):
 
 def _validate_on(q, pool, exhaustive, rng=None, triples=None):
     if exhaustive:
-        pools = {"Q": pool, "J": join_irreducibles(q.carrier)}
+        facts = _QuantaleFacts(q)
+        pools = {"Q": pool, "J": facts.J}
     for arity, laws in _runs(QUANTALE_LAWS):
+        if exhaustive:
+            laws = _undecided(laws, facts)
         if arity < 3:
             for w in itertools.product(pool, repeat=arity):
                 for law in laws:
@@ -325,7 +437,7 @@ def _validate_on(q, pool, exhaustive, rng=None, triples=None):
                         return Violation(law.name, w)
         elif exhaustive:
             for law in laws:
-                if law.finite == DERIVED or (law.decide and law.decide(q)):
+                if law.finite == DERIVED:
                     continue
                 holds = law.holds
                 for a, b, c in itertools.product(
@@ -355,13 +467,22 @@ def validate_hom(h, source, target, rng=None, samples=None):
     """None if h: source -> target satisfies HOM_LAWS, else a Violation.
 
     Exhaustive over a finite source; otherwise checked on a probe pool.
+    Between finite quantales that have both been validated, a law is
+    swept only when its decision on join-irreducibles does not pass it
+    (see the module docstring).
     """
+    facts = None
     if source.is_finite and samples is None:
         pool = list(source.elements)
+        if target.is_finite and getattr(source, "_validated", False) \
+                and getattr(target, "_validated", False):
+            facts = _HomFacts(h, source, target)
     else:
         rng = rng or random.Random(0)
         pool = source.probe_elements(rng, samples or 40)
     for arity, laws in _runs(HOM_LAWS):
+        if facts is not None:
+            laws = _undecided(laws, facts)
         for w in itertools.product(pool, repeat=arity):
             for law in laws:
                 if not law.holds(h, source, target, *w):

@@ -66,7 +66,7 @@ class FiniteSupLattice:
     """A finite complete lattice; build instances through validate_lattice."""
 
     __slots__ = ("size", "names", "up", "down", "bottom", "top",
-                 "_join", "_meet", "_hash")
+                 "_join", "_meet", "_hash", "_irreducibles")
 
     def __init__(self, up, names, down, bottom, top, join_table, meet_table):
         self.size = len(up)
@@ -78,6 +78,7 @@ class FiniteSupLattice:
         self._join = join_table
         self._meet = meet_table
         self._hash = hash((self.size, up))
+        self._irreducibles = None  # join_irreducibles, on first use
 
     # -- order ------------------------------------------------------------
 
@@ -285,10 +286,14 @@ def join_irreducibles(lattice):
 
     Every element of a finite lattice is the join of the join-irreducibles
     below it, so a map preserving joins in each argument is fixed by its
-    values on them.
+    values on them.  Computed once per lattice; each call returns a new
+    list.
     """
-    return [j for j in lattice.elements if j != lattice.bottom
-            and lattice.join(_bits(lattice.down[j] & ~(1 << j))) != j]
+    if lattice._irreducibles is None:
+        lattice._irreducibles = tuple(
+            j for j in lattice.elements if j != lattice.bottom
+            and lattice.join(_bits(lattice.down[j] & ~(1 << j))) != j)
+    return list(lattice._irreducibles)
 
 
 def distributive_peeling(lattice):

@@ -9,7 +9,9 @@ instead of derived from the swap rule, the subspace oracles
 eliminate in `Fraction`s where the library reduces integer rows, the
 quantale laws are swept on all n^3 triples instead of on
 join-irreducibles, distrib-left is swept on Q x Q x J instead of decided
-from the rows of a distributive carrier, and FR2 of a groupoid support map is decided by
+from the rows of a distributive carrier, the binary involution laws and
+the homomorphism laws are swept on every pair instead of decided on
+join-irreducibles, and FR2 of a groupoid support map is decided by
 injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
 the bi-ideals of a tensor come from closing every pure tensor under
 binary joins, each join closed pairwise along every line, instead of
@@ -23,8 +25,9 @@ from fractions import Fraction
 from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
                                 ChainFailure, Instance, Word, _unit_chain,
                                 all_words, word_direct_image, word_multiply)
-from quantales.quantale import (DERIVED, QUANTALE_LAWS, FiniteInvQuantale,
-                                Violation, validate_quantale)
+from quantales.quantale import (DERIVED, HOM_LAWS, QUANTALE_LAWS,
+                                FiniteInvQuantale, Violation,
+                                validate_quantale)
 from quantales.suplattice import (FiniteSupLattice, SupMap, is_sup_map,
                                   join_irreducibles, validate_lattice)
 from quantales.tensor import BiIdeal
@@ -122,9 +125,9 @@ def validate_quantale_oracle(q):
 
 
 def validate_quantale_swept(q):
-    """The exhaustive validator before distrib-left was decided on
-    distributive carriers: the unary and binary laws on every element and
-    pair, then assoc on J^3 and distrib-left on Q x Q x J, each swept."""
+    """The exhaustive validator before any law was decided: the unary and
+    binary laws on every element and pair, then assoc on J^3 and
+    distrib-left on Q x Q x J, each swept."""
     pools = {"Q": list(q.elements), "J": join_irreducibles(q.carrier)}
     for arity, run in itertools.groupby(QUANTALE_LAWS,
                                         lambda law: law.arity):
@@ -142,6 +145,35 @@ def validate_quantale_swept(q):
                 if not law.holds(q, *w):
                     return Violation(law.name, w)
     return None
+
+
+def validate_hom_swept(h, source, target):
+    """The exhaustive homomorphism validator before its laws were decided
+    on join-irreducibles: each law of HOM_LAWS on every tuple of source
+    elements, the laws of equal arity interleaved per tuple."""
+    for arity, run in itertools.groupby(HOM_LAWS, lambda law: law.arity):
+        laws = list(run)
+        for w in itertools.product(source.elements, repeat=arity):
+            for law in laws:
+                if not law.holds(h, source, target, *w):
+                    return Violation(law.name, w)
+    return None
+
+
+def transposition_automorphisms(lat):
+    """The lattice automorphisms swapping two join-irreducibles, as value
+    tables: the join-irreducibles below each element are swapped."""
+    J = join_irreducibles(lat)
+    below = [frozenset(j for j in J if lat.leq(j, a)) for a in lat.elements]
+    by_below = {s: a for a, s in enumerate(below)}
+    for j1, j2 in itertools.combinations(J, 2):
+        swap = {j1: j2, j2: j1}
+        sigma = [by_below.get(frozenset(swap.get(j, j) for j in s))
+                 for s in below]
+        if None not in sigma and all(
+                sigma[lat.join2(a, b)] == lat.join2(sigma[a], sigma[b])
+                for a, b in itertools.product(lat.elements, repeat=2)):
+            yield sigma
 
 
 def reduction_corpus():

@@ -72,6 +72,27 @@ def test_format_errors():
     assert ff.sniff_kind({"pairs": []}) == "relation"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ([0, 1, True], "mult triple [0, 1, True] out of range"),
+    ([1.0, 0, 0], "mult triple [1.0, 0, 0] out of range"),
+    ([0, -1, 0], "mult triple [0, -1, 0] out of range"),
+    ([4, 0, 0], "mult triple [4, 0, 0] out of range"),
+    ([0, 1], "mult entries must be triples"),
+    ([0, 0, 0], "duplicate mult entry for (0,0)"),
+], ids=["true", "float", "negative", "n", "pair", "duplicate"])
+def test_malformed_mult_entries_are_named(entry, message):
+    # P(Z/2) has n = 4 elements; the duplicate entry is added to the
+    # table, the others replace its second entry
+    doc = ff.quantale_to_doc(PZ2)
+    if entry == [0, 0, 0]:
+        doc["mult"].append(entry)
+    else:
+        doc["mult"][1] = entry
+    with pytest.raises(FormatError) as err:
+        ff.quantale_from_doc(doc)
+    assert str(err.value) == message
+
+
 def test_effective_maps_are_not_serializable():
     from quantales.examples import matrix_support_map
     with pytest.raises(FormatError):

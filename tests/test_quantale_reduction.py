@@ -3,19 +3,20 @@ join-irreducibles: associativity on J^3, left distributivity on Q x Q x J,
 right distributivity derived.  It is compared against the n^3 loop it
 replaced (`validate_quantale_oracle` in _helpers).  On a distributive
 carrier a pass of left distributivity is decided from the J-extension of
-each row, compared against the Q x Q x J sweep that it replaced there
-(`validate_quantale_swept`)."""
+each row, and the binary involution laws are decided on Q x J; both are
+compared against the sweeps they replaced (`validate_quantale_swept`)."""
 
 import itertools
 import random
 
 from quantales.examples import rel_quantale
 from quantales.quantale import (DERIVED, QUANTALE_LAWS, FiniteInvQuantale,
-                                validate_quantale)
+                                _QuantaleFacts, validate_quantale)
 from quantales.suplattice import distributive_peeling, join_irreducibles
 
 from _helpers import (corpus_lattices, reduction_corpus,
-                      validate_quantale_oracle, validate_quantale_swept)
+                      transposition_automorphisms, validate_quantale_oracle,
+                      validate_quantale_swept)
 
 CORPUS = reduction_corpus()
 LAW = {law.name: law for law in QUANTALE_LAWS}
@@ -191,28 +192,64 @@ class _CountingQuantale(FiniteInvQuantale):
         return self.mult_table[a][b]
 
 
-def _ternary_products(q):
-    """(n, |J|, products) of validating a counting copy of q, less those
-    of the unary and binary laws."""
+def _validation_products(q):
+    """(n, |J|, products) of validating a counting copy of q."""
     q = _CountingQuantale(q.carrier, q.mult_table, q.inv_table, q.unit)
-    for law in QUANTALE_LAWS:
-        if law.arity < 3:
-            for w in itertools.product(q.elements, repeat=law.arity):
-                law.holds(q, *w)
-    other = q.calls
-    q.calls = 0
     assert validate_quantale(q) is None
-    return q.size, len(join_irreducibles(q.carrier)), q.calls - other
+    return q.size, len(join_irreducibles(q.carrier)), q.calls
 
 
 def test_ps3_validation_makes_the_reduced_number_of_products():
-    n, nj, ternary = _ternary_products(CORPUS["PS3"])
+    n, nj, products = _validation_products(CORPUS["PS3"])
     assert (n, nj) == (64, 6)
-    # assoc makes four products per triple of J^3, and distrib-left reads
-    # each of the n^2 products once to compare the rows with their
-    # J-extensions; the Q x Q x J sweep made three products per triple
-    # (74,592 in all with assoc), the n^3 sweep ten
-    assert ternary == n * n + 4 * nj ** 3 == 4_960
+    # bottom absorption and the unit laws make one product per element on
+    # each side, and assoc four per triple of J^3; the decisions of the
+    # binary laws and of distrib-left read the raw tables.  Before them
+    # antimult made two products on each of the n^2 pairs and
+    # distrib-left read the n^2 products through `mult`:
+    # 4n + 2n^2 + n^2 + 4|J|^3 = 13,408.  The Q x Q x J sweep of
+    # distrib-left made 74,592 ternary products and the n^3 sweep 2,621,440
+    assert products == 4 * n + 4 * nj ** 3 == 1_120
+
+
+class _CountingReads(tuple):
+    """A table that counts the entries read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _counting_inv(q):
+    """A copy of q whose involution table counts its reads."""
+    q = FiniteInvQuantale(q.carrier, q.mult_table, q.inv_table, q.unit)
+    q.inv_table = _CountingReads(q.inv_table)
+    return q
+
+
+def test_ps3_binary_law_decisions_evaluate_q_times_j():
+    n, nj = CORPUS["PS3"].size, len(join_irreducibles(CORPUS["PS3"].carrier))
+    assert n * nj == 384
+    # each evaluation reads the involution three times: inv(a v j),
+    # inv(a), inv(j) for the join decision, inv(aj), inv(j), inv(a) for
+    # the antimult one; involution-monotone reuses the join decision
+    q = _counting_inv(CORPUS["PS3"])
+    facts = _QuantaleFacts(q)
+    reads = {}
+    for name in ("involution-monotone", "involution-antimult",
+                 "involution-join"):
+        before = q.inv_table.reads
+        assert LAW[name].decide(facts)
+        reads[name] = q.inv_table.reads - before
+    assert reads == {"involution-monotone": 3 * 384,
+                     "involution-antimult": 3 * 384, "involution-join": 0}
+    # a whole validation: involution-involutive reads twice per element,
+    # then the two decisions, and no binary law is swept (the sweep read
+    # the involution 2 + 3 + 3 times on each of the n^2 = 4,096 pairs)
+    q = _counting_inv(CORPUS["PS3"])
+    assert validate_quantale(q) is None
+    assert q.inv_table.reads == 2 * n + 2 * 3 * n * nj == 2_432
 
 
 def test_non_distributive_carriers_sweep_distrib_left():
@@ -220,8 +257,66 @@ def test_non_distributive_carriers_sweep_distrib_left():
              if distributive_peeling(q.carrier) is None]
     assert names == ["m3", "m3xPZ2", "PS3/(3,25)", "PS3/(6,34)"]
     for name in names:
-        n, nj, ternary = _ternary_products(CORPUS[name])
-        assert ternary == 3 * n * n * nj + 4 * nj ** 3, name
+        n, nj, products = _validation_products(CORPUS[name])
+        # antimult is not decided there either: two products per pair
+        unary = 2 * n if CORPUS[name].unit is None else 4 * n
+        assert products == unary + 2 * n * n + 3 * n * n * nj \
+            + 4 * nj ** 3, name
+
+
+def _involutive_inv_mutants():
+    """Tables of the corpus whose involution is replaced by another
+    involution, so that involution-involutive holds and the decisions of
+    the binary laws meet a failing table: the images of two 2-cycles
+    {a, a*}, {b, b*} swapped (a -> b*, b -> a*), the images of two fixed
+    points swapped, and the involution conjugated by an automorphism of
+    the lattice, which keeps it join-preserving."""
+    rng = random.Random(13)
+    for name, q in CORPUS.items():
+        inv = q.inv_table
+        cycles = sorted({tuple(sorted((a, inv[a]))) for a in q.elements
+                         if inv[a] != a})
+        fixed = [a for a in q.elements if inv[a] == a]
+        tables = {tuple(inv)}
+        for _ in range(12):
+            new = list(inv)
+            if len(cycles) >= 2 and (len(fixed) < 2 or rng.random() < 0.5):
+                (a, a2), (b, b2) = rng.sample(cycles, 2)
+                new[a], new[b2], new[b], new[a2] = b2, a, a2, b
+            elif len(fixed) >= 2:
+                c, d = rng.sample(fixed, 2)
+                new[c], new[d] = d, c
+            tables.add(tuple(new))
+        autos = list(transposition_automorphisms(q.carrier))
+        for sigma in rng.sample(autos, min(len(autos), 6)):
+            tables.add(tuple(sigma[inv[sigma[a]]] for a in q.elements))
+        tables.remove(tuple(inv))
+        for new in sorted(tables):
+            yield name, FiniteInvQuantale(q.carrier, q.mult_table, new, q.unit)
+
+
+def test_involutive_inv_mutants_keep_every_violation_of_the_sweep():
+    outcomes = {}
+    decided_failures = 0
+    for name, m in _involutive_inv_mutants():
+        assert all(m.inv(m.inv(a)) == a for a in m.elements)
+        v = validate_quantale(m)
+        assert v == validate_quantale_swept(m), (name, v)
+        facts = _QuantaleFacts(m)
+        outcome = (facts.inv_preserves_joins, v and v.law)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        decided_failures += outcome == (True, "involution-antimult") \
+            and facts.rows_are_j_extensions
+    # the join decision fails and the sweep finds the first failing pair
+    # under any of the three laws; or it passes and antimult fails, after
+    # its decision met the failing table on a distributive carrier (P(S3),
+    # P(Z/2), Rel(2)) and swept on the others; or the table is a quantale
+    assert all(outcomes.get((False, law), 0) >= 20 for law in (
+        "involution-monotone", "involution-antimult", "involution-join"))
+    assert outcomes[True, "involution-antimult"] >= 15
+    assert decided_failures >= 8
+    assert outcomes[True, None] >= 1
+    assert len(outcomes) == 5
 
 
 def test_rel3_is_validated_exhaustively():
