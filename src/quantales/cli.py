@@ -30,9 +30,9 @@ from . import fileformats as ff
 from . import __version__
 from .fileformats import FormatError
 from .freeprod import (CORE_PARAMETERS, DEFAULT_TRACES, Q_TAG, REDUCTION,
-                       Y_LETTER_LEMMA, Y_TAG, HypothesisNotSatisfied,
-                       NotASquare, PullbackContext, check_maxlen,
-                       core_failure, verify_adjunction_on_words,
+                       Y_FREE_COROLLARY, Y_LETTER_LEMMA, Y_TAG,
+                       HypothesisNotSatisfied, NotASquare, PullbackContext,
+                       check_maxlen, core_failure, verify_adjunction_on_words,
                        verify_beck_chevalley, verify_pullback_frobenius,
                        verify_relation_compatibility)
 from .nucleus import nucleus_from_relation, quotient
@@ -294,7 +294,7 @@ def cmd_pullback_verify(args, report):
                       **rc.to_json()})
     print(f"relation compatibility: {'ok' if rc.ok else 'FAIL'} "
           f"({rc.total_instances} cores over {len(rc.families)} families, "
-          f"{scope})")
+          f"{scope}; Y-neighbours by the {Y_FREE_COROLLARY})")
     for fam, res in sorted(rc.families.items()):
         print(f"    {fam:<11} [{res.hypothesis:<12}] "
               f"{res.instances:>7} cores, {len(res.failures)} failures")
@@ -303,7 +303,8 @@ def cmd_pullback_verify(args, report):
     report.add_check({"check": "adjunction-on-words", "ok": adj.ok,
                       **adj.to_json(ctx)})
     print(f"adjunction on words: {'ok' if adj.ok else 'FAIL'} "
-          f"({ctx.Q.size} base units and {adj.cores} cores, {scope}; "
+          f"({ctx.Q.size} base units and {adj.cores} cores, {scope}, "
+          f"Y-neighbours by the {Y_FREE_COROLLARY}; "
           f"{adj.traces_kept} rewrite traces of words up to length "
           f"{args.maxlen} recorded)")
 

@@ -5,11 +5,14 @@ by scanning upper bounds, adjoints by enumerating all value tables, least
 nuclei by enumerating all closure operators, and the pullback verdicts by
 enumerating flanked instances instead of using the flank lemma or the
 Y-letter lemma, with the nine relation families written out one by one
-instead of derived from the swap rule, the subspace oracles
+instead of derived from the swap rule, the relation and unit cores are
+swept over their Y-neighbours instead of decided by the Y-free
+corollary, the subspace oracles
 eliminate in `Fraction`s where the library reduces integer rows, the
 quantale laws are swept on all n^3 triples instead of on
 join-irreducibles, distrib-left is swept on Q x Q x J instead of decided
-from the rows of a distributive carrier, the binary involution laws and
+from the rows of a distributive carrier or the raw tables of another,
+the binary involution laws and
 the homomorphism laws are swept on every pair instead of decided on
 join-irreducibles, and FR2 of a groupoid support map is decided by
 injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
@@ -22,9 +25,11 @@ Expected values frozen in the tests were computed with these.
 import itertools
 from fractions import Fraction
 
-from quantales.freeprod import (FAMILIES, FAMILY_HYPOTHESIS, Q_TAG, Y_TAG,
-                                ChainFailure, Instance, Word, _unit_chain,
-                                all_words, word_direct_image, word_multiply)
+from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
+                                Q_TAG, Y_TAG, ChainFailure, FamilyResult,
+                                Instance, Word, _unit_chain, all_words,
+                                core_failure, word_direct_image,
+                                word_multiply)
 from quantales.quantale import (DERIVED, HOM_LAWS, QUANTALE_LAWS,
                                 FiniteInvQuantale, Violation,
                                 validate_quantale)
@@ -438,6 +443,24 @@ def pullback_relation_instances(ctx, maxlen=4):
                 for y2 in ys:
                     emit("mid_yy", x, y=y, y2=y2, left=t, right=t2)
     return out
+
+
+def check_cores_swept(ctx, families, xs):
+    """The core check before the Y-free corollary: every core of each
+    family at every x in xs and every choice of its parameters, y and y2
+    included, through `core_failure`; family -> FamilyResult."""
+    results = {}
+    for fam in families:
+        res = results[fam] = FamilyResult(fam, FAMILY_HYPOTHESIS[fam])
+        names = CORE_PARAMETERS[fam]
+        ranges = [ctx.Q.elements if n.startswith("a") else ctx.Y.elements
+                  for n in names]
+        for x, values in itertools.product(xs, itertools.product(*ranges)):
+            res.instances += 1
+            failure = core_failure(ctx, fam, x, dict(zip(names, values)))
+            if failure is not None:
+                res.failures.append(failure)
+    return results
 
 
 def oracle_relation_failures(ctx, maxlen):

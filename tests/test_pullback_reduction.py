@@ -1,12 +1,14 @@
 """The reduced pullback verifiers against the brute-force oracle.
 
 The verifiers decide relation compatibility and the word-level
-adjunction on cores by the flank lemma, and the Frobenius conditions by
-the Y-letter lemma; the oracle in _helpers enumerates every flanked
-instance and word up to maxlen.
+adjunction on cores by the flank lemma, the cores' Y-neighbours by the
+Y-free corollary, and the Frobenius conditions by the Y-letter lemma;
+the oracles in _helpers enumerate every flanked instance and word up to
+maxlen, and sweep every core over its Y-neighbours.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -18,15 +20,17 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
-                                NEIGHBOURS, UNIT_FAMILIES, PullbackContext,
-                                all_words, family_instance,
-                                verify_adjunction_on_words,
+                                NEIGHBOURS, UNIT_FAMILIES, Y_TAG,
+                                PullbackContext, all_words, core_failure,
+                                family_instance, verify_adjunction_on_words,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility)
-from quantales.quantale import InvalidQuantale, Undecidable, identity_map
+from quantales.quantale import (InvalidQuantale, QuantaleMap, Undecidable,
+                                identity_map)
 
-from _helpers import (family_instance_oracle, oracle_adjunction_ok,
-                      oracle_frobenius_failures, oracle_relation_failures)
+from _helpers import (check_cores_swept, family_instance_oracle,
+                      oracle_adjunction_ok, oracle_frobenius_failures,
+                      oracle_relation_failures)
 
 VERIFIERS = (verify_relation_compatibility, verify_adjunction_on_words,
              verify_pullback_frobenius)
@@ -199,7 +203,9 @@ def test_pullback_verify_on_the_s3_base_end_to_end(tmp_path, capsys):
                  "--p", str(tmp_path / "omega-support-s3.map.json"),
                  "--f", str(tmp_path / "delta-embedding-2.map.json"),
                  "--report", str(report)]) == 0
-    assert "13122 cores over 9 families, all lengths" in capsys.readouterr().out
+    # the Y-free cores, 4|X| + 4|X||Q| + |X||Q|^2 with X = Omega and
+    # Q = P(S3): no core fails, so no Y-neighbour is swept
+    assert "8712 cores over 9 families, all lengths" in capsys.readouterr().out
     checks = {c["check"]: c for c in ff.load_json(report)["checks"]}
     assert {k: c["ok"] for k, c in checks.items()} == {
         "pullback-hypothesis": True, "relation-compatibility": True,
@@ -212,6 +218,136 @@ def test_pullback_verify_on_the_s3_base_end_to_end(tmp_path, capsys):
         assert checks[name]["reduction"] == "flank lemma"
     assert checks["pullback-frobenius"]["reduction"] == "Y-letter lemma"
     assert main(["report-verify", str(report)]) == 0
+
+
+def test_the_rel3_session_sweeps_no_y_neighbour(tmp_path):
+    # the README square with Y = Rel(3), 512 elements: 4|X| + 4|X||Q| +
+    # |X||Q|^2 = 72 Y-free relation cores and 4|p_!(Q)| = 8 unit cores,
+    # where sweeping y and y2 evaluated 1,060,916 cores
+    out = str(tmp_path)
+    assert main(["example", "omega-support", "--group", "z2",
+                 "--out", out]) == 0
+    assert main(["example", "delta-embedding", "--n", "3", "--out", out]) == 0
+    report = tmp_path / "rel3.json"
+    assert main(["pullback-verify",
+                 "--p", str(tmp_path / "omega-support-z2.map.json"),
+                 "--f", str(tmp_path / "delta-embedding-3.map.json"),
+                 "--report", str(report)]) == 0
+    checks = {c["check"]: c for c in ff.load_json(report)["checks"]}
+    assert all(c["ok"] for c in checks.values()) and len(checks) == 5
+    assert checks["relation-compatibility"]["total_instances"] == 72
+    assert checks["adjunction-on-words"]["cores"] == 8
+    for name in ("relation-compatibility", "adjunction-on-words"):
+        assert checks[name]["y_neighbours"] == "Y-free corollary"
+
+
+# -- the Y-free corollary against the swept cores -------------------------------
+
+def _agrees_with_the_sweep(ctx):
+    """Both core verifiers give the failure records of the full sweep, in
+    its order; returns the relation report."""
+    rc = verify_relation_compatibility(ctx)
+    swept = check_cores_swept(ctx, FAMILIES, ctx.X.elements)
+    assert list(rc.families) == list(swept)
+    for fam, res in rc.families.items():
+        assert res.failures == swept[fam].failures, fam
+    adj = verify_adjunction_on_words(ctx, max_traces=0)
+    xs = sorted({ctx.p.shriek(a) for a in ctx.Q.elements})
+    unit = check_cores_swept(ctx, UNIT_FAMILIES, xs)
+    assert [f for f in adj.failures if "instance" in f] == \
+        [f for fam in UNIT_FAMILIES for f in unit[fam].failures]
+    return rc
+
+
+def _held_at_bottom(ctx, rc):
+    """The number of failing cores with Y-neighbours.  Each lies over a
+    failing Y-free core, and holds with its Y-neighbours at bottom."""
+    held = 0
+    for fam, res in rc.families.items():
+        if Y_TAG not in NEIGHBOURS[fam]:
+            continue
+        for failure in res.failures:
+            params = {n: ctx.Y.bottom if n.startswith("y") else v
+                      for n, v in failure["parameters"].items()}
+            assert core_failure(ctx, fam, failure["instance"]["x"],
+                                params) is None
+            held += 1
+    return held
+
+
+def _rel2_identity():
+    # Rel(2) along itself: p*(x) = x does not commute with every a, so the
+    # order of each merge shows
+    rel2 = rel_quantale(2)
+    return PullbackContext(identity_map(rel2), identity_map(rel2))
+
+
+# the contexts, the S3 base and a noncommutative Y whose letter images
+# do not commute
+DIFFERENTIAL = {**CONTEXTS, "s3-base": _s3_base,
+                "rel2-identity": _rel2_identity}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_the_y_free_cores_give_the_failures_of_the_sweep(name):
+    _agrees_with_the_sweep(DIFFERENTIAL[name]())
+
+
+def test_the_core_counts_count_each_evaluated_core_once():
+    # the negative control fails only mid_qq, whose cores have no
+    # Y-neighbour and are their own Y-free cores: |X| (4 + 4|Q| + |Q|^2)
+    ctx = _negative_control()
+    nx, nq = ctx.X.size, ctx.Q.size
+    assert verify_relation_compatibility(ctx).total_instances == \
+        nx * (4 + 4 * nq + nq ** 2) == 256
+    # with p_! = 0 the Y-free core of head_y, tail_y and mid_yy fails at
+    # each of the |X| - 1 nonbottom x (bottom against f*(x) = x), and the
+    # cores over it are swept: |X| + (|X| - 1) |Y|^k for k Y-neighbours
+    ctx = CONTEXTS["zero-direct-image"]()
+    nx, ny = ctx.X.size, ctx.Y.size
+    families = verify_relation_compatibility(ctx).families
+    for fam in ("head_y", "tail_y", "mid_yy"):
+        k = len(CORE_PARAMETERS[fam])
+        assert families[fam].instances == nx + (nx - 1) * ny ** k, fam
+
+
+def _perturbed_f(ctx, rng):
+    """ctx with one entry of f*'s table replaced by another element of Y,
+    so f* need not be a homomorphism."""
+    table = list(ctx.f.inverse_table())
+    x = rng.randrange(len(table))
+    table[x] = rng.choice([y for y in ctx.Y.elements if y != table[x]])
+    f = QuantaleMap.from_table(ctx.Y, ctx.X, table, name="f~")
+    return PullbackContext(ctx.p, f, ctx.report)
+
+
+def _perturbed_p_shriek(ctx, rng):
+    """ctx with one value of p_! replaced by another element of X."""
+    table = [ctx.p.shriek(a) for a in ctx.Q.elements]
+    a = rng.randrange(len(table))
+    table[a] = rng.choice([x for x in ctx.X.elements if x != table[a]])
+    return PullbackContext(ctx.p.with_direct_image(tuple(table).__getitem__),
+                           ctx.f, ctx.report)
+
+
+@pytest.mark.parametrize("perturb", [_perturbed_f, _perturbed_p_shriek])
+def test_perturbed_squares_give_the_failures_of_the_sweep(perturb):
+    rng = random.Random(14)
+    held = failing = 0
+    for name, make in sorted(DIFFERENTIAL.items()):
+        if name == "s3-base":  # the dearest sweep
+            continue
+        ctx = make()
+        if ctx.X.size < 2:
+            continue
+        for _ in range(6):
+            mutant = perturb(ctx, rng)
+            rc = _agrees_with_the_sweep(mutant)
+            failing += not rc.ok
+            held += _held_at_bottom(mutant, rc)
+    # the perturbations fail cores, and among them Y-free cores over
+    # which the sweep finds holding cores as well as failing ones
+    assert failing > 20 and held > 20
 
 
 # -- the swap rule against the per-family oracle --------------------------------
@@ -248,13 +384,6 @@ def _outcome(build, *args, **kw):
         return build(*args, **kw)
     except ValueError:  # the flanks do not alternate with the core
         return "rejected"
-
-
-def _rel2_identity():
-    # Rel(2) along itself: p*(x) = x does not commute with every a, so the
-    # order of each merge shows
-    rel2 = rel_quantale(2)
-    return PullbackContext(identity_map(rel2), identity_map(rel2))
 
 
 @pytest.mark.parametrize("make", [_readme_square, _s3_base,
