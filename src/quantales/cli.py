@@ -48,12 +48,14 @@ SCHEMA = 1
 
 
 class _Report:
-    def __init__(self, argv, seed=None):
+    def __init__(self, argv):
+        # a subcommand names the seed once a check it records was sampled
+        # with it
         self.doc = {
             "schema": SCHEMA,
             "tool": f"quantales {__version__}",
             "command": list(argv),
-            "seed": seed,
+            "seed": None,
             "inputs": {},
             "checks": [],
         }
@@ -149,12 +151,11 @@ def cmd_validate(args, report):
 # -- check-map ------------------------------------------------------------------
 
 def cmd_check_map(args, report):
-    # a report names the seed only when a check it records was sampled
-    # with it (as in cmd_example)
-    report.doc["seed"] = None
+    # a map file has finite carriers, which are swept exhaustively:
+    # --pool and --seed are accepted for compatibility and change nothing
     doc = ff.load_json(args.map)
     report.add_input("map", args.map, doc)
-    rep = frobenius_report(ff.map_from_doc(doc), args.pool, args.seed)
+    rep = frobenius_report(ff.map_from_doc(doc))
     requested = [name for name, on in (
         ("semiopen", args.semiopen), ("fr1", args.fr1),
         ("fr1-right", args.fr1_right), ("fr2", args.fr2),
@@ -173,11 +174,6 @@ def cmd_check_map(args, report):
 
     laws = {"semiopen": rep.semiopen, "fr1": rep.fr1,
             "fr1-right": rep.fr1_right, "fr2": rep.fr2}
-    # the checks of the battery each recorded verdict is read from
-    reads = {**{name: [chk] for name, chk in laws.items()},
-             "wos": [rep.semiopen, rep.fr1], "locale-meet": [rep.fr2]}
-    if any(chk.seed is not None for name in requested for chk in reads[name]):
-        report.doc["seed"] = args.seed
     failed = False
     for name in requested:
         if name in laws:
@@ -190,8 +186,7 @@ def cmd_check_map(args, report):
                    "unit_identity": rep.unit_identity,
                    "surjective": rep.surjective,
                    "consistent": rep.wos_consistent,
-                   "ok": rep.wos_consistent,
-                   "pool": args.pool, "seed": args.seed}
+                   "ok": rep.wos_consistent}
         else:
             lm = check_locale_meet_lemma(rep)
             chk = {**lm.to_json(), "check": "locale-meet",
@@ -385,9 +380,6 @@ _SUITES = {
 
 
 def cmd_example(args, report):
-    # a report names the seed only when a check of its frobenius block was
-    # sampled with it
-    report.doc["seed"] = None
     name = args.name
     materialized = _materialized_examples(args)
     if name in materialized:
@@ -493,10 +485,9 @@ def _replay_map_law(doc, chk):
 
 
 def _replay_wos(doc, chk):
-    pool, seed = chk.get("pool"), chk.get("seed")
-    if not (type(pool) is int and pool > 0 and type(seed) is int):
-        raise FormatError("wos check records no pool and seed")
-    return [not frobenius_report(_rebuild_map(doc), pool, seed).wos_consistent]
+    # check-map sweeps a map file exhaustively, so the pool and seed
+    # that older wos records carry change nothing
+    return [not frobenius_report(_rebuild_map(doc)).wos_consistent]
 
 
 def _replay_relation_compatibility(doc, chk):
@@ -560,8 +551,11 @@ def cmd_report_verify(args, report):
     checks = doc.get("checks", [])
     if not (isinstance(checks, list) and all(
             isinstance(c, dict) and isinstance(c.get("ok"), bool)
-            for c in checks)):
-        raise FormatError("report checks must be objects with a boolean 'ok'")
+            and isinstance(c.get("check"), str)
+            and isinstance(c.get("input", ""), str) for c in checks)):
+        raise FormatError("report checks must be objects with a string "
+                          "'check', a boolean 'ok' and, if any, a string "
+                          "'input'")
     inputs = doc.get("inputs", {})
     if not (isinstance(inputs, dict) and all(
             isinstance(e, dict) and isinstance(e.get("doc"), dict)
@@ -697,7 +691,7 @@ def main(argv=None):
         "example": cmd_example,
         "report-verify": cmd_report_verify,
     }
-    report = _Report(argv, seed=getattr(args, "seed", None))
+    report = _Report(argv)
     try:
         code = handlers[args.cmd](args, report)
     except (FormatError, OSError, NotUnital, NotALocale, NotASquare,

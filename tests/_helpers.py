@@ -18,7 +18,9 @@ join-irreducibles, and FR2 of a groupoid support map is decided by
 injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
 the bi-ideals of a tensor come from closing every pure tensor under
 binary joins, each join closed pairwise along every line, instead of
-the join-irreducible ones under joins with a generator.
+the join-irreducible ones under joins with a generator, and the map
+laws of a finite map are swept over all of Q instead of over its
+join-irreducibles.
 Expected values frozen in the tests were computed with these.
 """
 
@@ -30,6 +32,7 @@ from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
                                 Instance, Word, _unit_chain, all_words,
                                 core_failure, word_direct_image,
                                 word_multiply)
+from quantales.openness import MAP_LAWS, Check, violates
 from quantales.quantale import (DERIVED, HOM_LAWS, QUANTALE_LAWS,
                                 FiniteInvQuantale, Violation,
                                 validate_quantale)
@@ -163,6 +166,22 @@ def validate_hom_swept(h, source, target):
                 if not law.holds(h, source, target, *w):
                     return Violation(law.name, w)
     return None
+
+
+def map_law_swept(name, p):
+    """The exhaustive check of a map law before its Q-arguments were swept
+    on join-irreducibles: the law's sweep over all of Q and X, for a map
+    between finite carriers that carries its direct image; a witness is
+    re-checked on one-element pools."""
+    roles, sweep = MAP_LAWS[name]
+    carriers = [p.target if r == "x" else p.source for r in roles]
+    witness, count = sweep(p, *(list(c.elements) for c in carriers))
+    if witness is None:
+        return Check(name, True, evaluations=count)
+    assert violates(p, name, witness)
+    display = ", ".join(f"{r}={c.name_of(w)}"
+                        for r, c, w in zip(roles, carriers, witness))
+    return Check(name, False, witness, display, evaluations=count)
 
 
 def transposition_automorphisms(lat):

@@ -445,9 +445,9 @@ def test_effective_examples_name_no_seed_that_nothing_used(tmp_path,
     assert {c["seed"] for c in doc["frobenius"]["checks"]} == {7}
 
 
-def test_check_map_names_no_seed_that_nothing_used(tmp_path):
-    # every check on the Z/2 fragment is swept exhaustively; the wos entry
-    # keeps the pool and seed that its replay reruns the battery with
+def test_check_map_names_no_seed_that_nothing_used(tmp_path, capsys):
+    # every check on the Z/2 fragment is swept exhaustively, and so is the
+    # battery that the wos entry's replay reruns
     mpath = tmp_path / "frag.map.json"
     ff.save_json(mpath, ff.map_to_doc(z2_group_algebra_finite_map()))
     report = tmp_path / "frag.json"
@@ -461,8 +461,20 @@ def test_check_map_names_no_seed_that_nothing_used(tmp_path):
     assert all(c["mode"] == "exhaustive" and c["pool"] is None
                and c["seed"] is None for c in laws)
     wos = next(c for c in doc["checks"] if c["check"] == "wos")
-    assert (wos["pool"], wos["seed"]) == (50, 5)
+    assert "pool" not in wos and "seed" not in wos
     assert main(["report-verify", str(report)]) == 0
+    # a wos failure is replayed by rerunning the battery, with or without
+    # the pool and seed that records of the older format carry
+    wos["ok"] = False
+    for record in ({}, {"pool": 50, "seed": 5}):
+        wos.update(record)
+        edited = tmp_path / "edited.json"
+        ff.save_json(edited, doc)
+        capsys.readouterr()
+        assert main(["report-verify", str(edited)]) == 1
+        out = capsys.readouterr().out
+        assert "replayed 2 witnesses, 1 problems" in out
+        assert "wos: recorded failure does not replay" in out
 
 
 def test_files_hold_the_canonical_text_that_doc_sha256_digests(tmp_path):

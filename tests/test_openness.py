@@ -174,15 +174,21 @@ def test_sampled_checks_reproduce_from_the_seed():
     assert first.seed == 9 and first.mode == "sampled"
 
 
-def test_large_finite_carriers_downgrade_to_sampling():
-    # 512^2 * 512 evaluations would blow the cap, so the checker samples
-    # and says so in the report
+def test_large_finite_carriers_are_swept_on_join_irreducibles():
+    # Rel(3) has 512 elements and 9 join-irreducibles: every check of the
+    # battery is exhaustive, whatever the pool and seed, and only
+    # semiopenness sweeps all of Q
     from quantales.examples import rel_quantale
-    r3 = rel_quantale(3)
-    p = identity_map(r3)
-    fr1 = check_fr1(p, pool=10, seed=0)
-    assert fr1.ok and fr1.mode == "sampled-capped" and fr1.pool == 10
-    assert fr1.seed == 0
+    rep = frobenius_report(identity_map(rel_quantale(3)), pool=10, seed=3)
+    checks = (rep.semiopen, rep.fr1, rep.fr1_right, rep.fr2,
+              rep.direct_image_involution)
+    assert all(c.ok and c.mode == "exhaustive" and c.pool is None
+               and c.seed is None for c in checks)
+    assert rep.semiopen.reduction is None
+    assert rep.semiopen.evaluations == 512 * 512
+    assert all(c.reduction == "join-irreducibles" for c in checks[1:])
+    assert rep.fr2.evaluations == 9 * 512 * 9
+    assert rep.fr2.to_json()["reduction"] == "join-irreducibles"
 
 
 def test_fragment_matches_ambient_support_map():

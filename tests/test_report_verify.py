@@ -401,13 +401,16 @@ def test_subspace_witness_json_round_trips():
 
 def test_search_witness_that_holds_on_recheck_raises():
     # a direct image that answers wrongly once: the sweep finds a witness
-    # that the one-element re-run of the same sweep does not confirm
+    # that the one-element re-run of the same sweep does not confirm.  The
+    # premise of the join-irreducible sweep reads p_! on all of Q first,
+    # so the wrong answer is the first one the sweep itself reads.
     p = omega_support_map(PZ2)
     calls = []
 
     def flaky(a):
         calls.append(a)
-        return 1 if len(calls) == 1 else p.direct_image(a)
+        right = p.direct_image(a)
+        return 1 - right if len(calls) == PZ2.size + 1 else right
 
     with pytest.raises(UnconfirmedWitness):
         check_fr1(p.with_direct_image(flaky))
@@ -518,6 +521,31 @@ def test_a_malformed_relation_failure_is_an_input_error(edit, tmp_path,
                                                          capsys):
     doc = _negative_control_report()
     edit(_first_failure(doc))
+    assert _replay(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _unnamed_check_report(tmp_path):
+    return {"schema": SCHEMA, "checks": [{"check": ["x"], "ok": False}],
+            "verdict": "violation"}
+
+
+def _unnamed_input_report(tmp_path):
+    doc, _ = _validate_report(tmp_path)
+    assert _replay(tmp_path, doc) == 0
+    doc["checks"][0]["input"] = ["x"]
+    return doc
+
+
+@pytest.mark.parametrize("make", [_unnamed_check_report,
+                                  _unnamed_input_report],
+                         ids=["check-not-a-name", "input-not-a-name"])
+def test_a_check_or_input_that_is_not_a_name_is_an_input_error(make,
+                                                                tmp_path,
+                                                                capsys):
+    # both once ended in a TypeError traceback, with exit 1
+    doc = make(tmp_path)
+    capsys.readouterr()
     assert _replay(tmp_path, doc) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
