@@ -242,7 +242,7 @@ def cmd_tensor(args, report):
     ok = True
     if len(lattices) == 2:
         T_rev = TensorLattice((lattices[1], lattices[0]), bound=args.bound)
-        swapped = {swap_map(T, T_rev, g) for g in T.elements()}
+        swapped = {swap_map(T_rev, g) for g in T.elements()}
         sym_ok = swapped == set(T_rev.elements())
         print(f"symmetry bijection onto the reversed tensor: {sym_ok}")
         report.add_check({"check": "tensor-symmetry", "ok": sym_ok})

@@ -156,6 +156,8 @@ def map_from_doc(doc, validate=True):
     if any(v is None for v in table):
         raise FormatError("inverse_image table incomplete")
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError("key 'name' must be str")
     m = QuantaleMap.from_table(source, target, table, name=name)
     if validate:
         v = validate_hom(m.inverse_image, target, source)
@@ -172,10 +174,6 @@ def relation_from_doc(doc, quantale):
             raise FormatError(f"relation pair ({r},{s}) out of range")
     from .nucleus import RelationPresentation
     return RelationPresentation(quantale, frozenset(pairs))
-
-
-def relation_to_doc(rel):
-    return {"pairs": [[r, s] for r, s in sorted(rel.pairs)]}
 
 
 def load_json(path):

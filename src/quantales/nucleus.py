@@ -1,4 +1,4 @@
-"""Quantic nuclei presented by relations, quotients, factorization, equalizers.
+"""Quantic nuclei presented by relations, and the quotients they define.
 
 A binary relation R on a finite involutive quantale is first saturated by
 a worklist fixpoint closing pairs under involution and under left
@@ -15,19 +15,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .quantale import FiniteInvQuantale, QuantaleMap, find_unit, \
-    validate_hom, validate_quantale
-from .suplattice import ClosureOperator, SupMap, is_sup_map, validate_lattice
+from .quantale import FiniteInvQuantale, find_unit, validate_hom, \
+    validate_quantale
+from .suplattice import ClosureOperator, SupMap, validate_lattice
 
 
 class InternalInvariantViolation(RuntimeError):
     """The constructed nucleus failed its own laws; this signals a bug."""
-
-
-class NoFactorization(ValueError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"map does not identify saturated pair {witness}")
 
 
 @dataclass(frozen=True)
@@ -128,20 +122,6 @@ class QuotientQuantale:
     closed: tuple
     hom: SupMap
 
-    def embed(self, k):
-        """The base element representing quotient index k."""
-        return self.closed[k]
-
-    def mono_map(self):
-        """The regular mono into the base, inverse image = the quotient hom.
-
-        Its direct image (left adjoint of the hom) need not exist; the
-        embedding is the right adjoint and is available via embed().
-        """
-        return QuantaleMap(self.quantale, self.base,
-                           self.hom.values.__getitem__,
-                           name="quotient-mono")
-
 
 def quotient(q, nuc):
     """The quotient quantale on the closed elements, with its surjective hom."""
@@ -177,46 +157,3 @@ def quotient_by_relation(q, pairs):
     rel = RelationPresentation(q, frozenset(pairs))
     return quotient(q, nucleus_from_relation(rel))
 
-
-def factor_sup_map(h, rel):
-    """Factor a sup-map h through the quotient by rel, when possible.
-
-    Returns (quotient, factored) with factored . hom == h; raises
-    NoFactorization carrying a saturated pair that h fails to identify.
-    """
-    q = rel.quantale
-    if h.dom != q.carrier:
-        raise ValueError("map domain is not the quantale carrier")
-    saturated = saturate_relation(rel)
-    for r, s in sorted(saturated):
-        if h.values[r] != h.values[s]:
-            raise NoFactorization((r, s))
-    qq, hom = quotient(q, nucleus_from_relation(rel))
-    factored = SupMap(qq.quantale.carrier, h.cod,
-                      tuple(h.values[c] for c in qq.closed))
-    for a in q.elements:  # factored . hom == h
-        if factored.values[hom.values[a]] != h.values[a]:
-            raise InternalInvariantViolation(f"factorization wrong at {a}")
-    if is_sup_map(factored) is not None:
-        raise InternalInvariantViolation("factored map does not preserve joins")
-    return qq, factored
-
-
-def equalizer(f, g):
-    """Equalizer of two maps f, g: Q -> X as a quantic subspace of Q.
-
-    The presenting relation pairs f*(x) with g*(x) for every x; the result
-    is the quotient together with its regular mono into Q.
-    """
-    if f.source is not g.source and f.source != g.source:
-        raise ValueError("equalizer needs maps with a common source")
-    if f.target is not g.target and f.target != g.target:
-        raise ValueError("equalizer needs maps with a common target")
-    q, x = f.source, f.target
-    pairs = frozenset((f.star(v), g.star(v)) for v in x.elements)
-    qq, hom = quotient(q, nucleus_from_relation(RelationPresentation(q, pairs)))
-    mono = qq.mono_map()
-    for v in x.elements:  # f and g agree after the mono
-        if hom.values[f.star(v)] != hom.values[g.star(v)]:
-            raise InternalInvariantViolation(f"equalizer disagrees at {v}")
-    return qq, mono

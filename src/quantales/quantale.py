@@ -564,22 +564,6 @@ def identity_map(q):
     return QuantaleMap(q, q, lambda x: x, lambda x: x, name="id")
 
 
-def compose_maps(p, f):
-    """The composite map p . f : R -> X of f: R -> Q and p: Q -> X.
-
-    Inverse images compose in the reverse order; direct images compose
-    covariantly when both are present.
-    """
-    if f.target is not p.source and f.target != p.source:
-        raise ValueError("composition mismatch: f.target must be p.source")
-    inverse = lambda x: f.inverse_image(p.inverse_image(x))
-    direct = None
-    if p.direct_image is not None and f.direct_image is not None:
-        direct = lambda a: p.direct_image(f.direct_image(a))
-    name = f"{p.name or '?'}.{f.name or '?'}"
-    return QuantaleMap(f.source, p.target, inverse, direct, name)
-
-
 def is_surjective(p, rng=None, samples=200):
     """Decide surjectivity of p: Q -> X.
 

@@ -49,12 +49,6 @@ class NoLeftAdjoint(LatticeError):
         super().__init__(f"no left adjoint, adjunction fails at {witness}")
 
 
-class NotMeetClosed(LatticeError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"family is not closed under meets, witness {witness}")
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -270,15 +264,6 @@ class SupMap:
     def __call__(self, i):
         return self.values[i]
 
-    def then(self, g):
-        if g.dom != self.cod:
-            raise LatticeError("composition mismatch")
-        return SupMap(self.dom, g.cod, tuple(g.values[v] for v in self.values))
-
-    @staticmethod
-    def identity(lat):
-        return SupMap(lat, lat, tuple(range(lat.size)))
-
 
 def join_irreducibles(lattice):
     """The join-irreducible elements, in index order: each j other than
@@ -422,27 +407,3 @@ class ClosureOperator:
                 if lat.meet2(a, b) not in closed:
                     raise LatticeError(f"closed family not meet-closed at ({a},{b})")
 
-
-def closure_from_closed_family(lat, closed):
-    """Closure operator whose fixed points are exactly the meet-closed family."""
-    cset = sorted(set(closed))
-    if lat.top not in cset:
-        raise NotMeetClosed("top")
-    for a, b in itertools.combinations(cset, 2):
-        if lat.meet2(a, b) not in cset:
-            raise NotMeetClosed((a, b))
-    values = tuple(lat.meet(c for c in cset if lat.leq(a, c)) for a in lat.elements)
-    op = ClosureOperator(lat, values)
-    if set(op.closed_elements()) != set(cset):
-        raise LatticeError("closure does not fix exactly the given family")
-    return op
-
-
-def enumerate_sup_maps(dom, cod):
-    """All join-preserving maps dom -> cod, by brute force (small lattices only)."""
-    for values in itertools.product(range(cod.size), repeat=dom.size):
-        if values[dom.bottom] != cod.bottom:
-            continue
-        f = SupMap(dom, cod, values)
-        if is_sup_map(f) is None:
-            yield f

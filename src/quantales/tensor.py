@@ -1,4 +1,5 @@
-"""Tensor products and direct sums of finite sup-lattices.
+"""Tensor products of finite sup-lattices, their bimorphisms, and the
+symmetry and unit isomorphisms.
 
 Tensor elements are bi-ideals: subsets of the cartesian grid of the factor
 carriers that are down-closed and closed under joins in each coordinate
@@ -29,8 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .suplattice import (FiniteSupLattice, NotSupPreserving, SupMap,
-                         is_sup_map, join_irreducibles, validate_lattice)
+from .suplattice import (NotSupPreserving, SupMap, is_sup_map,
+                         join_irreducibles, validate_lattice)
 
 
 class EnumerationBoundExceeded(RuntimeError):
@@ -66,30 +67,6 @@ class BiIdeal:
 
     def __contains__(self, t):
         return t in self.members
-
-    def check_invariants(self):
-        """Down-closure and coordinatewise join-closure, by membership scan."""
-        facs = self.factors
-        for t in self.members:
-            for i, lat in enumerate(facs):
-                for u in lat.downset(t[i]):
-                    if t[:i] + (u,) + t[i + 1:] not in self.members:
-                        raise AssertionError(f"not down-closed at {t} coord {i}")
-        by_rest = {}
-        for t in self.members:
-            for i in range(len(facs)):
-                by_rest.setdefault((i, t[:i] + t[i + 1:]), []).append(t[i])
-        for (i, rest), vals in by_rest.items():
-            lat = facs[i]
-            for u, v in itertools.combinations(vals, 2):
-                t = rest[:i] + (lat.join2(u, v),) + rest[i:]
-                if t not in self.members:
-                    raise AssertionError(
-                        f"not join-closed at coord {i}, rest {rest}")
-        for t in itertools.product(*(range(l.size) for l in facs)):
-            if any(t[i] == facs[i].bottom for i in range(len(facs))):
-                if t not in self.members:
-                    raise AssertionError(f"axis tuple {t} missing")
 
 
 class TensorLattice:
@@ -222,13 +199,6 @@ class TensorLattice:
                  if elems[i].members <= elems[j].members]
         return validate_lattice(pairs, size=n), elems
 
-    def index_of(self, ideal):
-        return self.elements().index(ideal)
-
-
-def pure_tensor(factors, t):
-    return TensorLattice(factors).pure(tuple(t))
-
 
 def check_bimorphism(b, factors, target):
     """None if b preserves joins (including empty) in every coordinate."""
@@ -277,60 +247,9 @@ def induced_from_bimorphism(b, factors, target, tensor=None):
     return fn, sup_map
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    """Coproduct of sup-lattices: tuples under the coordinatewise order."""
-    summands: tuple
-
-    def lattice(self):
-        lat = self.summands[0]
-        for other in self.summands[1:]:
-            lat = FiniteSupLattice.product(lat, other)
-        return lat
-
-    def index(self, t):
-        idx = 0
-        for lat, v in zip(self.summands, t):
-            idx = idx * lat.size + v
-        return idx
-
-    def untuple(self, idx):
-        out = []
-        for lat in reversed(self.summands):
-            out.append(idx % lat.size)
-            idx //= lat.size
-        return tuple(reversed(out))
-
-    def injections(self):
-        lat = self.lattice()
-        maps = []
-        for k, summand in enumerate(self.summands):
-            values = []
-            for v in range(summand.size):
-                t = tuple(v if i == k else s.bottom
-                          for i, s in enumerate(self.summands))
-                values.append(self.index(t))
-            maps.append(SupMap(summand, lat, tuple(values)))
-        return maps
-
-    def copair(self, maps, target):
-        """The unique sup-map out of the sum restricting to the given maps."""
-        if len(maps) != len(self.summands):
-            raise ValueError("one map per summand required")
-        lat = self.lattice()
-        values = []
-        for idx in range(lat.size):
-            t = self.untuple(idx)
-            values.append(target.join(m.values[v] for m, v in zip(maps, t)))
-        return SupMap(lat, target, tuple(values))
-
-
-def direct_sum(summands):
-    return DirectSum(tuple(summands))
-
-
-def swap_map(T_lm, T_ml, ideal):
-    """Image of a bi-ideal under the symmetry L (x) M ~ M (x) L."""
+def swap_map(T_ml, ideal):
+    """Image of a bi-ideal of L (x) M under the symmetry L (x) M ~ M (x) L,
+    as a bi-ideal of T_ml = M (x) L."""
     return BiIdeal(T_ml.factors, frozenset(t[::-1] for t in ideal.members))
 
 
@@ -350,40 +269,3 @@ def unit_iso(T):
         elems.index(T.pure((two.top, l))) for l in L.elements))
     return to_l, from_l
 
-
-def associator(L, M, N, bound=4096):
-    """Mutually inverse sup-maps between (L,M,N) flat and L (x) (M (x) N).
-
-    The nested side is built over the enumerated inner tensor; both
-    directions are returned as SupMaps over the enumerated carriers so the
-    normalization between flat words and nested parenthesizations can be
-    checked as an isomorphism.
-    """
-    flat = TensorLattice((L, M, N), bound=bound)
-    inner = TensorLattice((M, N), bound=bound)
-    inner_lat, inner_elems = inner.as_suplattice()
-    outer = TensorLattice((L, inner_lat), bound=bound)
-
-    flat_lat, flat_elems = flat.as_suplattice()
-    outer_lat, outer_elems = outer.as_suplattice()
-
-    def to_nested(g3):
-        members = set()
-        for l in range(L.size):
-            for hi, h in enumerate(inner_elems):
-                if all((l,) + mn in g3.members for mn in h.members):
-                    members.add((l, hi))
-        return BiIdeal(outer.factors, frozenset(members))
-
-    def to_flat(k):
-        members = set()
-        for (l, hi) in k.members:
-            for mn in inner_elems[hi].members:
-                members.add((l,) + mn)
-        return flat.close(members)
-
-    fwd = SupMap(flat_lat, outer_lat,
-                 tuple(outer_elems.index(to_nested(g)) for g in flat_elems))
-    bwd = SupMap(outer_lat, flat_lat,
-                 tuple(flat_elems.index(to_flat(k)) for k in outer_elems))
-    return fwd, bwd

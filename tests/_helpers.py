@@ -332,6 +332,32 @@ def pairwise_tensor_elements(T):
     return sorted(found, key=lambda g: (len(g.members), sorted(g.members)))
 
 
+def check_bi_ideal_invariants(g):
+    """Down-closure and coordinatewise join-closure of a bi-ideal, by
+    membership scan; raises AssertionError at the first tuple missing."""
+    facs = g.factors
+    for t in g.members:
+        for i, lat in enumerate(facs):
+            for u in lat.downset(t[i]):
+                if t[:i] + (u,) + t[i + 1:] not in g.members:
+                    raise AssertionError(f"not down-closed at {t} coord {i}")
+    by_rest = {}
+    for t in g.members:
+        for i in range(len(facs)):
+            by_rest.setdefault((i, t[:i] + t[i + 1:]), []).append(t[i])
+    for (i, rest), vals in by_rest.items():
+        lat = facs[i]
+        for u, v in itertools.combinations(vals, 2):
+            t = rest[:i] + (lat.join2(u, v),) + rest[i:]
+            if t not in g.members:
+                raise AssertionError(
+                    f"not join-closed at coord {i}, rest {rest}")
+    for t in itertools.product(*(range(l.size) for l in facs)):
+        if any(t[i] == facs[i].bottom for i in range(len(facs))):
+            if t not in g.members:
+                raise AssertionError(f"axis tuple {t} missing")
+
+
 # -- brute-force oracle for the pullback verifiers ------------------------------
 #
 # The bounded enumerations the reduced verifiers in quantales.freeprod

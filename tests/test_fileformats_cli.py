@@ -17,7 +17,6 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 standard_map_corpus, symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.fileformats import FormatError
-from quantales.nucleus import RelationPresentation
 from quantales.openness import frobenius_report
 from quantales.quantale import QuantaleMap, identity_map
 from quantales.suplattice import FiniteSupLattice
@@ -47,10 +46,9 @@ def test_map_roundtrip():
 
 
 def test_relation_roundtrip():
-    rel = RelationPresentation(PZ2, frozenset({(1, 2), (0, 3)}))
-    doc = ff.relation_to_doc(rel)
+    doc = {"pairs": [[0, 3], [1, 2]]}
     again = ff.relation_from_doc(doc, PZ2)
-    assert again.pairs == rel.pairs
+    assert again.pairs == frozenset({(1, 2), (0, 3)})
 
 
 def test_reflexive_pairs_may_be_omitted():
@@ -70,6 +68,10 @@ def test_format_errors():
     with pytest.raises(FormatError):
         ff.sniff_kind({"weird": 1})
     assert ff.sniff_kind({"pairs": []}) == "relation"
+    doc = ff.map_to_doc(omega_support_map(PZ2))
+    for name in (5, ["x"]):
+        with pytest.raises(FormatError, match="'name' must be str"):
+            ff.map_from_doc({**doc, "name": name})
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -28,7 +28,7 @@ from quantales.examples import (GroupoidPowerset, cyclic_group,
 from quantales.openness import (GROUPOID_TABLE, MAP_LAWS, UnconfirmedWitness,
                                 check_fr1, check_fr2, check_semiopen,
                                 frobenius_report, violates)
-from quantales.quantale import compose_maps, identity_map, validate_quantale
+from quantales.quantale import validate_quantale
 from quantales.subspaces import RationalSubspace
 
 GROUPOIDS = {
@@ -126,8 +126,6 @@ def test_named_support_maps_record_their_groupoid():
     fragment = z2_group_algebra_finite_map()
     assert fragment.groupoid is None
     assert frobenius_report(fragment).fr2.mode == "exhaustive"
-    composite = compose_maps(identity_map(p.target), p)
-    assert composite.groupoid is None
     names = {name for name, _ in standard_map_corpus()}
     assert {"groupoid-Z2xpair2", "groupoid-pair2xpair2"} <= names
 

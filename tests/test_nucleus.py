@@ -4,15 +4,13 @@ import random
 import pytest
 
 from quantales.examples import (cyclic_group, group_powerset_quantale,
-                                omega_quantale, product_quantale,
-                                rel_quantale, symmetric_group_3)
-from quantales.nucleus import (NoFactorization, Nucleus, RelationPresentation,
-                               equalizer, factor_sup_map,
+                                omega_quantale, rel_quantale,
+                                symmetric_group_3)
+from quantales.nucleus import (Nucleus, RelationPresentation,
                                nucleus_from_relation, quotient,
                                quotient_by_relation, saturate_relation,
                                saturated_elements)
-from quantales.quantale import QuantaleMap, quantale_isomorphism, validate_hom
-from quantales.suplattice import SupMap
+from quantales.quantale import quantale_isomorphism, validate_hom
 
 from _helpers import least_closure_identifying, small_quantales, \
     sup_maps_between, three_clause_saturation
@@ -117,46 +115,16 @@ def test_quotient_constant_top_is_trivial():
 
 
 def test_quotient_roundtrip_recovers_the_nucleus():
-    # embedding after the quotient hom is the nucleus, pointwise
+    # the closed element of a's class is the nucleus at a, pointwise
     nuc = nucleus_from_relation(rel(PZ2, [(1, 2)]))
     qq, hom = quotient(PZ2, nuc)
     for a in PZ2.elements:
-        assert qq.embed(hom.values[a]) == nuc(a)
-
-
-def test_quotient_mono_map():
-    qq, hom = quotient_by_relation(PZ2, [(1, 2)])
-    mono = qq.mono_map()
-    assert mono.source is qq.quantale and mono.target is PZ2
-    for a in PZ2.elements:
-        assert mono.star(a) == hom.values[a]
-
-
-def test_factor_sup_map_of_the_hom_itself():
-    nuc = nucleus_from_relation(rel(PZ2, [(1, 2)]))
-    _, hom = quotient(PZ2, nuc)
-    qq2, factored = factor_sup_map(hom, rel(PZ2, [(1, 2)]))
-    assert factored.values == tuple(range(qq2.quantale.size))
-
-
-def test_factor_constant_bottom():
-    om = omega_quantale()
-    h = SupMap(PZ2.carrier, om.carrier, (0, 0, 0, 0))
-    _, factored = factor_sup_map(h, rel(PZ2, [(1, 2)]))
-    assert set(factored.values) == {0}
-
-
-def test_factor_sup_map_refuses_with_witness():
-    om = omega_quantale()
-    contains_e = SupMap(PZ2.carrier, om.carrier, (0, 1, 0, 1))
-    with pytest.raises(NoFactorization) as err:
-        factor_sup_map(contains_e, rel(PZ2, [(1, 2)]))
-    assert err.value.witness == (1, 2)
+        assert qq.closed[hom.values[a]] == nuc(a)
 
 
 def test_factorization_equivalence_oracle():
-    # a sup-map factors through the quotient iff it is constant on the
-    # fibers of the nucleus iff it identifies every saturated pair
+    # a sup-map is constant on the fibers of the nucleus iff it identifies
+    # every saturated pair
     om = omega_quantale()
     presentation = rel(PZ2, [(1, 2)])
     nuc = nucleus_from_relation(presentation)
@@ -165,12 +133,6 @@ def test_factorization_equivalence_oracle():
         on_fibers = all(h.values[a] == h.values[nuc(a)] for a in PZ2.elements)
         on_pairs = all(h.values[r] == h.values[s] for r, s in sat)
         assert on_fibers == on_pairs
-        try:
-            factor_sup_map(h, presentation)
-            factored = True
-        except NoFactorization:
-            factored = False
-        assert factored == on_pairs
 
 
 @pytest.mark.parametrize("name", sorted(small_quantales()))
@@ -212,34 +174,3 @@ def test_nucleus_is_least_among_valid_identifying_nuclei():
             continue
         assert all(PZ2.leq(nuc(a), values[a]) for a in PZ2.elements)
 
-
-def test_equalizer_of_equal_maps_is_identity_subspace():
-    om = omega_quantale()
-    f = QuantaleMap.from_table(PZ2, om, (0, 1), name="f")
-    qq, mono = equalizer(f, f)
-    assert qq.quantale.size == PZ2.size
-
-
-def test_equalizer_two_element():
-    om = omega_quantale()
-    f = QuantaleMap.from_table(PZ2, om, (0, 1), name="f")   # f*(1) = {e}
-    g = QuantaleMap.from_table(PZ2, om, (0, 3), name="g")   # g*(1) = {e,g}
-    qq, mono = equalizer(f, g)
-    assert qq.quantale.size == 2
-    assert qq.closed == (0, 3)
-    for x in om.elements:
-        assert qq.hom.values[f.star(x)] == qq.hom.values[g.star(x)]
-
-
-def test_equalizer_with_image_fixing_automorphism():
-    # composing with the coordinate swap of Omega^2 fixes the diagonal
-    # image, so the relation degenerates and the equalizer is everything
-    om = omega_quantale()
-    pair = product_quantale(om, om)
-    diag = QuantaleMap.from_table(pair, om, (0, 3), name="diag")
-    swap = QuantaleMap.from_table(pair, pair, (0, 2, 1, 3), name="swap")
-    composed = QuantaleMap(pair, om,
-                           lambda x: swap.star(diag.star(x)), name="g")
-    qq, _ = equalizer(diag, composed)
-    qq_same, _ = equalizer(diag, diag)
-    assert qq.quantale.size == qq_same.quantale.size == pair.size

@@ -8,10 +8,9 @@ from quantales.examples import (cyclic_group, group_powerset_quantale,
                                 product_quantale, rel_quantale,
                                 symmetric_group_3, z2_group_algebra_finite_map)
 from quantales.quantale import (FiniteInvQuantale, QuantaleMap, Undecidable,
-                                compose_maps, find_unit, identity_map,
-                                is_surjective, quantale_isomorphism,
-                                validate_hom, validate_quantale)
-from quantales.subspaces import RationalSubspace
+                                find_unit, identity_map, is_surjective,
+                                quantale_isomorphism, validate_hom,
+                                validate_quantale)
 
 
 def test_powerset_z2_is_a_quantale():
@@ -113,21 +112,6 @@ def test_validate_hom_counterexample():
     v = validate_hom(contains_e, pz2, om)
     assert v is not None
     assert v.law == "hom-mult" and v.witness == (2, 2)
-
-
-def test_compose_maps_identity_laws():
-    pz2 = group_powerset_quantale(cyclic_group(2))
-    p = identity_map(pz2)
-    q = compose_maps(p, identity_map(pz2))
-    assert all(q.star(x) == x for x in pz2.elements)
-
-
-def test_compose_maps_pointwise():
-    p = matrix_support_map(2)
-    comp = compose_maps(p, identity_map(p.source))
-    for x in p.target.elements:
-        assert comp.star(x) == p.star(x)
-    assert comp.shriek(RationalSubspace.full(4)) == p.target.top
 
 
 def test_is_surjective():

@@ -5,15 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from quantales.suplattice import (ClosureOperator, FiniteSupLattice,
                                   MissingJoin, NoBottom, NoLeftAdjoint,
-                                  NotAPartialOrder, NotMeetClosed,
-                                  NotSupPreserving, SupMap,
-                                  closure_from_closed_family,
-                                  enumerate_sup_maps, is_sup_map,
-                                  left_adjoint, preserves_all_meets,
-                                  right_adjoint, validate_lattice)
+                                  NotAPartialOrder, NotSupPreserving, SupMap,
+                                  is_sup_map, left_adjoint,
+                                  preserves_all_meets, right_adjoint,
+                                  validate_lattice)
 
 from _helpers import brute_force_join, brute_force_left_adjoints, \
-    corpus_lattices
+    corpus_lattices, sup_maps_between
 
 CORPUS = corpus_lattices()
 
@@ -70,7 +68,7 @@ def test_join_is_least_upper_bound(name):
 
 def test_is_sup_map_identity_and_constant_bottom():
     lat = CORPUS["diamond"]
-    assert is_sup_map(SupMap.identity(lat)) is None
+    assert is_sup_map(SupMap(lat, lat, tuple(lat.elements))) is None
     const = SupMap(lat, lat, tuple(lat.bottom for _ in lat.elements))
     assert is_sup_map(const) is None
 
@@ -90,7 +88,7 @@ def test_is_sup_map_bottom_violation_is_empty_witness():
 
 def test_right_adjoint_identity_and_constants():
     lat = CORPUS["powerset2"]
-    ident = SupMap.identity(lat)
+    ident = SupMap(lat, lat, tuple(lat.elements))
     assert right_adjoint(ident).values == ident.values
     other = CORPUS["chain3"]
     const_bot = SupMap(lat, other, tuple(other.bottom for _ in lat.elements))
@@ -112,7 +110,7 @@ def test_right_adjoint_rejects_non_sup_map():
 
 def test_left_adjoint_identity_and_chain_inclusion():
     two, three = FiniteSupLattice.chain(2), FiniteSupLattice.chain(3)
-    assert left_adjoint(SupMap.identity(three)).values == (0, 1, 2)
+    assert left_adjoint(SupMap(three, three, tuple(three.elements))).values == (0, 1, 2)
     g = left_adjoint(SupMap(two, three, (0, 2)))
     assert g.values == (0, 1, 1)
 
@@ -135,7 +133,7 @@ def test_left_adjoint_missing_with_witness():
                                      ("pentagon", "pentagon")])
 def test_adjunctions_against_brute_force(dom, cod):
     dl, cl = CORPUS[dom], CORPUS[cod]
-    for f in enumerate_sup_maps(dl, cl):
+    for f in sup_maps_between(dl, cl):
         ra = right_adjoint(f)
         for m in cl.elements:
             for l in dl.elements:
@@ -155,7 +153,7 @@ def test_adjunctions_against_brute_force(dom, cod):
                                      ("pentagon", "grid3x2")])
 def test_left_adjoint_exists_iff_all_meets_preserved(dom, cod):
     dl, cl = CORPUS[dom], CORPUS[cod]
-    for f in enumerate_sup_maps(dl, cl):
+    for f in sup_maps_between(dl, cl):
         preserves = preserves_all_meets(f) is None
         try:
             left_adjoint(f)
@@ -165,34 +163,14 @@ def test_left_adjoint_exists_iff_all_meets_preserved(dom, cod):
         assert exists == preserves
 
 
-def test_closure_from_closed_family():
-    lat = CORPUS["powerset2"]
-    ident = closure_from_closed_family(lat, range(lat.size))
-    assert ident.values == tuple(lat.elements)
-    const = closure_from_closed_family(lat, [lat.top])
-    assert const.values == tuple(lat.top for _ in lat.elements)
-    # closed family {empty, whole} on the powerset of a two-element group
-    op = closure_from_closed_family(lat, [0, 3])
-    assert op.values == (0, 3, 3, 3)
-    assert op.closed_elements() == (0, 3)
-
-
 def test_closure_laws_validate():
     lat = CORPUS["diamond"]
-    op = closure_from_closed_family(lat, [0, 1, 4])
+    # closed family {bottom, one atom, top}
+    op = ClosureOperator(lat, (0, 1, 4, 4, 4))
     op.validate()
     for a in lat.elements:
         assert lat.leq(a, op(a))
         assert op(op(a)) == op(a)
-
-
-def test_not_meet_closed():
-    lat = CORPUS["powerset2"]
-    with pytest.raises(NotMeetClosed) as err:
-        closure_from_closed_family(lat, [1, 2, 3])
-    assert err.value.witness == (1, 2)
-    with pytest.raises(NotMeetClosed):
-        closure_from_closed_family(lat, [0, 1])  # top missing
 
 
 def test_bad_closure_fails_validation():
@@ -212,9 +190,3 @@ def test_join_upper_bound_property(name, data):
     ubs = [u for u in lat.elements if all(lat.leq(s, u) for s in subset)]
     assert all(lat.leq(j, u) for u in ubs)
 
-
-def test_compose_and_identity():
-    two, three = FiniteSupLattice.chain(2), FiniteSupLattice.chain(3)
-    f = SupMap(two, three, (0, 2))
-    assert f.then(SupMap.identity(three)).values == f.values
-    assert SupMap.identity(two).then(f).values == f.values

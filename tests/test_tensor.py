@@ -4,14 +4,13 @@ import random
 import pytest
 
 from quantales.examples import cyclic_group, group_powerset_quantale
-from quantales.suplattice import FiniteSupLattice, SupMap, is_sup_map
+from quantales.suplattice import FiniteSupLattice, is_sup_map
 from quantales.tensor import (EnumerationBoundExceeded, NotBimorphism,
-                              TensorLattice, associator, check_bimorphism,
-                              direct_sum, induced_from_bimorphism, swap_map,
-                              unit_iso)
+                              TensorLattice, check_bimorphism,
+                              induced_from_bimorphism, swap_map, unit_iso)
 
-from _helpers import (corpus_lattices, pairwise_tensor_elements,
-                      sup_maps_between)
+from _helpers import (check_bi_ideal_invariants, corpus_lattices,
+                      pairwise_tensor_elements, sup_maps_between)
 
 TWO = FiniteSupLattice.chain(2)
 CORPUS = corpus_lattices()
@@ -59,7 +58,7 @@ def test_bi_ideal_invariants_hold_on_enumeration(factors):
     lats = tuple(CORPUS[f] for f in factors)
     T = TensorLattice(lats)
     for g in T.elements():
-        g.check_invariants()
+        check_bi_ideal_invariants(g)
 
 
 @pytest.mark.parametrize("factors", [
@@ -113,7 +112,7 @@ def test_swap_symmetry():
     L, M = CORPUS["chain3"], CORPUS["powerset2"]
     T = TensorLattice((L, M))
     T_rev = TensorLattice((M, L))
-    swapped = {swap_map(T, T_rev, g) for g in T.elements()}
+    swapped = {swap_map(T_rev, g) for g in T.elements()}
     assert swapped == set(T_rev.elements())
 
 
@@ -178,41 +177,6 @@ def test_universal_property_on_seeded_random_bimorphisms():
         # join-generation makes the extension unique among sup-maps
         for g in T.elements():
             assert fn(g) == N.join(b(t) for t in g.members)
-
-
-def test_direct_sum_injections_and_copair():
-    ds = direct_sum((TWO, TWO))
-    lat = ds.lattice()
-    assert lat.size == 4
-    i1, i2 = ds.injections()
-    assert i1.values == (ds.index((0, 0)), ds.index((1, 0)))
-    assert i2.values == (ds.index((0, 0)), ds.index((0, 1)))
-    cop = ds.copair([SupMap.identity(TWO), SupMap.identity(TWO)], TWO)
-    for idx in range(lat.size):
-        a, b = ds.untuple(idx)
-        assert cop.values[idx] == max(a, b)
-
-
-def test_direct_sum_copair_is_unique():
-    ds = direct_sum((TWO, TWO))
-    lat = ds.lattice()
-    i1, i2 = ds.injections()
-    seen = {}
-    for f in sup_maps_between(lat, TWO):
-        key = (tuple(f.values[v] for v in i1.values),
-               tuple(f.values[v] for v in i2.values))
-        assert key not in seen, "two sup-maps share both restrictions"
-        seen[key] = f
-
-
-@pytest.mark.parametrize("factors", [("chain2", "chain2", "chain2"),
-                                     ("chain3", "chain2", "chain3")])
-def test_associator_is_an_isomorphism(factors):
-    L, M, N = (CORPUS[f] for f in factors)
-    fwd, bwd = associator(L, M, N)
-    assert is_sup_map(fwd) is None and is_sup_map(bwd) is None
-    assert [bwd.values[v] for v in fwd.values] == list(range(len(fwd.values)))
-    assert [fwd.values[v] for v in bwd.values] == list(range(len(bwd.values)))
 
 
 def test_enumeration_bound():
