@@ -7,6 +7,9 @@ witnesses, seeds and timing, so that `report-verify` can replay every
 recorded failure of the top-level checks.  `main` opens the report for the
 subcommand to fill and, when the subcommand returns, writes it with the
 verdict that its exit code gives; a subcommand that raises writes none.
+Each input's `doc_sha256` is computed when the report is written, from
+the very text that the report embeds (`fileformats.save_report`).
+`main` builds its argument parser once per process, on its first call.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -21,6 +24,7 @@ parameters) or counted as a problem.  The nested `frobenius` and
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -62,9 +66,9 @@ class _Report:
         self.t0 = time.perf_counter()
 
     def add_input(self, role, path, doc):
+        # `ff.save_report` adds the doc_sha256 when it encodes the document
         self.doc["inputs"][role] = {
-            "path": path, "sha256": ff.digest(path),
-            "doc_sha256": ff.doc_digest(doc), "doc": doc}
+            "path": path, "sha256": ff.digest(path), "doc": doc}
 
     def add_check(self, check_doc):
         self.doc["checks"].append(check_doc)
@@ -76,7 +80,7 @@ class _Report:
 
     def write(self, path):
         if path:
-            ff.save_json(path, self.doc)
+            ff.save_report(path, self.doc)
 
 
 def _print_check(check):
@@ -615,7 +619,10 @@ def _at_least(minimum):
     return count
 
 
+@functools.cache
 def _build_parser():
+    # built on the first `main` call and kept: `parse_args` leaves the
+    # parser as it was
     parser = argparse.ArgumentParser(
         prog="quantales",
         description="construct and check involutive quantales, their maps, "

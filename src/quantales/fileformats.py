@@ -13,10 +13,13 @@ Every file written here, documents and reports alike, holds the
 document's canonical JSON on one line (`canonical_json`: sorted keys,
 "," and ":" as separators) and a newline.  That line is the text whose
 sha256 a report records as an input's `doc_sha256`; the input's `sha256`
-digests the file as it lies on disk.  `python -m json.tool FILE` prints
-it indented.  A file written in the indented layout of earlier versions
-loads to the same value and so keeps its `doc_sha256`; only its file
-`sha256` differs from that of the same document written now.
+digests the file as it lies on disk.  `save_report` computes each
+`doc_sha256` when it writes the report, from the very text that the
+report embeds, so each input document is encoded once.
+`python -m json.tool FILE` prints it indented.  A file written in the
+indented layout of earlier versions loads to the same value and so keeps
+its `doc_sha256`; only its file `sha256` differs from that of the same
+document written now.
 
 Loaders raise FormatError for malformed documents; semantic failures (a
 relation that is not a lattice, a table that is not a quantale, a table
@@ -177,11 +180,14 @@ def relation_from_doc(doc, quantale):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON value in a file.  Text that is not JSON, bytes that are not
+    UTF-8 and nesting deeper than the decoder's recursion limit all raise
+    FormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: {e}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def canonical_json(doc):
@@ -200,6 +206,42 @@ def save_json(path, doc):
     text = canonical_json(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _object_pieces(doc, given):
+    """The canonical text of the object `doc` as a list of pieces; a key in
+    `given` (key -> its value's pieces) takes those pieces as its value.
+    This is `canonical_json`'s text, which for an object is "{", the
+    members `"key":value` in sorted key order joined by ",", and "}"."""
+    pieces = []
+    for key in sorted(doc.keys() | given.keys()):
+        pieces.append(("," if pieces else "{") + json.dumps(key) + ":")
+        pieces += given[key] if key in given else [canonical_json(doc[key])]
+    return pieces + ["}"] if pieces else ["{}"]
+
+
+def save_report(path, report):
+    """Write a report, filling in each input's `doc_sha256`.
+
+    `report["inputs"]` maps each role to {"path", "sha256", "doc"}.  Each
+    input document is encoded once: that text is embedded as the entry's
+    `doc`, and its sha256 is recorded as `doc_sha256`.  The file holds
+    `canonical_json` of the completed report and a newline, as
+    `save_json` would write it.  Every piece is serialized before the file
+    is opened, as in `save_json`, and each document's text is written as
+    a piece of its own rather than copied into a larger string.
+    """
+    inputs = {}
+    for role, entry in report["inputs"].items():
+        text = canonical_json(entry["doc"])
+        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        inputs[role] = _object_pieces(entry, {"doc": [text],
+                                              "doc_sha256": [json.dumps(sha)]})
+    pieces = _object_pieces(report, {
+        "inputs": _object_pieces(report["inputs"], inputs)})
+    pieces.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def digest(path):

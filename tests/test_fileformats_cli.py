@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -130,10 +131,20 @@ def test_cli_validate_violation_and_replay(files, capsys):
     assert main(["report-verify", str(report)]) == 0
 
 
-def test_cli_validate_malformed_json(files):
-    bad = files / "bad.json"
-    bad.write_text("{not json")
-    assert main(["validate", str(bad)]) == 2
+def test_cli_validate_malformed_json(files, capsys):
+    # bytes that are not UTF-8 and nesting past the decoder's recursion
+    # limit once ended in a traceback and exit code 1
+    for name, data in (("bad.json", b"{not json"),
+                       ("latin1.json", b'\xff{"a":1}'),
+                       ("deep.json", b"[" * 200_000 + b"]" * 200_000)):
+        bad = files / name
+        bad.write_bytes(data)
+        for argv in (["validate", str(bad)], ["check-map", "--map", str(bad)],
+                     ["report-verify", str(bad)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: {bad}: "), argv
+        with pytest.raises(FormatError, match=name):
+            ff.load_json(bad)
 
 
 def _with_boolean(doc, key, value):
@@ -479,20 +490,69 @@ def test_check_map_names_no_seed_that_nothing_used(tmp_path, capsys):
         assert "wos: recorded failure does not replay" in out
 
 
-def test_files_hold_the_canonical_text_that_doc_sha256_digests(tmp_path):
-    doc = ff.map_to_doc(omega_support_map(PZ2))
-    path = tmp_path / "m.json"
-    ff.save_json(path, doc)
-    text = path.read_text(encoding="utf-8")
-    assert text == ff.canonical_json(doc) + "\n" and text.count("\n") == 1
-    assert ff.load_json(path) == doc
+# element names that JSON must escape: non-ASCII, a quote, a backslash and
+# U+2028, which ensure_ascii writes as \u2028
+ESCAPED = ["\u2205 \u00e9", 'e"q', "g\\h", "top\u2028x"]
+
+
+def _escaped_quantale_doc():
+    doc = ff.quantale_to_doc(PZ2)
+    doc["lattice"]["elements"] = list(ESCAPED)
+    return doc
+
+
+def _report_inputs(name, tmp_path):
+    """argv (without --report) of a report-writing command and its inputs."""
+    def save(fname, doc):
+        ff.save_json(tmp_path / fname, doc)
+        return str(tmp_path / fname)
+
+    # validate names each input by its path, which is then a JSON key
+    q = save('q "\u00e9".json', _escaped_quantale_doc())
+    two = ff.lattice_to_doc(omega_quantale().carrier)
+    two["elements"] = ESCAPED[2:]
+    lat = save("two.json", two)
+    pmap = ff.map_to_doc(omega_support_map(PZ2))
+    pmap["source"] = _escaped_quantale_doc()
+    p = save("p.json", pmap)
+    return {
+        "validate": ["validate", q, lat],
+        "check-map": ["check-map", "--map", p],
+        "quotient": ["quotient", "--quantale", q, "--relation",
+                     save("rel.json", {"pairs": [[1, 2]]})],
+        "tensor": ["tensor", "--lattices", lat, lat],
+        "pullback-verify": ["pullback-verify", "--p", p, "--f", save(
+            "f.json", ff.map_to_doc(delta_embedding_map(2)))],
+        "example": ["example", "matrix-max", "--n", "2", "--pool", "12"],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["validate", "check-map", "quotient",
+                                  "tensor", "pullback-verify", "example"])
+def test_files_hold_the_canonical_text_that_doc_sha256_digests(name,
+                                                               tmp_path):
+    argv = _report_inputs(name, tmp_path)
     report = tmp_path / "r.json"
-    assert main(["check-map", "--map", str(path), "--report",
-                 str(report)]) == 0
-    entry = ff.load_json(report)["inputs"]["map"]
-    assert entry["doc_sha256"] == ff.doc_digest(doc) == hashlib.sha256(
-        text[:-1].encode("utf-8")).hexdigest()
-    assert entry["sha256"] == ff.digest(path)
+    assert main([*argv, "--report", str(report)]) == 0
+    text = report.read_text(encoding="utf-8")
+    loaded = ff.load_json(report)
+    assert text == ff.canonical_json(loaded) + "\n"
+    inputs = loaded["inputs"]
+    assert len(inputs) == {"validate": 2, "check-map": 1, "quotient": 2,
+                           "tensor": 1, "pullback-verify": 2,
+                           "example": 0}[name]
+    for entry in inputs.values():
+        assert entry["doc_sha256"] == ff.doc_digest(entry["doc"])
+        assert entry["sha256"] == ff.digest(entry["path"])
+        # an input saved here is that canonical text and a newline
+        with open(entry["path"], encoding="utf-8") as fh:
+            on_disk = fh.read()
+        assert on_disk == ff.canonical_json(entry["doc"]) + "\n"
+        assert entry["doc_sha256"] == hashlib.sha256(
+            on_disk[:-1].encode("utf-8")).hexdigest()
+    # every command given inputs here embeds one with the escaped names
+    assert ("\\u2028" in text) == bool(inputs)
+    assert main(["report-verify", str(report)]) == 0
 
 
 def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
@@ -506,10 +566,58 @@ def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
     with pytest.raises(TypeError):
         ff.save_json(tmp_path / "new.json", {"pairs": {(1, 2)}})
     assert not (tmp_path / "new.json").exists()
+    # the report writer serializes every piece, embedded inputs included,
+    # before it opens the file
+    good = {"path": str(path), "sha256": ff.digest(path),
+            "doc": ff.quantale_to_doc(PZ2)}
+    for report in ({"inputs": {"a": good, "b": {**good, "doc": {1j: 0}}}},
+                   {"inputs": {"a": good}, "checks": [{"ok": {1, 2}}]},
+                   {"inputs": {"a": {**good, "doc": {"pairs": {(1, 2)}}}}}):
+        with pytest.raises(TypeError):
+            ff.save_report(path, report)
+        assert path.read_bytes() == before
+        with pytest.raises(TypeError):
+            ff.save_report(tmp_path / "new.json", report)
+        assert not (tmp_path / "new.json").exists()
 
 
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
+
+
+def test_main_builds_one_parser_per_process(files, capsys, monkeypatch):
+    # main once built its whole parser tree, 8 parsers, on every call
+    qpath = str(files / "pz2.quantale.json")
+    argvs = [["example", "rel", "--n", "1", "--out", str(files)],
+             ["no-such-command"],
+             ["--help"],
+             ["check-map", "--map", qpath, "--pool", "0"],
+             ["validate", "--help"],
+             ["validate", qpath]]
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    alone = {}
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone[tuple(argv)] = run(argv)
+    assert [alone[tuple(a)][0] for a in argvs] == [0, 2, 0, 2, 0, 0]
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or
+                        init(self, *a, **k))
+    cli._build_parser.cache_clear()
+    cli._build_parser()
+    tree = len(built)
+    for order in (argvs, argvs[::-1]):
+        cli._build_parser.cache_clear()
+        built.clear()
+        for argv in order:
+            assert run(argv) == alone[tuple(argv)], argv
+        assert len(built) == tree
 
 
 def _child_env():
