@@ -3,7 +3,7 @@
 Exit codes: 0 all requested checks pass, 1 a violation was found, 2 usage
 or input error.  Reports carry a schema version, the command line, sha256
 digests plus embedded copies of the inputs, per-check verdicts with
-witnesses, seeds and timing, so that `report-verify` can replay every
+witnesses and timing, so that `report-verify` can replay every
 recorded failure of the top-level checks.  `main` opens the report for the
 subcommand to fill and, when the subcommand returns, writes it with the
 verdict that its exit code gives; a subcommand that raises writes none.
@@ -53,13 +53,10 @@ SCHEMA = 1
 
 class _Report:
     def __init__(self, argv):
-        # a subcommand names the seed once a check it records was sampled
-        # with it
         self.doc = {
             "schema": SCHEMA,
             "tool": f"quantales {__version__}",
             "command": list(argv),
-            "seed": None,
             "inputs": {},
             "checks": [],
         }
@@ -156,7 +153,7 @@ def cmd_validate(args, report):
 
 def cmd_check_map(args, report):
     # a map file has finite carriers, which are swept exhaustively:
-    # --pool and --seed are accepted for compatibility and change nothing
+    # --pool and --seed are accepted and unused
     doc = ff.load_json(args.map)
     report.add_input("map", args.map, doc)
     rep = frobenius_report(ff.map_from_doc(doc))
@@ -362,7 +359,7 @@ def _materialized_examples(args):
 
 
 def _example_map(example):
-    """The support map that a probed example runs its suite on, from the
+    """The support map that an effective example runs its suite on, from the
     report's `example` record."""
     if example.get("name") == "matrix-max":
         return ex.matrix_support_map(example["n"])
@@ -371,7 +368,7 @@ def _example_map(example):
     raise FormatError("the report embeds no map to replay against")
 
 
-# probed example -> (its option, suite line, `expected` of the suite check,
+# effective example -> (its option, suite line, `expected` of the suite check,
 # suite verdict of the frobenius report)
 _SUITES = {
     "matrix-max": ("n", "semiopen surjection with fr1 and fr2", None,
@@ -400,14 +397,11 @@ def cmd_example(args, report):
     elif name in _SUITES:
         option, line, expected, verdict = _SUITES[name]
         example = {"name": name, option: getattr(args, option)}
-        rep = frobenius_report(_example_map(example), pool=args.pool,
-                               seed=args.seed)
+        rep = frobenius_report(_example_map(example))
         report.doc["example"] = example
         report.doc["frobenius"] = rep.to_json()
         for chk in report.doc["frobenius"]["checks"]:
             _print_check(chk)
-            if chk["seed"] is not None:
-                report.doc["seed"] = args.seed
         print(f"  surjective: {rep.surjective}")
         suite_ok = verdict(rep)
         check = {"check": f"{name}-suite", "ok": suite_ok}
@@ -490,7 +484,7 @@ def _replay_map_law(doc, chk):
 
 def _replay_wos(doc, chk):
     # check-map sweeps a map file exhaustively, so the pool and seed
-    # that older wos records carry change nothing
+    # that older wos records carry are ignored
     return [not frobenius_report(_rebuild_map(doc)).wos_consistent]
 
 
@@ -619,6 +613,9 @@ def _at_least(minimum):
     return count
 
 
+_UNUSED = "accepted and unused: every check is exhaustive or decided"
+
+
 @functools.cache
 def _build_parser():
     # built on the first `main` call and kept: `parse_args` leaves the
@@ -641,8 +638,8 @@ def _build_parser():
     sp.add_argument("--fr2", action="store_true")
     sp.add_argument("--wos", action="store_true")
     sp.add_argument("--locale-meet", dest="locale_meet", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pool", type=_at_least(1), default=50)
+    sp.add_argument("--seed", type=int, default=0, help=_UNUSED)
+    sp.add_argument("--pool", type=_at_least(1), default=50, help=_UNUSED)
     sp.add_argument("--report")
 
     sp = sub.add_parser("quotient", help="quotient a quantale by a relation")
@@ -665,7 +662,8 @@ def _build_parser():
                     default=DEFAULT_TRACES)
     sp.add_argument("--report")
 
-    sp = sub.add_parser("example", help="materialize or probe a named example")
+    sp = sub.add_parser("example",
+                        help="materialize a named example or run its suite")
     sp.add_argument("name", choices=["rel", "group", "matrix-max",
                                      "group-algebra", "locale",
                                      "omega-support", "delta-embedding"])
@@ -673,8 +671,8 @@ def _build_parser():
     sp.add_argument("--group", default="z2")
     sp.add_argument("--which", default="sierpinski")
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pool", type=_at_least(1), default=50)
+    sp.add_argument("--seed", type=int, default=0, help=_UNUSED)
+    sp.add_argument("--pool", type=_at_least(1), default=50, help=_UNUSED)
     sp.add_argument("--report")
 
     sp = sub.add_parser("report-verify", help="replay the witnesses of a report")

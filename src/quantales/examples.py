@@ -205,13 +205,6 @@ class GroupoidPowerset(EffectiveInvQuantale):
             out |= 1 << self.groupoid.inv[x]
         return out
 
-    def sample(self, rng):
-        return rng.getrandbits(self.groupoid.size)
-
-    def curated_elements(self):
-        n = self.groupoid.size
-        return [0] + [1 << x for x in range(n)] + [(1 << n) - 1]
-
     def name_of(self, a):
         return "{" + ",".join(self.groupoid.names[x] for x in _bits(a)) + "}"
 
@@ -299,12 +292,12 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
     step is involved.
     """
 
-    def __init__(self, groupoid, curated=(), label=""):
+    def __init__(self, groupoid, label=""):
         self.groupoid = groupoid
         self.dim = groupoid.size
         self._bottom = RationalSubspace.zero(self.dim)
-        self.unit = _line(_indicator(self.dim, groupoid.units))
-        self._curated = list(curated)
+        self.unit = RationalSubspace.from_vectors(
+            self.dim, [_indicator(self.dim, groupoid.units)])
         self.label = label
 
     @property
@@ -321,7 +314,8 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
         return RationalSubspace.from_vectors(self.dim, vectors)
 
     def _product(self, u, v):
-        # integer rows of curated handles are mostly zero: skip those entries
+        # the rows of support-map images and of witness lines are sparse
+        # unit rows: skip their zero entries
         out = [0] * self.dim
         right = [(j, y) for j, y in enumerate(v) if y]
         for i, x in enumerate(u):
@@ -347,23 +341,10 @@ class MaxAlgebraQuantale(EffectiveInvQuantale):
             self.dim, [[u[k] for k in self.groupoid.inv]
                        for u in a.integer_rows()])
 
-    def sample(self, rng):
-        k = rng.randint(0, min(self.dim, 3))
-        vectors = [[rng.randint(-9, 9) for _ in range(self.dim)]
-                   for _ in range(k)]
-        return RationalSubspace.from_vectors(self.dim, vectors)
-
-    def curated_elements(self):
-        return [self._bottom] + self._curated + [RationalSubspace.full(self.dim)]
-
 
 def _indicator(dim, arrows):
     """The sum of the basis vectors of the given arrows."""
     return tuple(Fraction(int(i in arrows)) for i in range(dim))
-
-
-def _line(vector):
-    return RationalSubspace.from_vectors(len(vector), [vector])
 
 
 def _support_map(source, target, name):
@@ -448,16 +429,7 @@ def groupoid_support_map(groupoid):
 def matrix_max_quantale(n):
     """All subspaces of the n x n rational matrix algebra, the algebra of
     the pair groupoid: the arrow (i, j) is the matrix unit E_ij."""
-    g = pair_groupoid(n)
-    dim = g.size
-    curated = [_line(_indicator(dim, (a,))) for a in range(dim)]
-    curated.append(_line(_indicator(dim, g.units)))
-    curated.append(RationalSubspace.from_vectors(
-        dim, [_indicator(dim, (u,)) for u in g.units]))
-    curated.append(RationalSubspace.from_vectors(
-        dim, [_indicator(dim, (i * n + j,))
-              for i in range(n) for j in range(n) if j >= i]))
-    return MaxAlgebraQuantale(g, curated, label=f"Max M{n}(Q)")
+    return MaxAlgebraQuantale(pair_groupoid(n), label=f"Max M{n}(Q)")
 
 
 def matrix_support_map(n):
@@ -475,18 +447,7 @@ def group_algebra_quantale(group):
     group.validate()
     if len(group.units) != 1:
         raise InvalidGroupTable("a group has exactly one unit")
-    e, dim = group.units[0], group.size
-    others = [h for h in range(dim) if h != e]
-    # the augmentation line and the difference lines lead the pool: they are
-    # where two-sided Frobenius failures live, so the sampled sweep, which
-    # runs on these maps once their groupoid is dropped, hits them before
-    # the expensive high-rank handles
-    curated = [_line(_indicator(dim, range(dim)))]
-    curated += [_line(tuple(Fraction((i == e) - (i == h)) for i in range(dim)))
-                for h in others]
-    curated += [_line(_indicator(dim, (e, h))) for h in others]
-    curated += [_line(_indicator(dim, (g,))) for g in range(dim)]
-    return MaxAlgebraQuantale(group, curated, label=f"Max Q[{dim}]")
+    return MaxAlgebraQuantale(group, label=f"Max Q[{group.size}]")
 
 
 def group_algebra_support_map(group):

@@ -1,14 +1,13 @@
 """Checkers for semiopenness, Frobenius reciprocity and related lemmas.
 
 Every check returns a Check record: verdict, witness and how it was
-decided (exhaustive, sampled with pool size and seed, or decided from a
-groupoid table).  Finite carriers are swept exhaustively; effective
-carriers are probed on deterministic pools of curated plus seeded-random
-handles, so reruns with the recorded seed reproduce the verdict.  A
-support map Max Q[G] -> P(G) that records its groupoid G is not searched
-at all: the lemma beside `examples._support_map` decides each law from
-G's table (`TABLE_LAWS`), and the evaluations of such a check count the
-table entries it read.
+decided (exhaustive, or decided from a groupoid table).  Finite carriers
+are swept exhaustively.  A support map Max Q[G] -> P(G) that records its
+groupoid G is not searched at all: the lemma beside
+`examples._support_map` decides each law from G's table (`TABLE_LAWS`),
+and the evaluations of such a check count the table entries it read.  A
+map with an effective carrier and no groupoid has no sweep that could
+prove a law, so its checks raise `Undecidable`.
 
 On finite carriers fr1, fr1_right, fr2 and direct_image_involution sweep
 their Q-arguments a and b over the join-irreducibles J(Q) alone, and
@@ -28,9 +27,10 @@ Semiopenness is never reduced: it is the check that makes p_! the left
 adjoint of p*, and it costs |Q| |X| evaluations.
 
 Each law of a map is written once, as the sweep of its MAP_LAWS entry over
-one pool per witness element.  A check runs the sweep on its search pools;
-the witness it finds is then re-verified, and a recorded witness replayed
-(`violates`), by running the same sweep on one-element pools.
+one pool per witness element.  A check runs the sweep on the carriers (or
+their join-irreducibles); the witness it finds is then re-verified, and a
+recorded witness replayed (`violates`), by running the same sweep on
+one-element pools.
 
 `frobenius_report` runs the battery on a map once: semiopenness, fr1, its
 right-module version, fr2, the involution of p_!, surjectivity and the
@@ -42,15 +42,12 @@ one report, which also keeps the map it certified with its direct image.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .quantale import _HomFacts, is_surjective
+from .quantale import Undecidable, _HomFacts, is_surjective
 from .subspaces import RationalSubspace
 from .suplattice import join_irreducibles, left_adjoint_candidate
 
-DEFAULT_POOL = 50
-DEFAULT_SEED = 0
 GROUPOID_TABLE = "groupoid table"
 JOIN_IRREDUCIBLES = "join-irreducibles"
 
@@ -74,8 +71,6 @@ class Check:
     witness: tuple | None = None
     witness_display: str | None = None
     mode: str = "exhaustive"
-    pool: int | None = None
-    seed: int | None = None
     evaluations: int = 0
     reduction: str | None = None
 
@@ -86,8 +81,6 @@ class Check:
             "witness": _jsonable(self.witness),
             "witness_display": self.witness_display,
             "mode": self.mode,
-            "pool": self.pool,
-            "seed": self.seed,
             "evaluations": self.evaluations,
         }
         if self.reduction is not None:
@@ -103,17 +96,6 @@ def _jsonable(value):
     if isinstance(value, RationalSubspace):
         return value.to_json()
     return repr(value)
-
-
-def _pools(p, pool, seed):
-    """Candidate elements on each side plus the mode tag for the report."""
-    Q, X = p.source, p.target
-    if Q.is_finite and X.is_finite:
-        return list(Q.elements), list(X.elements), "exhaustive", None
-    rng = random.Random(seed)
-    qs = Q.probe_elements(rng, pool) if not Q.is_finite else list(Q.elements)
-    xs = X.probe_elements(rng, pool) if not X.is_finite else list(X.elements)
-    return qs, xs, "sampled", max(len(qs), len(xs))
 
 
 def _display(p, roles, witness):
@@ -261,11 +243,11 @@ def _confirmed(p, name, witness):
     return witness
 
 
-def _check(name, p, pool, seed):
+def _check(name, p):
     """Decide the law of a groupoid support map from its table; sweep it on
-    any other map over the probe pools of pool and seed."""
+    any other map."""
     if p.groupoid is None:
-        return _swept(name, p, _pools(p, pool, seed), seed)
+        return _swept(name, p)
     witness, count = TABLE_LAWS[name](p.groupoid)
     if witness is None:
         return Check(name, True, mode="decided", evaluations=count,
@@ -275,28 +257,28 @@ def _check(name, p, pool, seed):
                  evaluations=count, reduction=GROUPOID_TABLE)
 
 
-def _swept(name, p, pools, seed):
-    """Sweep the law over the search pools and re-verify any witness; the
-    seed is recorded only when the pools were sampled with it.  An
-    exhaustive sweep is first made on J(Q) where the module docstring
-    allows it, and repeated on all of Q only to report a failure."""
-    qs, xs, mode, poolsize = pools
+def _swept(name, p):
+    """Sweep the law over the finite carriers and re-verify any witness.
+    The sweep is first made on J(Q) where the module docstring allows it,
+    and repeated on all of Q only to report a failure."""
+    Q, X = p.source, p.target
+    if not (Q.is_finite and X.is_finite):
+        raise Undecidable(f"{name} of map {p.name or '?'}: an effective "
+                          f"carrier is decided only from a groupoid table")
     roles, sweep = MAP_LAWS[name]
-    if mode == "exhaustive":
-        seed = None
-        if name != "semiopen" and _reduces(p):
-            J = join_irreducibles(p.source.carrier)
-            witness, count = sweep(p, *(xs if r == "x" else J for r in roles))
-            if witness is None:
-                return Check(name, True, evaluations=count,
-                             reduction=JOIN_IRREDUCIBLES)
-            _confirmed(p, name, witness)
+    qs, xs = list(Q.elements), list(X.elements)
+    if name != "semiopen" and _reduces(p):
+        J = join_irreducibles(Q.carrier)
+        witness, count = sweep(p, *(xs if r == "x" else J for r in roles))
+        if witness is None:
+            return Check(name, True, evaluations=count,
+                         reduction=JOIN_IRREDUCIBLES)
+        _confirmed(p, name, witness)
     witness, count = sweep(p, *(xs if r == "x" else qs for r in roles))
     if witness is None:
-        return Check(name, True, mode=mode, pool=poolsize, seed=seed,
-                     evaluations=count)
+        return Check(name, True, evaluations=count)
     return Check(name, False, _confirmed(p, name, witness),
-                 _display(p, roles, witness), mode, poolsize, seed, count)
+                 _display(p, roles, witness), evaluations=count)
 
 
 def _reduces(p):
@@ -318,20 +300,19 @@ def _with_meet_candidate(p):
         left_adjoint_candidate(p.star_sup_map()).__getitem__)
 
 
-def check_semiopen(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
+def check_semiopen(p):
     """Equip p with a direct image, or report why none exists.
 
     On finite carriers without a supplied direct image the candidate
     p_!(a) = meet {x : a <= p*(x)} is swept against the adjunction on all
     pairs (it is the direct image exactly when the sweep passes); a
-    supplied direct image is swept on all pairs of finite carriers,
-    verified on the probe pools of effective ones, or decided from the
-    table of a groupoid support map.  Returns
+    supplied direct image is swept on all pairs of finite carriers, or
+    decided from the table of a groupoid support map.  Returns
     (map_with_direct_image_or_None, Check).
     """
     if p.direct_image is None:
         p = _with_meet_candidate(p)
-    chk = _check("semiopen", p, pool, seed)
+    chk = _check("semiopen", p)
     return (p if chk.ok else None), chk
 
 
@@ -344,28 +325,26 @@ def _require_direct(p):
     return p
 
 
-def _check_with_direct(name, p, pool, seed):
-    return _check(name, _require_direct(p), pool, seed)
+def check_fr1(p):
+    """p_!(a p*(x)) = p_!(a) x."""
+    return _check("fr1", _require_direct(p))
 
 
-def check_fr1(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
-    """p_!(a p*(x)) = p_!(a) x, exhaustively or on probe pools."""
-    return _check_with_direct("fr1", p, pool, seed)
-
-
-def check_fr1_right(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
+def check_fr1_right(p):
     """p_!(p*(x) a) = x p_!(a), the right-module version of fr1."""
-    return _check_with_direct("fr1_right", p, pool, seed)
+    return _check("fr1_right", _require_direct(p))
 
 
-def check_fr2(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
-    """p_!(a p*(x) b) = p_!(a) x p_!(b); witness is the first failing triple."""
-    return _check_with_direct("fr2", p, pool, seed)
+def check_fr2(p, pool=None, seed=None):
+    """p_!(a p*(x) b) = p_!(a) x p_!(b); witness is the first failing triple.
+    `pool` and `seed` are accepted for callers of the older signature and
+    change nothing."""
+    return _check("fr2", _require_direct(p))
 
 
-def check_direct_image_involution(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
+def check_direct_image_involution(p):
     """p_!(a*) = p_!(a)*: direct images of semiopen maps preserve involution."""
-    return _check_with_direct("direct_image_involution", p, pool, seed)
+    return _check("direct_image_involution", _require_direct(p))
 
 
 @dataclass(frozen=True)
@@ -426,23 +405,22 @@ class FrobeniusReport:
         }
 
 
-def frobenius_report(p, pool=DEFAULT_POOL, seed=DEFAULT_SEED):
+def frobenius_report(p):
     """Run the whole battery on one map and collect the verdicts."""
-    enriched, semi = check_semiopen(p, pool, seed)
+    enriched, semi = check_semiopen(p)
     if enriched is None:
         return FrobeniusReport(p.name, None, semi, None, None, None, None,
                                None, None, None)
     p = enriched
-    fr1 = check_fr1(p, pool, seed)
-    fr1r = check_fr1_right(p, pool, seed)
-    fr2 = check_fr2(p, pool, seed)
-    invc = check_direct_image_involution(p, pool, seed)
+    fr1 = check_fr1(p)
+    fr1r = check_fr1_right(p)
+    fr2 = check_fr2(p)
+    invc = check_direct_image_involution(p)
     if p.groupoid is not None:
         # p_!(p*(U)) = U for every groupoid (examples._support_map)
         mode, surj = "decided", True
     else:
-        mode = "exhaustive" if p.target.is_finite else "sampled"
-        surj = is_surjective(p, random.Random(seed))
+        mode, surj = "exhaustive", is_surjective(p)
     e = p.target.unit
     unit_identity = None if e is None else p.shriek(p.star(e)) == e
     return FrobeniusReport(p.name, p, semi, fr1, fr1r, fr2, invc,

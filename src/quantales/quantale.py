@@ -4,8 +4,10 @@ Two carrier kinds live behind one duck-typed interface.  FiniteInvQuantale
 keeps full multiplication/involution tables over a validated lattice and
 supports exhaustive law checking; EffectiveInvQuantale is an oracle for
 carriers that are too large to enumerate (canonical element handles, an
-order test, finite joins, multiplication, involution and a seeded
-sampler), on which the same laws are checked over finite probe pools.
+order test, finite joins, multiplication and involution).  No law of an
+effective carrier is checked here: the validators raise `Undecidable` on
+one, and the maps between such carriers are decided by `openness` from a
+groupoid table.
 
 Each law is written once, as an entry (name, arity, predicate) of
 QUANTALE_LAWS or HOM_LAWS: the validators loop over these tables, and a
@@ -59,8 +61,7 @@ Each ternary law declares the pools its arguments range over:
   involution-antimult and distrib-left.
 A table that passes every declared sweep is therefore a quantale; one
 that fails may report a different first law than the full n^3 sweep, and
-never distrib-right.  Effective carriers, and finite ones validated on
-samples, sweep all three ternary laws on sampled triples.
+never distrib-right.
 
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
@@ -78,7 +79,6 @@ the other laws of HOM_LAWS are decided the same way (`_HomFacts`):
 from __future__ import annotations
 
 import itertools
-import random
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -166,14 +166,6 @@ class FiniteInvQuantale:
     def name_of(self, a):
         return self.carrier.names[a]
 
-    def sample(self, rng):
-        return rng.randrange(self.size)
-
-    def probe_elements(self, rng=None, count=None):
-        if count is None or count >= self.size or rng is None:
-            return list(self.elements)
-        return sorted(rng.sample(range(self.size), count))
-
     def __eq__(self, other):
         return (isinstance(other, FiniteInvQuantale)
                 and self.carrier == other.carrier
@@ -193,9 +185,7 @@ class EffectiveInvQuantale:
     """Oracle interface for involutive quantales with non-enumerable carriers.
 
     Handles must be canonical: equal elements compare (and hash) equal.
-    Subclasses provide bottom/leq/join/mult/inv, an optional unit, a seeded
-    sampler, and may override curated_elements with structurally interesting
-    handles that law checks and witness searches should always probe.
+    Subclasses provide bottom/leq/join/mult/inv and an optional unit.
     """
 
     is_finite = False
@@ -221,41 +211,17 @@ class EffectiveInvQuantale:
     def inv(self, a):
         raise NotImplementedError
 
-    def sample(self, rng):
-        raise NotImplementedError
-
-    def curated_elements(self):
-        return [self.bottom]
-
     def name_of(self, a):
         return repr(a)
 
-    def probe_elements(self, rng=None, count=40):
-        """Deterministic probe pool: curated handles padded with samples."""
-        rng = rng or random.Random(0)
-        pool = []
-        seen = set()
-        for h in self.curated_elements():
-            if h not in seen:
-                seen.add(h)
-                pool.append(h)
-        attempts = 0
-        while len(pool) < count and attempts < 20 * count:
-            h = self.sample(rng)
-            attempts += 1
-            if h not in seen:
-                seen.add(h)
-                pool.append(h)
-        return pool
-
 
 # holds(q, *witness) for QUANTALE_LAWS and holds(h, source, target,
-# *witness) for HOM_LAWS, where h: source -> target.  `finite` is how the
-# exhaustive path sweeps a ternary law: one pool per argument, "Q" for
-# every element and "J" for the join-irreducibles, or DERIVED for a law
-# that follows from the laws before it; other laws take every element.
-# `decide(facts)`, where given, is True only when the exhaustive path may
-# pass the law without its sweep; `facts` is the _QuantaleFacts or
+# *witness) for HOM_LAWS, where h: source -> target.  `finite` is how
+# validation sweeps a ternary law: one pool per argument, "Q" for every
+# element and "J" for the join-irreducibles, or DERIVED for a law that
+# follows from the laws before it; other laws take every element.
+# `decide(facts)`, where given, is True only when validation may pass the
+# law without its sweep; `facts` is the _QuantaleFacts or
 # _HomFacts of the table under validation.
 Law = namedtuple("Law", "name arity holds finite decide",
                  defaults=(None, None))
@@ -417,59 +383,39 @@ def _runs(laws):
             for arity, run in itertools.groupby(laws, lambda law: law.arity)]
 
 
-def validate_quantale(q, rng=None, samples=None):
+def validate_quantale(q):
     """None if all involutive-quantale laws hold, else a Violation with witness.
 
-    Finite carriers are checked exhaustively: the unary laws of
+    A finite carrier is checked exhaustively: the unary laws of
     QUANTALE_LAWS on every element, the binary ones on every pair unless
     decided on Q x J, the ternary ones on the pools each declares unless
-    decided (see the module docstring).  Effective carriers,
-    or finite ones when `samples` is given, are checked on probe pools of
-    that size, with the ternary laws on `5 * samples` triples drawn from
-    the pool.
+    decided (see the module docstring).  An effective carrier raises
+    `Undecidable`.
     """
-    if q.is_finite and samples is None:
-        if getattr(q, "_validated", False):
-            return None
-        v = _validate_on(q, list(q.elements), exhaustive=True)
-        if v is None:
-            q._validated = True
-        return v
-    rng = rng or random.Random(0)
-    pool = q.probe_elements(rng, samples or 40)
-    return _validate_on(q, pool, exhaustive=False, rng=rng,
-                        triples=(samples or 40) * 5)
-
-
-def _validate_on(q, pool, exhaustive, rng=None, triples=None):
-    if exhaustive:
-        facts = _QuantaleFacts(q)
-        pools = {"Q": pool, "J": facts.J}
+    if not q.is_finite:
+        raise Undecidable(f"the laws of {q.label or q!r} range over an "
+                          f"effective carrier")
+    if getattr(q, "_validated", False):
+        return None
+    facts = _QuantaleFacts(q)
+    pools = {"Q": list(q.elements), "J": facts.J}
     for arity, laws in _runs(QUANTALE_LAWS):
-        if exhaustive:
-            laws = _undecided(laws, facts)
+        laws = _undecided(laws, facts)
         if arity < 3:
-            for w in itertools.product(pool, repeat=arity):
+            for w in itertools.product(pools["Q"], repeat=arity):
                 for law in laws:
                     if not law.holds(q, *w):
                         return Violation(law.name, w)
-        elif exhaustive:
-            for law in laws:
-                if law.finite == DERIVED:
-                    continue
-                holds = law.holds
-                for a, b, c in itertools.product(
-                        *(pools[kind] for kind in law.finite)):
-                    if not holds(q, a, b, c):
-                        return Violation(law.name, (a, b, c))
-        else:
-            # the hot loop of sampling, spelled out: unpacking *w on every
-            # call would nearly double its cost
-            for _ in range(triples):
-                a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-                for law in laws:
-                    if not law.holds(q, a, b, c):
-                        return Violation(law.name, (a, b, c))
+            continue
+        for law in laws:
+            if law.finite == DERIVED:
+                continue
+            holds = law.holds
+            for a, b, c in itertools.product(
+                    *(pools[kind] for kind in law.finite)):
+                if not holds(q, a, b, c):
+                    return Violation(law.name, (a, b, c))
+    q._validated = True
     return None
 
 
@@ -481,23 +427,22 @@ def find_unit(q):
     return None
 
 
-def validate_hom(h, source, target, rng=None, samples=None):
+def validate_hom(h, source, target):
     """None if h: source -> target satisfies HOM_LAWS, else a Violation.
 
-    Exhaustive over a finite source; otherwise checked on a probe pool.
-    Between finite quantales that have both been validated, a law is
-    swept only when its decision on join-irreducibles does not pass it
-    (see the module docstring).
+    Exhaustive over a finite source; an effective source raises
+    `Undecidable`.  Between finite quantales that have both been
+    validated, a law is swept only when its decision on join-irreducibles
+    does not pass it (see the module docstring).
     """
+    if not source.is_finite:
+        raise Undecidable("the laws of a homomorphism range over its "
+                          "effective source")
     facts = None
-    if source.is_finite and samples is None:
-        pool = list(source.elements)
-        if target.is_finite and getattr(source, "_validated", False) \
-                and getattr(target, "_validated", False):
-            facts = _HomFacts(h, source, target)
-    else:
-        rng = rng or random.Random(0)
-        pool = source.probe_elements(rng, samples or 40)
+    pool = list(source.elements)
+    if target.is_finite and getattr(source, "_validated", False) \
+            and getattr(target, "_validated", False):
+        facts = _HomFacts(h, source, target)
     for arity, laws in _runs(HOM_LAWS):
         if facts is not None:
             laws = _undecided(laws, facts)
@@ -564,29 +509,27 @@ def identity_map(q):
     return QuantaleMap(q, q, lambda x: x, lambda x: x, name="id")
 
 
-def is_surjective(p, rng=None, samples=200):
-    """Decide surjectivity of p: Q -> X.
+def is_surjective(p):
+    """Decide surjectivity of p: Q -> X for a finite X.
 
     With a direct image, p is a surjection iff p_!(p*(x)) = x for all x;
-    without one (and X finite) injectivity of p* is used, which agrees
-    with the first criterion whenever the left adjoint exists.  For an
-    effective X without a direct image the question is undecidable here.
+    without one, injectivity of p* is used, which agrees with the first
+    criterion whenever the left adjoint exists.  An effective X raises
+    `Undecidable`.
     """
     X = p.target
-    if p.direct_image is None and X.is_finite and p.source.is_finite:
+    if not X.is_finite:
+        raise Undecidable("surjectivity of a map into an effective carrier "
+                          "is not decided here")
+    if p.direct_image is None and p.source.is_finite:
         try:
             p = ensure_left_adjoint(p)
         except NoLeftAdjoint:
             pass
     if p.direct_image is not None:
-        xs = X.elements if X.is_finite else \
-            X.probe_elements(rng or random.Random(0), samples)
-        return all(p.shriek(p.star(x)) == x for x in xs)
-    if X.is_finite:
-        values = [p.star(x) for x in X.elements]
-        return len(set(values)) == len(values)
-    raise Undecidable("surjectivity of a map into an effective carrier "
-                      "requires a direct image")
+        return all(p.shriek(p.star(x)) == x for x in X.elements)
+    values = [p.star(x) for x in X.elements]
+    return len(set(values)) == len(values)
 
 
 def ensure_left_adjoint(p):

@@ -111,11 +111,6 @@ class RationalSubspace:
     def zero(dim):
         return RationalSubspace(dim, ())
 
-    @staticmethod
-    def full(dim):
-        eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-        return RationalSubspace(dim, rref(eye, dim))
-
     def to_json(self):
         return {"dim": self.dim,
                 "basis": [[str(x) for x in row] for row in self.basis]}

@@ -34,8 +34,10 @@ from quantales.subspaces import RationalSubspace
 from quantales.suplattice import FiniteSupLattice, is_sup_map
 from quantales.tensor import TensorLattice, induced_from_bimorphism, unit_iso
 
-from _helpers import (corpus_lattices, least_closure_identifying,
-                      small_quantales, sup_maps_between)
+from _helpers import (corpus_lattices, group_algebra_handles,
+                      least_closure_identifying, map_law_swept,
+                      matrix_max_handles, probe_pools, small_quantales,
+                      sup_maps_between)
 
 
 @contextmanager
@@ -60,16 +62,15 @@ def test_criterion_1_matrix_example():
                                  decided.fr2)} == {"decided"}
         # the same battery swept on probe pools, without the groupoid
         p = replace(matrix_support_map(2), groupoid=None)
-        enriched, semi = check_semiopen(p, pool=20, seed=0)
-        assert semi.ok
-        p = enriched
+        pools = probe_pools(p, 20, 0, matrix_max_handles(2))
+        assert map_law_swept("semiopen", p, pools).ok
         # surjectivity: p_! p* is the identity on all sixteen relations
         hits = [p.shriek(p.star(u)) for u in p.target.elements]
         assert hits == list(p.target.elements) and len(hits) == 16
         assert is_surjective(p)
-        fr1 = check_fr1(p, pool=20, seed=0)
+        fr1 = map_law_swept("fr1", p, pools)
         assert fr1.ok and fr1.evaluations >= 200
-        fr2 = check_fr2(p, pool=20, seed=0)
+        fr2 = map_law_swept("fr2", p, pools)
         assert fr2.ok and fr2.evaluations >= 200
 
 
@@ -80,11 +81,11 @@ def test_criterion_2_group_algebra_example():
             assert not decided.ok and decided.mode == "decided"
             # swept on probe pools, without the groupoid
             p = replace(group_algebra_support_map(group), groupoid=None)
-            enriched, semi = check_semiopen(p, pool=pool, seed=0)
-            assert semi.ok
-            fr1 = check_fr1(enriched, pool=pool, seed=0)
+            pools = probe_pools(p, pool, 0, group_algebra_handles(group))
+            assert map_law_swept("semiopen", p, pools).ok
+            fr1 = map_law_swept("fr1", p, pools)
             assert fr1.ok and fr1.evaluations >= 200
-            fr2 = check_fr2(enriched, pool=pool, seed=0)
+            fr2 = map_law_swept("fr2", p, pools)
             assert not fr2.ok and fr2.witness is not None
         # the canonical witness for Z/2 is found verbatim, decided from the
         # table and swept alike
@@ -92,14 +93,13 @@ def test_criterion_2_group_algebra_example():
         minus = RationalSubspace.from_vectors(2, [(1, -1)])
         p = group_algebra_support_map(cyclic_group(2))
         assert check_fr2(p).witness == (plus, 1, minus)
-        enriched, _ = check_semiopen(replace(p, groupoid=None), pool=50,
-                                     seed=0)
-        fr2 = check_fr2(enriched, pool=50, seed=0)
+        swept = replace(p, groupoid=None)
+        fr2 = map_law_swept("fr2", swept, probe_pools(
+            swept, 50, 0, group_algebra_handles(cyclic_group(2))))
         assert fr2.witness == (plus, 1, minus)
-        ga, px = enriched.source, enriched.target
-        lhs = enriched.shriek(ga.mult(ga.mult(plus, enriched.star(1)), minus))
-        rhs = px.mult(px.mult(enriched.shriek(plus), 1),
-                      enriched.shriek(minus))
+        ga, px = swept.source, swept.target
+        lhs = swept.shriek(ga.mult(ga.mult(plus, swept.star(1)), minus))
+        rhs = px.mult(px.mult(swept.shriek(plus), 1), swept.shriek(minus))
         assert lhs == 0 and rhs == 3
 
 
@@ -121,7 +121,7 @@ def test_criterion_4_lemma_suite():
     with criterion(4, "lemma-suite", 5):
         checked = 0
         for name, p in standard_map_corpus():
-            rep = frobenius_report(p, pool=15, seed=0)
+            rep = frobenius_report(p)
             if not rep.semiopen.ok:
                 continue
             if rep.fr1.ok:

@@ -18,6 +18,9 @@ from quantales.examples import (FiniteGroupoidData, FiniteTopology,
 from quantales.quantale import is_surjective, validate_hom, validate_quantale
 from quantales.subspaces import RationalSubspace
 
+from _helpers import (matrix_max_handles, sample_element,
+                      validate_quantale_sampled)
+
 
 def test_rref_is_representation_independent():
     rng = random.Random(11)
@@ -68,7 +71,7 @@ def test_matrix_support_map_adjunction_and_fr2_instance():
     # support adjunction V <= p*(U) iff supp(V) <= U, sampled subspaces
     rng = random.Random(5)
     for _ in range(40):
-        v = p.source.sample(rng)
+        v = sample_element(p.source, rng)
         for u in r2.elements:
             assert v.leq(p.star(u)) == r2.leq(p.shriek(v), u)
     # p_!(span{e11} p*({(1,2)}) span{e21}) = {(1,1)} = {(1,1)}o{(1,2)}o{(2,1)}
@@ -113,7 +116,8 @@ def test_constructed_examples_validate():
     assert validate_quantale(rel_quantale(2)) is None
     assert validate_quantale(locale_quantale(sierpinski_topology())) is None
     mm = matrix_max_quantale(2)
-    assert validate_quantale(mm, rng=random.Random(0), samples=10) is None
+    assert validate_quantale_sampled(mm, random.Random(0), 10,
+                                     matrix_max_handles(2)) is None
 
 
 def test_rel_quantale_composition_and_converse():

@@ -19,7 +19,7 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 z2_group_algebra_finite_map)
 from quantales.fileformats import FormatError
 from quantales.openness import frobenius_report
-from quantales.quantale import QuantaleMap, identity_map
+from quantales.quantale import QuantaleMap, Undecidable, identity_map
 from quantales.suplattice import FiniteSupLattice
 
 
@@ -235,8 +235,7 @@ def test_cli_check_map_reports_the_frobenius_battery(files, name):
           "--fr1-right", "--fr2", "--wos", "--pool", "7", "--seed", "3",
           "--report", str(report)])
     doc = ff.load_json(report)
-    rep = frobenius_report(ff.map_from_doc(doc["inputs"]["map"]["doc"]),
-                           7, 3)
+    rep = frobenius_report(ff.map_from_doc(doc["inputs"]["map"]["doc"]))
     battery = {c["check"]: c for c in rep.to_json()["checks"]}
     for chk in doc["checks"]:
         if chk["check"] == "wos":
@@ -444,18 +443,19 @@ def test_effective_examples_name_no_seed_that_nothing_used(tmp_path,
             "7", "--report", str(report)]
     assert main(argv) == 0
     doc = ff.load_json(report)
-    assert doc["seed"] is None
-    assert all(c["mode"] == "decided" and c["pool"] is None
-               and c["seed"] is None for c in doc["frobenius"]["checks"])
+    assert "seed" not in doc
+    assert all(c["mode"] == "decided" and "pool" not in c and "seed" not in c
+               for c in doc["frobenius"]["checks"])
     assert main(["report-verify", str(report)]) == 0
-    # swept without its groupoid, the suite samples with the seed it names
-    swept = cli._example_map
+    # without its groupoid the suite is refused rather than sampled, and
+    # the report is left as it was
+    written = report.read_bytes()
+    decided = cli._example_map
     monkeypatch.setattr(cli, "_example_map",
-                        lambda e: replace(swept(e), groupoid=None))
-    assert main(argv) == 0
-    doc = ff.load_json(report)
-    assert doc["seed"] == 7
-    assert {c["seed"] for c in doc["frobenius"]["checks"]} == {7}
+                        lambda e: replace(decided(e), groupoid=None))
+    with pytest.raises(Undecidable):
+        main(argv)
+    assert report.read_bytes() == written
 
 
 def test_check_map_names_no_seed_that_nothing_used(tmp_path, capsys):
@@ -468,20 +468,30 @@ def test_check_map_names_no_seed_that_nothing_used(tmp_path, capsys):
                  "--fr2", "--wos", "--seed", "5", "--report",
                  str(report)]) == 1
     doc = ff.load_json(report)
-    assert doc["seed"] is None
+    assert "seed" not in doc
     laws = [c for c in doc["checks"] if c["check"] != "wos"]
     assert [c["check"] for c in laws] == ["fr1", "fr1_right", "fr2"]
-    assert all(c["mode"] == "exhaustive" and c["pool"] is None
-               and c["seed"] is None for c in laws)
+    assert all(c["mode"] == "exhaustive" and "pool" not in c
+               and "seed" not in c for c in laws)
     wos = next(c for c in doc["checks"] if c["check"] == "wos")
     assert "pool" not in wos and "seed" not in wos
     assert main(["report-verify", str(report)]) == 0
+    # the failing fr2 record in the older, sampled form replays as it did
+    fr2 = laws[2]
+    assert not fr2["ok"]
+    fr2.update({"mode": "sampled", "pool": 50, "seed": 0})
+    doc["seed"] = 0
+    edited = tmp_path / "edited.json"
+    ff.save_json(edited, doc)
+    capsys.readouterr()
+    assert main(["report-verify", str(edited)]) == 0
+    assert "replayed 1 witnesses, 0 problems" in capsys.readouterr().out
     # a wos failure is replayed by rerunning the battery, with or without
-    # the pool and seed that records of the older format carry
+    # the pool and seed that records of the older format carry, beside
+    # that fr2 record
     wos["ok"] = False
     for record in ({}, {"pool": 50, "seed": 5}):
         wos.update(record)
-        edited = tmp_path / "edited.json"
         ff.save_json(edited, doc)
         capsys.readouterr()
         assert main(["report-verify", str(edited)]) == 1
@@ -583,6 +593,14 @@ def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
 
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("command", ["check-map", "example"])
+def test_help_names_pool_and_seed_as_unused(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for option in ("--seed SEED", "--pool POOL"):
+        assert f"{option} accepted and unused" in out
 
 
 def test_main_builds_one_parser_per_process(files, capsys, monkeypatch):

@@ -5,9 +5,10 @@
 battery holds for every G.  The tests compare the decided verdicts with
 the O(|G|^3) injectivity test of `_helpers.sgt_injective`, confirm every
 decided witness on the definition twice (the library's one-element sweep
-and `_helpers.support_fr2_violated`), and run the sampled sweep on lines,
-singletons and lines, which the lemma says is enough: FR2 on the principal
-groupoids, the rest of the battery on all of them.
+and `_helpers.support_fr2_violated`), and run the law sweeps on seeded
+lines, singletons and lines, which the lemma says is enough: FR2 on the
+principal groupoids, the rest of the battery on all of them.  Without its
+groupoid an effective map is refused, not sampled.
 """
 
 import random
@@ -15,7 +16,9 @@ from dataclasses import replace
 
 import pytest
 
-from _helpers import sgt_injective, support_fr2_violated
+from _helpers import (group_algebra_handles, map_law_swept, probe_pools,
+                      sgt_injective, support_fr2_violated,
+                      validate_quantale_sampled)
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (GroupoidPowerset, cyclic_group,
@@ -26,9 +29,11 @@ from quantales.examples import (GroupoidPowerset, cyclic_group,
                                 symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.openness import (GROUPOID_TABLE, MAP_LAWS, UnconfirmedWitness,
-                                check_fr1, check_fr2, check_semiopen,
+                                check_direct_image_involution, check_fr1,
+                                check_fr1_right, check_fr2, check_semiopen,
                                 frobenius_report, violates)
-from quantales.quantale import validate_quantale
+from quantales.quantale import (Undecidable, is_surjective, validate_hom,
+                                validate_quantale)
 from quantales.subspaces import RationalSubspace
 
 GROUPOIDS = {
@@ -66,12 +71,11 @@ def _lines(rng, dim, count):
 def test_decided_fr2_is_the_injectivity_test(name):
     g = GROUPOIDS[name]()
     p = groupoid_support_map(g)
-    rep = frobenius_report(p, pool=7, seed=3)
+    rep = frobenius_report(p)
     assert sgt_injective(g) == (name in PRINCIPAL)
     assert rep.fr2.ok == sgt_injective(g)
     for chk in _battery(rep):
-        assert (chk.mode, chk.reduction, chk.pool, chk.seed) == (
-            "decided", GROUPOID_TABLE, None, None)
+        assert (chk.mode, chk.reduction) == ("decided", GROUPOID_TABLE)
         assert chk.ok or chk.name == "fr2"
         assert chk.to_json()["reduction"] == GROUPOID_TABLE
     # FR2 reads the inverse and both products x x^-1, x^-1 x of each arrow
@@ -142,13 +146,41 @@ def test_a_decided_witness_that_does_not_fail_is_refused():
 
 def test_a_replaced_direct_image_is_swept_not_decided():
     # the table decides the laws of the support map only, so a replaced
-    # direct image drops the groupoid and FR1 fails at the zero subspace
+    # direct image drops the groupoid: the library refuses the check, and
+    # the sweep on probe pools finds FR1 failing at the zero subspace
     p = group_algebra_support_map(cyclic_group(2)).with_direct_image(
         lambda a: 3)
     assert p.groupoid is None
-    fr1 = check_fr1(p)
+    with pytest.raises(Undecidable):
+        check_fr1(p)
+    fr1 = map_law_swept("fr1", p, probe_pools(
+        p, 50, 0, group_algebra_handles(cyclic_group(2))))
     assert not fr1.ok and fr1.mode == "sampled"
     assert fr1.witness_display == "a=span{}, x={}"
+
+
+def test_effective_carriers_without_a_table_are_refused():
+    # no sweep proves a law on an effective carrier, so without the
+    # groupoid every check raises instead of passing on samples
+    p = replace(matrix_support_map(2), groupoid=None)
+    for check in (frobenius_report, check_semiopen, check_fr1,
+                  check_fr1_right, check_fr2, check_direct_image_involution):
+        with pytest.raises(Undecidable):
+            check(p)
+    with pytest.raises(Undecidable):
+        validate_quantale(p.source)
+    # p* from the finite Rel(2) is swept on all of its source
+    assert validate_hom(p.star, p.target, p.source) is None
+    # P(G) as an oracle is an effective target; with its groupoid the
+    # battery decides surjectivity, without it nothing does
+    q = groupoid_support_map(GROUPOIDS["pair2xpair2"]())
+    assert frobenius_report(q).surjective_mode == "decided"
+    with pytest.raises(Undecidable):
+        is_surjective(q)
+    with pytest.raises(Undecidable):
+        validate_hom(q.star, q.target, q.source)
+    with pytest.raises(Undecidable):
+        frobenius_report(replace(q, groupoid=None))
 
 
 def test_product_groupoid_composes_componentwise():
@@ -180,7 +212,7 @@ def test_powerset_oracle_is_the_powerset_table():
             if u >> s & 1 and v >> t & 1 and g.mult[s][t] is not None})
     assert oracle.unit == table.unit
     big = GroupoidPowerset(GROUPOIDS["pair2xpair2"]())
-    assert validate_quantale(big, random.Random(1), samples=20) is None
+    assert validate_quantale_sampled(big, random.Random(1), 20) is None
 
 
 def test_matrix_max_3_is_decided(tmp_path, capsys):

@@ -54,7 +54,7 @@ def _agree(p):
         got, want = check(p), map_law_swept(name, p)
         assert (got.ok, got.witness, got.witness_display, got.mode) == \
             (want.ok, want.witness, want.witness_display, want.mode), name
-        assert got.pool is None and got.seed is None
+        assert not {"pool", "seed"} & got.to_json().keys()
         if got.ok and reduces and name != "semiopen":
             assert got.reduction == "join-irreducibles", name
             assert got.evaluations <= want.evaluations, name

@@ -14,8 +14,11 @@ from quantales.openness import (MissingDirectImage, NotALocale, check_fr1,
                                 check_fr2, check_locale_meet_lemma,
                                 check_semiopen, frobenius_report,
                                 is_locale_quantale)
-from quantales.quantale import FiniteInvQuantale, QuantaleMap, identity_map
+from quantales.quantale import (FiniteInvQuantale, QuantaleMap, identity_map,
+                                is_surjective)
 from quantales.subspaces import RationalSubspace
+
+from _helpers import map_battery_swept, matrix_max_handles, probe_pools
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
 
@@ -73,21 +76,23 @@ def test_locale_meet_lemma_rejects_non_locales():
 def test_matrix_support_map_full_profile():
     # decided from the pair groupoid's table, and swept without it
     p = matrix_support_map(2)
-    for mode, surjective_mode, q in (
-            ("decided", "decided", p),
-            ("sampled", "exhaustive", replace(p, groupoid=None))):
-        rep = frobenius_report(q, pool=20)
-        assert rep.semiopen.ok and rep.semiopen.mode == mode
-        assert rep.surjective_mode == surjective_mode
-        assert rep.fr1.ok and rep.fr1_right.ok and rep.fr2.ok
-        assert rep.surjective and rep.unit_identity
-        assert rep.direct_image_involution.ok
-        assert rep.hypothesis_for_pullback
+    rep = frobenius_report(p)
+    assert rep.semiopen.ok and rep.semiopen.mode == "decided"
+    assert rep.surjective_mode == "decided"
+    assert rep.fr1.ok and rep.fr1_right.ok and rep.fr2.ok
+    assert rep.surjective and rep.unit_identity
+    assert rep.direct_image_involution.ok
+    assert rep.hypothesis_for_pullback
+    q = replace(p, groupoid=None)
+    swept = map_battery_swept(q, probe_pools(q, 20, 0, matrix_max_handles(2)))
+    assert all(c.ok and c.mode == "sampled" for c in swept)
+    e = q.target.unit
+    assert is_surjective(q) and q.shriek(q.star(e)) == e
 
 
 def test_group_algebra_fr1_but_not_fr2():
     p = group_algebra_support_map(cyclic_group(2))
-    rep = frobenius_report(p, pool=50)
+    rep = frobenius_report(p)
     assert rep.fr1.ok and rep.fr1_right.ok and rep.surjective
     assert not rep.fr2.ok
     a, x, b = rep.fr2.witness
@@ -100,11 +105,11 @@ def test_group_algebra_fr1_but_not_fr2():
 def lemma_reports():
     # one report per map, read by every lemma test below
     return {
-        "matrix": frobenius_report(matrix_support_map(2), pool=15),
+        "matrix": frobenius_report(matrix_support_map(2)),
         "omega-support": frobenius_report(omega_support_map(PZ2)),
         "pair-projection": frobenius_report(omega_pair_projection_map()),
         "group-algebra": frobenius_report(
-            group_algebra_support_map(cyclic_group(2)), pool=30),
+            group_algebra_support_map(cyclic_group(2))),
     }
 
 
@@ -165,25 +170,15 @@ def test_missing_direct_image_on_effective_carrier():
         check_semiopen(stripped)
 
 
-def test_sampled_checks_reproduce_from_the_seed():
-    p = replace(group_algebra_support_map(cyclic_group(2)), groupoid=None)
-    enriched, _ = check_semiopen(p, pool=30, seed=9)
-    first = check_fr2(enriched, pool=30, seed=9)
-    second = check_fr2(enriched, pool=30, seed=9)
-    assert first == second
-    assert first.seed == 9 and first.mode == "sampled"
-
-
 def test_large_finite_carriers_are_swept_on_join_irreducibles():
     # Rel(3) has 512 elements and 9 join-irreducibles: every check of the
-    # battery is exhaustive, whatever the pool and seed, and only
-    # semiopenness sweeps all of Q
+    # battery is exhaustive, and only semiopenness sweeps all of Q
     from quantales.examples import rel_quantale
-    rep = frobenius_report(identity_map(rel_quantale(3)), pool=10, seed=3)
+    rep = frobenius_report(identity_map(rel_quantale(3)))
     checks = (rep.semiopen, rep.fr1, rep.fr1_right, rep.fr2,
               rep.direct_image_involution)
-    assert all(c.ok and c.mode == "exhaustive" and c.pool is None
-               and c.seed is None for c in checks)
+    assert all(c.ok and c.mode == "exhaustive" for c in checks)
+    assert not any({"pool", "seed"} & c.to_json().keys() for c in checks)
     assert rep.semiopen.reduction is None
     assert rep.semiopen.evaluations == 512 * 512
     assert all(c.reduction == "join-irreducibles" for c in checks[1:])
@@ -208,7 +203,7 @@ def test_corpus_lemma_sweep():
     # biconditional; and fr2 with the unit identity forces fr1 and
     # surjectivity
     for name, p in standard_map_corpus():
-        rep = frobenius_report(p, pool=25)
+        rep = frobenius_report(p)
         if not rep.semiopen.ok:
             continue
         if rep.fr1.ok:

@@ -12,6 +12,9 @@ from quantales.quantale import (FiniteInvQuantale, QuantaleMap, Undecidable,
                                 quantale_isomorphism, validate_hom,
                                 validate_quantale)
 
+from _helpers import (group_algebra_handles, matrix_max_handles,
+                      validate_quantale_sampled)
+
 
 def test_powerset_z2_is_a_quantale():
     q = group_powerset_quantale(cyclic_group(2))
@@ -180,10 +183,13 @@ def test_finite_fragment_of_group_algebra():
 
 def test_effective_quantale_laws_on_samples():
     mm = matrix_max_quantale(2)
-    assert validate_quantale(mm, rng=random.Random(1), samples=12) is None
+    assert validate_quantale_sampled(mm, random.Random(1), 12,
+                                     matrix_max_handles(2)) is None
     from quantales.examples import group_algebra_quantale
     ga = group_algebra_quantale(symmetric_group_3())
-    assert validate_quantale(ga, rng=random.Random(1), samples=10) is None
+    assert validate_quantale_sampled(
+        ga, random.Random(1), 10,
+        group_algebra_handles(symmetric_group_3())) is None
 
 
 def test_s3_powerset_quantale_validates():

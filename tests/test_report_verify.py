@@ -200,7 +200,7 @@ def test_unreplayable_failed_check_fails_closed(tmp_path, capsys):
     report = tmp_path / "pb.report.json"
     assert main(["pullback-verify", "--p", mpath, "--f", fpath,
                  "--report", str(report)]) == 1
-    assert ff.load_json(report)["seed"] is None
+    assert "seed" not in ff.load_json(report)
     capsys.readouterr()
     assert main(["report-verify", str(report)]) == 1
     out = capsys.readouterr().out

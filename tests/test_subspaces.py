@@ -11,14 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import mult_oracle, rref_oracle
+from _helpers import (group_algebra_handles, map_battery_swept,
+                      matrix_max_handles, mult_oracle, probe_elements,
+                      probe_pools, rref_oracle)
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (cyclic_group, group_algebra_quantale,
                                 group_algebra_support_map,
                                 matrix_max_quantale, matrix_support_map,
                                 symmetric_group_3)
-from quantales.openness import frobenius_report
 from quantales.subspaces import RationalSubspace, rref
 
 
@@ -105,13 +106,14 @@ def test_support_map_star_is_the_span_of_the_indicator_rows(build):
         assert p.shriek(star) == u
 
 
-@pytest.mark.parametrize("build, pool", [
-    (lambda: matrix_max_quantale(2), 30),
-    (lambda: group_algebra_quantale(symmetric_group_3()), 50),
+@pytest.mark.parametrize("build, handles, pool", [
+    (lambda: matrix_max_quantale(2), lambda: matrix_max_handles(2), 30),
+    (lambda: group_algebra_quantale(symmetric_group_3()),
+     lambda: group_algebra_handles(symmetric_group_3()), 50),
 ], ids=["matrix-max-2", "group-algebra-s3"])
-def test_mult_agrees_with_the_fraction_product(build, pool):
+def test_mult_agrees_with_the_fraction_product(build, handles, pool):
     q = build()
-    elements = q.probe_elements(random.Random(0), pool)
+    elements = probe_elements(q, random.Random(0), pool, handles())
     for a in elements:
         for b in elements:
             assert q.mult(a, b).basis == mult_oracle(q, a, b), (a, b)
@@ -120,7 +122,9 @@ def test_mult_agrees_with_the_fraction_product(build, pool):
 # Stdout and per-check evaluation counts of the effective examples, captured
 # from the Fraction elimination; the integer kernel must reproduce them.
 # The command line decides the battery from the groupoid table; the counts
-# are those of the sampled sweep, run on the same map without its groupoid.
+# are those of the sweep on the probe pools of `_helpers.probe_pools` (pool
+# size and seed 0 as given, with the curated handles of the source), run on
+# the same map without its groupoid.
 _SUITE_OK = ("  semiopen: ok\n  fr1: ok\n  fr1_right: ok\n  fr2: ok\n"
              "  direct_image_involution: ok\n  surjective: True\n"
              "suite (semiopen surjection with fr1 and fr2): ok\n")
@@ -136,25 +140,28 @@ def _fr2_fails(witness):
 PINNED = {
     "matrix-max-2": (
         ["example", "matrix-max", "--n", "2", "--pool", "30", "--seed", "0"],
-        _SUITE_OK, lambda: matrix_support_map(2), 30,
-        [480, 480, 480, 14400, 30]),
+        _SUITE_OK, lambda: matrix_support_map(2),
+        lambda: matrix_max_handles(2), 30, [480, 480, 480, 14400, 30]),
     "group-algebra-s3": (
         ["example", "group-algebra", "--group", "s3", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1,1,1,1,1]}, x={e}, b=span{[1,-1,0,0,0,0]}"),
-        lambda: group_algebra_support_map(symmetric_group_3()), 50,
+        lambda: group_algebra_support_map(symmetric_group_3()),
+        lambda: group_algebra_handles(symmetric_group_3()), 50,
         [3200, 3200, 3200, 3253, 50]),
     "group-algebra-z3": (
         ["example", "group-algebra", "--group", "z3", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1,1]}, x={e}, b=span{[1,-1,0]}"),
-        lambda: group_algebra_support_map(cyclic_group(3)), 50,
+        lambda: group_algebra_support_map(cyclic_group(3)),
+        lambda: group_algebra_handles(cyclic_group(3)), 50,
         [400, 400, 400, 453, 50]),
     "group-algebra-z2": (
         ["example", "group-algebra", "--group", "z2", "--pool", "50",
          "--seed", "0"],
         _fr2_fails("a=span{[1,1]}, x={e}, b=span{[1,-1]}"),
-        lambda: group_algebra_support_map(cyclic_group(2)), 50,
+        lambda: group_algebra_support_map(cyclic_group(2)),
+        lambda: group_algebra_handles(cyclic_group(2)), 50,
         [200, 200, 200, 253, 50]),
 }
 
@@ -162,7 +169,7 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_effective_examples_print_the_pinned_verdicts(name, tmp_path,
                                                       capsys):
-    argv, stdout, build, pool, evaluations = PINNED[name]
+    argv, stdout, build, handles, pool, evaluations = PINNED[name]
     report = tmp_path / "report.json"
     assert main(argv + ["--report", str(report)]) == 0
     assert capsys.readouterr().out == stdout
@@ -172,9 +179,8 @@ def test_effective_examples_print_the_pinned_verdicts(name, tmp_path,
     assert {(c["mode"], c["reduction"]) for c in checks} == {
         ("decided", "groupoid table")}
     assert main(["report-verify", str(report)]) == 0
-    rep = frobenius_report(replace(build(), groupoid=None), pool=pool, seed=0)
-    swept = (rep.semiopen, rep.fr1, rep.fr1_right, rep.fr2,
-             rep.direct_image_involution)
+    p = replace(build(), groupoid=None)
+    swept = map_battery_swept(p, probe_pools(p, pool, 0, handles()))
     assert [c.evaluations for c in swept] == evaluations
     # the sweep finds the witness that the table gives
     assert [(c["ok"], c["witness_display"]) for c in checks] == [
