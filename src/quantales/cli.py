@@ -1,15 +1,16 @@
 """Command-line front end: load structures, run checkers, emit JSON reports.
 
-Exit codes: 0 all requested checks pass, 1 a violation was found, 2 usage
-or input error.  Reports carry a schema version, the command line, sha256
-digests plus embedded copies of the inputs, per-check verdicts with
-witnesses and timing, so that `report-verify` can replay every
-recorded failure of the top-level checks.  `main` opens the report for the
-subcommand to fill and, when the subcommand returns, writes it with the
-verdict that its exit code gives; a subcommand that raises writes none.
-Each input's `doc_sha256` is computed when the report is written, from
-the very text that the report embeds (`fileformats.save_report`).
-`main` builds its argument parser once per process, on its first call.
+Exit codes: 0 every recorded check passed, 1 some recorded check failed,
+2 usage or input error.  Reports carry a schema version, the command line,
+sha256 digests plus embedded copies of the inputs, per-check verdicts with
+witnesses and timing, so that `report-verify` can replay every recorded
+failure of the top-level checks.  A subcommand fills the report that
+`main` opens; `main` then derives the verdict and the exit code from its
+checks, by the rule that `report-verify` applies, and writes it (a
+subcommand that raises writes none).  Each input's `doc_sha256` is
+computed when the report is written, from the very text that the report
+embeds (`fileformats.save_report`).  `main` builds its argument parser
+once per process, on its first call.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -17,7 +18,8 @@ with the checks, and each failed check is replayed through the
 definition that produced it (a law witness through its predicate or
 one-element sweep, a structural failure by reloading the embedded input,
 a relation failure by rebuilding its instance from family, x and
-parameters) or counted as a problem.  The nested `frobenius` and
+parameters) or counted as a problem.  Each problem is a failed check of
+its own report, which it never writes.  The nested `frobenius` and
 `hypothesis` blocks are not read yet.
 """
 
@@ -40,8 +42,9 @@ from .freeprod import (CORE_PARAMETERS, DEFAULT_TRACES, Q_TAG, REDUCTION,
                        verify_beck_chevalley, verify_pullback_frobenius,
                        verify_relation_compatibility)
 from .nucleus import nucleus_from_relation, quotient
-from .openness import (MAP_LAWS, MissingDirectImage, NotALocale, NotUnital,
-                       check_locale_meet_lemma, frobenius_report, violates)
+from .openness import (BATTERY, MAP_LAWS, MissingDirectImage, NotALocale,
+                       NotUnital, check_locale_meet_lemma, frobenius_report,
+                       violates)
 from .quantale import (HOM_LAWS, QUANTALE_LAWS, InvalidQuantale,
                        validate_hom, validate_quantale)
 from .subspaces import RationalSubspace
@@ -49,6 +52,10 @@ from .suplattice import LatticeError, join_irreducibles
 from .tensor import EnumerationBoundExceeded, TensorLattice, swap_map, unit_iso
 
 SCHEMA = 1
+
+
+def _verdict(checks):
+    return "pass" if all(c["ok"] for c in checks) else "violation"
 
 
 class _Report:
@@ -62,18 +69,20 @@ class _Report:
         }
         self.t0 = time.perf_counter()
 
-    def add_input(self, role, path, doc):
+    def load(self, role, path):
         # `ff.save_report` adds the doc_sha256 when it encodes the document
+        doc = ff.load_json(path)
         self.doc["inputs"][role] = {
             "path": path, "sha256": ff.digest(path), "doc": doc}
+        return doc
 
     def add_check(self, check_doc):
         self.doc["checks"].append(check_doc)
 
-    def finish(self, verdict):
-        self.doc["verdict"] = verdict
+    def finish(self):
+        self.doc["verdict"] = _verdict(self.doc["checks"])
         self.doc["elapsed_s"] = round(time.perf_counter() - self.t0, 3)
-        return self.doc
+        return int(self.doc["verdict"] == "violation")
 
     def write(self, path):
         if path:
@@ -112,9 +121,8 @@ def _parts(kind, doc):
 
 
 def cmd_validate(args, report):
-    worst = 0
     for path in args.paths:
-        doc = ff.load_json(path)
+        doc = report.load(path, path)
         kind = ff.sniff_kind(doc)
         print(f"{path}: {kind}")
         check = {"check": kind, "ok": True}
@@ -141,28 +149,22 @@ def cmd_validate(args, report):
                      "witness": list(getattr(e, "witness", ()) or ()),
                      "detail": str(e)}
         check["input"] = path
-        report.add_input(path, path, doc)
         report.add_check(check)
         _print_check(check)
-        if not check["ok"]:
-            worst = 1
-    return worst
 
 
 # -- check-map ------------------------------------------------------------------
 
+# the checks of check-map, one flag each; the first four run by default
+_MAP_CHECKS = (*BATTERY[:4], "wos", "locale-meet")
+
+
 def cmd_check_map(args, report):
     # a map file has finite carriers, which are swept exhaustively:
     # --pool and --seed are accepted and unused
-    doc = ff.load_json(args.map)
-    report.add_input("map", args.map, doc)
-    rep = frobenius_report(ff.map_from_doc(doc))
-    requested = [name for name, on in (
-        ("semiopen", args.semiopen), ("fr1", args.fr1),
-        ("fr1-right", args.fr1_right), ("fr2", args.fr2),
-        ("wos", args.wos), ("locale-meet", args.locale_meet)) if on]
-    if not requested:
-        requested = ["semiopen", "fr1", "fr1-right", "fr2"]
+    rep = frobenius_report(ff.map_from_doc(report.load("map", args.map)))
+    requested = [name for name in _MAP_CHECKS if getattr(args, name)] \
+        or _MAP_CHECKS[:4]
 
     if rep.certified is None:
         # every other check needs p_!, so its absence fails each of them
@@ -171,14 +173,11 @@ def cmd_check_map(args, report):
         _print_check(chk)
         if set(requested) - {"semiopen"}:
             print("  (remaining checks skipped: map is not semiopen)")
-        return 1
+        return
 
-    laws = {"semiopen": rep.semiopen, "fr1": rep.fr1,
-            "fr1-right": rep.fr1_right, "fr2": rep.fr2}
-    failed = False
     for name in requested:
-        if name in laws:
-            chk = laws[name].to_json()
+        if name in BATTERY:
+            chk = getattr(rep, name).to_json()
         elif name == "wos":
             if rep.unit_identity is None:
                 raise NotUnital("target has no declared unit")
@@ -194,19 +193,15 @@ def cmd_check_map(args, report):
                    "ok": lm.meet_preserved is not False}
         report.add_check(chk)
         _print_check(chk)
-        failed |= not chk["ok"]
     report.doc["surjective"] = rep.surjective
     print(f"  surjective: {rep.surjective}")
-    return 1 if failed else 0
 
 
 # -- quotient ---------------------------------------------------------------------
 
 def cmd_quotient(args, report):
-    qdoc = ff.load_json(args.quantale)
-    rdoc = ff.load_json(args.relation)
-    report.add_input("quantale", args.quantale, qdoc)
-    report.add_input("relation", args.relation, rdoc)
+    qdoc = report.load("quantale", args.quantale)
+    rdoc = report.load("relation", args.relation)
     q = ff.quantale_from_doc(qdoc)
     rel = ff.relation_from_doc(rdoc, q)
     nuc = nucleus_from_relation(rel)
@@ -225,29 +220,23 @@ def cmd_quotient(args, report):
                       "size": qq.quantale.size})
     print(f"quotient has {qq.quantale.size} elements "
           f"(closed: {[q.name_of(c) for c in qq.closed]})")
-    return 0
 
 
 # -- tensor ------------------------------------------------------------------------
 
 def cmd_tensor(args, report):
-    lattices = []
-    for path in args.lattices:
-        doc = ff.load_json(path)
-        report.add_input(path, path, doc)
-        lattices.append(ff.lattice_from_doc(doc))
+    lattices = [ff.lattice_from_doc(report.load(path, path))
+                for path in args.lattices]
     T = TensorLattice(tuple(lattices), bound=args.bound)
     count = len(T.elements())
     print(f"tensor of {[l.size for l in lattices]} has {count} elements")
     report.add_check({"check": "tensor-count", "ok": True, "count": count})
-    ok = True
     if len(lattices) == 2:
         T_rev = TensorLattice((lattices[1], lattices[0]), bound=args.bound)
         swapped = {swap_map(T_rev, g) for g in T.elements()}
         sym_ok = swapped == set(T_rev.elements())
         print(f"symmetry bijection onto the reversed tensor: {sym_ok}")
         report.add_check({"check": "tensor-symmetry", "ok": sym_ok})
-        ok &= sym_ok
         if lattices[0].size == 2:
             to_l, from_l = unit_iso(T)
             round1 = all(to_l.values[from_l.values[l]] == l
@@ -257,19 +246,13 @@ def cmd_tensor(args, report):
             print(f"unit collapse onto the second factor: {round1 and round2}")
             report.add_check({"check": "tensor-unit-iso",
                               "ok": round1 and round2})
-            ok &= round1 and round2
-    return 0 if ok else 1
 
 
 # -- pullback-verify ------------------------------------------------------------------
 
 def cmd_pullback_verify(args, report):
-    pdoc = ff.load_json(args.p)
-    fdoc = ff.load_json(args.f)
-    report.add_input("p", args.p, pdoc)
-    report.add_input("f", args.f, fdoc)
-    p = ff.map_from_doc(pdoc)
-    f = ff.map_from_doc(fdoc)
+    docs = report.load("p", args.p), report.load("f", args.f)
+    p, f = (ff.map_from_doc(doc) for doc in docs)
     try:
         ctx = PullbackContext.build(p, f)
     except HypothesisNotSatisfied as e:
@@ -280,7 +263,7 @@ def cmd_pullback_verify(args, report):
         for chk in rep["checks"]:
             _print_check(chk)
         report.add_check({"check": "pullback-hypothesis", "ok": False})
-        return 1
+        return
     report.doc["hypothesis"] = ctx.report.to_json()
     report.add_check({"check": "pullback-hypothesis", "ok": True})
 
@@ -312,7 +295,6 @@ def cmd_pullback_verify(args, report):
     report.add_check({"check": "pullback-frobenius", **pf.to_json()})
     print(f"pullback frobenius: ok (both module conditions and "
           f"{len(pf.cases)} case shapes, {scope}, by the {Y_LETTER_LEMMA})")
-    return 0 if rc.ok and adj.ok and bc.ok else 1
 
 
 # -- example -----------------------------------------------------------------------
@@ -358,26 +340,34 @@ def _materialized_examples(args):
     }
 
 
+# effective example -> (its option, the option's type, support map builder,
+# suite line, `expected` of the suite check, suite verdict of the frobenius
+# report)
+_SUITES = {
+    "matrix-max": (
+        "n", int, ex.matrix_support_map,
+        "semiopen surjection with fr1 and fr2", None,
+        lambda rep: rep.hypothesis_for_pullback),
+    "group-algebra": (
+        "group", str,
+        lambda name: ex.group_algebra_support_map(_group_by_name(name)),
+        "fr1 holds, fr2 fails with witness", "fr1 holds, fr2 has a witness",
+        lambda rep: rep.fr1.ok and rep.fr1_right.ok and rep.surjective
+        and not rep.fr2.ok),
+}
+
+
 def _example_map(example):
     """The support map that an effective example runs its suite on, from the
     report's `example` record."""
-    if example.get("name") == "matrix-max":
-        return ex.matrix_support_map(example["n"])
-    if example.get("name") == "group-algebra":
-        return ex.group_algebra_support_map(_group_by_name(example["group"]))
-    raise FormatError("the report embeds no map to replay against")
-
-
-# effective example -> (its option, suite line, `expected` of the suite check,
-# suite verdict of the frobenius report)
-_SUITES = {
-    "matrix-max": ("n", "semiopen surjection with fr1 and fr2", None,
-                   lambda rep: rep.hypothesis_for_pullback),
-    "group-algebra": ("group", "fr1 holds, fr2 fails with witness",
-                      "fr1 holds, fr2 has a witness",
-                      lambda rep: rep.fr1.ok and rep.fr1_right.ok
-                      and rep.surjective and not rep.fr2.ok),
-}
+    if not (isinstance(example, dict) and example.get("name") in _SUITES):
+        raise FormatError("the report embeds no map to replay against")
+    option, kind, build = _SUITES[example["name"]][:3]
+    value = example.get(option)
+    if type(value) is not kind:  # a bool is not an int here
+        raise FormatError(f"example {option} {value!r} is not "
+                          f"{'an int' if kind is int else 'a string'}")
+    return build(value)
 
 
 def cmd_example(args, report):
@@ -393,9 +383,8 @@ def cmd_example(args, report):
         print(f"wrote {path}")
         report.add_check({"check": "materialize", "ok": True,
                           "files": [fname]})
-        code = 0
-    elif name in _SUITES:
-        option, line, expected, verdict = _SUITES[name]
+    else:  # the parser admits no other names
+        option, _, _, line, expected, verdict = _SUITES[name]
         example = {"name": name, option: getattr(args, option)}
         rep = frobenius_report(_example_map(example))
         report.doc["example"] = example
@@ -409,10 +398,6 @@ def cmd_example(args, report):
             check["expected"] = expected
         report.add_check(check)
         print(f"suite ({line}): {'ok' if suite_ok else 'FAIL'}")
-        code = 0 if suite_ok else 1
-    else:
-        raise FormatError(f"unknown example {name!r}")
-    return code
 
 
 # -- report-verify -----------------------------------------------------------------
@@ -425,7 +410,7 @@ def _rebuild_map(report_doc):
     inputs = report_doc.get("inputs", {})
     if "map" in inputs:
         return ff.map_from_doc(inputs["map"]["doc"])
-    return _example_map(report_doc.get("example") or {})
+    return _example_map(report_doc.get("example"))
 
 
 def _witness(chk, carriers):
@@ -474,7 +459,7 @@ def _replay_map_law(doc, chk):
     p = _rebuild_map(doc)
     name = chk["check"]
     carriers = [p.target if r == "x" else p.source
-                for r in MAP_LAWS[name][0]]
+                for r in MAP_LAWS[name].roles]
     witness = _witness(chk, carriers)
     try:
         return [violates(p, name, witness)]
@@ -568,7 +553,7 @@ def cmd_report_verify(args, report):
                                   "doc_sha256; nothing replayed")
                 for role in edited]
     replayed = 0
-    verdict = "pass" if all(c["ok"] for c in checks) else "violation"
+    verdict = _verdict(checks)
     if doc.get("verdict") != verdict:
         failures.append(("verdict", f"recorded {doc.get('verdict')!r}, "
                                     f"the checks give {verdict!r}"))
@@ -589,7 +574,7 @@ def cmd_report_verify(args, report):
     print(f"replayed {replayed} witnesses, {len(failures)} problems")
     for kind, why in failures:
         print(f"  {kind}: {why}")
-    return 1 if failures else 0
+        report.add_check({"check": kind, "ok": False, "detail": why})
 
 
 # -- entry point --------------------------------------------------------------------
@@ -632,12 +617,9 @@ def _build_parser():
 
     sp = sub.add_parser("check-map", help="run openness checks on a map file")
     sp.add_argument("--map", required=True)
-    sp.add_argument("--semiopen", action="store_true")
-    sp.add_argument("--fr1", action="store_true")
-    sp.add_argument("--fr1-right", dest="fr1_right", action="store_true")
-    sp.add_argument("--fr2", action="store_true")
-    sp.add_argument("--wos", action="store_true")
-    sp.add_argument("--locale-meet", dest="locale_meet", action="store_true")
+    for name in _MAP_CHECKS:
+        sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                        action="store_true")
     sp.add_argument("--seed", type=int, default=0, help=_UNUSED)
     sp.add_argument("--pool", type=_at_least(1), default=50, help=_UNUSED)
     sp.add_argument("--report")
@@ -687,18 +669,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    handlers = {
-        "validate": cmd_validate,
-        "check-map": cmd_check_map,
-        "quotient": cmd_quotient,
-        "tensor": cmd_tensor,
-        "pullback-verify": cmd_pullback_verify,
-        "example": cmd_example,
-        "report-verify": cmd_report_verify,
-    }
+    # built per call, so that a patched handler is the one called
+    handlers = {"validate": cmd_validate, "check-map": cmd_check_map,
+                "quotient": cmd_quotient, "tensor": cmd_tensor,
+                "pullback-verify": cmd_pullback_verify,
+                "example": cmd_example, "report-verify": cmd_report_verify}
     report = _Report(argv)
     try:
-        code = handlers[args.cmd](args, report)
+        handlers[args.cmd](args, report)
     except (FormatError, OSError, NotUnital, NotALocale, NotASquare,
             ex.TooLarge, EnumerationBoundExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -706,7 +684,7 @@ def main(argv=None):
     except (LatticeError, InvalidQuantale) as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
-    report.finish("pass" if code == 0 else "violation")
+    code = report.finish()
     report.write(getattr(args, "report", None))
     return code
 

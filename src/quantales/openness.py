@@ -4,8 +4,8 @@ Every check returns a Check record: verdict, witness and how it was
 decided (exhaustive, or decided from a groupoid table).  Finite carriers
 are swept exhaustively.  A support map Max Q[G] -> P(G) that records its
 groupoid G is not searched at all: the lemma beside
-`examples._support_map` decides each law from G's table (`TABLE_LAWS`),
-and the evaluations of such a check count the table entries it read.  A
+`examples._support_map` decides each law from G's table, and the
+evaluations of such a check count the table entries it read.  A
 map with an effective carrier and no groupoid has no sweep that could
 prove a law, so its checks raise `Undecidable`.
 
@@ -26,11 +26,13 @@ keeps the witness, display and evaluations of the full sweep.
 Semiopenness is never reduced: it is the check that makes p_! the left
 adjoint of p*, and it costs |Q| |X| evaluations.
 
-Each law of a map is written once, as the sweep of its MAP_LAWS entry over
-one pool per witness element.  A check runs the sweep on the carriers (or
-their join-irreducibles); the witness it finds is then re-verified, and a
-recorded witness replayed (`violates`), by running the same sweep on
-one-element pools.
+Each law of a map is written once, as its MAP_LAWS entry: the roles of
+its witness elements, its sweep over one pool per witness element, and
+its decision from a groupoid table (none for locale-meet).  A check runs
+the sweep on the carriers (or their join-irreducibles), or the decision
+on the table; the witness it finds is then re-verified, and a recorded
+witness replayed (`violates`), by running the sweep on one-element pools.
+`BATTERY` names the laws of `frobenius_report` in report order.
 
 `frobenius_report` runs the battery on a map once: semiopenness, fr1, its
 right-module version, fr2, the involution of p_!, surjectivity and the
@@ -42,6 +44,7 @@ one report, which also keeps the map it certified with its direct image.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .quantale import Undecidable, _HomFacts, is_surjective
@@ -168,24 +171,12 @@ def _locale_meet(p, a, sa, b):  # p_!(a meet b) = p_!(a) meet p_!(b)
             == p.target.carrier.meet2(sa, p.shriek(b)))
 
 
-# name -> (roles, sweep); roles a and b range over the source Q, x over the
-# target X of p: Q -> X
-MAP_LAWS = {
-    "semiopen": ("ax", _pair_sweep(_semiopen)),
-    "fr1": ("ax", _pair_sweep(_fr1)),
-    "fr1_right": ("ax", _pair_sweep(_fr1_right)),
-    "fr2": ("axb", _sweep_fr2),
-    "direct_image_involution": ("a", _sweep_involution),
-    "locale-meet": ("ab", _pair_sweep(_locale_meet)),
-}
-
-
 # -- the laws of a groupoid support map, from its table -------------------------
 #
 # decide(G) returns the first failing witness (or None) and the number of
 # table entries read; the lemma beside `examples._support_map` says why.
 
-def _holds_for_every_groupoid(groupoid):
+def _always_holds(groupoid):
     return None, 0
 
 
@@ -211,13 +202,20 @@ def _fr2_from_table(groupoid):
             RationalSubspace.from_vectors(dim, [b])), reads
 
 
-TABLE_LAWS = {
-    "semiopen": _holds_for_every_groupoid,
-    "fr1": _holds_for_every_groupoid,
-    "fr1_right": _holds_for_every_groupoid,
-    "fr2": _fr2_from_table,
-    "direct_image_involution": _holds_for_every_groupoid,
+# name -> (roles, sweep, table decision); roles a and b range over the
+# source Q, x over the target X of p: Q -> X
+MapLaw = namedtuple("MapLaw", "roles sweep table")
+MAP_LAWS = {
+    "semiopen": MapLaw("ax", _pair_sweep(_semiopen), _always_holds),
+    "fr1": MapLaw("ax", _pair_sweep(_fr1), _always_holds),
+    "fr1_right": MapLaw("ax", _pair_sweep(_fr1_right), _always_holds),
+    "fr2": MapLaw("axb", _sweep_fr2, _fr2_from_table),
+    "direct_image_involution": MapLaw("a", _sweep_involution, _always_holds),
+    "locale-meet": MapLaw("ab", _pair_sweep(_locale_meet), None),
 }
+
+# the checks of `frobenius_report`, in report order
+BATTERY = ("semiopen", "fr1", "fr1_right", "fr2", "direct_image_involution")
 
 
 class UnconfirmedWitness(RuntimeError):
@@ -234,7 +232,7 @@ def violates(p, name, witness):
     if p.direct_image is None:
         p = _with_meet_candidate(p) if name == "semiopen" else \
             _require_direct(p)
-    return MAP_LAWS[name][1](p, *([w] for w in witness))[0] is not None
+    return MAP_LAWS[name].sweep(p, *([w] for w in witness))[0] is not None
 
 
 def _confirmed(p, name, witness):
@@ -248,12 +246,12 @@ def _check(name, p):
     any other map."""
     if p.groupoid is None:
         return _swept(name, p)
-    witness, count = TABLE_LAWS[name](p.groupoid)
+    witness, count = MAP_LAWS[name].table(p.groupoid)
     if witness is None:
         return Check(name, True, mode="decided", evaluations=count,
                      reduction=GROUPOID_TABLE)
     return Check(name, False, _confirmed(p, name, witness),
-                 _display(p, MAP_LAWS[name][0], witness), "decided",
+                 _display(p, MAP_LAWS[name].roles, witness), "decided",
                  evaluations=count, reduction=GROUPOID_TABLE)
 
 
@@ -265,7 +263,7 @@ def _swept(name, p):
     if not (Q.is_finite and X.is_finite):
         raise Undecidable(f"{name} of map {p.name or '?'}: an effective "
                           f"carrier is decided only from a groupoid table")
-    roles, sweep = MAP_LAWS[name]
+    roles, sweep, _ = MAP_LAWS[name]
     qs, xs = list(Q.elements), list(X.elements)
     if name != "semiopen" and _reduces(p):
         J = join_irreducibles(Q.carrier)
@@ -353,13 +351,13 @@ class FrobeniusReport:
     map_name: str
     certified: object  # p carrying its direct image, None unless semiopen
     semiopen: Check
-    fr1: Check | None
-    fr1_right: Check | None
-    fr2: Check | None
-    direct_image_involution: Check | None
-    surjective: bool | None
-    surjective_mode: str | None
-    unit_identity: bool | None  # p_!(p*(e)) = e, None without a unit e
+    fr1: Check | None = None
+    fr1_right: Check | None = None
+    fr2: Check | None = None
+    direct_image_involution: Check | None = None
+    surjective: bool | None = None
+    surjective_mode: str | None = None
+    unit_identity: bool | None = None  # p_!(p*(e)) = e, None without unit
 
     @property
     def weakly_open(self):
@@ -391,12 +389,10 @@ class FrobeniusReport:
         return bool(self.fr1.ok and self.surjective)
 
     def to_json(self):
-        checks = [c.to_json() for c in
-                  (self.semiopen, self.fr1, self.fr1_right, self.fr2,
-                   self.direct_image_involution) if c is not None]
+        checks = [getattr(self, name) for name in BATTERY]
         return {
             "map": self.map_name,
-            "checks": checks,
+            "checks": [c.to_json() for c in checks if c is not None],
             "surjective": self.surjective,
             "surjective_mode": self.surjective_mode,
             "unit_identity": self.unit_identity,
@@ -409,8 +405,7 @@ def frobenius_report(p):
     """Run the whole battery on one map and collect the verdicts."""
     enriched, semi = check_semiopen(p)
     if enriched is None:
-        return FrobeniusReport(p.name, None, semi, None, None, None, None,
-                               None, None, None)
+        return FrobeniusReport(p.name, None, semi)
     p = enriched
     fr1 = check_fr1(p)
     fr1r = check_fr1_right(p)
@@ -462,7 +457,7 @@ def check_locale_meet_lemma(report):
     if not report.fr2.ok:
         return LocaleMeetReport(p.name, False, False, None, None)
     elements = list(p.source.elements)
-    witness, _ = MAP_LAWS["locale-meet"][1](p, elements, elements)
+    witness, _ = MAP_LAWS["locale-meet"].sweep(p, elements, elements)
     if witness is None:
         return LocaleMeetReport(p.name, True, True, True, None)
     return LocaleMeetReport(p.name, True, True, False,

@@ -214,6 +214,9 @@ class EffectiveInvQuantale:
     def name_of(self, a):
         return repr(a)
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.label})"
+
 
 # holds(q, *witness) for QUANTALE_LAWS and holds(h, source, target,
 # *witness) for HOM_LAWS, where h: source -> target.  `finite` is how

@@ -36,7 +36,7 @@ from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
                                 Instance, Word, _unit_chain, all_words,
                                 core_failure, word_direct_image,
                                 word_multiply)
-from quantales.openness import MAP_LAWS, Check, violates
+from quantales.openness import BATTERY, MAP_LAWS, Check, violates
 from quantales.quantale import (DERIVED, HOM_LAWS, QUANTALE_LAWS,
                                 FiniteInvQuantale, Violation,
                                 validate_quantale)
@@ -179,7 +179,7 @@ def map_law_swept(name, p, pools=None):
     between finite carriers that carries its direct image; a witness is
     re-checked on one-element pools.  Given pools (qs, xs), such as those
     of `probe_pools`, the sweep runs on them instead, in mode "sampled"."""
-    roles, sweep = MAP_LAWS[name]
+    roles, sweep, _ = MAP_LAWS[name]
     carriers = [p.target if r == "x" else p.source for r in roles]
     if pools is None:
         mode, args = "exhaustive", [list(c.elements) for c in carriers]
@@ -192,9 +192,6 @@ def map_law_swept(name, p, pools=None):
     display = ", ".join(f"{r}={c.name_of(w)}"
                         for r, c, w in zip(roles, carriers, witness))
     return Check(name, False, witness, display, mode, evaluations=count)
-
-
-BATTERY = ("semiopen", "fr1", "fr1_right", "fr2", "direct_image_involution")
 
 
 def map_battery_swept(p, pools=None):

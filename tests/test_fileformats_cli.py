@@ -310,6 +310,30 @@ def test_cli_quotient(files):
     assert rep["quotient"]["hom"] == [0, 1, 1, 1]
 
 
+def test_the_exit_code_and_verdict_are_read_off_the_checks(files,
+                                                           monkeypatch,
+                                                           capsys):
+    # a handler that records a failed check and returns as it would on
+    # success still makes the command fail
+    quotient = cli.cmd_quotient
+
+    def failing(args, report):
+        result = quotient(args, report)
+        report.add_check({"check": "x", "ok": False})
+        return result
+
+    monkeypatch.setattr(cli, "cmd_quotient", failing)
+    report = files / "quot.report.json"
+    assert main(["quotient", "--quantale", str(files / "pz2.quantale.json"),
+                 "--relation", str(files / "rel.json"),
+                 "--report", str(report)]) == 1
+    assert ff.load_json(report)["verdict"] == "violation"
+    # report-verify finds one problem in the report: no rule replays "x"
+    capsys.readouterr()
+    assert main(["report-verify", str(report)]) == 1
+    assert "replayed 0 witnesses, 1 problems" in capsys.readouterr().out
+
+
 def test_cli_tensor(files, tmp_path):
     two = tmp_path / "two.lattice.json"
     ff.save_json(two, ff.lattice_to_doc(omega_quantale().carrier))

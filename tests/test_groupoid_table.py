@@ -109,12 +109,12 @@ def test_sampled_sweep_on_lines_agrees_with_the_decided_battery(name):
     lines = _lines(random.Random(f"lines:{name}"), g.size, 16)
     singletons = [1 << k for k in range(g.size)]
     for law in ("semiopen", "fr1", "fr1_right"):
-        witness, count = MAP_LAWS[law][1](p, lines, singletons)
+        witness, count = MAP_LAWS[law].sweep(p, lines, singletons)
         assert witness is None and count == len(lines) * g.size, law
-    assert MAP_LAWS["direct_image_involution"][1](p, lines) == (
+    assert MAP_LAWS["direct_image_involution"].sweep(p, lines) == (
         None, len(lines))
     if name in PRINCIPAL:
-        witness, count = MAP_LAWS["fr2"][1](p, lines, singletons, lines)
+        witness, count = MAP_LAWS["fr2"].sweep(p, lines, singletons, lines)
         assert witness is None and count == len(lines) ** 2 * g.size
 
 

@@ -381,6 +381,56 @@ def test_effective_witness_entries_are_the_strings_reports_write(
     assert _replay(tmp_path, doc) == 2
 
 
+def test_an_effective_witness_error_names_its_carrier(tmp_path, capsys):
+    # the carrier once printed as an object address, which changed per run
+    report = tmp_path / "ga.json"
+    assert main(["example", "group-algebra", "--group", "z2",
+                 "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    fr2 = next(c for c in doc["frobenius"]["checks"] if c["check"] == "fr2")
+    doc["checks"].append({**fr2, "witness": [3, *fr2["witness"][1:]]})
+    doc["verdict"] = "violation"
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 2
+    assert capsys.readouterr().err == (
+        "error: witness element 3 is not an element of "
+        "MaxAlgebraQuantale(Max Q[2])\n")
+
+
+def _matrix_max_fr2_report(tmp_path):
+    """An `example matrix-max --n 1` report that also records, as failed, an
+    fr2 check at a triple where fr2 holds: one problem on replay."""
+    report = tmp_path / "mm.json"
+    assert main(["example", "matrix-max", "--n", "1",
+                 "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    zero = {"dim": 1, "basis": []}
+    doc["checks"].append({"check": "fr2", "ok": False,
+                          "witness": [zero, 0, zero]})
+    doc["verdict"] = "violation"
+    return doc
+
+
+@pytest.mark.parametrize("example", [
+    {"name": "matrix-max"}, {"name": "matrix-max", "n": "x"},
+    {"name": "matrix-max", "n": True}, [1]],
+    ids=["no-n", "string-n", "bool-n", "not-an-object"])
+def test_a_malformed_example_record_is_an_input_error(example, tmp_path,
+                                                      capsys):
+    # the first two and the last once ended in a traceback, and n = true
+    # was replayed on Max M1(Q)
+    doc = _matrix_max_fr2_report(tmp_path)
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 1
+    assert "fr2: recorded failure does not replay" in capsys.readouterr().out
+    doc["example"] = example
+    assert _replay(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: example") or \
+        err.startswith("error: the report embeds no map")
+    assert err.count("\n") == 1
+
+
 def test_subspace_witness_json_round_trips():
     # the encoding of reports written before it moved to subspaces.py
     line = RationalSubspace.from_vectors(3, [(2, 1, 0)])
