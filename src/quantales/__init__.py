@@ -7,8 +7,7 @@ from .suplattice import (ClosureOperator, FiniteSupLattice, SupMap,
                          right_adjoint, validate_lattice)
 from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
                        Violation, find_unit, finite_subquantale, identity_map,
-                       is_surjective, quantale_isomorphism, validate_hom,
-                       validate_quantale)
+                       is_surjective, validate_hom, validate_quantale)
 from .nucleus import (Nucleus, QuotientQuantale, RelationPresentation,
                       nucleus_from_relation, quotient, quotient_by_relation,
                       saturate_relation, saturated_elements)

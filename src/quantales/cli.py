@@ -71,9 +71,8 @@ class _Report:
 
     def load(self, role, path):
         # `ff.save_report` adds the doc_sha256 when it encodes the document
-        doc = ff.load_json(path)
-        self.doc["inputs"][role] = {
-            "path": path, "sha256": ff.digest(path), "doc": doc}
+        doc, sha = ff.load_json(path, with_sha256=True)
+        self.doc["inputs"][role] = {"path": path, "sha256": sha, "doc": doc}
         return doc
 
     def add_check(self, check_doc):
@@ -685,7 +684,11 @@ def main(argv=None):
         print(f"violation: {e}", file=sys.stderr)
         return 1
     code = report.finish()
-    report.write(getattr(args, "report", None))
+    try:
+        report.write(getattr(args, "report", None))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return code
 
 

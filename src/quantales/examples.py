@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .openness import frobenius_report
-from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, InvalidQuantale,
-                       QuantaleMap, finite_subquantale, validate_hom,
+from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
+                       finite_subquantale, require, validate_hom,
                        validate_quantale)
 from .subspaces import RationalSubspace
 from .suplattice import FiniteSupLattice, _bits
@@ -222,9 +222,7 @@ def powerset_quantale(groupoid, label=""):
                            for u in range(n)],
                           [subsets.inv(u) for u in range(n)],
                           unit=subsets.unit, label=label)
-    v = validate_quantale(q)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_quantale(q))
     return q
 
 
@@ -248,9 +246,7 @@ def omega_quantale():
     carrier = FiniteSupLattice.chain(2, names=("0", "1"))
     q = FiniteInvQuantale(carrier, ((0, 0), (0, 1)), (0, 1), unit=1,
                           label="Omega")
-    v = validate_quantale(q)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_quantale(q))
     return q
 
 
@@ -271,9 +267,7 @@ def product_quantale(q1, q2):
         unit = enc(q1.unit, q2.unit)
     q = FiniteInvQuantale(carrier, mult, inv, unit=unit,
                           label=f"{q1.label or 'Q1'}x{q2.label or 'Q2'}")
-    v = validate_quantale(q)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_quantale(q))
     return q
 
 
@@ -478,9 +472,7 @@ def z2_group_algebra_finite_map():
     shriek_table = tuple(ambient_map.shriek(h) for h in handles)
     p = QuantaleMap.from_table(fragment, X, star_table, shriek_table,
                                name="z2-algebra-fragment-support")
-    v = validate_hom(p.inverse_image, X, fragment)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_hom(p.inverse_image, X, fragment))
     return p
 
 
@@ -541,9 +533,7 @@ def locale_quantale(top, label=""):
     inv = list(range(n))
     q = FiniteInvQuantale(carrier, mult, inv, unit=carrier.top,
                           label=label or f"O({top.points}pt)")
-    v = validate_quantale(q)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_quantale(q))
     return q
 
 
@@ -642,9 +632,7 @@ def delta_embedding_map(n):
         diag |= 1 << (i * n + i)
     f = QuantaleMap.from_table(source, omega, (0, diag),
                                name=f"delta-embedding-{n}")
-    v = validate_hom(f.inverse_image, omega, source)
-    if v is not None:
-        raise InvalidQuantale(v)
+    require(validate_hom(f.inverse_image, omega, source))
     return f
 
 

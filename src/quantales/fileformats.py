@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .quantale import FiniteInvQuantale, InvalidQuantale, QuantaleMap, \
+from .quantale import FiniteInvQuantale, QuantaleMap, require, \
     validate_hom, validate_quantale
 from .suplattice import validate_lattice
 
@@ -124,9 +124,7 @@ def quantale_from_doc(doc, validate=True, label=""):
         raise FormatError("unit out of range")
     q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
     if validate:
-        v = validate_quantale(q)
-        if v is not None:
-            raise InvalidQuantale(v)
+        require(validate_quantale(q))
     return q
 
 
@@ -163,9 +161,7 @@ def map_from_doc(doc, validate=True):
         raise FormatError("key 'name' must be str")
     m = QuantaleMap.from_table(source, target, table, name=name)
     if validate:
-        v = validate_hom(m.inverse_image, target, source)
-        if v is not None:
-            raise InvalidQuantale(v)
+        require(validate_hom(m.inverse_image, target, source))
     return m
 
 
@@ -179,15 +175,18 @@ def relation_from_doc(doc, quantale):
     return RelationPresentation(quantale, frozenset(pairs))
 
 
-def load_json(path):
-    """The JSON value in a file.  Text that is not JSON, bytes that are not
-    UTF-8 and nesting deeper than the decoder's recursion limit all raise
-    FormatError naming the file."""
+def load_json(path, with_sha256=False):
+    """The JSON value in a file, and with `with_sha256` also the sha256 of
+    the bytes it was parsed from: the file is read once.  Text that is not
+    JSON, bytes that are not UTF-8 and nesting deeper than the decoder's
+    recursion limit all raise FormatError naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise FormatError(f"{path}: {e}") from e
+    return (doc, hashlib.sha256(data).hexdigest()) if with_sha256 else doc
 
 
 def canonical_json(doc):
@@ -242,13 +241,6 @@ def save_report(path, report):
     pieces.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
-
-
-def digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def doc_digest(doc):

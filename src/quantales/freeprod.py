@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .openness import frobenius_report
-from .quantale import InvalidQuantale, validate_quantale
+from .quantale import require, validate_quantale
 
 Y_TAG = "y"
 Q_TAG = "q"
@@ -258,9 +258,7 @@ def check_maxlen(maxlen):
 def _check_premise(ctx, maxlen):
     """The bound on maxlen, and the premise on Y of both lemmas."""
     check_maxlen(maxlen)
-    violation = validate_quantale(ctx.Y)
-    if violation is not None:
-        raise InvalidQuantale(violation)
+    require(validate_quantale(ctx.Y))
 
 
 # -- the swap rule -----------------------------------------------------------------

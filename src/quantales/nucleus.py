@@ -137,9 +137,7 @@ def quotient(q, nuc):
     inv = [index[q.inv(closed[i])] for i in range(n)]
     quot = FiniteInvQuantale(carrier, mult, inv,
                              label=f"{q.label or 'Q'}/j")
-    unit = find_unit(quot)
-    quot = FiniteInvQuantale(carrier, mult, inv, unit=unit,
-                             label=f"{q.label or 'Q'}/j")
+    quot.unit = find_unit(quot)
     v = validate_quantale(quot)
     if v is not None:
         raise InternalInvariantViolation(f"quotient is not a quantale: {v}")

@@ -9,20 +9,23 @@ evaluations of such a check count the table entries it read.  A
 map with an effective carrier and no groupoid has no sweep that could
 prove a law, so its checks raise `Undecidable`.
 
-On finite carriers fr1, fr1_right, fr2 and direct_image_involution sweep
-their Q-arguments a and b over the join-irreducibles J(Q) alone, and
-record the reduction, when both carriers are validated quantales and p_!
-is a sup-map.  That premise is decided as `validate_hom` decides
-hom-join: p_!(bottom) = bottom and p_!(a v j) = p_!(a) v p_!(j) for every
-a and every j in J(Q), which by induction on b = j1 v ... v jk gives
-p_!(a v b) = p_!(a) v p_!(b).  Each side of these laws then preserves
-joins in a and in b, bottom included: the products of both quantales
-distribute over joins and absorb bottom, both involutions preserve
-joins, and so does p_!.  Every element is the join of the
-join-irreducibles below it, so the two sides agree everywhere once they
-agree on J.  A witness of the reduced sweep is confirmed, and then the
-full sweep runs and reports its own first witness, so a failing check
-keeps the witness, display and evaluations of the full sweep.
+On finite carriers fr1, fr1_right, fr2, direct_image_involution and
+locale-meet sweep their Q-arguments a and b over the join-irreducibles
+J(Q) alone, and record the reduction, when both carriers are validated
+quantales and p_! is a sup-map.  That premise is decided as
+`validate_hom` decides hom-join: p_!(bottom) = bottom and
+p_!(a v j) = p_!(a) v p_!(j) for every a and every j in J(Q), which by
+induction on b = j1 v ... v jk gives p_!(a v b) = p_!(a) v p_!(b).  Each
+side of these laws then preserves joins in a and in b, bottom included:
+the products of both quantales distribute over joins and absorb bottom,
+both involutions preserve joins, and so does p_!.  Locale-meet is
+checked only between locales, validated quantales whose product is
+meet: there a(b v c) = ab v ac makes the lattice distributive, so a
+finite frame, and a meet - preserves joins.  Every element is the join
+of the join-irreducibles below it, so the two sides agree everywhere
+once they agree on J.  A witness of the reduced sweep is confirmed, and
+then the full sweep runs and reports its own first witness, so a failing
+check keeps the witness, display and evaluations of the full sweep.
 Semiopenness is never reduced: it is the check that makes p_! the left
 adjoint of p*, and it costs |Q| |X| evaluations.
 
@@ -424,11 +427,8 @@ def frobenius_report(p):
 
 def is_locale_quantale(q):
     """Multiplication is binary meet and the involution is the identity."""
-    if not q.is_finite:
-        return False
-    return (all(q.inv(a) == a for a in q.elements)
-            and all(q.mult(a, b) == q.carrier.meet2(a, b)
-                    for a in q.elements for b in q.elements))
+    return (q.is_finite and q.inv_table == tuple(q.elements)
+            and q.mult_table == q.carrier.meet_table)
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,8 @@ class LocaleMeetReport:
 
 def check_locale_meet_lemma(report):
     """For locale maps satisfying fr2, p_! preserves binary meets; fr2
-    is read off the map's `frobenius_report`."""
+    is read off the map's `frobenius_report`, and the law is swept as
+    every other map law is (on J(Q) x J(Q) when p_! is a sup-map)."""
     p = report.certified
     if p is None:
         raise MissingDirectImage("map is not semiopen")
@@ -456,9 +457,5 @@ def check_locale_meet_lemma(report):
         raise NotALocale("both carriers must be locales viewed as quantales")
     if not report.fr2.ok:
         return LocaleMeetReport(p.name, False, False, None, None)
-    elements = list(p.source.elements)
-    witness, _ = MAP_LAWS["locale-meet"].sweep(p, elements, elements)
-    if witness is None:
-        return LocaleMeetReport(p.name, True, True, True, None)
-    return LocaleMeetReport(p.name, True, True, False,
-                            _confirmed(p, "locale-meet", witness))
+    chk = _swept("locale-meet", p)
+    return LocaleMeetReport(p.name, True, True, chk.ok, chk.witness)

@@ -83,8 +83,8 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .suplattice import (NoLeftAdjoint, SupMap, distributive_peeling,
-                         join_irreducibles, left_adjoint, validate_lattice)
+from .suplattice import (SupMap, distributive_peeling, join_irreducibles,
+                         left_adjoint, validate_lattice)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,12 @@ class InvalidQuantale(ValueError):
     def __init__(self, violation):
         self.violation = violation
         super().__init__(str(violation))
+
+
+def require(violation):
+    """Raise InvalidQuantale for the Violation a validator returned."""
+    if violation is not None:
+        raise InvalidQuantale(violation)
 
 
 class Undecidable(RuntimeError):
@@ -513,24 +519,17 @@ def identity_map(q):
 
 
 def is_surjective(p):
-    """Decide surjectivity of p: Q -> X for a finite X.
+    """Decide surjectivity of p: Q -> X for a finite X: p* is injective.
 
-    With a direct image, p is a surjection iff p_!(p*(x)) = x for all x;
-    without one, injectivity of p* is used, which agrees with the first
-    criterion whenever the left adjoint exists.  An effective X raises
-    `Undecidable`.
+    This is the definition, and it needs no direct image.  When p_! is
+    the left adjoint of p*, it agrees with p_!(p*(x)) = x for every x:
+    p* p_! p* = p*, so an injective p* gives p_! p* = id, and p_! p* = id
+    makes p* injective.  An effective X raises `Undecidable`.
     """
     X = p.target
     if not X.is_finite:
         raise Undecidable("surjectivity of a map into an effective carrier "
                           "is not decided here")
-    if p.direct_image is None and p.source.is_finite:
-        try:
-            p = ensure_left_adjoint(p)
-        except NoLeftAdjoint:
-            pass
-    if p.direct_image is not None:
-        return all(p.shriek(p.star(x)) == x for x in X.elements)
     values = [p.star(x) for x in X.elements]
     return len(set(values)) == len(values)
 
@@ -549,9 +548,11 @@ def finite_subquantale(ambient, seeds, max_size=64, label=""):
     """Close handles of an effective quantale under joins, mult and involution.
 
     Returns (quantale, handles) where handles[i] is the ambient element of
-    the i-th quotient index.  The inclusion preserves joins, multiplication
-    and involution by construction; meets inside the fragment may differ
-    from ambient meets, which is fine for a quantale in its own right.
+    index i.  The inclusion preserves joins, multiplication and involution
+    by construction; meets inside the fragment may differ from ambient
+    meets, which is fine for a quantale in its own right.  The unit is the
+    ambient one when the closure holds it, else `find_unit`'s, set on the
+    one quantale built before it is validated.
     """
     handles = []
     seen = set()
@@ -584,80 +585,10 @@ def finite_subquantale(ambient, seeds, max_size=64, label=""):
     mult = [[index[ambient.mult(handles[i], handles[j])] for j in range(n)]
             for i in range(n)]
     inv = [index[ambient.inv(handles[i])] for i in range(n)]
-    unit = index.get(ambient.unit) if ambient.unit is not None else None
-    if unit is None:
-        q = FiniteInvQuantale(carrier, mult, inv, label=label)
-        unit = find_unit(q)
-    q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
-    v = validate_quantale(q)
-    if v is not None:
-        raise InvalidQuantale(v)
+    q = FiniteInvQuantale(carrier, mult, inv, label=label)
+    q.unit = index.get(ambient.unit)
+    if q.unit is None:
+        q.unit = find_unit(q)
+    require(validate_quantale(q))
     return q, handles
 
-
-def quantale_isomorphism(q1, q2):
-    """A bijection of elements preserving order, mult and involution, or None.
-
-    Brute force over permutations with an order-profile prefilter; meant
-    for small quantales (quotients, toy examples).
-    """
-    if q1.size != q2.size:
-        return None
-
-    def profile(q, a):
-        ups = sum(1 for b in q.elements if q.leq(a, b))
-        downs = sum(1 for b in q.elements if q.leq(b, a))
-        idem = q.mult(a, a) == a
-        return (ups, downs, idem, q.inv(a) == a)
-
-    p1 = [profile(q1, a) for a in q1.elements]
-    p2 = [profile(q2, a) for a in q2.elements]
-    if sorted(p1) != sorted(p2):
-        return None
-    candidates = [[b for b in q2.elements if p2[b] == p1[a]] for a in q1.elements]
-
-    n = q1.size
-    perm = [None] * n
-    used = set()
-
-    def ok_so_far(a):
-        for b in range(n):
-            if perm[b] is None:
-                continue
-            if q1.leq(a, b) != q2.leq(perm[a], perm[b]):
-                return False
-            if q1.leq(b, a) != q2.leq(perm[b], perm[a]):
-                return False
-            ab = q1.mult(a, b)
-            if perm[ab] is not None and perm[ab] != q2.mult(perm[a], perm[b]):
-                return False
-            ba = q1.mult(b, a)
-            if perm[ba] is not None and perm[ba] != q2.mult(perm[b], perm[a]):
-                return False
-        ia = q1.inv(a)
-        if perm[ia] is not None and perm[ia] != q2.inv(perm[a]):
-            return False
-        return True
-
-    def extend(a):
-        if a == n:
-            for x, y in itertools.product(range(n), repeat=2):
-                if perm[q1.mult(x, y)] != q2.mult(perm[x], perm[y]):
-                    return False
-                if q1.leq(x, y) != q2.leq(perm[x], perm[y]):
-                    return False
-            return all(perm[q1.inv(x)] == q2.inv(perm[x]) for x in range(n))
-        for b in candidates[a]:
-            if b in used:
-                continue
-            perm[a] = b
-            used.add(b)
-            if ok_so_far(a) and extend(a + 1):
-                return True
-            used.discard(b)
-            perm[a] = None
-        return False
-
-    if extend(0):
-        return {a: perm[a] for a in range(n)}
-    return None

@@ -87,6 +87,11 @@ class FiniteSupLattice:
         """join_table[i][j] is the join of i and j."""
         return self._join
 
+    @property
+    def meet_table(self):
+        """meet_table[i][j] is the meet of i and j."""
+        return self._meet
+
     def meet2(self, i, j):
         return self._meet[i][j]
 

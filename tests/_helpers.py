@@ -174,11 +174,12 @@ def validate_hom_swept(h, source, target):
 
 
 def map_law_swept(name, p, pools=None):
-    """The exhaustive check of a map law before its Q-arguments were swept
-    on join-irreducibles: the law's sweep over all of Q and X, for a map
-    between finite carriers that carries its direct image; a witness is
-    re-checked on one-element pools.  Given pools (qs, xs), such as those
-    of `probe_pools`, the sweep runs on them instead, in mode "sampled"."""
+    """The exhaustive check of a map law, locale-meet included, before its
+    Q-arguments were swept on join-irreducibles: the law's sweep over all
+    of Q and X, for a map between finite carriers that carries its direct
+    image; a witness is re-checked on one-element pools.  Given pools
+    (qs, xs), such as those of `probe_pools`, the sweep runs on them
+    instead, in mode "sampled"."""
     roles, sweep, _ = MAP_LAWS[name]
     carriers = [p.target if r == "x" else p.source for r in roles]
     if pools is None:

@@ -561,6 +561,11 @@ def _report_inputs(name, tmp_path):
     }[name]
 
 
+def _file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @pytest.mark.parametrize("name", ["validate", "check-map", "quotient",
                                   "tensor", "pullback-verify", "example"])
 def test_files_hold_the_canonical_text_that_doc_sha256_digests(name,
@@ -577,7 +582,7 @@ def test_files_hold_the_canonical_text_that_doc_sha256_digests(name,
                            "example": 0}[name]
     for entry in inputs.values():
         assert entry["doc_sha256"] == ff.doc_digest(entry["doc"])
-        assert entry["sha256"] == ff.digest(entry["path"])
+        assert entry["sha256"] == _file_sha256(entry["path"])
         # an input saved here is that canonical text and a newline
         with open(entry["path"], encoding="utf-8") as fh:
             on_disk = fh.read()
@@ -587,6 +592,49 @@ def test_files_hold_the_canonical_text_that_doc_sha256_digests(name,
     # every command given inputs here embeds one with the escaped names
     assert ("\\u2028" in text) == bool(inputs)
     assert main(["report-verify", str(report)]) == 0
+
+
+def test_an_input_file_is_opened_once_for_its_document_and_sha256(
+        tmp_path, monkeypatch):
+    # the file is replaced right after it is first opened: its recorded
+    # sha256 is still the digest of the bytes its embedded document was
+    # parsed from, because nothing opens it again
+    path = tmp_path / "pz2.quantale.json"
+    ff.save_json(path, ff.quantale_to_doc(PZ2))
+    parsed = path.read_bytes()
+    other = tmp_path / "omega.quantale.json"
+    ff.save_json(other, ff.quantale_to_doc(omega_quantale()))
+    real_open, opened = open, []
+
+    def spying_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if os.fspath(file) == str(path):
+            opened.append(file)
+            if len(opened) == 1:
+                os.replace(other, path)  # the open handle keeps the old file
+        return fh
+
+    monkeypatch.setattr("builtins.open", spying_open)
+    report = tmp_path / "r.json"
+    assert main(["validate", str(path), "--report", str(report)]) == 0
+    assert len(opened) == 1
+    entry = ff.load_json(report)["inputs"][str(path)]
+    assert entry["sha256"] == hashlib.sha256(parsed).hexdigest()
+    assert entry["doc"] == ff.quantale_to_doc(PZ2)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_a_report_that_cannot_be_written_is_an_input_error(where, files,
+                                                           capsys):
+    # the checks pass, so a traceback and exit 1 read as a violation
+    report = files / "no-such-dir" / "r.json" if where == "missing-directory" \
+        else files
+    qpath = str(files / "pz2.quantale.json")
+    assert main(["validate", qpath, "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "  quantale: ok"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (files / "no-such-dir").exists()
 
 
 def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
@@ -602,7 +650,7 @@ def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
     assert not (tmp_path / "new.json").exists()
     # the report writer serializes every piece, embedded inputs included,
     # before it opens the file
-    good = {"path": str(path), "sha256": ff.digest(path),
+    good = {"path": str(path), "sha256": _file_sha256(path),
             "doc": ff.quantale_to_doc(PZ2)}
     for report in ({"inputs": {"a": good, "b": {**good, "doc": {1j: 0}}}},
                    {"inputs": {"a": good}, "checks": [{"ok": {1, 2}}]},

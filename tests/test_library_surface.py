@@ -23,8 +23,6 @@ PACKAGE = ROOT / "src" / "quantales"
 ALLOWED = {
     "suplattice.preserves_all_meets":
         "semiopenness decided on meet-irreducibles is to call it",
-    "quantale.quantale_isomorphism":
-        "the nucleus acceptance test identifies P(Z/2)/j with Omega by it",
     "tensor.induced_from_bimorphism":
         "the tensor acceptance test checks the universal property with it",
     "freeprod.grade_of":
@@ -38,6 +36,8 @@ ALLOWED = {
     "openness.FrobeniusReport.fr2_forces_fr1":
         "the lemma-suite acceptance test checks FR2 => FR1 on every map",
     "suplattice.right_adjoint":
+        "perfbench/tracing.py binds it, and nothing calls it",
+    "quantale.ensure_left_adjoint":
         "perfbench/tracing.py binds it, and nothing calls it",
 }
 

@@ -10,7 +10,7 @@ from quantales.nucleus import (Nucleus, RelationPresentation,
                                nucleus_from_relation, quotient,
                                quotient_by_relation, saturate_relation,
                                saturated_elements)
-from quantales.quantale import quantale_isomorphism, validate_hom
+from quantales.quantale import validate_hom
 
 from _helpers import least_closure_identifying, small_quantales, \
     sup_maps_between, three_clause_saturation
@@ -97,13 +97,13 @@ def test_nucleus_validates_its_laws():
 def test_quotient_by_identity_nucleus_is_isomorphic():
     qq, hom = quotient_by_relation(PZ2, [])
     assert qq.quantale.size == PZ2.size
-    assert quantale_isomorphism(qq.quantale, PZ2) is not None
+    assert qq.quantale == PZ2
 
 
 def test_quotient_of_pz2_is_omega():
     qq, hom = quotient_by_relation(PZ2, [(1, 2)])
     assert qq.quantale.size == 2
-    assert quantale_isomorphism(qq.quantale, omega_quantale()) is not None
+    assert qq.quantale == omega_quantale()
     assert hom.values == (0, 1, 1, 1)
     v = validate_hom(lambda a: hom.values[a], PZ2, qq.quantale)
     assert v is None
