@@ -10,7 +10,10 @@ checks, by the rule that `report-verify` applies, and writes it (a
 subcommand that raises writes none).  Each input's `doc_sha256` is
 computed when the report is written, from the very text that the report
 embeds (`fileformats.save_report`).  `main` builds its argument parser
-once per process, on its first call.
+once per process, on its first call.  Before any check runs it refuses,
+with exit 2, a command line whose output path (`--report`, `--out`, or
+the file `example` writes) resolves to one of the command's inputs or to
+its other output.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -369,15 +372,22 @@ def _example_map(example):
     return build(value)
 
 
+def _example_path(args):
+    """The file that `example` writes, or None for a suite example."""
+    materialized = _materialized_examples(args)
+    if args.name not in materialized:
+        return None
+    return os.path.join(args.out or ".", materialized[args.name][0])
+
+
 def cmd_example(args, report):
     name = args.name
     materialized = _materialized_examples(args)
     if name in materialized:
         fname, to_doc, build = materialized[name]
         doc = to_doc(build())
-        outdir = args.out or "."
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, fname)
+        os.makedirs(args.out or ".", exist_ok=True)
+        path = _example_path(args)
         ff.save_json(path, doc)
         print(f"wrote {path}")
         report.add_check({"check": "materialize", "ok": True,
@@ -599,6 +609,36 @@ def _at_least(minimum):
 
 _UNUSED = "accepted and unused: every check is exhaustive or decided"
 
+# command -> the options that name the files it reads
+_READS = {"validate": ("paths",), "check-map": ("map",),
+          "quotient": ("quantale", "relation"), "tensor": ("lattices",),
+          "pullback-verify": ("p", "f"), "report-verify": ("path",)}
+
+
+def _clobber(args):
+    """An error naming an output path that resolves to an input of the
+    same command or to its other output, or None."""
+    files = []
+    for option in _READS.get(args.cmd, ()):
+        value = getattr(args, option)
+        files += [("input", path) for path in
+                  (value if isinstance(value, list) else [value])]
+    writes = [getattr(args, "report", None)]
+    if args.cmd == "quotient":
+        writes.append(args.out)
+    elif args.cmd == "example":
+        writes.append(_example_path(args))
+    for path in writes:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        for role, other in files:
+            if os.path.realpath(other) == real:
+                return (f"output {path} is the same file as {role} {other}; "
+                        f"refusing to overwrite it")
+        files.append(("output", path))
+    return None
+
 
 @functools.cache
 def _build_parser():
@@ -673,6 +713,10 @@ def main(argv=None):
                 "quotient": cmd_quotient, "tensor": cmd_tensor,
                 "pullback-verify": cmd_pullback_verify,
                 "example": cmd_example, "report-verify": cmd_report_verify}
+    clobber = _clobber(args)
+    if clobber is not None:
+        print(f"error: {clobber}", file=sys.stderr)
+        return 2
     report = _Report(argv)
     try:
         handlers[args.cmd](args, report)

@@ -167,8 +167,8 @@ def product_groupoid(g, h):
 class GroupoidPowerset(EffectiveInvQuantale):
     """P(G) as an oracle: a subset of arrows is a bitmask, and products,
     converses and names are computed from the groupoid table on demand.
-    `powerset_quantale` tabulates it, up to nine arrows; the oracle has no
-    such bound."""
+    `powerset_quantale` tabulates it from its products of singletons, the
+    J x J table, up to nine arrows; the oracle has no such bound."""
 
     def __init__(self, groupoid):
         self.groupoid = groupoid
@@ -211,17 +211,19 @@ class GroupoidPowerset(EffectiveInvQuantale):
 
 def powerset_quantale(groupoid, label=""):
     """Subsets of a groupoid under setwise product, converse and union,
-    tabulated from `GroupoidPowerset`."""
+    tabulated from `GroupoidPowerset`: a product of subsets is the union
+    of the products of their arrows, so the k^2 products of singletons
+    fix the table of 4^k entries."""
     k = groupoid.size
     if k > 9:
         raise TooLarge(f"powerset of {k} arrows is beyond table bounds")
-    n = 1 << k
     subsets = GroupoidPowerset(groupoid)
-    q = FiniteInvQuantale(FiniteSupLattice.powerset(groupoid.names),
-                          [[subsets.mult(u, v) for v in range(n)]
-                           for u in range(n)],
-                          [subsets.inv(u) for u in range(n)],
-                          unit=subsets.unit, label=label)
+    singletons = [1 << x for x in range(k)]
+    q = FiniteInvQuantale.from_join_irreducibles(
+        FiniteSupLattice.powerset(groupoid.names),
+        {(i, j): subsets.mult(i, j) for i in singletons for j in singletons},
+        [subsets.inv(u) for u in range(1 << k)],
+        unit=subsets.unit, label=label)
     require(validate_quantale(q))
     return q
 

@@ -63,6 +63,18 @@ A table that passes every declared sweep is therefore a quantale; one
 that fails may report a different first law than the full n^3 sweep, and
 never distrib-right.
 
+`FiniteInvQuantale.from_join_irreducibles` builds a table from its J x J
+products, extended by ab = V{ij : i in J(a), j in J(b)}.  This
+J-extension is the only candidate: a product that preserves joins in each
+argument (bottom absorbing, for the empty join) takes exactly these
+values, since a = V J(a) and b = V J(b).  On a distributive carrier it
+does preserve joins in each argument, because J(a v b) = J(a) | J(b);
+on another the same formula may not, and the constructor refuses it.
+Whether the product is associative and has its unit, and whether the
+involution is one, the J x J table does not say: validation decides
+these laws as for any other table (on a J-extension distrib-left is
+decided by comparing rows, and assoc is swept on J x J x J).
+
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
 p_!: Q -> X (left adjoint of p*).  When both carriers of a homomorphism
@@ -132,6 +144,42 @@ class FiniteInvQuantale:
         if len(self.inv_table) != n:
             raise ValueError("involution table has wrong length")
         self._validated = False
+
+    @classmethod
+    def from_join_irreducibles(cls, carrier, jmult, inv_table, unit=None,
+                               label=""):
+        """The quantale whose product extends the J x J products
+        jmult[i, j] by ab = V{ij : i in J(a), j in J(b)} (module
+        docstring), on a distributive carrier; ValueError on another.
+
+        Each element a other than bottom is a' v j with J(a') = J(a) - {j}
+        (`distributive_peeling`), so aj = a'j v (j'j) builds the column of
+        each j in J and ab = ab' v a(j_b) each row: n |J| + n^2 join-table
+        reads.  A predecessor a' need not have a smaller index, so elements
+        are visited in order of the number of elements below them.  The
+        result is not validated.
+        """
+        peel = distributive_peeling(carrier)
+        if peel is None:
+            raise ValueError(f"{label or 'the carrier'} is not distributive: "
+                             f"a J x J table does not fix its product")
+        join, bottom = carrier.join_table, carrier.bottom
+        order = sorted((a for a in carrier.elements if a != bottom),
+                       key=lambda a: carrier.down[a].bit_count())
+        column = {}
+        for j in join_irreducibles(carrier):
+            col = column[j] = [bottom] * carrier.size
+            for a in order:
+                rest, i = peel[a]
+                col[a] = join[col[rest]][jmult[i, j]]
+        table = []
+        for a in carrier.elements:
+            row = [bottom] * carrier.size
+            for b in order:
+                rest, j = peel[b]
+                row[b] = join[row[rest]][column[j][a]]
+            table.append(row)
+        return cls(carrier, table, inv_table, unit=unit, label=label)
 
     # -- carrier interface --------------------------------------------------
 

@@ -146,7 +146,15 @@ class FiniteSupLattice:
             atoms = [str(i) for i in range(atoms)]
         k = len(atoms)
         n = 1 << k
-        pairs = [(i, j) for i in range(n) for j in range(n) if i & ~j == 0]
+        # the supersets of i are i | s for the submasks s of its complement
+        pairs = []
+        for i in range(n):
+            rest = s = (n - 1) & ~i
+            while True:
+                pairs.append((i, i | s))
+                if not s:
+                    break
+                s = (s - 1) & rest
         names = ["{" + ",".join(atoms[b] for b in _bits(i)) + "}" for i in range(n)]
         return validate_lattice(pairs, size=n, names=names)
 

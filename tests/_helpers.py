@@ -20,7 +20,9 @@ the bi-ideals of a tensor come from closing every pure tensor under
 binary joins, each join closed pairwise along every line, instead of
 the join-irreducible ones under joins with a generator, and the map
 laws of a finite map are swept over all of Q instead of over its
-join-irreducibles.  The library decides the maps and laws of effective
+join-irreducibles, and the powerset quantale of a groupoid is tabulated
+by multiplying every pair of subsets instead of extended from the
+products of singletons.  The library decides the maps and laws of effective
 carriers from a groupoid table or refuses them; the probe pools on which
 the tests sweep those instead (curated handles padded with seeded random
 elements) are built here.
@@ -109,6 +111,24 @@ def _atomic_quantale(lattice, atom_products, inv, unit=None):
                             for j in atoms if lattice.leq(j, y))
     q = FiniteInvQuantale(lattice, [[mult(x, y) for y in lattice.elements]
                                     for x in lattice.elements], inv, unit)
+    violation = validate_quantale(q)
+    if violation is not None:
+        raise ValueError(f"not a quantale: {violation}")
+    return q
+
+
+def powerset_quantale_oracle(groupoid):
+    """P(G) with the product of every pair of subsets computed by
+    `GroupoidPowerset.mult`, validated; the table `powerset_quantale`
+    built before it extended the products of singletons."""
+    from quantales.examples import GroupoidPowerset
+    subsets = GroupoidPowerset(groupoid)
+    n = 1 << groupoid.size
+    q = FiniteInvQuantale(FiniteSupLattice.powerset(groupoid.names),
+                          [[subsets.mult(u, v) for v in range(n)]
+                           for u in range(n)],
+                          [subsets.inv(u) for u in range(n)],
+                          unit=subsets.unit)
     violation = validate_quantale(q)
     if violation is not None:
         raise ValueError(f"not a quantale: {violation}")

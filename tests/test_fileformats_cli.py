@@ -637,6 +637,57 @@ def test_a_report_that_cannot_be_written_is_an_input_error(where, files,
     assert not (files / "no-such-dir").exists()
 
 
+# argv, with {d} for the directory of the `files` fixture; the output, and
+# the file it would overwrite
+@pytest.mark.parametrize("argv, output, clobbered", [
+    ("validate {d}/pz2.quantale.json --report {d}/pz2.quantale.json",
+     "pz2.quantale.json", "pz2.quantale.json"),
+    ("validate {d}/rel.json {d}/pz2.quantale.json --report "
+     "{d}/pz2.quantale.json", "pz2.quantale.json", "pz2.quantale.json"),
+    ("check-map --map {d}/omega-support.map.json --report "
+     "{d}/omega-support.map.json", "omega-support.map.json",
+     "omega-support.map.json"),
+    ("quotient --quantale {d}/pz2.quantale.json --relation {d}/rel.json "
+     "--out {d}/pz2.quantale.json", "pz2.quantale.json", "pz2.quantale.json"),
+    ("quotient --quantale {d}/pz2.quantale.json --relation {d}/rel.json "
+     "--out {d}/rel.json", "rel.json", "rel.json"),
+    ("quotient --quantale {d}/pz2.quantale.json --relation {d}/rel.json "
+     "--out {d}/q.json --report {d}/q.json", "q.json", "q.json"),
+    ("pullback-verify --p {d}/omega-support.map.json --f {d}/delta.map.json "
+     "--report {d}/delta.map.json", "delta.map.json", "delta.map.json"),
+    ("tensor --lattices {d}/pz2.quantale.json {d}/pz2.quantale.json "
+     "--report {d}/pz2.quantale.json", "pz2.quantale.json",
+     "pz2.quantale.json"),
+    ("example group --group z2 --out {d}/sub --report "
+     "{d}/sub/p-z2.quantale.json", "sub/p-z2.quantale.json",
+     "sub/p-z2.quantale.json"),
+])
+def test_an_output_that_would_overwrite_an_input_is_refused(
+        argv, output, clobbered, files, capsys):
+    (files / "sub").mkdir()
+    (files / "sub" / "p-z2.quantale.json").write_bytes(b"{}")
+    before = {p: p.read_bytes() for p in files.rglob("*") if p.is_file()}
+    assert main(argv.format(d=files).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(files / output) in err and str(files / clobbered) in err
+    assert {p: p.read_bytes() for p in files.rglob("*")
+            if p.is_file()} == before
+
+
+def test_an_output_is_compared_with_the_inputs_by_its_real_path(files):
+    q = files / "pz2.quantale.json"
+    before = q.read_bytes()
+    (files / "link.json").symlink_to(q)
+    for report in (files / "sub" / ".." / q.name, files / "link.json"):
+        assert main(["validate", str(q), "--report", str(report)]) == 2
+        assert q.read_bytes() == before
+    assert main(["validate", str(q), "--report",
+                 str(files / "other.json")]) == 0
+    assert q.read_bytes() == before
+
+
 def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
         tmp_path):
     path = tmp_path / "q.json"

@@ -58,6 +58,14 @@ def test_powerset_joins_are_unions():
     assert lat.names[3] == "{0,1}"
 
 
+@pytest.mark.parametrize("atoms", range(6))
+def test_powerset_order_is_inclusion(atoms):
+    n = 1 << atoms
+    lat = FiniteSupLattice.powerset(atoms)
+    assert sorted(lat.leq_pairs()) == [(i, j) for i in range(n)
+                                       for j in range(n) if i & ~j == 0]
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_join_is_least_upper_bound(name):
     lat = CORPUS[name]
