@@ -609,10 +609,11 @@ def _at_least(minimum):
 
 _UNUSED = "accepted and unused: every check is exhaustive or decided"
 
-# command -> the options that name the files it reads
+# command -> the options that name the files it reads, for the commands
+# that write one
 _READS = {"validate": ("paths",), "check-map": ("map",),
           "quotient": ("quantale", "relation"), "tensor": ("lattices",),
-          "pullback-verify": ("p", "f"), "report-verify": ("path",)}
+          "pullback-verify": ("p", "f")}
 
 
 def _clobber(args):

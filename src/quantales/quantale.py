@@ -152,12 +152,12 @@ class FiniteInvQuantale:
         jmult[i, j] by ab = V{ij : i in J(a), j in J(b)} (module
         docstring), on a distributive carrier; ValueError on another.
 
-        Each element a other than bottom is a' v j with J(a') = J(a) - {j}
-        (`distributive_peeling`), so aj = a'j v (j'j) builds the column of
-        each j in J and ab = ab' v a(j_b) each row: n |J| + n^2 join-table
-        reads.  A predecessor a' need not have a smaller index, so elements
-        are visited in order of the number of elements below them.  The
-        result is not validated.
+        Each element a other than bottom is a' v i with J(a') = J(a) - {i}
+        (`distributive_peeling`).  So aj = a'j v ij builds the column of
+        each j in J, and then b = b' v j gives each row by ab = ab' v aj:
+        n |J| + n^2 join-table reads.  A predecessor a' need not have a
+        smaller index, so elements are visited in order of the number of
+        elements below them.  The result is not validated.
         """
         peel = distributive_peeling(carrier)
         if peel is None:
