@@ -17,8 +17,7 @@ from .openness import (Check, FrobeniusReport, check_fr1, check_fr1_right,
 from .tensor import (BiIdeal, TensorLattice, check_bimorphism,
                      induced_from_bimorphism, unit_iso)
 from .subspaces import RationalSubspace
-from .freeprod import (PullbackContext, Word, all_words, grade_of,
+from .freeprod import (PullbackContext, Word, all_words,
                        verify_adjunction_on_words, verify_beck_chevalley,
                        verify_pullback_frobenius,
-                       verify_relation_compatibility, word, word_direct_image,
-                       word_involution, word_multiply)
+                       verify_relation_compatibility, word, word_direct_image)

@@ -13,7 +13,7 @@ embeds (`fileformats.save_report`).  `main` builds its argument parser
 once per process, on its first call.  Before any check runs it refuses,
 with exit 2, a command line whose output path (`--report`, `--out`, or
 the file `example` writes) resolves to one of the command's inputs or to
-its other output.
+its other output, and an `--out` on a suite example, which writes no file.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -618,7 +618,8 @@ _READS = {"validate": ("paths",), "check-map": ("map",),
 
 def _clobber(args):
     """An error naming an output path that resolves to an input of the
-    same command or to its other output, or None."""
+    same command or to its other output, or `--out` on a suite example,
+    which writes no file; or None."""
     files = []
     for option in _READS.get(args.cmd, ()):
         value = getattr(args, option)
@@ -628,7 +629,11 @@ def _clobber(args):
     if args.cmd == "quotient":
         writes.append(args.out)
     elif args.cmd == "example":
-        writes.append(_example_path(args))
+        path = _example_path(args)
+        if path is None and args.out is not None:
+            return (f"example {args.name} runs its suite and writes no file; "
+                    f"--out is not accepted")
+        writes.append(path)
     for path in writes:
         if path is None:
             continue

@@ -5,7 +5,10 @@ and of Q (tag 'q'); its grade is fixed by its first tag and its length
 (grade 1 is Y itself, grade 2 is Q).  Multiplication concatenates words,
 merging the boundary letters through the multiplication of Y or Q when
 their tags coincide; the involution reverses a word and applies the
-letterwise involutions.
+letterwise involutions.  The verifiers build words through
+`family_instance` and `Word`; the grade, the product and the involution of
+words are written out in the tests, whose word-algebra acceptance test
+checks them.
 
 On top of the word algebra sits the pullback machinery for a square with
 a base map p: Q -> X (a semiopen surjection satisfying both Frobenius
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .openness import frobenius_report
 from .quantale import require, validate_quantale
@@ -114,10 +116,6 @@ class Word:
     def first_tag(self):
         return self.letters[0][0]
 
-    @property
-    def last_tag(self):
-        return self.letters[-1][0]
-
     def display(self, Y, Q):
         def nm(t, e):
             return (Y if t == Y_TAG else Q).name_of(e)
@@ -126,44 +124,6 @@ class Word:
 
 def word(*letters):
     return Word(tuple(letters))
-
-
-class GradeIndex(NamedTuple):
-    n: int
-    start: str
-    end: str
-    length: int
-
-
-def grade_of(w):
-    """The unique grade whose letter pattern matches the word."""
-    length = len(w)
-    start, end = w.first_tag, w.last_tag
-    if length % 2 == 1:
-        k = (length - 1) // 2
-        n = 4 * k + 1 if start == Y_TAG else 4 * k + 2
-    else:
-        k = (length - 2) // 2
-        n = 4 * k + 3 if start == Y_TAG else 4 * k + 4
-    return GradeIndex(n, start, end, length)
-
-
-def word_multiply(Y, Q, w1, w2):
-    """Concatenate, merging boundary letters of equal tag through Y or Q."""
-    a, b = w1.letters, w2.letters
-    if a[-1][0] != b[0][0]:
-        return Word(a + b)
-    tag = a[-1][0]
-    alg = Y if tag == Y_TAG else Q
-    merged = (tag, alg.mult(a[-1][1], b[0][1]))
-    return Word(a[:-1] + (merged,) + b[1:])
-
-
-def word_involution(Y, Q, w):
-    """Reverse the letters and apply the letterwise involutions."""
-    out = tuple(
-        (t, (Y if t == Y_TAG else Q).inv(e)) for t, e in reversed(w.letters))
-    return Word(out)
 
 
 def all_words(Y, Q, max_len):

@@ -7,30 +7,52 @@ separately, including the empty join, which forces every tuple with a
 bottom coordinate into every bi-ideal.  Order is inclusion, meets are
 intersections, and joins close the union.
 
-Full enumeration, when the grid is within the configured bound, closes
-the bottom under joins with the generators pure(j1, ..., jn), one per
-tuple of join-irreducibles ji of the factors Li.  These reach every
-bi-ideal:
+Every closure works on traces.  Write J(x) for the join-irreducibles
+below x, and call a J-tuple one with every coordinate ji in J(Li).  The
+trace of a bi-ideal G is S = G & (J(L1) x ... x J(Ln)), a bitmask over
+the prod |J(Li)| J-tuples.  A line fixes every coordinate but one, i, at
+join-irreducibles; S is line-closed when every line holds J(v) for v the
+join of the ji of S on it.  G -> S is an inclusion-preserving bijection
+from the bi-ideals onto the line-closed traces, with inverse
+S -> G(S) = {t : J(t1) x ... x J(tn) <= S}:
 
-- every bi-ideal is the join of the pure tensors (least bi-ideals through
-  one tuple) of its members;
-- a pure tensor with a bottom coordinate is the bottom;
-- in any finite lattice ti = join {j in J(Li) : j <= ti}, and the pure
-  tensor preserves joins in each coordinate, so pure(t) is the join of
-  the generators pure(j) with every ji <= ti.
+- the trace of G is line-closed: its tuples on a line lie in G, so does
+  their join in coordinate i, and so does everything below that;
+- a line-closed S is down-closed among the J-tuples, since J(v) holds
+  J(ji) on each line and a smaller J-tuple is reached by lowering one
+  coordinate at a time;
+- G(S) is a bi-ideal.  It is down-closed because J is monotone, and
+  holds every tuple with a bottom coordinate, whose box is empty.  If t
+  and t' differ only in coordinate i, at a and a', the line through
+  each J-tuple of the other coordinates' boxes holds J(a) | J(a'),
+  whose join is a v a', so it holds J(a v a') too;
+- the trace of G(S) is S, because S is down-closed; and G(S) for S the
+  trace of G is G, because t in G puts its box in G, and conversely t
+  is the join, one coordinate after another, of the J-tuples of its box
+  (a coordinate with an empty J(ti) is bottom, and the tuple lies on an
+  axis).
 
-No distributivity is needed.  A generator already below a found bi-ideal
-g is skipped, which is a membership test of its tuple, so the
-enumeration costs at most |T| * prod |J(Li)| joins; joining every pair of
-found bi-ideals, the oracle of the tests, costs O(|T|^2).
+Nothing here needs distributivity, so the diamond M3 and the pentagon N5
+take the same path.  On distributive factors J(a v b) = J(a) | J(b), line
+closure is down-closure, and the tensor is the down-set lattice of
+J(L1) x ... x J(Ln), as D(P) (x) D(P') = D(P x P') says.
+
+The closure sweeps every line of every coordinate, adding J(v) to it
+(looked up per bit pattern of the trace on the line), until a sweep adds
+nothing.  Full enumeration, when the grid is within the configured
+bound, closes the empty trace under adding one J-tuple at a time, which
+reaches every line-closed trace because each is the closure of its own
+bits.  That is at most |T| * prod |J(Li)| closures on prod |J(Li)| bits,
+plus one pass over the grid per element to build its bi-ideal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .suplattice import (NotSupPreserving, SupMap, is_sup_map,
+from .suplattice import (NotSupPreserving, SupMap, _bits, is_sup_map,
                          join_irreducibles, validate_lattice)
 
 
@@ -72,9 +94,11 @@ class BiIdeal:
 class TensorLattice:
     """Tensor product of a list of finite sup-lattices.
 
-    Enumeration of all elements is available while the grid (product of
-    carrier sizes) stays within `bound`; beyond it, pure tensors, meets,
-    joins and order tests on explicitly constructed bi-ideals still work.
+    Every operation that builds a bi-ideal (the bottom, the top, pure
+    tensors, closures, joins and the enumeration) lists members from the
+    grid (product of carrier sizes), so it raises EnumerationBoundExceeded
+    when the grid exceeds `bound`; meets and order tests of given
+    bi-ideals still work.
     """
 
     def __init__(self, factors, bound=4096):
@@ -83,7 +107,11 @@ class TensorLattice:
         self.grid_size = 1
         for lat in self.factors:
             self.grid_size *= lat.size
-        self._axes = None
+        self._width = math.prod(len(join_irreducibles(lat))
+                                for lat in self.factors)
+        self._bottom = None
+        self._line_data = None
+        self._box = None
         self._elements = None
 
     def grid(self):
@@ -91,54 +119,70 @@ class TensorLattice:
 
     @property
     def axes(self):
-        if self._axes is None:
+        return self.bottom.members
+
+    def _lines(self):
+        """Per coordinate i, where the J-tuple whose ji is the k-th
+        join-irreducible of Li sits at bit sum k * stride_i: the factor, its
+        join-irreducibles, the stride, the mask of J(x) on the line through
+        bit 0 for each x of Li, the first bit of every line, and a memo from
+        the pattern of a trace on a line to that mask at the pattern's join."""
+        if self._line_data is None:
+            coords, stride = [], 1
+            for lat in reversed(self.factors):
+                js = join_irreducibles(lat)
+                along = [sum(1 << k * stride for k, j in enumerate(js)
+                             if lat.leq(j, x)) for x in lat.elements]
+                coords.append((lat, js, stride, along))
+                stride *= len(js)
+            self._line_data = [
+                (lat, js, stride, along, [b for b in range(self._width)
+                                          if b // stride % len(js) == 0], {})
+                for lat, js, stride, along in reversed(coords)]
+        return self._line_data
+
+    def _close(self, s):
+        """Least line-closed trace containing the trace s."""
+        lines = self._lines()
+        while True:
+            before = s
+            for lat, js, stride, along, starts, memo in lines:
+                full = along[lat.top]
+                for b in starts:
+                    pattern = s >> b & full
+                    if pattern:
+                        hull = memo.get(pattern)
+                        if hull is None:
+                            hull = memo[pattern] = along[lat.join(
+                                js[k // stride] for k in _bits(pattern))]
+                        s |= hull << b
+            if s == before:
+                return s
+
+    def _boxes(self):
+        """The trace of every grid tuple's down-set: the mask of the box
+        J(t1) x ... x J(tn), a product of per-coordinate masks whose bit
+        positions add without carries."""
+        if self._box is None:
             if self.grid_size > self.bound:
                 raise EnumerationBoundExceeded(self.grid_size, self.bound)
-            bots = tuple(l.bottom for l in self.factors)
-            self._axes = frozenset(
-                t for t in self.grid()
-                if any(t[i] == bots[i] for i in range(len(t))))
-        return self._axes
+            lines = self._lines()
+            self._box = {t: math.prod(line[3][x] for line, x in zip(lines, t))
+                         for t in self.grid()}
+        return self._box
+
+    def _ideal(self, s):
+        """The bi-ideal of a line-closed trace."""
+        return BiIdeal(self.factors, frozenset(
+            t for t, box in self._boxes().items() if box & s == box))
 
     def close(self, seed):
-        """Least bi-ideal containing the seed tuples.
-
-        Alternates down-closure with one join per line (a coordinate i and
-        fixed other coordinates): a down-closed set whose line values
-        contain their own join is closed under the binary joins along it.
-        """
-        members = set(self.axes)
-        facs = self.factors
-        arity = len(facs)
-
-        def down_close(pending):
-            while pending:
-                t = pending.pop()
-                if t in members:
-                    continue
-                members.add(t)
-                for i in range(arity):
-                    for u in facs[i].downset(t[i]):
-                        if u != t[i]:
-                            t2 = t[:i] + (u,) + t[i + 1:]
-                            if t2 not in members:
-                                pending.append(t2)
-
-        down_close(list(seed))
-        while True:
-            by_rest = {}
-            for t in members:
-                for i in range(arity):
-                    by_rest.setdefault((i, t[:i] + t[i + 1:]), set()).add(t[i])
-            new = []
-            for (i, rest), vals in by_rest.items():
-                t = rest[:i] + (facs[i].join(vals),) + rest[i:]
-                if t not in members:
-                    new.append(t)
-            if not new:
-                break
-            down_close(new)
-        return BiIdeal(self.factors, frozenset(members))
+        """Least bi-ideal containing the seed tuples."""
+        boxes = self._boxes()
+        s = 0
+        for t in seed:
+            s |= boxes[t]
+        return self._ideal(self._close(s))
 
     def pure(self, t):
         """Least bi-ideal containing the tuple: its downset plus the axes."""
@@ -151,7 +195,11 @@ class TensorLattice:
 
     @property
     def bottom(self):
-        return BiIdeal(self.factors, self.axes)
+        """The bi-ideal of the empty trace: the tuples with a bottom
+        coordinate."""
+        if self._bottom is None:
+            self._bottom = self._ideal(0)
+        return self._bottom
 
     @property
     def top(self):
@@ -160,35 +208,27 @@ class TensorLattice:
         return BiIdeal(self.factors, frozenset(self.grid()))
 
     def join(self, ideals):
-        ideals = list(ideals)
-        if not ideals:
-            return self.bottom
-        united = set()
-        for g in ideals:
-            united |= g.members
-        return self.close(united)
+        return self.close(t for g in ideals for t in g.members)
 
     def elements(self):
-        """All bi-ideals, as joins of join-irreducible pure tensors (within
-        the bound), sorted by size and then by members."""
+        """All bi-ideals, as closures of traces grown one J-tuple at a time
+        (within the bound), sorted by size and then by members."""
         if self._elements is None:
             if self.grid_size > self.bound:
                 raise EnumerationBoundExceeded(self.grid_size, self.bound)
-            gens = [(t, self.pure(t)) for t in itertools.product(
-                *(join_irreducibles(l) for l in self.factors))]
-            found = {self.bottom}
-            frontier = [self.bottom]
+            found = {0}
+            frontier = [0]
             while frontier:
                 g = frontier.pop()
-                for t, p in gens:
-                    if t in g.members:
-                        continue
-                    u = self.join([g, p])
-                    if u not in found:
-                        found.add(u)
-                        frontier.append(u)
+                for p in range(self._width):
+                    if not g >> p & 1:
+                        u = self._close(g | 1 << p)
+                        if u not in found:
+                            found.add(u)
+                            frontier.append(u)
             self._elements = sorted(
-                found, key=lambda g: (len(g.members), sorted(g.members)))
+                map(self._ideal, found),
+                key=lambda g: (len(g.members), sorted(g.members)))
         return self._elements
 
     def as_suplattice(self):

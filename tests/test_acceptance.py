@@ -18,13 +18,12 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 sierpinski_closed_point_map,
                                 standard_map_corpus, symmetric_group_3,
                                 z2_group_algebra_finite_map)
-from quantales.freeprod import (PullbackContext, Word, grade_of,
+from quantales.freeprod import (PullbackContext, Word,
                                 verify_adjunction_on_words,
                                 verify_beck_chevalley,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility, word,
-                                word_direct_image, word_involution,
-                                word_multiply)
+                                word_direct_image)
 from quantales.nucleus import (RelationPresentation, nucleus_from_relation,
                                quotient_by_relation, saturate_relation)
 from quantales.openness import (check_fr1, check_fr2, check_semiopen,
@@ -34,10 +33,10 @@ from quantales.subspaces import RationalSubspace
 from quantales.suplattice import FiniteSupLattice, is_sup_map
 from quantales.tensor import TensorLattice, induced_from_bimorphism, unit_iso
 
-from _helpers import (corpus_lattices, group_algebra_handles,
+from _helpers import (corpus_lattices, grade_of, group_algebra_handles,
                       least_closure_identifying, map_law_swept,
                       matrix_max_handles, probe_pools, small_quantales,
-                      sup_maps_between)
+                      sup_maps_between, word_involution, word_multiply)
 
 
 @contextmanager

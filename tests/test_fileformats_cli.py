@@ -272,7 +272,9 @@ def test_cli_check_map_lemma_input_errors(files, make, flags):
                                      ["matrix-max", "--n", "4"]])
 def test_cli_example_out_of_range_is_an_input_error(example, tmp_path,
                                                      capsys):
-    assert main(["example", *example, "--out", str(tmp_path)]) == 2
+    # only a materialized example takes --out
+    out = [] if example[0] == "matrix-max" else ["--out", str(tmp_path)]
+    assert main(["example", *example, *out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     # the message names what was asked for
@@ -674,6 +676,20 @@ def test_an_output_that_would_overwrite_an_input_is_refused(
     assert str(files / output) in err and str(files / clobbered) in err
     assert {p: p.read_bytes() for p in files.rglob("*")
             if p.is_file()} == before
+
+
+@pytest.mark.parametrize("suite", [["matrix-max", "--n", "2"],
+                                   ["group-algebra", "--group", "z2"]])
+def test_out_on_a_suite_example_is_refused(suite, tmp_path, capsys):
+    # a suite example writes no file, so --out would be ignored
+    report = tmp_path / "r.json"
+    assert main(["example", *suite, "--out", str(tmp_path / "d"),
+                 "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: example {suite[0]} runs its suite and writes no "
+                   "file; --out is not accepted\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_output_is_compared_with_the_inputs_by_its_real_path(files):

@@ -7,16 +7,17 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 z2_group_algebra_finite_map)
 from quantales.freeprod import (DEFAULT_TRACES, FAMILIES, FAMILY_HYPOTHESIS,
                                 HypothesisNotSatisfied, PullbackContext,
-                                Word, family_instance, grade_of,
+                                Word, family_instance,
                                 verify_adjunction_on_words,
                                 verify_beck_chevalley,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility, word,
-                                word_direct_image, word_involution,
-                                word_multiply)
+                                word_direct_image)
 from quantales.quantale import identity_map
 
-from _helpers import oracle_relation_failures, pullback_relation_instances
+from _helpers import (grade_of, oracle_relation_failures,
+                      pullback_relation_instances, word_involution,
+                      word_multiply)
 
 Y = rel_quantale(2)
 Q = group_powerset_quantale(cyclic_group(2))

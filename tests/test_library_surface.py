@@ -25,12 +25,6 @@ ALLOWED = {
         "semiopenness decided on meet-irreducibles is to call it",
     "tensor.induced_from_bimorphism":
         "the tensor acceptance test checks the universal property with it",
-    "freeprod.grade_of":
-        "free-product word operation of the word-algebra acceptance test",
-    "freeprod.word_multiply":
-        "free-product word operation of the word-algebra acceptance test",
-    "freeprod.word_involution":
-        "free-product word operation of the word-algebra acceptance test",
     "nucleus.quotient_by_relation":
         "the nucleus acceptance test and the README quick tour use it",
     "openness.FrobeniusReport.fr2_forces_fr1":
