@@ -111,9 +111,6 @@ class FiniteSupLattice:
     def elements(self):
         return range(self.size)
 
-    def downset(self, i):
-        return list(_bits(self.down[i]))
-
     def name_of(self, i):
         return self.names[i]
 

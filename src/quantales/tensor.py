@@ -117,10 +117,6 @@ class TensorLattice:
     def grid(self):
         return itertools.product(*(range(l.size) for l in self.factors))
 
-    @property
-    def axes(self):
-        return self.bottom.members
-
     def _lines(self):
         """Per coordinate i, where the J-tuple whose ji is the k-th
         join-irreducible of Li sits at bit sum k * stride_i: the factor, its
@@ -185,13 +181,9 @@ class TensorLattice:
         return self._ideal(self._close(s))
 
     def pure(self, t):
-        """Least bi-ideal containing the tuple: its downset plus the axes."""
-        facs = self.factors
-        if any(t[i] == facs[i].bottom for i in range(len(t))):
-            return self.bottom
-        downs = [lat.downset(x) for lat, x in zip(facs, t)]
-        return BiIdeal(self.factors,
-                       self.axes | frozenset(itertools.product(*downs)))
+        """Least bi-ideal containing the tuple: its downset plus the axes,
+        the bi-ideal of its box, which is line-closed."""
+        return self._ideal(self._boxes()[t])
 
     @property
     def bottom(self):
@@ -203,9 +195,7 @@ class TensorLattice:
 
     @property
     def top(self):
-        if self.grid_size > self.bound:
-            raise EnumerationBoundExceeded(self.grid_size, self.bound)
-        return BiIdeal(self.factors, frozenset(self.grid()))
+        return self._ideal((1 << self._width) - 1)
 
     def join(self, ideals):
         return self.close(t for g in ideals for t in g.members)

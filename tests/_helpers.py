@@ -17,8 +17,9 @@ the homomorphism laws are swept on every pair instead of decided on
 join-irreducibles, and FR2 of a groupoid support map is decided by
 injectivity of (s, t) -> s.g.t instead of by the isotropy groups, and
 the bi-ideals of a tensor come from closing every pure tensor under
-binary joins, each join closed pairwise along every line, instead of
-the join-irreducible ones under joins with a generator, and the map
+binary joins, each join closed on the grid pairwise along every line,
+instead of closing bitmask traces on the tuples of join-irreducibles
+along each line at once, and the map
 laws of a finite map are swept over all of Q instead of over its
 join-irreducibles, and the powerset quantale of a groupoid is tabulated
 by multiplying every pair of subsets instead of extended from the
@@ -440,11 +441,16 @@ def sup_maps_between(dom, cod, limit=None):
     return maps
 
 
+def _below(lat, x):
+    return [u for u in lat.elements if lat.leq(u, x)]
+
+
 def pairwise_tensor_close(T, seed):
     """Least bi-ideal of T containing the seed tuples: down-closure, then
     every binary join along every line of a coordinate, to a fixpoint."""
     facs = T.factors
-    members = set(T.axes)
+    members = {t for t in T.grid()
+               if any(x == lat.bottom for lat, x in zip(facs, t))}
     pending = list(seed)
     while pending:
         while pending:
@@ -453,7 +459,7 @@ def pairwise_tensor_close(T, seed):
                 members.add(t)
                 pending.extend(t[:i] + (u,) + t[i + 1:]
                                for i, lat in enumerate(facs)
-                               for u in lat.downset(t[i]))
+                               for u in _below(lat, t[i]))
         lines = {}
         for t in members:
             for i in range(len(facs)):
@@ -468,15 +474,19 @@ def pairwise_tensor_close(T, seed):
 
 def pairwise_tensor_elements(T):
     """The bi-ideals of an enumerable TensorLattice, as the closure of all
-    its pure tensors under binary joins (O(|T|^2) joins), sorted as
-    `TensorLattice.elements` sorts them."""
-    pures = {T.pure(t) for t in T.grid()}
+    its pure tensors under binary joins (O(|T|^2) joins, each union closed
+    once), sorted as `TensorLattice.elements` sorts them."""
+    pures = {pairwise_tensor_close(T, [t]) for t in T.grid()}
     found = set(pures)
     frontier = list(pures)
+    joins = {}
     while frontier:
         g = frontier.pop()
         for h in list(found):
-            u = pairwise_tensor_close(T, g.members | h.members)
+            union = g.members | h.members
+            if union not in joins:
+                joins[union] = pairwise_tensor_close(T, union)
+            u = joins[union]
             if u not in found:
                 found.add(u)
                 frontier.append(u)
@@ -489,7 +499,7 @@ def check_bi_ideal_invariants(g):
     facs = g.factors
     for t in g.members:
         for i, lat in enumerate(facs):
-            for u in lat.downset(t[i]):
+            for u in _below(lat, t[i]):
                 if t[:i] + (u,) + t[i + 1:] not in g.members:
                     raise AssertionError(f"not down-closed at {t} coord {i}")
     by_rest = {}

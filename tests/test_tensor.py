@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantales.examples import cyclic_group, group_powerset_quantale
 from quantales.suplattice import FiniteSupLattice, is_sup_map
@@ -10,11 +11,13 @@ from quantales.tensor import (EnumerationBoundExceeded, NotBimorphism,
                               induced_from_bimorphism, swap_map, unit_iso)
 
 from _helpers import (check_bi_ideal_invariants, corpus_lattices,
-                      pairwise_tensor_elements, sup_maps_between)
+                      pairwise_tensor_close, pairwise_tensor_elements,
+                      sup_maps_between)
 
 TWO = FiniteSupLattice.chain(2)
 CORPUS = corpus_lattices()
-SMALL = [name for name, lat in CORPUS.items() if lat.size <= 5]
+PAIRS = [pair for pair in itertools.product(CORPUS, repeat=2)
+         if CORPUS[pair[0]].size * CORPUS[pair[1]].size <= 64]
 
 
 def test_omega_tensor_omega_has_two_elements():
@@ -62,15 +65,54 @@ def test_bi_ideal_invariants_hold_on_enumeration(factors):
 
 
 @pytest.mark.parametrize("factors", [
-    *itertools.product(SMALL, repeat=2),
-    ("chain2", "chain3", "powerset2"), ("chain3", "diamond", "chain2")],
+    *PAIRS, ("chain2", "chain3", "powerset2"), ("chain3", "diamond", "chain2"),
+    ("pentagon", "chain2", "diamond")],
     ids="-".join)
 def test_enumeration_agrees_with_the_pairwise_oracle(factors):
-    # the join-irreducible generators reach every bi-ideal, including on
-    # the non-distributive diamond (M3) and pentagon (N5)
+    # the trace closure reaches every bi-ideal and no other set, including
+    # on the non-distributive diamond (M3) and pentagon (N5), where the
+    # join of a line exceeds the union of its down-sets
     lats = tuple(CORPUS[f] for f in factors)
     assert TensorLattice(lats).elements() == \
         pairwise_tensor_elements(TensorLattice(lats))
+
+
+@pytest.mark.parametrize("factors", [
+    ("diamond", "pentagon"), ("pentagon", "grid3x2"), ("powerset2", "chain4"),
+    ("chain3", "diamond", "chain2")], ids="-".join)
+def test_closure_agrees_with_the_pairwise_oracle(factors):
+    T = TensorLattice(tuple(CORPUS[f] for f in factors))
+    grid = list(T.grid())
+    for t in grid:
+        assert T.pure(t) == pairwise_tensor_close(T, [t])
+    rng = random.Random(22)
+    for _ in range(40):
+        seed = rng.sample(grid, rng.randint(0, 6))
+        assert T.close(seed) == pairwise_tensor_close(T, seed)
+
+
+@st.composite
+def closure_systems(draw, min_sets, max_sets):
+    """The lattice of an intersection-closed family of subsets of a
+    3-element set with the whole set on top: the drawn sets, the whole
+    set and every intersection of them.  Three drawn sets reach the
+    diamond (three disjoint singletons) and the pentagon."""
+    family = {0b111, *draw(st.sets(st.integers(1, 0b110),
+                                   min_size=min_sets, max_size=max_sets))}
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            break
+        family |= meets
+    return FiniteSupLattice.from_sets(
+        [{e for e in range(3) if m >> e & 1} for m in sorted(family)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(closure_systems(3, 4), closure_systems(1, 2))
+def test_enumeration_agrees_with_the_oracle_on_closure_systems(left, right):
+    T = TensorLattice((left, right))
+    assert T.elements() == pairwise_tensor_elements(T)
 
 
 def test_pure_tensors_join_generate():
