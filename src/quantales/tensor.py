@@ -181,7 +181,7 @@ class TensorLattice:
         return self._ideal(self._close(s))
 
     def pure(self, t):
-        """Least bi-ideal containing the tuple: its downset plus the axes,
+        """Least bi-ideal containing the tuple, its down-set plus the axes:
         the bi-ideal of its box, which is line-closed."""
         return self._ideal(self._boxes()[t])
 
