@@ -632,7 +632,7 @@ def _clobber(args):
         path = _example_path(args)
         if path is None and args.out is not None:
             return (f"example {args.name} runs its suite and writes no file; "
-                    f"--out is not accepted")
+                    "--out is not accepted")
         writes.append(path)
     for path in writes:
         if path is None:
