@@ -384,13 +384,6 @@ class FrobeniusReport:
         return (not self.weakly_open or self.unit_identity is None
                 or self.unit_identity == self.surjective)
 
-    @property
-    def fr2_forces_fr1(self):
-        """fr2 together with p_!(p*(e)) = e forces fr1 and surjectivity."""
-        if not (self.fr2 is not None and self.fr2.ok and self.unit_identity):
-            return True
-        return bool(self.fr1.ok and self.surjective)
-
     def to_json(self):
         checks = [getattr(self, name) for name in BATTERY]
         return {

@@ -72,8 +72,11 @@ does preserve joins in each argument, because J(a v b) = J(a) | J(b);
 on another the same formula may not, and the constructor refuses it.
 Whether the product is associative and has its unit, and whether the
 involution is one, the J x J table does not say: validation decides
-these laws as for any other table (on a J-extension distrib-left is
-decided by comparing rows, and assoc is swept on J x J x J).
+these laws as for any other table (assoc is swept on J x J x J).  The
+constructor records that it built the rows as J-extensions, so that
+distrib-left passes without comparing them (`_QuantaleFacts`); a table
+given to the plain constructor, as every loaded file is, has its rows
+compared.
 
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image
@@ -144,6 +147,8 @@ class FiniteInvQuantale:
         if len(self.inv_table) != n:
             raise ValueError("involution table has wrong length")
         self._validated = False
+        # the product table from_join_irreducibles built as J-extensions
+        self._j_extended = None
 
     @classmethod
     def from_join_irreducibles(cls, carrier, jmult, inv_table, unit=None,
@@ -157,7 +162,8 @@ class FiniteInvQuantale:
         each j in J, and then b = b' v j gives each row by ab = ab' v aj:
         n |J| + n^2 join-table reads.  A predecessor a' need not have a
         smaller index, so elements are visited in order of the number of
-        elements below them.  The result is not validated.
+        elements below them.  The result is not validated, but records
+        that its rows are J-extensions.
         """
         peel = distributive_peeling(carrier)
         if peel is None:
@@ -179,7 +185,9 @@ class FiniteInvQuantale:
                 rest, j = peel[b]
                 row[b] = join[row[rest]][column[j][a]]
             table.append(row)
-        return cls(carrier, table, inv_table, unit=unit, label=label)
+        q = cls(carrier, table, inv_table, unit=unit, label=label)
+        q._j_extended = q.mult_table
+        return q
 
     # -- carrier interface --------------------------------------------------
 
@@ -310,9 +318,21 @@ class _QuantaleFacts:
     @cached_property
     def rows_are_j_extensions(self):
         """The carrier is distributive and each row of the product equals
-        the J-extension of its values on J."""
+        the J-extension of its values on J.
+
+        A table that `from_join_irreducibles` built passes without the
+        n^2 comparison.  It built row a by ab = ab' v c_j(a) for
+        (b', j) = peel[b], c_j being its column for j, so by induction ab
+        is the join of c_i(a) over J(b).  The comparison asks whether
+        ab = ab' v aj, and aj is the join over J(j) = J(j') | {j}, where
+        J(j') lies in J(b') = J(b) - {j}: both sides are the join over
+        J(b).  The record names the table it was built for, so a table
+        put in its place is compared.
+        """
         if self.peel is None:
             return False
+        if self.q._j_extended is self.q.mult_table:
+            return True
         join = self.q.carrier.join_table
         return all(list(row) == [join[row[b]][row[j]] for b, j in self.peel]
                    for row in self.q.mult_table)

@@ -57,10 +57,11 @@ def _bits(mask):
 
 
 class FiniteSupLattice:
-    """A finite complete lattice; build instances through validate_lattice."""
+    """A finite complete lattice; build instances through validate_lattice
+    or the constructors below."""
 
     __slots__ = ("size", "names", "up", "down", "bottom", "top",
-                 "_join", "_meet", "_hash", "_irreducibles")
+                 "_join", "_meet", "_hash", "_irreducibles", "_peel")
 
     def __init__(self, up, names, down, bottom, top, join_table, meet_table):
         self.size = len(up)
@@ -73,6 +74,7 @@ class FiniteSupLattice:
         self._meet = meet_table
         self._hash = hash((self.size, up))
         self._irreducibles = None  # join_irreducibles, on first use
+        self._peel = None  # distributive_peeling, False if not distributive
 
     # -- order ------------------------------------------------------------
 
@@ -138,22 +140,41 @@ class FiniteSupLattice:
 
     @staticmethod
     def powerset(atoms):
-        """Lattice of all subsets of the given atoms, element index = bitmask."""
+        """Lattice of all subsets of the given atoms, element index = bitmask.
+
+        Built directly rather than through validate_lattice: inclusion is a
+        lattice order, join and meet are the OR and AND of the indices, the
+        singletons are the join-irreducibles, and a subset a other than
+        bottom peels off its lowest singleton a & -a, leaving a & (a - 1).
+        """
         if isinstance(atoms, int):
             atoms = [str(i) for i in range(atoms)]
         k = len(atoms)
         n = 1 << k
-        # the supersets of i are i | s for the submasks s of its complement
-        pairs = []
-        for i in range(n):
-            rest = s = (n - 1) & ~i
-            while True:
-                pairs.append((i, i | s))
-                if not s:
-                    break
-                s = (s - 1) & rest
-        names = ["{" + ",".join(atoms[b] for b in _bits(i)) + "}" for i in range(n)]
-        return validate_lattice(pairs, size=n, names=names)
+        # the subsets of a are those of a without its lowest element b, and
+        # the same shifted by b; the supersets of a are those of a | b, for
+        # the lowest b not in a, and the same shifted back by b
+        down = [1] * n
+        for a in range(1, n):
+            d = down[a & (a - 1)]
+            down[a] = d | d << (a & -a)
+        up = [1 << (n - 1)] * n
+        for a in range(n - 2, -1, -1):
+            u = up[a | (a + 1)]
+            up[a] = u | u >> (~a & (a + 1))
+        names = tuple("{" + ",".join(atoms[b] for b in _bits(a)) + "}"
+                      for a in range(n))
+        # table entries are the shared objects of `indices`, not one new
+        # int per entry
+        indices = tuple(range(n))
+        pick = indices.__getitem__
+        lat = FiniteSupLattice(
+            tuple(up), names, tuple(down), 0, n - 1,
+            tuple(tuple(map(pick, map(a.__or__, indices))) for a in indices),
+            tuple(tuple(map(pick, map(a.__and__, indices))) for a in indices))
+        lat._irreducibles = tuple(1 << b for b in range(k))
+        lat._peel = tuple((a & (a - 1), a & -a) for a in range(n))
+        return lat
 
     @staticmethod
     def product(left, right):
@@ -300,8 +321,15 @@ def distributive_peeling(lattice):
     comparisons.  Then every down-set of J is some J(a), so each a other
     than bottom is a' v j with j maximal in J(a) and J(a') = J(a) - {j}.
     The result lists (a', j) for every a, with (bottom, bottom) at bottom;
-    following a' back to bottom visits one j of J(a) per step.
+    following a' back to bottom visits one j of J(a) per step.  Computed
+    once per lattice; each call returns a new list.
     """
+    if lattice._peel is None:
+        lattice._peel = _peeling(lattice) or False
+    return list(lattice._peel) if lattice._peel else None
+
+
+def _peeling(lattice):
     J = join_irreducibles(lattice)
     jbits = sum(1 << j for j in J)
     below = [d & jbits for d in lattice.down]
@@ -316,7 +344,7 @@ def distributive_peeling(lattice):
         m = below[a]
         j = next((j for j in _bits(m) if lattice.up[j] & m == 1 << j), None)
         peel.append((a, a) if j is None else (by_mask[m ^ (1 << j)], j))
-    return peel
+    return tuple(peel)
 
 
 def is_sup_map(f):
@@ -412,8 +440,9 @@ class ClosureOperator:
                 if lat.leq(a, b) and not lat.leq(j[a], j[b]):
                     raise LatticeError(f"closure not monotone at ({a},{b})")
         closed = self.closed_elements()
+        members = frozenset(closed)
         for a in closed:
             for b in closed:
-                if lat.meet2(a, b) not in closed:
+                if lat.meet2(a, b) not in members:
                     raise LatticeError(f"closed family not meet-closed at ({a},{b})")
 

@@ -60,7 +60,8 @@ class EnumerationBoundExceeded(RuntimeError):
     def __init__(self, grid, bound):
         super().__init__(
             f"grid of {grid} tuples exceeds the enumeration bound {bound}; "
-            "only pure-tensor arithmetic is available")
+            "no bi-ideal can be built, only meets and order tests of "
+            "given ones")
 
 
 class NotBimorphism(ValueError):

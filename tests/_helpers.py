@@ -222,6 +222,15 @@ def map_battery_swept(p, pools=None):
     return [map_law_swept(name, p, pools) for name in BATTERY]
 
 
+def fr2_forces_fr1(report):
+    """The lemma on a `FrobeniusReport`: fr2 together with p_!(p*(e)) = e
+    forces fr1 and surjectivity.  True when its premises fail."""
+    if not (report.fr2 is not None and report.fr2.ok
+            and report.unit_identity):
+        return True
+    return bool(report.fr1.ok and report.surjective)
+
+
 # -- probe pools of effective carriers ------------------------------------------
 #
 # Drawn as the sampled mode of the library drew them, draw for draw, so

@@ -33,10 +33,11 @@ from quantales.subspaces import RationalSubspace
 from quantales.suplattice import FiniteSupLattice, is_sup_map
 from quantales.tensor import TensorLattice, induced_from_bimorphism, unit_iso
 
-from _helpers import (corpus_lattices, grade_of, group_algebra_handles,
-                      least_closure_identifying, map_law_swept,
-                      matrix_max_handles, probe_pools, small_quantales,
-                      sup_maps_between, word_involution, word_multiply)
+from _helpers import (corpus_lattices, fr2_forces_fr1, grade_of,
+                      group_algebra_handles, least_closure_identifying,
+                      map_law_swept, matrix_max_handles, probe_pools,
+                      small_quantales, sup_maps_between, word_involution,
+                      word_multiply)
 
 
 @contextmanager
@@ -125,7 +126,7 @@ def test_criterion_4_lemma_suite():
                 continue
             if rep.fr1.ok:
                 assert rep.fr1_right.ok, name
-            assert rep.wos_consistent and rep.fr2_forces_fr1, name
+            assert rep.wos_consistent and fr2_forces_fr1(rep), name
             checked += 1
         assert checked >= 10
         # the non-surjective projection exercises the false-false branch

@@ -2,7 +2,12 @@
 peeling a distributive carrier.  `powerset_quantale` builds P(G) through it
 from the products of singletons; every powerset quantale the library
 builds is compared, entry for entry, with the table of all products of
-subsets (`powerset_quantale_oracle` in _helpers)."""
+subsets (`powerset_quantale_oracle` in _helpers).
+
+A built quantale records that its rows are J-extensions, and validation
+then passes that premise of distrib-left without comparing the rows.  Each
+one is also validated as a plain copy of its table, whose rows are
+compared, and must get the same result (`_validated_as_a_plain_copy`)."""
 
 import pytest
 
@@ -12,7 +17,8 @@ from quantales.examples import (cyclic_group, group_powerset_quantale,
                                 powerset_quantale, product_groupoid,
                                 product_quantale, rel_quantale,
                                 sierpinski_topology, symmetric_group_3)
-from quantales.quantale import FiniteInvQuantale, validate_quantale
+from quantales.quantale import (FiniteInvQuantale, _QuantaleFacts,
+                                validate_quantale)
 from quantales.suplattice import (distributive_peeling, join_irreducibles,
                                   validate_lattice)
 
@@ -43,6 +49,20 @@ def _rebuilt(q):
         q.carrier, _j_table(q), q.inv_table, q.unit, q.label)
 
 
+def _validated_as_a_plain_copy(q):
+    """validate_quantale(q) for a q that from_join_irreducibles built,
+    required to equal the result on a plain copy of its table: None for
+    both, or the same law and witness.  The copy's rows are compared with
+    their J-extensions, and the comparison passes, as the record says."""
+    assert q._j_extended is q.mult_table and not q._validated
+    plain = FiniteInvQuantale(q.carrier, q.mult_table, q.inv_table, q.unit)
+    assert plain._j_extended is None
+    assert _QuantaleFacts(plain).rows_are_j_extensions
+    result = validate_quantale(q)
+    assert result == validate_quantale(plain)
+    return result
+
+
 @pytest.mark.parametrize("name", GROUPOIDS)
 def test_powerset_quantale_equals_the_table_of_all_products(name):
     groupoid = GROUPOIDS[name]
@@ -50,6 +70,8 @@ def test_powerset_quantale_equals_the_table_of_all_products(name):
     oracle = powerset_quantale_oracle(groupoid)
     assert q.mult_table == oracle.mult_table
     assert q == oracle
+    # q is validated already; a fresh build of it is validated here
+    assert _validated_as_a_plain_copy(_rebuilt(q)) is None
 
 
 def test_every_distributive_corpus_quantale_is_its_j_extension():
@@ -57,7 +79,10 @@ def test_every_distributive_corpus_quantale_is_its_j_extension():
                 if distributive_peeling(q.carrier) is not None}
     assert len(extended) >= 8
     for name, q in extended.items():
-        assert _rebuilt(q) == q, name
+        rebuilt = _rebuilt(q)
+        assert rebuilt == q, name
+        assert _validated_as_a_plain_copy(rebuilt) == \
+            validate_quantale(q), name
 
 
 def _permuted(q, sigma):
@@ -106,7 +131,8 @@ def test_a_j_table_with_one_changed_entry_fails_validation():
                 continue
             changed = FiniteInvQuantale.from_join_irreducibles(
                 q.carrier, {**table, pair: other}, q.inv_table, q.unit)
-            assert validate_quantale(changed) is not None, (pair, other)
+            assert _validated_as_a_plain_copy(changed) is not None, \
+                (pair, other)
             changes += 1
     assert changes == 36 * 7
 

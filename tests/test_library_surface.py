@@ -27,8 +27,6 @@ ALLOWED = {
         "the tensor acceptance test checks the universal property with it",
     "nucleus.quotient_by_relation":
         "the nucleus acceptance test and the README quick tour use it",
-    "openness.FrobeniusReport.fr2_forces_fr1":
-        "the lemma-suite acceptance test checks FR2 => FR1 on every map",
     "suplattice.right_adjoint":
         "perfbench/tracing.py binds it, and nothing calls it",
     "quantale.ensure_left_adjoint":

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from quantales.suplattice import (ClosureOperator, FiniteSupLattice,
                                   MissingJoin, NoBottom, NoLeftAdjoint,
                                   NotAPartialOrder, NotSupPreserving, SupMap,
-                                  is_sup_map, left_adjoint,
+                                  distributive_peeling, is_sup_map,
+                                  join_irreducibles, left_adjoint,
                                   preserves_all_meets, right_adjoint,
                                   validate_lattice)
 
@@ -58,12 +59,20 @@ def test_powerset_joins_are_unions():
     assert lat.names[3] == "{0,1}"
 
 
-@pytest.mark.parametrize("atoms", range(6))
+@pytest.mark.parametrize("atoms", range(10))
 def test_powerset_order_is_inclusion(atoms):
+    # the powerset is built without validate_lattice; validating its order
+    # gives the same lattice, with the same join-irreducibles and peeling
     n = 1 << atoms
     lat = FiniteSupLattice.powerset(atoms)
     assert sorted(lat.leq_pairs()) == [(i, j) for i in range(n)
                                        for j in range(n) if i & ~j == 0]
+    generic = validate_lattice(lat.leq_pairs(), size=n, names=lat.names)
+    for attr in ("up", "down", "bottom", "top", "join_table", "meet_table",
+                 "names"):
+        assert getattr(lat, attr) == getattr(generic, attr), attr
+    assert join_irreducibles(lat) == join_irreducibles(generic)
+    assert distributive_peeling(lat) == distributive_peeling(generic)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -224,5 +224,14 @@ def test_universal_property_on_seeded_random_bimorphisms():
 def test_enumeration_bound():
     L = CORPUS["chain3"]
     T = TensorLattice((L, L), bound=4)
-    with pytest.raises(EnumerationBoundExceeded):
-        T.elements()
+    # past the bound no bi-ideal can be built, as the error message says
+    for build in (T.elements, lambda: T.pure((1, 1)), lambda: T.bottom,
+                  lambda: T.top, lambda: T.close([(1, 1)]),
+                  lambda: T.join([])):
+        with pytest.raises(EnumerationBoundExceeded,
+                           match="only meets and order tests of given ones"):
+            build()
+    # while meets and order tests of given bi-ideals still work
+    whole = TensorLattice((L, L))
+    a, b = whole.pure((1, 2)), whole.pure((2, 1))
+    assert a.meet(b) == whole.pure((1, 1)) and whole.pure((1, 1)).leq(a)
