@@ -1,13 +1,31 @@
 """JSON documents for lattices, quantales, maps and relation presentations.
 
-Lattice:   {"elements": [names...], "leq": [[i, j], ...]}
+Lattice:   {"elements": [names...], "leq": [[i, j], ...],
+            "leq_is"?: "covers"}
 Quantale:  {"lattice": <lattice>, "mult": [[i, j, k], ...],
-            "inv": [[i, j], ...], "unit": i?}
+            "mult_on"?: "join-irreducibles", "inv": [[i, j], ...], "unit": i?}
 Map:       {"source": <quantale>, "target": <quantale>,
             "inverse_image": [[x, q], ...], "name"?: str}
 Relation:  {"pairs": [[r, s], ...]}
 
-Reflexive leq pairs may be omitted; they are restored at load.
+Element names are distinct.  Without "leq_is", `leq` lists pairs i <= j
+of the order, and reflexive ones may be omitted; with "leq_is": "covers"
+the order is the reflexive-transitive closure of the pairs, which the
+writer gives as the covering pairs (i below j, nothing between).  Without
+"mult_on", `mult` gives the product of every pair of elements.  With
+"mult_on": "join-irreducibles" it gives the products of the pairs of
+join-irreducibles J exactly, on a distributive carrier, and the loader
+extends them to the whole table (`FiniteInvQuantale.from_join_irreducibles`:
+ab is the join of ij over the i in J below a and j in J below b).
+
+The writer gives every lattice by its covers, and the product of a
+quantale on J x J exactly when `from_join_irreducibles` built its table,
+as it builds P(G) and Rel(n): 36 products for P(S3) and 81 for Rel(3),
+where the full tables have 4,096 and 262,144.  Every other quantale,
+a quotient among them, is written with its full table, although its
+carrier may be distributive, so that readers of those files keep the
+form they read.  Both forms load, so older files and reports load and
+replay as before.
 
 Every file written here, documents and reports alike, holds the
 document's canonical JSON on one line (`canonical_json`: sorted keys,
@@ -34,7 +52,8 @@ import json
 
 from .quantale import FiniteInvQuantale, QuantaleMap, require, \
     validate_hom, validate_quantale
-from .suplattice import validate_lattice
+from .suplattice import distributive_peeling, join_irreducibles, \
+    validate_lattice
 
 
 class FormatError(ValueError):
@@ -62,29 +81,49 @@ def _int_pairs(raw, what):
     return out
 
 
+def _compact(doc, key, value):
+    """Whether `doc` marks its compact form by key: value; a missing key
+    means the full form."""
+    if key not in doc:
+        return False
+    if doc[key] != value:
+        raise FormatError(f"unknown {key} {doc[key]!r}; the only value "
+                          f"is {value!r}")
+    return True
+
+
 def lattice_to_doc(lat):
-    pairs = [[i, j] for (i, j) in lat.leq_pairs() if i != j]
-    return {"elements": list(lat.names), "leq": pairs}
+    return {"elements": list(lat.names), "leq": list(map(list, lat.covers())),
+            "leq_is": "covers"}
 
 
 def lattice_from_doc(doc):
     names = _require(doc, "elements", list)
     if not all(isinstance(n, str) for n in names):
         raise FormatError("element names must be strings")
+    if len(set(names)) < len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise FormatError(f"element name {twice!r} is repeated")
+    covers = _compact(doc, "leq_is", "covers")
     pairs = _int_pairs(_require(doc, "leq", list), "leq")
     n = len(names)
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"leq pair ({i},{j}) out of range")
-    return validate_lattice(pairs, size=n, names=names)
+    return validate_lattice(pairs, size=n, names=names, covers=covers)
 
 
 def quantale_to_doc(q):
+    # a table that from_join_irreducibles built is written on J x J
+    compact = q._j_extended is q.mult_table
+    on = join_irreducibles(q.carrier) if compact else q.elements
     doc = {
         "lattice": lattice_to_doc(q.carrier),
-        "mult": [[i, j, q.mult(i, j)] for i in q.elements for j in q.elements],
+        "mult": [[i, j, q.mult(i, j)] for i in on for j in on],
         "inv": [[i, q.inv(i)] for i in q.elements],
     }
+    if compact:
+        doc["mult_on"] = "join-irreducibles"
     if q.unit is not None:
         doc["unit"] = q.unit
     return doc
@@ -93,6 +132,14 @@ def quantale_to_doc(q):
 def quantale_from_doc(doc, validate=True, label=""):
     carrier = lattice_from_doc(_require(doc, "lattice", dict))
     n = carrier.size
+    compact = _compact(doc, "mult_on", "join-irreducibles")
+    if compact and distributive_peeling(carrier) is None:
+        raise FormatError("mult_on join-irreducibles needs a distributive "
+                          "lattice, and this one is not")
+    on = join_irreducibles(carrier) if compact else range(n)
+    given = [False] * n
+    for i in on:
+        given[i] = True
     mult = [[None] * n for _ in range(n)]
     for entry in _require(doc, "mult", list):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -103,11 +150,13 @@ def quantale_from_doc(doc, validate=True, label=""):
         if not (type(i) is int and type(j) is int and type(k) is int
                 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise FormatError(f"mult triple {entry} out of range")
+        if not (given[i] and given[j]):
+            raise FormatError(f"mult pair ({i},{j}) is not in J x J")
         if mult[i][j] is not None:
             raise FormatError(f"duplicate mult entry for ({i},{j})")
         mult[i][j] = k
-    for i in range(n):
-        for j in range(n):
+    for i in on:
+        for j in on:
             if mult[i][j] is None:
                 raise FormatError(f"mult entry for ({i},{j}) missing")
     inv = [None] * n
@@ -122,7 +171,12 @@ def quantale_from_doc(doc, validate=True, label=""):
     unit = doc.get("unit")
     if unit is not None and not (type(unit) is int and 0 <= unit < n):
         raise FormatError("unit out of range")
-    q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
+    if compact:
+        q = FiniteInvQuantale.from_join_irreducibles(
+            carrier, {(i, j): mult[i][j] for i in on for j in on}, inv,
+            unit=unit, label=label)
+    else:
+        q = FiniteInvQuantale(carrier, mult, inv, unit=unit, label=label)
     if validate:
         require(validate_quantale(q))
     return q

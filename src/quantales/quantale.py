@@ -74,9 +74,10 @@ Whether the product is associative and has its unit, and whether the
 involution is one, the J x J table does not say: validation decides
 these laws as for any other table (assoc is swept on J x J x J).  The
 constructor records that it built the rows as J-extensions, so that
-distrib-left passes without comparing them (`_QuantaleFacts`); a table
-given to the plain constructor, as every loaded file is, has its rows
-compared.
+distrib-left passes without comparing them (`_QuantaleFacts`); so does
+a file that gives its product on J x J, which `fileformats` loads
+through this constructor.  A table given to the plain constructor, as a
+file with the full table is, has its rows compared.
 
 A map p: Q -> X is represented contravariantly by its inverse image
 homomorphism p*: X -> Q, optionally together with a direct image

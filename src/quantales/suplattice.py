@@ -128,8 +128,16 @@ class FiniteSupLattice:
     def __repr__(self):
         return f"FiniteSupLattice(size={self.size})"
 
-    def leq_pairs(self):
-        return [(i, j) for i in self.elements for j in _bits(self.up[i])]
+    def covers(self):
+        """The covering pairs (i, j): i < j and nothing lies strictly
+        between, in index order.  Their reflexive-transitive closure is the
+        order."""
+        out = []
+        for i in self.elements:
+            above = self.up[i] & ~(1 << i)
+            out += [(i, j) for j in _bits(above)
+                    if self.down[j] & above == 1 << j]
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -210,12 +218,14 @@ def _coerce_relation(leq, size, names):
     return n, pairs
 
 
-def validate_lattice(leq, size=None, names=None):
+def validate_lattice(leq, size=None, names=None, covers=False):
     """Validate a relation as a finite lattice and precompute join/meet tables.
 
     The relation is an iterable of (i, j) pairs meaning i <= j; reflexive
-    pairs may be omitted.  Raises NotAPartialOrder / NoBottom / MissingJoin
-    with a witness on failure.
+    pairs may be omitted.  With `covers` the pairs generate the order, as
+    the covering pairs of a lattice do: it is their reflexive-transitive
+    closure (`_closure`), so only antisymmetry can fail.  Raises
+    NotAPartialOrder / NoBottom / MissingJoin with a witness on failure.
     """
     n, pairs = _coerce_relation(leq, size, names)
     if n <= 0:
@@ -226,16 +236,19 @@ def validate_lattice(leq, size=None, names=None):
             raise LatticeError(f"element index out of range in pair ({i},{j})")
         up[i] |= 1 << j
 
-    for i in range(n):
-        for j in _bits(up[i]):
-            if j != i and (up[j] >> i) & 1:
-                raise NotAPartialOrder("antisymmetry", (i, j))
-    for i in range(n):
-        for j in _bits(up[i]):
-            extra = up[j] & ~up[i]
-            if extra:
-                k = (extra & -extra).bit_length() - 1
-                raise NotAPartialOrder("transitivity", (i, j, k))
+    if covers:
+        up = _closure(up)
+    else:
+        for i in range(n):
+            for j in _bits(up[i]):
+                if j != i and (up[j] >> i) & 1:
+                    raise NotAPartialOrder("antisymmetry", (i, j))
+        for i in range(n):
+            for j in _bits(up[i]):
+                extra = up[j] & ~up[i]
+                if extra:
+                    k = (extra & -extra).bit_length() - 1
+                    raise NotAPartialOrder("transitivity", (i, j, k))
 
     full = (1 << n) - 1
     bottom = next((i for i in range(n) if up[i] == full), None)
@@ -278,6 +291,38 @@ def validate_lattice(leq, size=None, names=None):
     return FiniteSupLattice(tuple(up), names, tuple(down), bottom, top,
                             tuple(tuple(r) for r in join_table),
                             tuple(tuple(r) for r in meet_table))
+
+
+def _closure(up):
+    """The reflexive-transitive closure of the relation with the masks
+    `up`, in one pass in reverse topological order: an element is closed
+    once every element above it is, by or-ing in their closed masks.  So
+    the result is transitive by construction.  On a cycle, which leaves
+    its elements unclosed, raises NotAPartialOrder("antisymmetry", (i, j))
+    for consecutive elements i, j of one."""
+    n = len(up)
+    above = [m & ~(1 << i) for i, m in enumerate(up)]
+    pending = [m.bit_count() for m in above]
+    below = [[] for _ in range(n)]
+    for i, m in enumerate(above):
+        for j in _bits(m):
+            below[j].append(i)
+    closed = list(up)
+    ready = [i for i in range(n) if not pending[i]]
+    for j in ready:  # grows as elements become ready
+        for i in below[j]:
+            closed[i] |= closed[j]
+            pending[i] -= 1
+            if not pending[i]:
+                ready.append(i)
+    if len(ready) < n:
+        # every unclosed element has an unclosed one above it: walk up
+        path = [next(i for i in range(n) if pending[i])]
+        while path.count(path[-1]) < 2:
+            path.append(next(j for j in _bits(above[path[-1]]) if pending[j]))
+        i = path[-1]
+        raise NotAPartialOrder("antisymmetry", (i, path[path.index(i) + 1]))
+    return closed
 
 
 @dataclass(frozen=True)

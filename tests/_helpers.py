@@ -136,6 +136,30 @@ def powerset_quantale_oracle(groupoid):
     return q
 
 
+def leq_pairs(lat):
+    """Every pair (i, j) with i <= j, in index order."""
+    return [(i, j) for i in lat.elements for j in lat.elements
+            if lat.leq(i, j)]
+
+
+def plain_copy(q):
+    """q's tables in a quantale that `from_join_irreducibles` did not
+    build, so that `quantale_to_doc` writes its full table."""
+    return FiniteInvQuantale(q.carrier, q.mult_table, q.inv_table, q.unit)
+
+
+def full_form_doc(q):
+    """q's document in the full form, the only one written before the
+    compact forms: the non-reflexive pairs of the order and the product
+    of every pair of elements."""
+    from quantales import fileformats as ff
+    doc = ff.quantale_to_doc(plain_copy(q))
+    doc["lattice"] = {"elements": list(q.carrier.names),
+                      "leq": [[i, j] for i, j in leq_pairs(q.carrier)
+                              if i != j]}
+    return doc
+
+
 def validate_quantale_oracle(q):
     """The exhaustive validator before the join-irreducible reduction:
     every law of QUANTALE_LAWS on every tuple of elements, the ternary laws

@@ -22,6 +22,8 @@ from quantales.openness import frobenius_report
 from quantales.quantale import QuantaleMap, Undecidable, identity_map
 from quantales.suplattice import FiniteSupLattice
 
+from _helpers import full_form_doc
+
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
 
@@ -84,9 +86,9 @@ def test_format_errors():
     ([0, 0, 0], "duplicate mult entry for (0,0)"),
 ], ids=["true", "float", "negative", "n", "pair", "duplicate"])
 def test_malformed_mult_entries_are_named(entry, message):
-    # P(Z/2) has n = 4 elements; the duplicate entry is added to the
-    # table, the others replace its second entry
-    doc = ff.quantale_to_doc(PZ2)
+    # P(Z/2) has n = 4 elements; the duplicate entry is added to its
+    # full table, the others replace the second entry
+    doc = full_form_doc(PZ2)
     if entry == [0, 0, 0]:
         doc["mult"].append(entry)
     else:
@@ -163,8 +165,9 @@ def _with_boolean(doc, key, value):
     lambda d: {**d, "lattice": _with_boolean(d["lattice"], "leq", True)},
 ], ids=["unit", "mult-true", "mult-false", "inv", "leq"])
 def test_cli_validate_rejects_booleans_as_element_indices(edit, files):
-    # JSON true and false are not indices, although Python's bool is an int
-    doc = ff.quantale_to_doc(PZ2)
+    # JSON true and false are not indices, although Python's bool is an
+    # int; the full table has entries 0 and 1 in every position
+    doc = full_form_doc(PZ2)
     assert doc["unit"] == 1
     bad = files / "bool.quantale.json"
     ff.save_json(bad, edit(doc))
@@ -795,7 +798,7 @@ def test_console_entry_point_runs(tmp_path):
 
 def test_violations_do_not_depend_on_assert(tmp_path):
     # python -O strips asserts; the verdicts must not change with it
-    doc = ff.quantale_to_doc(group_powerset_quantale(symmetric_group_3()))
+    doc = full_form_doc(group_powerset_quantale(symmetric_group_3()))
     entry = next(e for e in doc["mult"] if e[:2] == [3, 8])
     entry[2] = (entry[2] + 1) % 64
     ps3 = str(tmp_path / "ps3.quantale.json")

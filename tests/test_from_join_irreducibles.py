@@ -22,8 +22,8 @@ from quantales.quantale import (FiniteInvQuantale, _QuantaleFacts,
 from quantales.suplattice import (distributive_peeling, join_irreducibles,
                                   validate_lattice)
 
-from _helpers import (powerset_quantale_oracle, reduction_corpus,
-                      small_quantales)
+from _helpers import (full_form_doc, leq_pairs, powerset_quantale_oracle,
+                      reduction_corpus, small_quantales)
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
 
@@ -90,7 +90,7 @@ def _permuted(q, sigma):
     n = q.size
     inverse = sorted(range(n), key=sigma.__getitem__)
     carrier = validate_lattice(
-        [(sigma[a], sigma[b]) for a, b in q.carrier.leq_pairs()], size=n,
+        [(sigma[a], sigma[b]) for a, b in leq_pairs(q.carrier)], size=n,
         names=[q.carrier.names[a] for a in inverse])
     mult = [[sigma[q.mult(a, b)] for b in inverse] for a in inverse]
     inv = [sigma[q.inv(a)] for a in inverse]
@@ -137,13 +137,23 @@ def test_a_j_table_with_one_changed_entry_fails_validation():
     assert changes == 36 * 7
 
 
-# doc_digest(quantale_to_doc(q)) as the full tables built them
+# doc_digest(full_form_doc(q)): the full-form document, the only one
+# written before the compact forms, as the full tables built it
 DIGESTS = {
     "P(Z/2)": "82833dd6801893dc89dba238b08ff6770ad47cd900eecb43ab2240c2051973a9",
     "P(Z/3)": "30bd1abd6b7c5bba9f2b1537ea7c9ad8751762fb579cd5a64deb633c1b04294b",
     "P(S3)": "0173d1e7e0d588d2d80a259f32b483e5e97439c8be199d663accb194e87cf9a9",
     "Rel(2)": "baedcf89dfaf73352f7205f7913aa79e34b3019a039708c83014d2f36d74be27",
     "Rel(3)": "ed4ea10ef9944b588c118db032e363666c5b2f4e7ce633dcc8a6cda3acf34d56",
+}
+# doc_digest(quantale_to_doc(q)): the product on J x J, the order by its
+# covers
+COMPACT_DIGESTS = {
+    "P(Z/2)": "c567c5d9a8f91f04a4321f9fc01aac89a4351511e6326ea7aa561372aecabbc4",
+    "P(Z/3)": "ef28c5ac4bd5d2d965fbf7c5d38f094c7ffe7ea85e1ba8f1e11458dc32b4ba9a",
+    "P(S3)": "887130821caf044d1211488d10dcadf3c4a58fc4d51291a01b094485a0ba8cef",
+    "Rel(2)": "50dd1cffb5e8a784f795f4386f45f3f68df6b09c35499c170667893838870a76",
+    "Rel(3)": "7cf5b025fb04abd1cc1e4fbdce7d7e4a75227cb0a380659962b558e4126e1fb1",
 }
 BUILDERS = {
     "P(Z/2)": lambda: group_powerset_quantale(Z2),
@@ -156,5 +166,8 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", DIGESTS)
 def test_written_quantale_documents_are_unchanged(name):
-    doc = ff.quantale_to_doc(BUILDERS[name]())
-    assert ff.doc_digest(doc) == DIGESTS[name]
+    q = BUILDERS[name]()
+    assert ff.doc_digest(full_form_doc(q)) == DIGESTS[name]
+    doc = ff.quantale_to_doc(q)
+    assert doc["mult_on"] == "join-irreducibles"
+    assert ff.doc_digest(doc) == COMPACT_DIGESTS[name]

@@ -24,6 +24,8 @@ from quantales.quantale import (HOM_LAWS, QUANTALE_LAWS, QuantaleMap,
                                 identity_map)
 from quantales.subspaces import RationalSubspace
 
+from _helpers import full_form_doc
+
 PZ2 = group_powerset_quantale(cyclic_group(2))
 BASES = {"omega": omega_quantale, "pz2": lambda: PZ2,
          "pz3": lambda: group_powerset_quantale(cyclic_group(3)),
@@ -74,7 +76,8 @@ MAP_CASES = [
 
 
 def _edited_quantale_doc(base, edit):
-    doc = ff.quantale_to_doc(BASES[base]())
+    # the full table, which has an entry for every pair of elements
+    doc = full_form_doc(BASES[base]())
     op, *args = edit
     if op == "mult":
         i, j, k = args
