@@ -142,6 +142,20 @@ def leq_pairs(lat):
             if lat.leq(i, j)]
 
 
+def j_table(q):
+    """q's products of pairs of join-irreducibles, keyed by the pair."""
+    J = join_irreducibles(q.carrier)
+    return {(i, j): q.mult(i, j) for i in J for j in J}
+
+
+def rebuilt(q):
+    """q's table extended from its J x J products by
+    `from_join_irreducibles`, which refuses a carrier that is not
+    distributive."""
+    return FiniteInvQuantale.from_join_irreducibles(
+        q.carrier, j_table(q), q.inv_table, q.unit, q.label)
+
+
 def plain_copy(q):
     """q's tables in a quantale that `from_join_irreducibles` did not
     build, so that `quantale_to_doc` writes its full table."""

@@ -18,12 +18,12 @@ from quantales.examples import (cyclic_group, group_powerset_quantale,
                                 standard_map_corpus, symmetric_group_3)
 from quantales.fileformats import FormatError
 from quantales.openness import frobenius_report
-from quantales.quantale import FiniteInvQuantale, validate_quantale
+from quantales.quantale import validate_quantale
 from quantales.suplattice import (NotAPartialOrder, distributive_peeling,
                                   join_irreducibles, validate_lattice)
 
 from _helpers import (corpus_lattices, full_form_doc, leq_pairs, plain_copy,
-                      reduction_corpus, small_quantales)
+                      rebuilt, reduction_corpus, small_quantales)
 
 DATA = pathlib.Path(__file__).parent / "data"
 PZ2 = group_powerset_quantale(cyclic_group(2))
@@ -32,20 +32,13 @@ CORPUS = reduction_corpus()
 MAPS = dict(standard_map_corpus(include_effective=False))
 
 
-def _rebuilt(q):
-    J = join_irreducibles(q.carrier)
-    return FiniteInvQuantale.from_join_irreducibles(
-        q.carrier, {(i, j): q.mult(i, j) for i in J for j in J},
-        q.inv_table, q.unit)
-
-
 def _forms(q):
     """q's documents by form: the full form, its full table over the
     covers, and on a distributive carrier its J x J table."""
     forms = {"full": full_form_doc(q),
              "covers": ff.quantale_to_doc(plain_copy(q))}
     if distributive_peeling(q.carrier) is not None:
-        forms["compact"] = ff.quantale_to_doc(_rebuilt(q))
+        forms["compact"] = ff.quantale_to_doc(rebuilt(q))
     return forms
 
 

@@ -22,8 +22,9 @@ from quantales.quantale import (FiniteInvQuantale, _QuantaleFacts,
 from quantales.suplattice import (distributive_peeling, join_irreducibles,
                                   validate_lattice)
 
-from _helpers import (full_form_doc, leq_pairs, powerset_quantale_oracle,
-                      reduction_corpus, small_quantales)
+from _helpers import (full_form_doc, j_table, leq_pairs,
+                      powerset_quantale_oracle, rebuilt, reduction_corpus,
+                      small_quantales)
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
 
@@ -37,16 +38,6 @@ GROUPOIDS = {
     "Z2xZ3": product_groupoid(Z2, Z3), "Z3xZ3": product_groupoid(Z3, Z3),
     "Z2xZ2xZ2": product_groupoid(product_groupoid(Z2, Z2), Z2),
 }
-
-
-def _j_table(q):
-    J = join_irreducibles(q.carrier)
-    return {(i, j): q.mult(i, j) for i in J for j in J}
-
-
-def _rebuilt(q):
-    return FiniteInvQuantale.from_join_irreducibles(
-        q.carrier, _j_table(q), q.inv_table, q.unit, q.label)
 
 
 def _validated_as_a_plain_copy(q):
@@ -71,7 +62,7 @@ def test_powerset_quantale_equals_the_table_of_all_products(name):
     assert q.mult_table == oracle.mult_table
     assert q == oracle
     # q is validated already; a fresh build of it is validated here
-    assert _validated_as_a_plain_copy(_rebuilt(q)) is None
+    assert _validated_as_a_plain_copy(rebuilt(q)) is None
 
 
 def test_every_distributive_corpus_quantale_is_its_j_extension():
@@ -79,9 +70,9 @@ def test_every_distributive_corpus_quantale_is_its_j_extension():
                 if distributive_peeling(q.carrier) is not None}
     assert len(extended) >= 8
     for name, q in extended.items():
-        rebuilt = _rebuilt(q)
-        assert rebuilt == q, name
-        assert _validated_as_a_plain_copy(rebuilt) == \
+        again = rebuilt(q)
+        assert again == q, name
+        assert _validated_as_a_plain_copy(again) == \
             validate_quantale(q), name
 
 
@@ -108,21 +99,21 @@ def test_peel_predecessors_with_larger_indices():
     peel = distributive_peeling(reversed_q.carrier)
     assert peel is not None
     assert any(rest > a for a, (rest, _) in enumerate(peel))
-    assert _rebuilt(reversed_q) == reversed_q
+    assert rebuilt(reversed_q) == reversed_q
 
 
 def test_a_carrier_that_is_not_distributive_is_refused():
     m3 = small_quantales()["m3"]
     assert distributive_peeling(m3.carrier) is None
     with pytest.raises(ValueError, match="not distributive"):
-        _rebuilt(m3)
+        rebuilt(m3)
 
 
 def test_a_j_table_with_one_changed_entry_fails_validation():
     # every entry of the J x J table of P(S3), moved to bottom, to the top
     # or to another singleton
     q = group_powerset_quantale(symmetric_group_3())
-    table = _j_table(q)
+    table = j_table(q)
     J = join_irreducibles(q.carrier)
     changes = 0
     for pair, value in table.items():
