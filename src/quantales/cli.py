@@ -9,11 +9,11 @@ failure of the top-level checks.  A subcommand fills the report that
 checks, by the rule that `report-verify` applies, and writes it (a
 subcommand that raises writes none).  Each input's `doc_sha256` is
 computed when the report is written, from the very text that the report
-embeds (`fileformats.save_report`).  `main` builds its argument parser
-once per process, on its first call.  Before any check runs it refuses,
-with exit 2, a command line whose output path (`--report`, `--out`, or
-the file `example` writes) resolves to one of the command's inputs or to
-its other output, and an `--out` on a suite example, which writes no file.
+embeds (`fileformats.save_report`).  `main` builds only the parser of
+the command named, once per process, and parses argv once.  Before any
+check runs it refuses, with exit 2, an output path (`--report`, `--out`,
+or the file `example` writes) that resolves to an input of the command
+or to its other output, and `--out` on a suite example, which writes no file.
 
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
@@ -25,8 +25,6 @@ parameters) or counted as a problem.  Each problem is a failed check of
 its own report, which it never writes.  The nested `frobenius` and
 `hypothesis` blocks are not read yet.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -85,10 +83,6 @@ class _Report:
         self.doc["verdict"] = _verdict(self.doc["checks"])
         self.doc["elapsed_s"] = round(time.perf_counter() - self.t0, 3)
         return int(self.doc["verdict"] == "violation")
-
-    def write(self, path):
-        if path:
-            ff.save_report(path, self.doc)
 
 
 def _print_check(check):
@@ -607,13 +601,62 @@ def _at_least(minimum):
     return count
 
 
-_UNUSED = "accepted and unused: every check is exhaustive or decided"
+# command -> (help line, handler, the options naming the files it reads)
+_COMMANDS = {
+    "validate": ("validate lattice/quantale/map files", cmd_validate,
+                 ("paths",)),
+    "check-map": ("run openness checks on a map file", cmd_check_map,
+                  ("map",)),
+    "quotient": ("quotient a quantale by a relation", cmd_quotient,
+                 ("quantale", "relation")),
+    "tensor": ("enumerate small tensor products", cmd_tensor,
+               ("lattices",)),
+    "pullback-verify": ("verify the pullback identities for p along f",
+                        cmd_pullback_verify, ("p", "f")),
+    "example": ("materialize a named example or run its suite",
+                cmd_example, ()),
+    "report-verify": ("replay the witnesses of a report",
+                      cmd_report_verify, ()),
+}
 
-# command -> the options that name the files it reads, for the commands
-# that write one
-_READS = {"validate": ("paths",), "check-map": ("map",),
-          "quotient": ("quantale", "relation"), "tensor": ("lattices",),
-          "pullback-verify": ("p", "f")}
+
+def _with_arguments(sp, cmd):
+    if cmd == "validate":
+        sp.add_argument("paths", nargs="+")
+    elif cmd == "check-map":
+        sp.add_argument("--map", required=True)
+        for name in _MAP_CHECKS:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            action="store_true")
+    elif cmd == "quotient":
+        sp.add_argument("--quantale", required=True)
+        sp.add_argument("--relation", required=True)
+        sp.add_argument("--out")
+    elif cmd == "tensor":
+        sp.add_argument("--lattices", nargs="+", required=True)
+        sp.add_argument("--bound", type=_at_least(1), default=4096)
+    elif cmd == "pullback-verify":
+        sp.add_argument("--p", required=True)
+        sp.add_argument("--f", required=True)
+        sp.add_argument("--maxlen", type=_maxlen, default=4)
+        sp.add_argument("--traces", type=_at_least(0), default=DEFAULT_TRACES)
+    elif cmd == "example":
+        sp.add_argument("name", choices=["rel", "group", "matrix-max",
+                                         "group-algebra", "locale",
+                                         "omega-support", "delta-embedding"])
+        sp.add_argument("--n", type=int, default=2)
+        sp.add_argument("--group", default="z2")
+        sp.add_argument("--which", default="sierpinski")
+        sp.add_argument("--out")
+    else:  # report-verify, which writes no report
+        sp.add_argument("path")
+        return sp
+    if cmd in ("check-map", "example"):
+        unused = "accepted and unused: every check is exhaustive or decided"
+        sp.add_argument("--seed", type=int, default=0, help=unused)
+        sp.add_argument("--pool", type=_at_least(1), default=50, help=unused)
+    sp.add_argument("--report")
+    return sp
 
 
 def _clobber(args):
@@ -621,7 +664,7 @@ def _clobber(args):
     same command or to its other output, or `--out` on a suite example,
     which writes no file; or None."""
     files = []
-    for option in _READS.get(args.cmd, ()):
+    for option in _COMMANDS[args.cmd][2]:
         value = getattr(args, option)
         files += [("input", path) for path in
                   (value if isinstance(value, list) else [value])]
@@ -647,85 +690,41 @@ def _clobber(args):
 
 
 @functools.cache
-def _build_parser():
-    # built on the first `main` call and kept: `parse_args` leaves the
-    # parser as it was
+def _parser(cmd):
+    # cmd's parser as `add_parser` builds it, or with None the full tree;
+    # kept, since `parse_args` leaves a parser as it was
+    if cmd:
+        return _with_arguments(
+            argparse.ArgumentParser(prog=f"quantales {cmd}"), cmd)
     parser = argparse.ArgumentParser(
         prog="quantales",
         description="construct and check involutive quantales, their maps, "
                     "quotients, tensors and pullbacks")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("validate", help="validate lattice/quantale/map files")
-    sp.add_argument("paths", nargs="+")
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("check-map", help="run openness checks on a map file")
-    sp.add_argument("--map", required=True)
-    for name in _MAP_CHECKS:
-        sp.add_argument("--" + name.replace("_", "-"), dest=name,
-                        action="store_true")
-    sp.add_argument("--seed", type=int, default=0, help=_UNUSED)
-    sp.add_argument("--pool", type=_at_least(1), default=50, help=_UNUSED)
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("quotient", help="quotient a quantale by a relation")
-    sp.add_argument("--quantale", required=True)
-    sp.add_argument("--relation", required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("tensor", help="enumerate small tensor products")
-    sp.add_argument("--lattices", nargs="+", required=True)
-    sp.add_argument("--bound", type=_at_least(1), default=4096)
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("pullback-verify",
-                        help="verify the pullback identities for p along f")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--maxlen", type=_maxlen, default=4)
-    sp.add_argument("--traces", type=_at_least(0),
-                    default=DEFAULT_TRACES)
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("example",
-                        help="materialize a named example or run its suite")
-    sp.add_argument("name", choices=["rel", "group", "matrix-max",
-                                     "group-algebra", "locale",
-                                     "omega-support", "delta-embedding"])
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--group", default="z2")
-    sp.add_argument("--which", default="sierpinski")
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int, default=0, help=_UNUSED)
-    sp.add_argument("--pool", type=_at_least(1), default=50, help=_UNUSED)
-    sp.add_argument("--report")
-
-    sp = sub.add_parser("report-verify", help="replay the witnesses of a report")
-    sp.add_argument("path")
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # the full tree only where argv names no command or leaves some unparsed
+    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = _parser(cmd).parse_known_args(argv[1:] if cmd else argv)
+        if extra:
+            args = _parser(None).parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # built per call, so that a patched handler is the one called
-    handlers = {"validate": cmd_validate, "check-map": cmd_check_map,
-                "quotient": cmd_quotient, "tensor": cmd_tensor,
-                "pullback-verify": cmd_pullback_verify,
-                "example": cmd_example, "report-verify": cmd_report_verify}
+    args.cmd = cmd or args.cmd
     clobber = _clobber(args)
     if clobber is not None:
         print(f"error: {clobber}", file=sys.stderr)
         return 2
     report = _Report(argv)
     try:
-        handlers[args.cmd](args, report)
+        # looked up by name, so that a patched handler is the one called
+        globals()[_COMMANDS[args.cmd][1].__name__](args, report)
     except (FormatError, OSError, NotUnital, NotALocale, NotASquare,
             ex.TooLarge, EnumerationBoundExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -735,7 +734,8 @@ def main(argv=None):
         return 1
     code = report.finish()
     try:
-        report.write(getattr(args, "report", None))
+        if getattr(args, "report", None):
+            ff.save_report(args.report, report.doc)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

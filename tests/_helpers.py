@@ -415,6 +415,54 @@ def reduction_corpus():
             "PS3/(6,34)": quotient_by_relation(ps3, {(6, 34)})[0].quantale}
 
 
+def _table_mutants(q, count, rng):
+    """`count` tables of q with one or two entries moved.
+
+    Two in three move a product ij of non-bottom elements to k together
+    with its mirror j*i* to k*, so that the unary and binary laws before
+    the ternary ones keep holding; the rest move one or two entries of
+    the product or the involution at random.
+    """
+    n, inv = q.size, q.inv_table
+    nonbottom = [a for a in q.elements if a != q.bottom]
+    for _ in range(count):
+        mult = [list(r) for r in q.mult_table]
+        invs = list(inv)
+        if rng.random() < 2 / 3:
+            i, j = rng.choice(nonbottom), rng.choice(nonbottom)
+            mirror = (inv[j], inv[i])
+            # an entry that is its own mirror can only take a k = k*
+            ks = [k for k in q.elements if k != mult[i][j]
+                  and ((i, j) != mirror or inv[k] == k)]
+            if not ks:
+                continue
+            k = rng.choice(ks)
+            mult[i][j] = k
+            mult[mirror[0]][mirror[1]] = inv[k]
+        else:
+            for _ in range(rng.choice((1, 2))):
+                if rng.random() < 0.2:
+                    i = rng.randrange(n)
+                    invs[i] = rng.choice([k for k in q.elements
+                                          if k != invs[i]])
+                else:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    mult[i][j] = rng.choice([k for k in q.elements
+                                             if k != mult[i][j]])
+        yield FiniteInvQuantale(q.carrier, mult, invs, unit=q.unit)
+
+
+def seeded_mutants(corpus):
+    """(name, mutant) for the seeded mutants of `reduction_corpus()`:
+    tables with one or two entries moved, 60 per entry of up to 25
+    elements and 25 of each larger one (P(S3) is the dearest for the n^3
+    oracle)."""
+    rng = random.Random(9)
+    for name, q in corpus.items():
+        for m in _table_mutants(q, 60 if q.size <= 25 else 25, rng):
+            yield name, m
+
+
 def brute_force_join(lat, subset):
     """Least upper bound located by scanning all elements, or None."""
     ubs = [u for u in lat.elements

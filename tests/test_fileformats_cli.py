@@ -745,39 +745,123 @@ def test_help_names_pool_and_seed_as_unused(command, capsys):
         assert f"{option} accepted and unused" in out
 
 
-def test_main_builds_one_parser_per_process(files, capsys, monkeypatch):
-    # main once built its whole parser tree, 8 parsers, on every call
+# Help, usage-error and other command lines that main parses by one
+# command's parser or sends to the full tree
+USAGE_LINES = [
+    [], ["-h"], ["--help"], ["-h", "validate"], ["bogus"],
+    ["bogus", "validate"], ["--", "validate", "x"], ["--foo", "validate", "x"],
+    *([cmd, "--help"] for cmd in cli._COMMANDS),
+    # each required argument missing
+    ["validate"], ["check-map"], ["quotient", "--relation", "r"],
+    ["quotient", "--quantale", "q"], ["tensor"],
+    ["pullback-verify", "--f", "f"], ["pullback-verify", "--p", "p"],
+    ["example"], ["report-verify"],
+    # a bad type, a bad choice and counts out of range
+    ["example", "rel", "--n", "two"], ["example", "bogus"],
+    ["check-map", "--map", "m", "--pool", "0"],
+    ["pullback-verify", "--p", "p", "--f", "f", "--traces", "-1"],
+    ["pullback-verify", "--p", "p", "--f", "f", "--maxlen", "2"],
+    # lines that parse
+    ["pullback-verify", "--p", "p", "--f", "f", "--maxlen", "99"],
+    ["check-map", "--fr2", "--map=m", "--locale-meet", "--pool", "3"],
+    ["validate", "--", "-a", "b"], ["tensor", "--lattices", "a", "b"],
+    # an argument that the command does not know
+    ["validate", "q", "--bogus"], ["check-map", "--map", "m", "extra"],
+    ["quotient", "--quantale", "q", "--relation", "r", "--bogus", "1"],
+    ["tensor", "--lattices", "a", "--", "--bound"],
+    ["pullback-verify", "--p", "p", "--f", "f", "extra"],
+    ["example", "rel", "--bogus"], ["report-verify", "r", "--report", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_LINES, ids=" ".join)
+def test_usage_and_errors_are_those_of_the_full_tree(argv, capsys,
+                                                     monkeypatch):
+    # main parses a named command with that command's parser alone; the
+    # full tree is the reference: the same exit code, output and, where
+    # the line parses, the same arguments handed to the command
+    handed = []
+    for _, handler, _ in cli._COMMANDS.values():
+        monkeypatch.setattr(cli, handler.__name__,
+                            lambda args, _: handed.append(args))
+    try:
+        tree = vars(cli._parser(None).parse_args(argv))
+    except SystemExit as e:
+        tree = e.code
+    tree = tree, *capsys.readouterr()
+    code = main(argv)
+    if isinstance(tree[0], dict):
+        assert (code, vars(handed[0]), *capsys.readouterr()) == (0, *tree)
+    else:
+        assert tree[0] in (0, 2) and not handed
+        assert (code, *capsys.readouterr()) == tree
+
+
+def test_main_builds_one_parser_per_command(files, capsys, monkeypatch):
+    # a command builds its own parser only, once per process; the tree,
+    # 8 parsers, is left to the lines that name no command or leave
+    # arguments unrecognized
     qpath = str(files / "pz2.quantale.json")
     argvs = [["example", "rel", "--n", "1", "--out", str(files)],
              ["no-such-command"],
              ["--help"],
              ["check-map", "--map", qpath, "--pool", "0"],
              ["validate", "--help"],
-             ["validate", qpath]]
-
-    def run(argv):
-        code = main(argv)
-        return code, *capsys.readouterr()
-
-    alone = {}
-    for argv in argvs:
-        cli._build_parser.cache_clear()
-        alone[tuple(argv)] = run(argv)
-    assert [alone[tuple(a)][0] for a in argvs] == [0, 2, 0, 2, 0, 0]
+             ["validate", qpath],
+             ["validate", qpath, "--bogus"]]
+    # the lines that fall back to the tree, a parser named "quantales"
+    # with one subparser per command
+    fallback = {1, 2, 6}
+    tree = ["quantales", *(f"quantales {cmd}" for cmd in cli._COMMANDS)]
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                        lambda self, *a, **k: built.append(self) or
+                        lambda self, *a, **k: built.append(k["prog"]) or
                         init(self, *a, **k))
-    cli._build_parser.cache_clear()
-    cli._build_parser()
-    tree = len(built)
-    for order in (argvs, argvs[::-1]):
-        cli._build_parser.cache_clear()
+
+    def run(argv):
         built.clear()
-        for argv in order:
-            assert run(argv) == alone[tuple(argv)], argv
-        assert len(built) == tree
+        code = main(argv)
+        return (code, *capsys.readouterr()), list(built)
+
+    alone = {}
+    for i, argv in enumerate(argvs):
+        cli._parser.cache_clear()
+        alone[i], progs = run(argv)
+        own = [] if argv[0] not in cli._COMMANDS else [f"quantales {argv[0]}"]
+        assert progs == own + (tree if i in fallback else []), argv
+        # the same line again builds nothing
+        assert run(argv) == (alone[i], []), argv
+    assert [alone[i][0] for i in range(len(argvs))] == [0, 2, 0, 2, 0, 0, 2]
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        cli._parser.cache_clear()
+        for i in order:
+            output, progs = run(argvs[i])
+            assert output == alone[i], argvs[i]
+            assert "quantales" not in progs or i in fallback, argvs[i]
+
+
+def test_no_parser_is_built_at_import_and_one_per_command():
+    # in a fresh process: importing the front end builds no parser, and a
+    # command line that runs builds its command's parser alone
+    script = (
+        "import argparse\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    init(self, *a, **k)\n"
+        "    progs.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from quantales import cli\n"
+        "print(len(progs))\n"
+        "code = cli.main(['example', 'matrix-max', '--n', '1'])\n"
+        "print(code, progs)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0"
+    assert lines[-1] == "0 ['quantales example']"
 
 
 def _child_env():

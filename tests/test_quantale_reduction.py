@@ -15,7 +15,7 @@ from quantales.quantale import (DERIVED, QUANTALE_LAWS, FiniteInvQuantale,
                                 _QuantaleFacts, validate_quantale)
 from quantales.suplattice import distributive_peeling, join_irreducibles
 
-from _helpers import (corpus_lattices, reduction_corpus,
+from _helpers import (corpus_lattices, reduction_corpus, seeded_mutants,
                       transposition_automorphisms, validate_quantale_oracle,
                       validate_quantale_swept)
 
@@ -23,55 +23,6 @@ CORPUS = reduction_corpus()
 LAW = {law.name: law for law in QUANTALE_LAWS}
 BEFORE_DISTRIB_RIGHT = QUANTALE_LAWS[:[law.name for law in QUANTALE_LAWS]
                                      .index("distrib-right")]
-
-
-def _mutants(q, count, rng):
-    """`count` tables of q with one or two entries moved.
-
-    Two in three move a product ij of non-bottom elements to k together
-    with its mirror j*i* to k*, so that the unary and binary laws before
-    the ternary ones keep holding; the rest move one or two entries of
-    the product or the involution at random.
-    """
-    n, inv = q.size, q.inv_table
-    nonbottom = [a for a in q.elements if a != q.bottom]
-    for _ in range(count):
-        mult = [list(r) for r in q.mult_table]
-        invs = list(inv)
-        if rng.random() < 2 / 3:
-            i, j = rng.choice(nonbottom), rng.choice(nonbottom)
-            mirror = (inv[j], inv[i])
-            # an entry that is its own mirror can only take a k = k*
-            ks = [k for k in q.elements if k != mult[i][j]
-                  and ((i, j) != mirror or inv[k] == k)]
-            if not ks:
-                continue
-            k = rng.choice(ks)
-            mult[i][j] = k
-            mult[mirror[0]][mirror[1]] = inv[k]
-        else:
-            for _ in range(rng.choice((1, 2))):
-                if rng.random() < 0.2:
-                    i = rng.randrange(n)
-                    invs[i] = rng.choice([k for k in q.elements
-                                          if k != invs[i]])
-                else:
-                    i, j = rng.randrange(n), rng.randrange(n)
-                    mult[i][j] = rng.choice([k for k in q.elements
-                                             if k != mult[i][j]])
-        yield FiniteInvQuantale(q.carrier, mult, invs, unit=q.unit)
-
-
-# corpus entry -> mutants drawn from it; P(S3) is the dearest for the oracle
-MUTANTS_PER_ENTRY = {name: 60 if q.size <= 25 else 25
-                     for name, q in CORPUS.items()}
-
-
-def _all_mutants():
-    rng = random.Random(9)
-    for name, q in CORPUS.items():
-        for m in _mutants(q, MUTANTS_PER_ENTRY[name], rng):
-            yield name, m
 
 
 def _one_entry_mutants(name):
@@ -151,7 +102,7 @@ def test_corpus_quantales_pass_both_validators():
 
 def test_reduced_validator_agrees_with_the_n3_loop_on_mutants():
     counted = survivors = 0
-    for name, m in _all_mutants():
+    for name, m in seeded_mutants(CORPUS):
         reduced = validate_quantale(m)
         oracle = validate_quantale_oracle(m)
         assert (reduced is None) == (oracle is None), (name, reduced, oracle)
@@ -173,7 +124,8 @@ def test_deciding_distrib_left_keeps_every_violation_of_the_sweep():
     decided, swept = {True: 0, False: 0}, {True: 0, False: 0}
     raw = {True: 0, False: 0}
     law = LAW["distrib-left"]
-    for name, m in itertools.chain(_all_mutants(), _one_entry_mutants("m3")):
+    for name, m in itertools.chain(seeded_mutants(CORPUS),
+                                   _one_entry_mutants("m3")):
         v = validate_quantale(m)
         assert v == validate_quantale_swept(m), (name, v)
         distributive = distributive_peeling(m.carrier) is not None
@@ -196,7 +148,7 @@ def test_a_table_failing_distrib_right_fails_an_earlier_law():
     # the derivation of distrib-right, checked law by law on the definition
     # (the carriers of up to 25 elements, where the full sweeps are cheap)
     failing = binary_laws_hold = 0
-    for name, m in _all_mutants():
+    for name, m in seeded_mutants(CORPUS):
         if m.size > 25 or not _fails_somewhere(LAW["distrib-right"], m):
             continue
         failing += 1
