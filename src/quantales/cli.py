@@ -426,8 +426,13 @@ def _witness(chk, carriers):
 
 def _witness_element(raw, carrier):
     dim = getattr(carrier, "dim", None)
-    if carrier.is_finite:
-        if type(raw) is int and 0 <= raw < carrier.size:
+    if isinstance(carrier, ex.GroupoidPowerset):
+        # a subset of G is the bitmask of its arrows, its index in P(G)
+        size = 1 << carrier.groupoid.size
+    else:
+        size = carrier.size if carrier.is_finite else None
+    if size is not None:
+        if type(raw) is int and 0 <= raw < size:
             return raw
     elif dim is not None:
         try:

@@ -12,7 +12,9 @@ table gives both involutions, and its units give both units.  The pair
 groupoid on n objects yields Rel(n) and Max M_n(Q); a group, the groupoid
 with one unit, yields P(G) and Max Q[G]; products of groupoids give the
 rest.  Each support map Max Q[G] -> P(G) records G, and its Frobenius
-battery is decided from G's table (the lemma beside `_support_map`).
+battery is decided from G's table (the lemma beside `_support_map`), so
+the groupoid, matrix and group-algebra support maps take P(G) as the
+`GroupoidPowerset` oracle, with no table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
                        finite_subquantale, require, validate_hom,
                        validate_quantale)
 from .subspaces import RationalSubspace
-from .suplattice import FiniteSupLattice, _bits
+from .suplattice import FiniteSupLattice, _bits, join_irreducibles
 
 
 class InvalidGroupTable(ValueError):
@@ -167,13 +169,14 @@ def product_groupoid(g, h):
 class GroupoidPowerset(EffectiveInvQuantale):
     """P(G) as an oracle: a subset of arrows is a bitmask, and products,
     converses and names are computed from the groupoid table on demand.
-    `powerset_quantale` tabulates it from its products of singletons, the
-    J x J table, up to nine arrows; the oracle has no such bound."""
+    It is the target of the support maps, whose checks read only G's
+    table.  `powerset_quantale` tabulates it, up to nine arrows, for what
+    needs the element list; the mask of a subset is its index there."""
 
-    def __init__(self, groupoid):
+    def __init__(self, groupoid, label=""):
         self.groupoid = groupoid
         self.unit = sum(1 << u for u in groupoid.units)
-        self.label = f"P(G{groupoid.size})"
+        self.label = label or f"P(G{groupoid.size})"
 
     @property
     def bottom(self):
@@ -428,13 +431,21 @@ def matrix_max_quantale(n):
     return MaxAlgebraQuantale(pair_groupoid(n), label=f"Max M{n}(Q)")
 
 
+# the largest n of `matrix_support_map`
+MATRIX_MAX_N = 10
+
+
 def matrix_support_map(n):
-    """p: Max Mn(Q) -> Rel(n); p* spans matrix units over a relation and
-    p_! is the support relation of a subspace."""
-    if n < 1 or n > 3:
-        raise TooLarge("matrix algebras M_n(Q) are available for 1 <= n <= 3")
-    return _support_map(matrix_max_quantale(n), rel_quantale(n),
-                       f"matrix-support-{n}")
+    """p: Max Mn(Q) -> Rel(n), with Rel(n) the `GroupoidPowerset` of the
+    pair groupoid; p* spans matrix units over a relation and p_! is the
+    support relation of a subspace."""
+    if n < 1 or n > MATRIX_MAX_N:
+        raise TooLarge(f"matrix algebras M_n(Q) are available for "
+                       f"1 <= n <= {MATRIX_MAX_N}")
+    source = matrix_max_quantale(n)
+    return _support_map(source, GroupoidPowerset(source.groupoid,
+                                                 label=f"Rel({n})"),
+                        f"matrix-support-{n}")
 
 
 @functools.cache
@@ -447,10 +458,10 @@ def group_algebra_quantale(group):
 
 
 def group_algebra_support_map(group):
-    """p: Max QG -> P(G); p* spans a subset of G, p_! takes supports."""
-    return _support_map(group_algebra_quantale(group),
-                       group_powerset_quantale(group),
-                       f"group-algebra-support-{group.size}")
+    """p: Max QG -> P(G), with P(G) the `GroupoidPowerset` of G; p* spans
+    a subset of G, p_! takes supports."""
+    return _support_map(group_algebra_quantale(group), GroupoidPowerset(group),
+                        f"group-algebra-support-{group.size}")
 
 
 def z2_group_algebra_finite_map():
@@ -459,11 +470,13 @@ def z2_group_algebra_finite_map():
     The fragment is generated by the spans of the subsets of the group
     together with the lines through 1+g and 1-g; it closes at six elements
     and is exactly the finite setting on which the two-sided Frobenius
-    condition fails while the one-sided one still holds.
+    condition fails while the one-sided one still holds.  The fragment map
+    records no groupoid, so its checks sweep the elements of both
+    carriers: its target is the tabulated P(Z/2), not the oracle.
     """
     group = cyclic_group(2)
-    ambient_map = group_algebra_support_map(group)
-    amb, X = ambient_map.source, ambient_map.target
+    amb, X = group_algebra_quantale(group), group_powerset_quantale(group)
+    ambient_map = _support_map(amb, X, "group-algebra-support-2")
     plus = RationalSubspace.from_vectors(2, [(1, 1)])
     minus = RationalSubspace.from_vectors(2, [(1, -1)])
     seeds = [ambient_map.star(u) for u in X.elements] + [plus, minus]
@@ -597,19 +610,24 @@ def omega_support_map(q, name=""):
     Defined whenever nonbottom elements of Q never multiply to bottom and
     the top is multiplicatively idempotent; the returned map is checked to
     be a semiopen surjection satisfying both Frobenius conditions.
+
+    On a validated quantale the first hypothesis is decided on J x J:
+    products preserve joins, hence order, and every nonbottom element lies
+    above a join-irreducible, so ab = bottom for nonbottom a and b forces
+    jk = bottom for some j <= a and k <= b in J(Q).  Where J x J fails,
+    or q is not validated, all pairs are swept for the reported witness.
     """
     if not q.is_finite:
         raise HypothesisFailure("finite carrier required")
     top, bot = q.top, q.bottom
     if q.mult(top, top) != top:
         raise HypothesisFailure("top is not multiplicatively idempotent")
-    for a in q.elements:
-        if a == bot:
-            continue
-        for b in q.elements:
-            if b != bot and q.mult(a, b) == bot:
-                raise HypothesisFailure(
-                    "nonbottom elements multiply to bottom", (a, b))
+    if not (getattr(q, "_validated", False)
+            and _zero_divisor(q, join_irreducibles(q.carrier)) is None):
+        witness = _zero_divisor(q, q.elements)
+        if witness is not None:
+            raise HypothesisFailure(
+                "nonbottom elements multiply to bottom", witness)
     omega = omega_quantale()
     star = (bot, top)
 
@@ -623,6 +641,18 @@ def omega_support_map(q, name=""):
         raise HypothesisFailure(f"map fails its own certificate: "
                                 f"{report.to_json()}")
     return p
+
+
+def _zero_divisor(q, pool):
+    """The first pair of nonbottom elements of the pool whose product is
+    bottom, or None."""
+    bot = q.bottom
+    for a in pool:
+        if a != bot:
+            for b in pool:
+                if b != bot and q.mult(a, b) == bot:
+                    return a, b
+    return None
 
 
 def delta_embedding_map(n):

@@ -23,8 +23,12 @@ along each line at once, and the map
 laws of a finite map are swept over all of Q instead of over its
 join-irreducibles, and the powerset quantale of a groupoid is tabulated
 by multiplying every pair of subsets instead of extended from the
-products of singletons.  The library decides the maps and laws of effective
-carriers from a groupoid table or refuses them; the probe pools on which
+products of singletons, and "nonbottom elements never multiply to
+bottom" is swept on every pair instead of decided on J x J.  The support
+maps have the `GroupoidPowerset` oracle as their target; the tests that
+list its elements run on the map's `tabulated` twin instead.  The
+library decides the maps and laws of effective carriers from a groupoid
+table or refuses them; the probe pools on which
 the tests sweep those instead (curated handles padded with seeded random
 elements) are built here.
 Expected values frozen in the tests were computed with these.
@@ -32,6 +36,7 @@ Expected values frozen in the tests were computed with these.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -136,10 +141,32 @@ def powerset_quantale_oracle(groupoid):
     return q
 
 
+def tabulated(p):
+    """The support map p with the tabulated P(G), `powerset_quantale` of
+    its groupoid under the same label, as its target in place of the
+    `GroupoidPowerset` oracle: the twin whose target elements a sweep
+    over X, or a check that reads X's table, can list."""
+    from quantales.examples import powerset_quantale
+    return replace(p, target=powerset_quantale(p.groupoid, p.target.label))
+
+
 def leq_pairs(lat):
     """Every pair (i, j) with i <= j, in index order."""
     return [(i, j) for i in lat.elements for j in lat.elements
             if lat.leq(i, j)]
+
+
+def permuted(q, sigma):
+    """q with element a renamed sigma[a]."""
+    n = q.size
+    inverse = sorted(range(n), key=sigma.__getitem__)
+    carrier = validate_lattice(
+        [(sigma[a], sigma[b]) for a, b in leq_pairs(q.carrier)], size=n,
+        names=[q.carrier.names[a] for a in inverse])
+    mult = [[sigma[q.mult(a, b)] for b in inverse] for a in inverse]
+    inv = [sigma[q.inv(a)] for a in inverse]
+    unit = None if q.unit is None else sigma[q.unit]
+    return FiniteInvQuantale(carrier, mult, inv, unit)
 
 
 def j_table(q):
@@ -258,6 +285,15 @@ def map_battery_swept(p, pools=None):
     """The checks of the Frobenius battery, in report order, each by
     `map_law_swept`."""
     return [map_law_swept(name, p, pools) for name in BATTERY]
+
+
+def zero_product_swept(q):
+    """The first pair (a, b) of nonbottom elements of a finite q, in index
+    order over all n^2 pairs, with ab = bottom; or None.  The hypothesis
+    of `omega_support_map` is decided on J x J instead."""
+    bot = q.bottom
+    return next(((a, b) for a in q.elements for b in q.elements
+                 if a != bot and b != bot and q.mult(a, b) == bot), None)
 
 
 def fr2_forces_fr1(report):

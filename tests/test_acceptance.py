@@ -36,8 +36,8 @@ from quantales.tensor import TensorLattice, induced_from_bimorphism, unit_iso
 from _helpers import (corpus_lattices, fr2_forces_fr1, grade_of,
                       group_algebra_handles, least_closure_identifying,
                       map_law_swept, matrix_max_handles, probe_pools,
-                      small_quantales, sup_maps_between, word_involution,
-                      word_multiply)
+                      small_quantales, sup_maps_between, tabulated,
+                      word_involution, word_multiply)
 
 
 @contextmanager
@@ -60,8 +60,9 @@ def test_criterion_1_matrix_example():
         assert decided.hypothesis_for_pullback
         assert {c.mode for c in (decided.semiopen, decided.fr1,
                                  decided.fr2)} == {"decided"}
-        # the same battery swept on probe pools, without the groupoid
-        p = replace(matrix_support_map(2), groupoid=None)
+        # the same battery swept on probe pools, without the groupoid,
+        # into the tabulated Rel(2)
+        p = replace(tabulated(matrix_support_map(2)), groupoid=None)
         pools = probe_pools(p, 20, 0, matrix_max_handles(2))
         assert map_law_swept("semiopen", p, pools).ok
         # surjectivity: p_! p* is the identity on all sixteen relations

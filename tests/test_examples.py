@@ -17,9 +17,11 @@ from quantales.examples import (FiniteGroupoidData, FiniteTopology,
                                 symmetric_group_3)
 from quantales.quantale import is_surjective, validate_hom, validate_quantale
 from quantales.subspaces import RationalSubspace
+from quantales.suplattice import join_irreducibles
 
-from _helpers import (matrix_max_handles, sample_element,
-                      validate_quantale_sampled)
+from _helpers import (matrix_max_handles, permuted, plain_copy,
+                      reduction_corpus, sample_element, tabulated,
+                      validate_quantale_sampled, zero_product_swept)
 
 
 def test_rref_is_representation_independent():
@@ -66,7 +68,7 @@ def test_matrix_unit_products():
 
 
 def test_matrix_support_map_adjunction_and_fr2_instance():
-    p = matrix_support_map(2)
+    p = tabulated(matrix_support_map(2))
     r2 = p.target
     # support adjunction V <= p*(U) iff supp(V) <= U, sampled subspaces
     rng = random.Random(5)
@@ -193,6 +195,38 @@ def test_omega_support_map_requires_the_hypothesis():
         omega_support_map(rel_quantale(2))  # {(1,2)} o {(1,2)} = empty
     trivial = omega_support_map(omega_quantale())
     assert is_surjective(trivial)
+
+
+def test_omega_hypothesis_on_j_x_j_agrees_with_the_n2_sweep():
+    # a validated quantale is decided on J x J, its unvalidated copy swept
+    # on all pairs; both report the first failing pair of the sweep, also
+    # with the indices reversed, where that pair need not lie in J x J
+    failing, outside_j = [], []
+    for name, q in reduction_corpus().items():
+        n = q.size
+        reversed_q = permuted(q, [n - 1 - a for a in range(n)])
+        assert validate_quantale(reversed_q) is None
+        for r in (q, plain_copy(q), reversed_q):
+            witness = zero_product_swept(r)
+            try:
+                omega_support_map(r)
+                got = None
+            except HypothesisFailure as e:
+                got = (str(e), e.witness)
+            assert got == (None if witness is None else (
+                f"nonbottom elements multiply to bottom: {witness}",
+                witness)), name
+        if zero_product_swept(q) is not None:
+            failing.append(name)
+        witness = zero_product_swept(reversed_q)
+        if witness is not None and not set(witness) <= set(
+                join_irreducibles(reversed_q.carrier)):
+            outside_j.append(name)
+    # {(1,1)} o {(2,1)} = empty in Rel(2); reversed, the first failing
+    # pair is ({(1,2),(2,2)}, {(1,1),(1,2)})
+    assert failing == ["omega-squared", "discrete2-locale", "swap4", "rel2",
+                       "m3xPZ2"]
+    assert "rel2" in outside_j
 
 
 def test_delta_embedding_is_a_hom():

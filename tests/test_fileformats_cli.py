@@ -11,10 +11,10 @@ import quantales
 from quantales import cli
 from quantales import fileformats as ff
 from quantales.cli import main
-from quantales.examples import (cyclic_group, delta_embedding_map,
-                                group_powerset_quantale, omega_quantale,
-                                omega_support_map, rel_quantale,
-                                sierpinski_closed_point_map,
+from quantales.examples import (MATRIX_MAX_N, cyclic_group,
+                                delta_embedding_map, group_powerset_quantale,
+                                omega_quantale, omega_support_map,
+                                rel_quantale, sierpinski_closed_point_map,
                                 standard_map_corpus, symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.fileformats import FormatError
@@ -272,7 +272,8 @@ def test_cli_check_map_lemma_input_errors(files, make, flags):
 @pytest.mark.parametrize("example", [["rel", "--n", "4"],
                                      ["delta-embedding", "--n", "4"],
                                      ["matrix-max", "--n", "0"],
-                                     ["matrix-max", "--n", "4"]])
+                                     ["matrix-max", "--n",
+                                      str(MATRIX_MAX_N + 1)]])
 def test_cli_example_out_of_range_is_an_input_error(example, tmp_path,
                                                      capsys):
     # only a materialized example takes --out

@@ -19,10 +19,9 @@ from quantales.examples import (cyclic_group, group_powerset_quantale,
                                 sierpinski_topology, symmetric_group_3)
 from quantales.quantale import (FiniteInvQuantale, _QuantaleFacts,
                                 validate_quantale)
-from quantales.suplattice import (distributive_peeling, join_irreducibles,
-                                  validate_lattice)
+from quantales.suplattice import distributive_peeling, join_irreducibles
 
-from _helpers import (full_form_doc, j_table, leq_pairs,
+from _helpers import (full_form_doc, j_table, permuted,
                       powerset_quantale_oracle, rebuilt, reduction_corpus,
                       small_quantales)
 
@@ -76,25 +75,13 @@ def test_every_distributive_corpus_quantale_is_its_j_extension():
             validate_quantale(q), name
 
 
-def _permuted(q, sigma):
-    """q with element a renamed sigma[a]."""
-    n = q.size
-    inverse = sorted(range(n), key=sigma.__getitem__)
-    carrier = validate_lattice(
-        [(sigma[a], sigma[b]) for a, b in leq_pairs(q.carrier)], size=n,
-        names=[q.carrier.names[a] for a in inverse])
-    mult = [[sigma[q.mult(a, b)] for b in inverse] for a in inverse]
-    inv = [sigma[q.inv(a)] for a in inverse]
-    return FiniteInvQuantale(carrier, mult, inv, sigma[q.unit])
-
-
 def test_peel_predecessors_with_larger_indices():
     # P(Z/2) x chain 3 with its indices reversed: bottom is the last index,
     # so every peel predecessor of an element comes after it
     q = product_quantale(group_powerset_quantale(Z2),
                          locale_quantale(sierpinski_topology()))
     n = q.size
-    reversed_q = _permuted(q, [n - 1 - a for a in range(n)])
+    reversed_q = permuted(q, [n - 1 - a for a in range(n)])
     assert validate_quantale(reversed_q) is None
     peel = distributive_peeling(reversed_q.carrier)
     assert peel is not None

@@ -17,8 +17,9 @@ from dataclasses import replace
 import pytest
 
 from _helpers import (group_algebra_handles, map_law_swept, probe_pools,
-                      sgt_injective, support_fr2_violated,
+                      sgt_injective, support_fr2_violated, tabulated,
                       validate_quantale_sampled)
+from quantales import examples as ex
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (GroupoidPowerset, cyclic_group,
@@ -162,7 +163,7 @@ def test_a_replaced_direct_image_is_swept_not_decided():
 def test_effective_carriers_without_a_table_are_refused():
     # no sweep proves a law on an effective carrier, so without the
     # groupoid every check raises instead of passing on samples
-    p = replace(matrix_support_map(2), groupoid=None)
+    p = replace(tabulated(matrix_support_map(2)), groupoid=None)
     for check in (frobenius_report, check_semiopen, check_fr1,
                   check_fr1_right, check_fr2, check_direct_image_involution):
         with pytest.raises(Undecidable):
@@ -226,3 +227,65 @@ def test_matrix_max_3_is_decided(tmp_path, capsys):
     assert doc["checks"] == [{"check": "matrix-max-suite", "ok": True}]
     assert {c["mode"] for c in doc["frobenius"]["checks"]} == {"decided"}
     assert main(["report-verify", str(report)]) == 0
+
+
+SUITE_MAPS = {
+    **{f"matrix-max-{n}": (lambda n=n: matrix_support_map(n))
+       for n in (1, 2, 3)},
+    **{f"group-algebra-{name}": (lambda name=name: group_algebra_support_map(
+        GROUPOIDS[name]())) for name in ("z2", "z3", "s3")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MAPS))
+def test_suite_reports_are_those_of_the_tabulated_target(name):
+    # the battery reads G's table, and the report reads the target only
+    # for names and the unit, which the oracle and the table share
+    p = SUITE_MAPS[name]()
+    assert isinstance(p.target, GroupoidPowerset)
+    assert frobenius_report(p).to_json() == \
+        frobenius_report(tabulated(p)).to_json()
+
+
+def test_suites_build_no_tabulated_powerset(monkeypatch, tmp_path, capsys):
+    # the cached builders too, so that no earlier build is reused
+    def refused(*args, **kwargs):
+        raise AssertionError("a suite built a tabulated powerset")
+    for builder in ("powerset_quantale", "group_powerset_quantale",
+                    "rel_quantale"):
+        monkeypatch.setattr(ex, builder, refused)
+    for argv in (["matrix-max", "--n", "3"], ["group-algebra", "--group", "s3"]):
+        report = tmp_path / "suite.json"
+        assert main(["example", *argv, "--report", str(report)]) == 0
+        assert main(["report-verify", str(report)]) == 0
+    assert not check_fr2(group_algebra_support_map(symmetric_group_3())).ok
+
+
+def test_matrix_max_4_is_decided_on_the_oracle(tmp_path, capsys):
+    # 16 arrows: Rel(4) has 65,536 elements and no table
+    report = tmp_path / "mm4.json"
+    assert main(["example", "matrix-max", "--n", "4",
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().out == (
+        "  semiopen: ok\n  fr1: ok\n  fr1_right: ok\n  fr2: ok\n"
+        "  direct_image_involution: ok\n  surjective: True\n"
+        "suite (semiopen surjection with fr1 and fr2): ok\n")
+    doc = ff.load_json(report)
+    assert doc["checks"] == [{"check": "matrix-max-suite", "ok": True}]
+    assert [(c["check"], c["mode"], c["evaluations"])
+            for c in doc["frobenius"]["checks"]] == [
+        ("semiopen", "decided", 0), ("fr1", "decided", 0),
+        ("fr1_right", "decided", 0), ("fr2", "decided", 48),
+        ("direct_image_involution", "decided", 0)]
+    assert doc["frobenius"]["surjective_mode"] == "decided"
+    assert main(["report-verify", str(report)]) == 0
+    assert capsys.readouterr().out == "replayed 0 witnesses, 0 problems\n"
+    # a planted fr2 failure at x = the full relation is replayed on the
+    # oracle and found to hold
+    zero = {"dim": 16, "basis": []}
+    doc["checks"].append({"check": "fr2", "ok": False,
+                          "witness": [zero, (1 << 16) - 1, zero]})
+    doc["verdict"] = "violation"
+    ff.save_json(report, doc)
+    assert main(["report-verify", str(report)]) == 1
+    assert "fr2: recorded failure does not replay" in capsys.readouterr().out

@@ -19,7 +19,7 @@ from quantales.quantale import (FiniteInvQuantale, QuantaleMap, identity_map,
 from quantales.subspaces import RationalSubspace
 
 from _helpers import (fr2_forces_fr1, map_battery_swept, matrix_max_handles,
-                      probe_pools)
+                      probe_pools, tabulated)
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
 
@@ -84,7 +84,7 @@ def test_matrix_support_map_full_profile():
     assert rep.surjective and rep.unit_identity
     assert rep.direct_image_involution.ok
     assert rep.hypothesis_for_pullback
-    q = replace(p, groupoid=None)
+    q = replace(tabulated(p), groupoid=None)
     swept = map_battery_swept(q, probe_pools(q, 20, 0, matrix_max_handles(2)))
     assert all(c.ok and c.mode == "sampled" for c in swept)
     e = q.target.unit

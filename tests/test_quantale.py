@@ -11,7 +11,7 @@ from quantales.quantale import (FiniteInvQuantale, QuantaleMap, Undecidable,
                                 find_unit, identity_map, is_surjective,
                                 validate_hom, validate_quantale)
 
-from _helpers import (group_algebra_handles, matrix_max_handles,
+from _helpers import (group_algebra_handles, matrix_max_handles, tabulated,
                       validate_quantale_sampled)
 
 
@@ -101,7 +101,7 @@ def test_single_entry_mutations_against_oracle(build, expected_survivors):
 def test_validate_hom_identity_and_matrix_star():
     pz2 = group_powerset_quantale(cyclic_group(2))
     assert validate_hom(lambda a: a, pz2, pz2) is None
-    p = matrix_support_map(2)
+    p = tabulated(matrix_support_map(2))
     # inverse image of the matrix support map is a homomorphism, checked
     # exhaustively over the sixteen relations
     assert validate_hom(p.inverse_image, p.target, p.source) is None
@@ -117,7 +117,7 @@ def test_validate_hom_counterexample():
 
 
 def test_is_surjective():
-    p = matrix_support_map(2)
+    p = tabulated(matrix_support_map(2))
     assert is_surjective(p) is True
     assert is_surjective(identity_map(omega_quantale())) is True
     assert is_surjective(omega_pair_projection_map()) is False

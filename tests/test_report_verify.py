@@ -400,6 +400,27 @@ def test_an_effective_witness_error_names_its_carrier(tmp_path, capsys):
         "MaxAlgebraQuantale(Max Q[2])\n")
 
 
+def test_a_subset_witness_is_a_mask_of_the_arrows(tmp_path, capsys):
+    # the x of a suite's fr2 witness is a subset of G, as the bitmask of
+    # its arrows: below 2^6 on P(S3)
+    report = tmp_path / "ga.json"
+    assert main(["example", "group-algebra", "--group", "s3",
+                 "--report", str(report)]) == 0
+    doc = ff.load_json(report)
+    fr2 = next(c for c in doc["frobenius"]["checks"] if c["check"] == "fr2")
+    assert fr2["witness"][1] == 1
+    doc["checks"].append(fr2)
+    doc["verdict"] = "violation"
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 0
+    assert capsys.readouterr().out == "replayed 1 witnesses, 0 problems\n"
+    fr2["witness"][1] = 64
+    assert _replay(tmp_path, doc) == 2
+    assert capsys.readouterr().err == (
+        "error: witness element 64 is not an element of "
+        "GroupoidPowerset(P(G6))\n")
+
+
 def _matrix_max_fr2_report(tmp_path):
     """An `example matrix-max --n 1` report that also records, as failed, an
     fr2 check at a triple where fr2 holds: one problem on replay."""

@@ -13,7 +13,7 @@ import pytest
 
 from _helpers import (group_algebra_handles, map_battery_swept,
                       matrix_max_handles, mult_oracle, probe_elements,
-                      probe_pools, rref_oracle)
+                      probe_pools, rref_oracle, tabulated)
 from quantales import fileformats as ff
 from quantales.cli import main
 from quantales.examples import (cyclic_group, group_algebra_quantale,
@@ -96,7 +96,7 @@ def _indicator_rows(dim, mask):
     lambda: matrix_support_map(3),
 ], ids=["z2", "z3", "s3", "pair2", "pair3"])
 def test_support_map_star_is_the_span_of_the_indicator_rows(build):
-    p = build()
+    p = tabulated(build())
     dim = p.source.dim
     for u in p.target.elements:
         rows = _indicator_rows(dim, u)
@@ -124,7 +124,7 @@ def test_mult_agrees_with_the_fraction_product(build, handles, pool):
 # The command line decides the battery from the groupoid table; the counts
 # are those of the sweep on the probe pools of `_helpers.probe_pools` (pool
 # size and seed 0 as given, with the curated handles of the source), run on
-# the same map without its groupoid.
+# the same map without its groupoid and with its tabulated target.
 _SUITE_OK = ("  semiopen: ok\n  fr1: ok\n  fr1_right: ok\n  fr2: ok\n"
              "  direct_image_involution: ok\n  surjective: True\n"
              "suite (semiopen surjection with fr1 and fr2): ok\n")
@@ -179,7 +179,7 @@ def test_effective_examples_print_the_pinned_verdicts(name, tmp_path,
     assert {(c["mode"], c["reduction"]) for c in checks} == {
         ("decided", "groupoid table")}
     assert main(["report-verify", str(report)]) == 0
-    p = replace(build(), groupoid=None)
+    p = replace(tabulated(build()), groupoid=None)
     swept = map_battery_swept(p, probe_pools(p, pool, 0, handles()))
     assert [c.evaluations for c in swept] == evaluations
     # the sweep finds the witness that the table gives
