@@ -305,60 +305,54 @@ def _group_by_name(name):
     raise FormatError(f"unknown group {name!r} (use z2, z3 or s3)")
 
 
-def _materialized_examples(args):
-    """Example name -> (file name, document writer, builder) for the
-    examples that are written out as files."""
+def _locale(which):
     locales = {"sierpinski": ex.sierpinski_closed_point_map,
                "two-point": ex.discrete_to_point_map,
                "open-inclusion": ex.open_inclusion_map}
-
-    def locale_map():
-        if args.which not in locales:
-            raise FormatError(f"unknown locale example {args.which!r}")
-        return locales[args.which]()
-
-    def powerset():
-        return ex.group_powerset_quantale(_group_by_name(args.group))
-
-    return {
-        "rel": (f"rel{args.n}.quantale.json", ff.quantale_to_doc,
-                lambda: ex.rel_quantale(args.n)),
-        "group": (f"p-{args.group}.quantale.json", ff.quantale_to_doc,
-                  powerset),
-        "locale": (f"locale-{args.which}.map.json", ff.map_to_doc,
-                   locale_map),
-        "omega-support": (f"omega-support-{args.group}.map.json",
-                          ff.map_to_doc,
-                          lambda: ex.omega_support_map(powerset())),
-        "delta-embedding": (f"delta-embedding-{args.n}.map.json",
-                            ff.map_to_doc,
-                            lambda: ex.delta_embedding_map(args.n)),
-    }
+    if which not in locales:
+        raise FormatError(f"unknown locale example {which!r}")
+    return locales[which]()
 
 
-# effective example -> (its option, the option's type, support map builder,
-# suite line, `expected` of the suite check, suite verdict of the frobenius
-# report)
-_SUITES = {
-    "matrix-max": (
-        "n", int, ex.matrix_support_map,
+def _powerset(group):
+    return ex.group_powerset_quantale(_group_by_name(group))
+
+
+# example -> (its option, the option's type, the builder that takes the
+# option's value, and either the name of the file it writes, with "{}" for
+# the value, or its suite: (suite line, `expected` of the suite check,
+# suite verdict of the frobenius report)); in the order of `--help`
+_EXAMPLES = {
+    "rel": ("n", int, ex.rel_quantale, "rel{}.quantale.json"),
+    "group": ("group", str, _powerset, "p-{}.quantale.json"),
+    "matrix-max": ("n", int, ex.matrix_support_map, (
         "semiopen surjection with fr1 and fr2", None,
-        lambda rep: rep.hypothesis_for_pullback),
+        lambda rep: rep.hypothesis_for_pullback)),
     "group-algebra": (
         "group", str,
-        lambda name: ex.group_algebra_support_map(_group_by_name(name)),
-        "fr1 holds, fr2 fails with witness", "fr1 holds, fr2 has a witness",
-        lambda rep: rep.fr1.ok and rep.fr1_right.ok and rep.surjective
-        and not rep.fr2.ok),
+        lambda name: ex.group_algebra_support_map(_group_by_name(name)), (
+            "fr1 holds, fr2 fails with witness",
+            "fr1 holds, fr2 has a witness",
+            lambda rep: rep.fr1.ok and rep.fr1_right.ok and rep.surjective
+            and not rep.fr2.ok)),
+    "locale": ("which", str, _locale, "locale-{}.map.json"),
+    "omega-support": ("group", str,
+                      lambda name: ex.omega_support_map(_powerset(name)),
+                      "omega-support-{}.map.json"),
+    "delta-embedding": ("n", int, ex.delta_embedding_map,
+                        "delta-embedding-{}.map.json"),
 }
 
 
 def _example_map(example):
     """The support map that an effective example runs its suite on, from the
     report's `example` record."""
-    if not (isinstance(example, dict) and example.get("name") in _SUITES):
+    name = example.get("name") if isinstance(example, dict) else None
+    # a name that is not a string, such as a list, names no example
+    if not (isinstance(name, str) and name in _EXAMPLES
+            and not isinstance(_EXAMPLES[name][3], str)):
         raise FormatError("the report embeds no map to replay against")
-    option, kind, build = _SUITES[example["name"]][:3]
+    option, kind, build, _ = _EXAMPLES[name]
     value = example.get(option)
     if type(value) is not kind:  # a bool is not an int here
         raise FormatError(f"example {option} {value!r} is not "
@@ -368,26 +362,27 @@ def _example_map(example):
 
 def _example_path(args):
     """The file that `example` writes, or None for a suite example."""
-    materialized = _materialized_examples(args)
-    if args.name not in materialized:
+    option, _, _, output = _EXAMPLES[args.name]
+    if not isinstance(output, str):
         return None
-    return os.path.join(args.out or ".", materialized[args.name][0])
+    return os.path.join(args.out or ".", output.format(getattr(args, option)))
 
 
 def cmd_example(args, report):
     name = args.name
-    materialized = _materialized_examples(args)
-    if name in materialized:
-        fname, to_doc, build = materialized[name]
-        doc = to_doc(build())
+    option, _, build, output = _EXAMPLES[name]
+    if isinstance(output, str):
+        to_doc = ff.map_to_doc if output.endswith(".map.json") \
+            else ff.quantale_to_doc
+        doc = to_doc(build(getattr(args, option)))
         os.makedirs(args.out or ".", exist_ok=True)
         path = _example_path(args)
         ff.save_json(path, doc)
         print(f"wrote {path}")
         report.add_check({"check": "materialize", "ok": True,
-                          "files": [fname]})
-    else:  # the parser admits no other names
-        option, _, _, line, expected, verdict = _SUITES[name]
+                          "files": [os.path.basename(path)]})
+    else:
+        line, expected, verdict = output
         example = {"name": name, option: getattr(args, option)}
         rep = frobenius_report(_example_map(example))
         report.doc["example"] = example
@@ -646,9 +641,7 @@ def _with_arguments(sp, cmd):
         sp.add_argument("--maxlen", type=_maxlen, default=4)
         sp.add_argument("--traces", type=_at_least(0), default=DEFAULT_TRACES)
     elif cmd == "example":
-        sp.add_argument("name", choices=["rel", "group", "matrix-max",
-                                         "group-algebra", "locale",
-                                         "omega-support", "delta-embedding"])
+        sp.add_argument("name", choices=list(_EXAMPLES))
         sp.add_argument("--n", type=int, default=2)
         sp.add_argument("--group", default="z2")
         sp.add_argument("--which", default="sierpinski")

@@ -63,11 +63,15 @@ class HypothesisFailure(ValueError):
 @dataclass(frozen=True)
 class FiniteGroupoidData:
     """A finite groupoid by tables; mult entries are None where undefined.
-    A group is the groupoid with one unit."""
+    A group is the groupoid with one unit.  It is validated when built, so
+    every instance is a groupoid."""
     names: tuple
     mult: tuple
     inv: tuple
     units: tuple
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def size(self):
@@ -93,28 +97,41 @@ class FiniteGroupoidData:
                 raise InvalidGroupTable(f"({i},{j}) must compose exactly "
                                         f"when the source of {i} is the "
                                         f"target of {j}")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            ij, jk = mult[i][j], mult[j][k]
-            if ij is not None and jk is not None:
-                if mult[ij][k] != mult[i][jk]:
-                    raise InvalidGroupTable(f"associativity fails at ({i},{j},{k})")
+        # a triple with i j or j k undefined holds vacuously, so visiting
+        # the composable ones in index order finds the first failure of
+        # the full n^3 sweep
+        after = [[j for j in range(n) if row[j] is not None] for row in mult]
+        for i in range(n):
+            for j in after[i]:
+                for k in after[j]:
+                    if mult[mult[i][j]][k] != mult[i][mult[j][k]]:
+                        raise InvalidGroupTable(
+                            f"associativity fails at ({i},{j},{k})")
+
+
+def _groupoid(arrows, compose, inverse, name):
+    """The groupoid on the given arrows, in their order: `compose` gives
+    the composite of two arrows or None, and the units are the arrows x
+    with x x = x."""
+    arrows = list(arrows)
+    index = {a: k for k, a in enumerate(arrows)}
+    # None is no arrow, so it stays None
+    mult = tuple(tuple(index.get(compose(a, b)) for b in arrows)
+                 for a in arrows)
+    return FiniteGroupoidData(
+        tuple(name(a) for a in arrows), mult,
+        tuple(index[inverse(a)] for a in arrows),
+        tuple(k for k, row in enumerate(mult) if row[k] == k))
 
 
 @functools.cache
 def cyclic_group(n):
-    names = tuple("e" if i == 0 else ("g" if i == 1 else f"g{i}")
-                  for i in range(n))
-    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inv = tuple((-i) % n for i in range(n))
-    g = FiniteGroupoidData(names, mult, inv, (0,))
-    g.validate()
-    return g
+    return _groupoid(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
+                     lambda a: "e" if a == 0 else ("g" if a == 1 else f"g{a}"))
 
 
 @functools.cache
 def symmetric_group_3():
-    perms = sorted(itertools.permutations(range(3)))
-
     def name(p):
         if p == (0, 1, 2):
             return "e"
@@ -124,46 +141,29 @@ def symmetric_group_3():
         cycle = [0, p[0], p[p[0]]]
         return "(" + "".join(str(c) for c in cycle) + ")"
 
-    index = {p: i for i, p in enumerate(perms)}
-    mult = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms)
-                 for p in perms)
-    inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
-    g = FiniteGroupoidData(tuple(name(p) for p in perms), mult, inv,
-                           (index[(0, 1, 2)],))
-    g.validate()
-    return g
+    return _groupoid(sorted(itertools.permutations(range(3))),
+                     lambda p, q: tuple(p[q[i]] for i in range(3)),
+                     lambda p: tuple(sorted(range(3), key=p.__getitem__)),
+                     name)
 
 
 def pair_groupoid(n):
     """Arrows (i, j) on {1..n}, composable when the inner indices match."""
-    arrows = [(i, j) for i in range(n) for j in range(n)]
-    index = {a: k for k, a in enumerate(arrows)}
-    names = tuple(f"({i + 1},{j + 1})" for i, j in arrows)
-    mult = tuple(tuple(index[(a[0], b[1])] if a[1] == b[0] else None
-                       for b in arrows) for a in arrows)
-    inv = tuple(index[(j, i)] for i, j in arrows)
-    units = tuple(index[(i, i)] for i in range(n))
-    g = FiniteGroupoidData(names, mult, inv, units)
-    g.validate()
-    return g
+    return _groupoid(((i, j) for i in range(n) for j in range(n)),
+                     lambda a, b: (a[0], b[1]) if a[1] == b[0] else None,
+                     lambda a: (a[1], a[0]),
+                     lambda a: f"({a[0] + 1},{a[1] + 1})")
 
 
 def product_groupoid(g, h):
     """G x H: pairs of arrows, composed componentwise where both compose."""
-    m = h.size
-    arrows = list(itertools.product(range(g.size), range(m)))
-
     def compose(x, y):
         a, b = g.mult[x[0]][y[0]], h.mult[x[1]][y[1]]
-        return None if a is None or b is None else a * m + b
+        return None if a is None or b is None else (a, b)
 
-    names = tuple(f"({g.names[a]},{h.names[b]})" for a, b in arrows)
-    mult = tuple(tuple(compose(x, y) for y in arrows) for x in arrows)
-    inv = tuple(g.inv[a] * m + h.inv[b] for a, b in arrows)
-    units = tuple(sorted(u * m + v for u in g.units for v in h.units))
-    gh = FiniteGroupoidData(names, mult, inv, units)
-    gh.validate()
-    return gh
+    return _groupoid(itertools.product(range(g.size), range(h.size)), compose,
+                     lambda x: (g.inv[x[0]], h.inv[x[1]]),
+                     lambda x: f"({g.names[x[0]]},{h.names[x[1]]})")
 
 
 class GroupoidPowerset(EffectiveInvQuantale):
@@ -241,7 +241,6 @@ def rel_quantale(n):
 
 @functools.cache
 def group_powerset_quantale(group):
-    group.validate()
     return powerset_quantale(group, label=f"P(G{group.size})")
 
 
@@ -415,10 +414,8 @@ def _support_map(source, target, name):
 
 
 def groupoid_support_map(groupoid):
-    """p: Max Q[G] -> P(G) for any finite groupoid G, validated first, as
-    the lemma needs.  Its target is the `GroupoidPowerset` oracle, so G may
-    have more than nine arrows."""
-    groupoid.validate()
+    """p: Max Q[G] -> P(G) for any finite groupoid G.  Its target is the
+    `GroupoidPowerset` oracle, so G may have more than nine arrows."""
     return _support_map(
         MaxAlgebraQuantale(groupoid, label=f"Max Q[G{groupoid.size}]"),
         GroupoidPowerset(groupoid), f"groupoid-support-{groupoid.size}")
@@ -451,7 +448,6 @@ def matrix_support_map(n):
 @functools.cache
 def group_algebra_quantale(group):
     """All subspaces of the rational group algebra of a finite group."""
-    group.validate()
     if len(group.units) != 1:
         raise InvalidGroupTable("a group has exactly one unit")
     return MaxAlgebraQuantale(group, label=f"Max Q[{group.size}]")

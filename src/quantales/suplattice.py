@@ -205,33 +205,21 @@ class FiniteSupLattice:
         return validate_lattice(pairs, size=n, names=names)
 
 
-def _coerce_relation(leq, size, names):
-    pairs = [(int(i), int(j)) for (i, j) in leq]
-    if size is not None:
-        n = size
-    elif names is not None:
-        n = len(names)
-    elif pairs:
-        n = max(max(i, j) for i, j in pairs) + 1
-    else:
-        raise LatticeError("cannot infer element count from an empty relation")
-    return n, pairs
-
-
-def validate_lattice(leq, size=None, names=None, covers=False):
+def validate_lattice(leq, size, names=None, covers=False):
     """Validate a relation as a finite lattice and precompute join/meet tables.
 
-    The relation is an iterable of (i, j) pairs meaning i <= j; reflexive
-    pairs may be omitted.  With `covers` the pairs generate the order, as
-    the covering pairs of a lattice do: it is their reflexive-transitive
-    closure (`_closure`), so only antisymmetry can fail.  Raises
-    NotAPartialOrder / NoBottom / MissingJoin with a witness on failure.
+    The relation is an iterable of (i, j) int pairs meaning i <= j on the
+    elements 0..size-1; reflexive pairs may be omitted.  With `covers` the
+    pairs generate the order, as the covering pairs of a lattice do: it is
+    their reflexive-transitive closure (`_closure`), so only antisymmetry
+    can fail.  Raises NotAPartialOrder / NoBottom / MissingJoin with a
+    witness on failure.
     """
-    n, pairs = _coerce_relation(leq, size, names)
+    n = size
     if n <= 0:
         raise LatticeError("lattice must have at least one element")
     up = [1 << i for i in range(n)]
-    for i, j in pairs:
+    for i, j in leq:
         if not (0 <= i < n and 0 <= j < n):
             raise LatticeError(f"element index out of range in pair ({i},{j})")
         up[i] |= 1 << j

@@ -24,7 +24,9 @@ laws of a finite map are swept over all of Q instead of over its
 join-irreducibles, and the powerset quantale of a groupoid is tabulated
 by multiplying every pair of subsets instead of extended from the
 products of singletons, and "nonbottom elements never multiply to
-bottom" is swept on every pair instead of decided on J x J.  The support
+bottom" is swept on every pair instead of decided on J x J, and the
+associativity of a groupoid table is swept on all n^3 triples instead of
+on the composable ones.  The support
 maps have the `GroupoidPowerset` oracle as their target; the tests that
 list its elements run on the map's `tabulated` twin instead.  The
 library decides the maps and laws of effective carriers from a groupoid
@@ -1002,3 +1004,44 @@ def support_fr2_violated(groupoid, a_rows, x, b_rows):
            for t in support(b_rows)
            if mult[s][g] is not None and mult[mult[s][g]][t] is not None}
     return support(products) != rhs
+
+
+# -- raw groupoid tables ------------------------------------------------------
+
+# (names, mult, inv, units) of a five-element loop: a unit, inverses and
+# the unit law, but (1 1) 2 = 2 while 1 (1 2) = 4
+FIVE_ELEMENT_LOOP = (
+    ("e", "a", "b", "c", "d"),
+    ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1),
+     (4, 3, 1, 2, 0)),
+    (0, 1, 2, 3, 4),
+    (0,))
+
+
+def raw_product_tables(g, h):
+    """The (names, mult, inv, units) of G x H from the raw tables of G and
+    H, composed componentwise where both compose, with no validation."""
+    names_g, mult_g, inv_g, units_g = g
+    names_h, mult_h, inv_h, units_h = h
+    m = len(names_h)
+    pairs = list(itertools.product(range(len(names_g)), range(m)))
+
+    def compose(x, y):
+        a, b = mult_g[x[0]][y[0]], mult_h[x[1]][y[1]]
+        return None if a is None or b is None else a * m + b
+
+    return (tuple(f"({names_g[a]},{names_h[b]})" for a, b in pairs),
+            tuple(tuple(compose(x, y) for y in pairs) for x in pairs),
+            tuple(inv_g[a] * m + inv_h[b] for a, b in pairs),
+            tuple(sorted(u * m + v for u in units_g for v in units_h)))
+
+
+def associativity_witness_swept(mult):
+    """The first (i, j, k) of all n^3 triples, in index order, with i j
+    and j k defined and (i j) k != i (j k), or None."""
+    n = len(mult)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        ij, jk = mult[i][j], mult[j][k]
+        if ij is not None and jk is not None and mult[ij][k] != mult[i][jk]:
+            return i, j, k
+    return None

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -9,19 +11,22 @@ from quantales.examples import (FiniteGroupoidData, FiniteTopology,
                                 delta_embedding_map, discrete_topology,
                                 finite_locale_map, group_algebra_quantale,
                                 group_algebra_support_map,
-                                group_powerset_quantale, locale_quantale,
+                                group_powerset_quantale,
+                                groupoid_support_map, locale_quantale,
                                 matrix_max_quantale, matrix_support_map,
                                 omega_quantale, omega_support_map,
-                                pair_groupoid, rel_quantale,
-                                sierpinski_topology, standard_map_corpus,
-                                symmetric_group_3)
+                                pair_groupoid, product_groupoid,
+                                rel_quantale, sierpinski_topology,
+                                standard_map_corpus, symmetric_group_3)
 from quantales.quantale import is_surjective, validate_hom, validate_quantale
 from quantales.subspaces import RationalSubspace
 from quantales.suplattice import join_irreducibles
 
-from _helpers import (matrix_max_handles, permuted, plain_copy,
-                      reduction_corpus, sample_element, tabulated,
-                      validate_quantale_sampled, zero_product_swept)
+from _helpers import (FIVE_ELEMENT_LOOP, associativity_witness_swept,
+                      matrix_max_handles, permuted, plain_copy,
+                      raw_product_tables, reduction_corpus, sample_element,
+                      tabulated, validate_quantale_sampled,
+                      zero_product_swept)
 
 
 def test_rref_is_representation_independent():
@@ -162,6 +167,55 @@ def _z2_with(**tables):
 def test_groupoid_validation_rejects_broken_tables(tables):
     with pytest.raises(InvalidGroupTable):
         _z2_with(**tables).validate()
+
+
+@pytest.mark.parametrize("tables,message", [
+    (FIVE_ELEMENT_LOOP, "associativity fails at (1,1,2)"),
+    # partial composition: the pairs that do not compose are skipped
+    (raw_product_tables(FIVE_ELEMENT_LOOP, astuple(pair_groupoid(2))),
+     "associativity fails at (4,4,8)")],
+    ids=["loop", "loop-x-pair2"])
+def test_associativity_is_checked_on_composable_triples(tables, message):
+    # the composable triples hold the first failure of the n^3 sweep
+    witness = associativity_witness_swept(tables[1])
+    assert message == "associativity fails at ({},{},{})".format(*witness)
+    with pytest.raises(InvalidGroupTable) as e:
+        FiniteGroupoidData(*tables)
+    assert str(e.value) == message
+
+
+def test_a_groupoid_is_validated_once_when_built(monkeypatch):
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    calls = []
+    validate = FiniteGroupoidData.validate
+
+    def counted(g):
+        calls.append(g)
+        validate(g)
+
+    monkeypatch.setattr(FiniteGroupoidData, "validate", counted)
+    groupoid_support_map(pair_groupoid(3))
+    assert len(calls) == 1
+    calls.clear()
+    g = product_groupoid(z2, z3)
+    # past the caches, so that each builder runs
+    group_algebra_quantale.__wrapped__(g)
+    group_powerset_quantale.__wrapped__(g)
+    assert calls == [g]
+
+
+def test_groupoid_constructors_give_the_pinned_tables():
+    # element indices, witnesses and written documents rest on these
+    # names, tables and units
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    gs = [z2, cyclic_group(3), cyclic_group(5), s3, pair_groupoid(1),
+          pair_groupoid(2), pair_groupoid(3),
+          product_groupoid(z2, pair_groupoid(2)),
+          product_groupoid(pair_groupoid(2), pair_groupoid(2)),
+          product_groupoid(s3, z2)]
+    tables = repr([(g.names, g.mult, g.inv, g.units) for g in gs])
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "8a5e9d0a81c8179957fd2e998828b11e09d8c29e6988aaefffaa12ba8b771c7f")
 
 
 def _dense_matrix_product(n, u, v):

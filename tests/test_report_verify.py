@@ -437,12 +437,13 @@ def _matrix_max_fr2_report(tmp_path):
 
 @pytest.mark.parametrize("example", [
     {"name": "matrix-max"}, {"name": "matrix-max", "n": "x"},
-    {"name": "matrix-max", "n": True}, [1]],
-    ids=["no-n", "string-n", "bool-n", "not-an-object"])
+    {"name": "matrix-max", "n": True}, [1],
+    {"name": ["matrix-max"], "n": 1}],
+    ids=["no-n", "string-n", "bool-n", "not-an-object", "list-name"])
 def test_a_malformed_example_record_is_an_input_error(example, tmp_path,
                                                       capsys):
-    # the first two and the last once ended in a traceback, and n = true
-    # was replayed on Max M1(Q)
+    # all but bool-n once ended in a traceback, and n = true was replayed
+    # on Max M1(Q)
     doc = _matrix_max_fr2_report(tmp_path)
     capsys.readouterr()
     assert _replay(tmp_path, doc) == 1
