@@ -81,6 +81,21 @@ def _int_pairs(raw, what):
     return out
 
 
+def _function_table(doc, key, size, codomain):
+    """The value table of a total function from 0..size-1 to
+    0..codomain-1, given under `key` as [i, value] pairs, one per i."""
+    table = [None] * size
+    for i, j in _int_pairs(_require(doc, key, list), key):
+        if not (0 <= i < size and 0 <= j < codomain):
+            raise FormatError(f"{key} pair ({i},{j}) out of range")
+        if table[i] is not None:
+            raise FormatError(f"duplicate {key} entry for {i}")
+        table[i] = j
+    if None in table:
+        raise FormatError(f"{key} table incomplete")
+    return table
+
+
 def _compact(doc, key, value):
     """Whether `doc` marks its compact form by key: value; a missing key
     means the full form."""
@@ -159,15 +174,7 @@ def quantale_from_doc(doc, validate=True, label=""):
         for j in on:
             if mult[i][j] is None:
                 raise FormatError(f"mult entry for ({i},{j}) missing")
-    inv = [None] * n
-    for i, j in _int_pairs(_require(doc, "inv", list), "inv"):
-        if not (0 <= i < n and 0 <= j < n):
-            raise FormatError(f"inv pair ({i},{j}) out of range")
-        if inv[i] is not None:
-            raise FormatError(f"duplicate inv entry for {i}")
-        inv[i] = j
-    if any(v is None for v in inv):
-        raise FormatError("inv table incomplete")
+    inv = _function_table(doc, "inv", n, n)
     unit = doc.get("unit")
     if unit is not None and not (type(unit) is int and 0 <= unit < n):
         raise FormatError("unit out of range")
@@ -200,16 +207,7 @@ def map_from_doc(doc, validate=True):
                                validate=validate, label="source")
     target = quantale_from_doc(_require(doc, "target", dict),
                                validate=validate, label="target")
-    table = [None] * target.size
-    for x, q in _int_pairs(_require(doc, "inverse_image", list),
-                           "inverse_image"):
-        if not (0 <= x < target.size and 0 <= q < source.size):
-            raise FormatError(f"inverse_image pair ({x},{q}) out of range")
-        if table[x] is not None:
-            raise FormatError(f"duplicate inverse_image entry for {x}")
-        table[x] = q
-    if any(v is None for v in table):
-        raise FormatError("inverse_image table incomplete")
+    table = _function_table(doc, "inverse_image", target.size, source.size)
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise FormatError("key 'name' must be str")

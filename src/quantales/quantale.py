@@ -100,7 +100,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .suplattice import (SupMap, distributive_peeling, join_irreducibles,
-                         left_adjoint, validate_lattice)
+                         left_adjoint, preserves_joins_on_j, validate_lattice)
 
 
 @dataclass(frozen=True)
@@ -307,10 +307,8 @@ class _QuantaleFacts:
     @cached_property
     def inv_preserves_joins(self):
         """inv(a v j) = inv(a) v inv(j) for every a and every j in J."""
-        q, J = self.q, self.J
-        inv, join = q.inv_table, q.carrier.join_table
-        return all(inv[join[a][j]] == join[inv[a]][inv[j]]
-                   for a in q.elements for j in J)
+        carrier = self.q.carrier
+        return preserves_joins_on_j(self.q.inv_table, carrier, carrier)
 
     @cached_property
     def peel(self):
@@ -377,11 +375,8 @@ class _HomFacts:
     @cached_property
     def preserves_joins(self):
         """h(a v j) = h(a) v h(j) for every a and every j in J."""
-        h, J = self.values, self.J
-        sjoin = self.source.carrier.join_table
-        tjoin = self.target.carrier.join_table
-        return all(h[sjoin[a][j]] == tjoin[h[a]][h[j]]
-                   for a in self.source.elements for j in J)
+        return preserves_joins_on_j(self.values, self.source.carrier,
+                                    self.target.carrier)
 
     def mult_on_j(self):
         """h(ij) = h(i)h(j) for i and j in J, h being a sup-map."""

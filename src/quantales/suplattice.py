@@ -1,12 +1,14 @@
 """Finite sup-lattices and join-preserving maps.
 
 Elements are dense indices 0..n-1 and the order is stored as one bitmask
-per element (bit j of up[i] set iff i <= j).  Least upper bounds come out
-of a dictionary keyed by upper-set masks: m is the join of {i, j} exactly
-when up[m] == up[i] & up[j], so validating "every pair has a join" costs
-one dictionary lookup per pair instead of a cubic scan, and the same
-trick (on lower-set masks) yields all meets once joins and a bottom are
-known.
+per element (bit j of up[i] set iff i <= j) and its transpose `down`.
+Least upper bounds come out of a dictionary keyed by upper-set masks: m is
+the join of {i, j} exactly when up[m] == up[i] & up[j], so validating
+"every pair has a join" costs one dictionary lookup per pair instead of a
+cubic scan.  The join table is the one n x n table kept.  There is no meet
+table: the meet of a set is the element whose lower-set mask is the AND of
+theirs, found by one lookup.  It exists because the lower bounds of a set
+include the bottom, and their join, in a finite lattice, is one of them.
 """
 
 from __future__ import annotations
@@ -61,17 +63,17 @@ class FiniteSupLattice:
     or the constructors below."""
 
     __slots__ = ("size", "names", "up", "down", "bottom", "top",
-                 "_join", "_meet", "_hash", "_irreducibles", "_peel")
+                 "join_table", "_by_down", "_hash", "_irreducibles", "_peel")
 
-    def __init__(self, up, names, down, bottom, top, join_table, meet_table):
+    def __init__(self, up, names, down, bottom, top, join_table):
         self.size = len(up)
         self.up = up
         self.down = down
         self.names = names
         self.bottom = bottom
         self.top = top
-        self._join = join_table
-        self._meet = meet_table
+        self.join_table = join_table  # join_table[i][j] is the join of i and j
+        self._by_down = {m: i for i, m in enumerate(down)}
         self._hash = hash((self.size, up))
         self._irreducibles = None  # join_irreducibles, on first use
         self._peel = None  # distributive_peeling, False if not distributive
@@ -82,32 +84,23 @@ class FiniteSupLattice:
         return (self.up[i] >> j) & 1 == 1
 
     def join2(self, i, j):
-        return self._join[i][j]
-
-    @property
-    def join_table(self):
-        """join_table[i][j] is the join of i and j."""
-        return self._join
-
-    @property
-    def meet_table(self):
-        """meet_table[i][j] is the meet of i and j."""
-        return self._meet
+        return self.join_table[i][j]
 
     def meet2(self, i, j):
-        return self._meet[i][j]
+        return self._by_down[self.down[i] & self.down[j]]
 
     def join(self, items):
         out = self.bottom
         for i in items:
-            out = self._join[out][i]
+            out = self.join_table[out][i]
         return out
 
     def meet(self, items):
-        out = self.top
+        down = self.down
+        out = down[self.top]
         for i in items:
-            out = self._meet[out][i]
-        return out
+            out &= down[i]
+        return self._by_down[out]
 
     @property
     def elements(self):
@@ -151,7 +144,7 @@ class FiniteSupLattice:
         """Lattice of all subsets of the given atoms, element index = bitmask.
 
         Built directly rather than through validate_lattice: inclusion is a
-        lattice order, join and meet are the OR and AND of the indices, the
+        lattice order, join is the OR of the indices (and meet their AND), the
         singletons are the join-irreducibles, and a subset a other than
         bottom peels off its lowest singleton a & -a, leaving a & (a - 1).
         """
@@ -178,8 +171,7 @@ class FiniteSupLattice:
         pick = indices.__getitem__
         lat = FiniteSupLattice(
             tuple(up), names, tuple(down), 0, n - 1,
-            tuple(tuple(map(pick, map(a.__or__, indices))) for a in indices),
-            tuple(tuple(map(pick, map(a.__and__, indices))) for a in indices))
+            tuple(tuple(map(pick, map(a.__or__, indices))) for a in indices))
         lat._irreducibles = tuple(1 << b for b in range(k))
         lat._peel = tuple((a & (a - 1), a & -a) for a in range(n))
         return lat
@@ -206,7 +198,7 @@ class FiniteSupLattice:
 
 
 def validate_lattice(leq, size, names=None, covers=False):
-    """Validate a relation as a finite lattice and precompute join/meet tables.
+    """Validate a relation as a finite lattice and precompute its join table.
 
     The relation is an iterable of (i, j) int pairs meaning i <= j on the
     elements 0..size-1; reflexive pairs may be omitted.  With `covers` the
@@ -259,16 +251,6 @@ def validate_lattice(leq, size, names=None, covers=False):
         for j in _bits(up[i]):
             down[j] |= 1 << i
     top = next(i for i in range(n) if down[i] == full)
-    by_down = {down[i]: i for i in range(n)}
-    meet_table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = meet_table[i]
-        for j in range(i, n):
-            m = by_down.get(down[i] & down[j])
-            if m is None:  # a finite poset with bottom and all joins has all meets
-                raise LatticeError(f"pair ({i},{j}) has no meet")
-            row[j] = m
-            meet_table[j][i] = m
 
     if names is None:
         names = tuple(str(i) for i in range(n))
@@ -277,8 +259,7 @@ def validate_lattice(leq, size, names=None, covers=False):
         if len(names) != n:
             raise LatticeError("names length does not match element count")
     return FiniteSupLattice(tuple(up), names, tuple(down), bottom, top,
-                            tuple(tuple(r) for r in join_table),
-                            tuple(tuple(r) for r in meet_table))
+                            tuple(tuple(r) for r in join_table))
 
 
 def _closure(up):
@@ -397,6 +378,16 @@ def is_sup_map(f):
     return None
 
 
+def preserves_joins_on_j(values, dom, cod):
+    """Whether f(a v j) = f(a) v f(j) for every a and every join-irreducible
+    j of dom, f: dom -> cod being the table `values`; then, by induction
+    on the join-irreducibles below b, f(a v b) = f(a) v f(b) for all b."""
+    J = join_irreducibles(dom)
+    djoin, cjoin = dom.join_table, cod.join_table
+    return all(values[djoin[a][j]] == cjoin[values[a]][values[j]]
+               for a in dom.elements for j in J)
+
+
 def right_adjoint(f):
     """The right adjoint f_* of a sup-map f, with f(l) <= m iff l <= f_*(m)."""
     w = is_sup_map(f)
@@ -459,10 +450,9 @@ class ClosureOperator:
     def __call__(self, i):
         return self.values[i]
 
-    def closed_elements(self):
-        return tuple(i for i in self.lattice.elements if self.values[i] == i)
-
     def validate(self):
+        """Inflationary, idempotent and monotone.  Its closed elements are
+        then meet-closed: j(a ^ b) <= j(a) ^ j(b) = a ^ b <= j(a ^ b)."""
         lat, j = self.lattice, self.values
         for a in lat.elements:
             if not lat.leq(a, j[a]):
@@ -472,10 +462,4 @@ class ClosureOperator:
             for b in lat.elements:
                 if lat.leq(a, b) and not lat.leq(j[a], j[b]):
                     raise LatticeError(f"closure not monotone at ({a},{b})")
-        closed = self.closed_elements()
-        members = frozenset(closed)
-        for a in closed:
-            for b in closed:
-                if lat.meet2(a, b) not in members:
-                    raise LatticeError(f"closed family not meet-closed at ({a},{b})")
 

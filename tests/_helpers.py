@@ -509,6 +509,14 @@ def brute_force_join(lat, subset):
     return least[0] if least else None
 
 
+def brute_force_meet(lat, subset):
+    """Greatest lower bound located by scanning all elements, or None."""
+    lbs = [u for u in lat.elements
+           if all(lat.leq(u, s) for s in subset)]
+    greatest = [u for u in lbs if all(lat.leq(v, u) for v in lbs)]
+    return greatest[0] if greatest else None
+
+
 def brute_force_left_adjoints(f):
     """All value tables g with g(m) <= l iff m <= f(l), by raw enumeration."""
     dom, cod = f.dom, f.cod

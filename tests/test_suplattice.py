@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantales.suplattice import (ClosureOperator, FiniteSupLattice,
-                                  MissingJoin, NoBottom, NoLeftAdjoint,
-                                  NotAPartialOrder, NotSupPreserving, SupMap,
+                                  LatticeError, MissingJoin, NoBottom,
+                                  NoLeftAdjoint, NotAPartialOrder,
+                                  NotSupPreserving, SupMap,
                                   distributive_peeling, is_sup_map,
                                   join_irreducibles, left_adjoint,
                                   preserves_all_meets, right_adjoint,
                                   validate_lattice)
 
 from _helpers import brute_force_join, brute_force_left_adjoints, \
-    corpus_lattices, leq_pairs, sup_maps_between
+    brute_force_meet, corpus_lattices, leq_pairs, sup_maps_between
 
 CORPUS = corpus_lattices()
 
@@ -68,8 +69,7 @@ def test_powerset_order_is_inclusion(atoms):
     assert sorted(leq_pairs(lat)) == [(i, j) for i in range(n)
                                        for j in range(n) if i & ~j == 0]
     generic = validate_lattice(leq_pairs(lat), size=n, names=lat.names)
-    for attr in ("up", "down", "bottom", "top", "join_table", "meet_table",
-                 "names"):
+    for attr in ("up", "down", "bottom", "top", "join_table", "names"):
         assert getattr(lat, attr) == getattr(generic, attr), attr
     assert join_irreducibles(lat) == join_irreducibles(generic)
     assert distributive_peeling(lat) == distributive_peeling(generic)
@@ -81,6 +81,26 @@ def test_join_is_least_upper_bound(name):
     for bits in range(1 << lat.size):
         subset = [e for e in lat.elements if bits >> e & 1]
         assert lat.join(subset) == brute_force_join(lat, subset)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_meet_is_greatest_lower_bound(name):
+    # meets are read from the lower-set masks; the empty meet is the top
+    lat = CORPUS[name]
+    for bits in range(1 << lat.size):
+        subset = [e for e in lat.elements if bits >> e & 1]
+        assert lat.meet(subset) == brute_force_meet(lat, subset)
+        if len(subset) == 2:
+            assert lat.meet2(*subset) == brute_force_meet(lat, subset)
+
+
+@pytest.mark.parametrize("atoms", range(7))
+def test_meet_is_greatest_lower_bound_on_powersets(atoms):
+    # meet is intersection: the AND of the indices
+    lat = FiniteSupLattice.powerset(atoms)
+    for a in lat.elements:
+        for b in lat.elements:
+            assert lat.meet2(a, b) == a & b
 
 
 def test_is_sup_map_identity_and_constant_bottom():
@@ -188,6 +208,21 @@ def test_closure_laws_validate():
     for a in lat.elements:
         assert lat.leq(a, op(a))
         assert op(op(a)) == op(a)
+
+
+@pytest.mark.parametrize("name", ["chain3", "powerset2", "diamond",
+                                  "pentagon"])
+def test_a_valid_closure_has_meet_closed_fixed_points(name):
+    # validate checks no meet-closure: it follows from the three laws
+    lat = CORPUS[name]
+    for values in itertools.product(lat.elements, repeat=lat.size):
+        try:
+            ClosureOperator(lat, values).validate()
+        except LatticeError:
+            continue
+        closed = [a for a in lat.elements if values[a] == a]
+        assert all(values[lat.meet2(a, b)] == lat.meet2(a, b)
+                   for a in closed for b in closed)
 
 
 def test_bad_closure_fails_validation():
