@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .openness import frobenius_report
 from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
-                       finite_subquantale, require, validate_hom,
-                       validate_quantale)
+                       finite_subquantale, require, tabulate_quantale,
+                       validate_hom, validate_quantale)
 from .subspaces import RationalSubspace
 from .suplattice import FiniteSupLattice, _bits, join_irreducibles
 
@@ -255,24 +255,17 @@ def omega_quantale():
 
 
 def product_quantale(q1, q2):
-    carrier = FiniteSupLattice.product(q1.carrier, q2.carrier)
-    n2 = q2.size
-
-    def enc(a, b):
-        return a * n2 + b
-
-    mult = [[enc(q1.mult(a1, b1), q2.mult(a2, b2))
-             for b1 in q1.elements for b2 in q2.elements]
-            for a1 in q1.elements for a2 in q2.elements]
-    inv = [enc(q1.inv(a1), q2.inv(a2))
-           for a1 in q1.elements for a2 in q2.elements]
+    """q1 x q2, ordered, multiplied and involuted componentwise."""
     unit = None
     if q1.unit is not None and q2.unit is not None:
-        unit = enc(q1.unit, q2.unit)
-    q = FiniteInvQuantale(carrier, mult, inv, unit=unit,
-                          label=f"{q1.label or 'Q1'}x{q2.label or 'Q2'}")
-    require(validate_quantale(q))
-    return q
+        unit = (q1.unit, q2.unit)
+    return tabulate_quantale(
+        list(itertools.product(q1.elements, q2.elements)),
+        lambda a, b: q1.leq(a[0], b[0]) and q2.leq(a[1], b[1]),
+        lambda a, b: (q1.mult(a[0], b[0]), q2.mult(a[1], b[1])),
+        lambda a: (q1.inv(a[0]), q2.inv(a[1])),
+        lambda a: f"({q1.name_of(a[0])},{q2.name_of(a[1])})", unit=unit,
+        label=f"{q1.label or 'Q1'}x{q2.label or 'Q2'}")
 
 
 # -- subspace quantales over Q ------------------------------------------------

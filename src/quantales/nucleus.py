@@ -5,9 +5,23 @@ a worklist fixpoint closing pairs under involution and under left
 multiplication by arbitrary elements.  The result is closed under right
 multiplication too, since (r a, s a) = ((a* r*)*, (a* s*)*).  The
 elements alpha with "r <= alpha iff s <= alpha" for every saturated pair
-form a meet-closed family, and the closure operator it induces is the
-least involutive quantic nucleus identifying the pairs of R.  Its fixed
-points carry the quotient quantale, with multiplication (a, b) -> j(ab).
+hold top and are meet-closed, since r <= alpha ^ beta iff r <= alpha and
+r <= beta.  So j(a), the meet of those above a, is one of them: j is a
+closure (inflationary, monotone, idempotent) whose closed elements they
+are, and it identifies each saturated pair, whose sides lie below the
+same ones.  It is the least involutive quantic nucleus identifying the
+pairs of R.  Its closed elements carry the quotient quantale, with
+multiplication (a, b) -> j(ab), and the hom h(a) = [j(a)] is onto, as
+j(c) = c for closed c.  None of this is checked.  `quotient` raises
+InternalInvariantViolation exactly when its j is not an involutive
+quantic nucleus, and checks each law once.  Each value j(a) must be a
+closed element above a, and the closed elements a lattice holding the
+products j(cd) and involutes c* it tabulates (`quantale.tabulate_quantale`
+names one that is not).  Such a j is a closure iff h preserves joins
+(hom-join of `validate_hom`): a closure has j(a v b) = j(j(a) v j(b)),
+and a monotone h makes j monotone.  The two nucleus laws are hom-mult,
+j(ab) = j(j(a)j(b)), which for a closure holds iff j(a)j(b) <= j(ab), and
+hom-involution, j(a*) = j(a)*.
 """
 
 from __future__ import annotations
@@ -15,9 +29,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .quantale import FiniteInvQuantale, find_unit, validate_hom, \
-    validate_quantale
-from .suplattice import ClosureOperator, SupMap, validate_lattice
+from .quantale import FiniteInvQuantale, InvalidQuantale, \
+    tabulate_quantale, validate_hom
+from .suplattice import LatticeError, SupMap
 
 
 class InternalInvariantViolation(RuntimeError):
@@ -58,17 +72,9 @@ def saturate_relation(rel):
 
 def saturated_elements(q, saturated):
     """Elements seeing both sides of every saturated pair the same way."""
-    out = frozenset(
+    return frozenset(
         alpha for alpha in q.elements
         if all(q.leq(r, alpha) == q.leq(s, alpha) for r, s in saturated))
-    if q.top not in out:
-        raise InternalInvariantViolation("top is not saturated")
-    for a in out:  # meet-closure is forced by the defining condition
-        for b in out:
-            if q.carrier.meet2(a, b) not in out:
-                raise InternalInvariantViolation(
-                    f"saturated elements not meet-closed at ({a},{b})")
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,25 +85,6 @@ class Nucleus:
     def __call__(self, a):
         return self.values[a]
 
-    def closure(self):
-        return ClosureOperator(self.quantale.carrier, self.values)
-
-    def closed_elements(self):
-        return tuple(a for a in self.quantale.elements if self.values[a] == a)
-
-    def validate(self):
-        """Closure laws plus j(a)j(b) <= j(ab) and j(a*) = j(a)*."""
-        self.closure().validate()
-        q, j = self.quantale, self.values
-        for a in q.elements:
-            if j[q.inv(a)] != q.inv(j[a]):
-                raise InternalInvariantViolation(
-                    f"involution not respected at {a}")
-            for b in q.elements:
-                if not q.leq(q.mult(j[a], j[b]), j[q.mult(a, b)]):
-                    raise InternalInvariantViolation(
-                        f"j(a)j(b) <= j(ab) fails at ({a},{b})")
-
 
 def nucleus_from_relation(rel):
     """Least involutive quantic nucleus identifying the given pairs."""
@@ -106,49 +93,38 @@ def nucleus_from_relation(rel):
     closed = saturated_elements(q, saturated)
     values = tuple(
         q.meet(c for c in closed if q.leq(a, c)) for a in q.elements)
-    nuc = Nucleus(q, values)
-    nuc.validate()
-    for r, s in rel.pairs:
-        if values[r] != values[s]:
-            raise InternalInvariantViolation(f"pair ({r},{s}) not identified")
-    return nuc
+    return Nucleus(q, values)
 
 
 @dataclass(frozen=True)
 class QuotientQuantale:
     quantale: FiniteInvQuantale
-    base: FiniteInvQuantale
-    nucleus: Nucleus
     closed: tuple
-    hom: SupMap
 
 
 def quotient(q, nuc):
-    """The quotient quantale on the closed elements, with its surjective hom."""
-    closed = tuple(sorted(nuc.closed_elements()))
+    """The quotient quantale on the closed elements, with its surjective
+    hom; InternalInvariantViolation when nuc is not an involutive quantic
+    nucleus (module docstring)."""
+    closed = tuple(a for a in q.elements if nuc(a) == a)
     index = {c: k for k, c in enumerate(closed)}
-    n = len(closed)
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if q.leq(closed[i], closed[j])]
-    names = [q.name_of(c) for c in closed]
-    carrier = validate_lattice(pairs, size=n, names=names)
-    mult = [[index[nuc(q.mult(closed[i], closed[j]))] for j in range(n)]
-            for i in range(n)]
-    inv = [index[q.inv(closed[i])] for i in range(n)]
-    quot = FiniteInvQuantale(carrier, mult, inv,
-                             label=f"{q.label or 'Q'}/j")
-    quot.unit = find_unit(quot)
-    v = validate_quantale(quot)
-    if v is not None:
-        raise InternalInvariantViolation(f"quotient is not a quantale: {v}")
-    hom_values = tuple(index[nuc(a)] for a in q.elements)
-    hom = SupMap(q.carrier, carrier, hom_values)
+    hom_values = tuple(index.get(v) for v in nuc.values)
+    for a in q.elements:
+        if hom_values[a] is None or not q.leq(a, nuc(a)):
+            raise InternalInvariantViolation(
+                f"j({a}) = {nuc(a)} is not a closed element above {a}")
+    try:
+        quot = tabulate_quantale(closed, q.leq,
+                                 lambda a, b: nuc(q.mult(a, b)), q.inv,
+                                 q.name_of, label=f"{q.label or 'Q'}/j")
+    except (InvalidQuantale, LatticeError) as e:
+        raise InternalInvariantViolation(
+            f"quotient is not a quantale: {e}") from e
     v = validate_hom(hom_values.__getitem__, q, quot)
     if v is not None:
         raise InternalInvariantViolation(f"quotient hom is not a hom: {v}")
-    if set(hom_values) != set(range(n)):  # surjective by construction
-        raise InternalInvariantViolation("quotient hom is not onto")
-    return QuotientQuantale(quot, q, nuc, closed, hom), hom
+    return QuotientQuantale(quot, closed), SupMap(q.carrier, quot.carrier,
+                                                  hom_values)
 
 
 def quotient_by_relation(q, pairs):

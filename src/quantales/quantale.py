@@ -608,6 +608,37 @@ def ensure_left_adjoint(p):
     return p.with_direct_image(adj.values.__getitem__)
 
 
+def tabulate_quantale(handles, leq, mult, inv, name_of, unit=None, label=""):
+    """The validated finite involutive quantale whose element i is
+    handles[i], ordered, multiplied and involuted as the handles are by
+    leq, mult and inv.  A product or involute that is not a handle raises
+    InvalidQuantale naming the operation, as does a failing law.  The unit
+    is the handle `unit` when it is one, else `find_unit`'s."""
+    n = len(handles)
+    index = {h: i for i, h in enumerate(handles)}
+
+    def element(op, args, value):
+        i = index.get(value)
+        if i is None:
+            raise InvalidQuantale(Violation(
+                f"{op}-closed", args, f"{name_of(value)} is not a handle"))
+        return i
+
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if leq(handles[i], handles[j])]
+    names = [name_of(h) for h in handles]
+    carrier = validate_lattice(pairs, size=n, names=names)
+    mult_table = [[element("mult", (a, b), mult(a, b)) for b in handles]
+                  for a in handles]
+    inv_table = [element("inv", (a,), inv(a)) for a in handles]
+    q = FiniteInvQuantale(carrier, mult_table, inv_table, label=label)
+    q.unit = index.get(unit)
+    if q.unit is None:
+        q.unit = find_unit(q)
+    require(validate_quantale(q))
+    return q
+
+
 def finite_subquantale(ambient, seeds, max_size=64, label=""):
     """Close handles of an effective quantale under joins, mult and involution.
 
@@ -615,8 +646,8 @@ def finite_subquantale(ambient, seeds, max_size=64, label=""):
     index i.  The inclusion preserves joins, multiplication and involution
     by construction; meets inside the fragment may differ from ambient
     meets, which is fine for a quantale in its own right.  The unit is the
-    ambient one when the closure holds it, else `find_unit`'s, set on the
-    one quantale built before it is validated.
+    ambient one when the closure holds it, else `find_unit`'s
+    (`tabulate_quantale`).
     """
     handles = []
     seen = set()
@@ -640,19 +671,6 @@ def finite_subquantale(ambient, seeds, max_size=64, label=""):
             break
         if len(handles) > max_size:
             raise ValueError(f"subquantale closure exceeded {max_size} elements")
-    n = len(handles)
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if ambient.leq(handles[i], handles[j])]
-    names = [ambient.name_of(h) for h in handles]
-    carrier = validate_lattice(pairs, size=n, names=names)
-    index = {h: i for i, h in enumerate(handles)}
-    mult = [[index[ambient.mult(handles[i], handles[j])] for j in range(n)]
-            for i in range(n)]
-    inv = [index[ambient.inv(handles[i])] for i in range(n)]
-    q = FiniteInvQuantale(carrier, mult, inv, label=label)
-    q.unit = index.get(ambient.unit)
-    if q.unit is None:
-        q.unit = find_unit(q)
-    require(validate_quantale(q))
+    q = tabulate_quantale(handles, ambient.leq, ambient.mult, ambient.inv,
+                          ambient.name_of, unit=ambient.unit, label=label)
     return q, handles
-

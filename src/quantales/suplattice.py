@@ -13,7 +13,6 @@ include the bottom, and their join, in a finite lattice, is one of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -175,18 +174,6 @@ class FiniteSupLattice:
         lat._irreducibles = tuple(1 << b for b in range(k))
         lat._peel = tuple((a & (a - 1), a & -a) for a in range(n))
         return lat
-
-    @staticmethod
-    def product(left, right):
-        nl, nr = left.size, right.size
-        pairs = []
-        for i, j in itertools.product(range(nl), range(nr)):
-            for i2 in _bits(left.up[i]):
-                for j2 in _bits(right.up[j]):
-                    pairs.append((i * nr + j, i2 * nr + j2))
-        names = [f"({left.names[i]},{right.names[j]})"
-                 for i in range(nl) for j in range(nr)]
-        return validate_lattice(pairs, size=nl * nr, names=names)
 
     @staticmethod
     def from_sets(family, names=None):
@@ -440,26 +427,4 @@ def preserves_all_meets(f):
             if f.values[dom.meet2(i, j)] != cod.meet2(f.values[i], f.values[j]):
                 return (i, j)
     return None
-
-
-@dataclass(frozen=True)
-class ClosureOperator:
-    lattice: FiniteSupLattice
-    values: tuple
-
-    def __call__(self, i):
-        return self.values[i]
-
-    def validate(self):
-        """Inflationary, idempotent and monotone.  Its closed elements are
-        then meet-closed: j(a ^ b) <= j(a) ^ j(b) = a ^ b <= j(a ^ b)."""
-        lat, j = self.lattice, self.values
-        for a in lat.elements:
-            if not lat.leq(a, j[a]):
-                raise LatticeError(f"closure not inflationary at {a}")
-            if j[j[a]] != j[a]:
-                raise LatticeError(f"closure not idempotent at {a}")
-            for b in lat.elements:
-                if lat.leq(a, b) and not lat.leq(j[a], j[b]):
-                    raise LatticeError(f"closure not monotone at ({a},{b})")
 

@@ -66,8 +66,11 @@ def corpus_lattices():
     out["pentagon"] = validate_lattice(
         [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)],
         size=5)
-    out["grid3x2"] = FiniteSupLattice.product(
-        FiniteSupLattice.chain(3), FiniteSupLattice.chain(2))
+    # grid3x2: chain 3 x chain 2, ordered componentwise, (i, j) at 2i + j
+    grid = list(itertools.product(range(3), range(2)))
+    out["grid3x2"] = validate_lattice(
+        [(2 * i + j, 2 * k + l) for i, j in grid for k, l in grid
+         if i <= k and j <= l], size=6, names=[f"({i},{j})" for i, j in grid])
     return out
 
 
@@ -540,6 +543,38 @@ def all_closure_operators(lat):
             continue
         yield tuple(lat.meet(c for c in family if lat.leq(a, c))
                     for a in elems)
+
+
+def closure_failure(lat, values):
+    """The first closure law the value table breaks, with its witness, or
+    None: inflationary, idempotent and monotone, swept over every element
+    and every pair."""
+    for a in lat.elements:
+        if not lat.leq(a, values[a]):
+            return f"not inflationary at {a}"
+        if values[values[a]] != values[a]:
+            return f"not idempotent at {a}"
+        for b in lat.elements:
+            if lat.leq(a, b) and not lat.leq(values[a], values[b]):
+                return f"not monotone at ({a},{b})"
+    return None
+
+
+def nucleus_failure(q, values):
+    """The first law of an involutive quantic nucleus the value table
+    breaks, or None: the closure laws, then j(a*) = j(a)* and
+    j(a)j(b) <= j(ab) over every pair."""
+    failure = closure_failure(q.carrier, values)
+    if failure is not None:
+        return failure
+    for a in q.elements:
+        if values[q.inv(a)] != q.inv(values[a]):
+            return f"involution not respected at {a}"
+        for b in q.elements:
+            if not q.leq(q.mult(values[a], values[b]),
+                         values[q.mult(a, b)]):
+                return f"j(a)j(b) <= j(ab) fails at ({a},{b})"
+    return None
 
 
 def least_closure_identifying(q, pairs):

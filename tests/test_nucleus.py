@@ -1,21 +1,25 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from quantales.examples import (cyclic_group, group_powerset_quantale,
                                 omega_quantale, rel_quantale,
                                 symmetric_group_3)
-from quantales.nucleus import (Nucleus, RelationPresentation,
-                               nucleus_from_relation, quotient,
-                               quotient_by_relation, saturate_relation,
-                               saturated_elements)
+from quantales import nucleus
+from quantales.nucleus import (InternalInvariantViolation, Nucleus,
+                               RelationPresentation, nucleus_from_relation,
+                               quotient, quotient_by_relation,
+                               saturate_relation, saturated_elements)
 from quantales.quantale import validate_hom
 
-from _helpers import least_closure_identifying, small_quantales, \
-    sup_maps_between, three_clause_saturation
+from _helpers import all_closure_operators, least_closure_identifying, \
+    nucleus_failure, small_quantales, sup_maps_between, \
+    three_clause_saturation
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
+PZ3 = group_powerset_quantale(cyclic_group(3))
 
 
 def rel(q, pairs):
@@ -87,7 +91,7 @@ def test_nucleus_values():
 
 def test_nucleus_validates_its_laws():
     nuc = nucleus_from_relation(rel(PZ2, [(1, 2)]))
-    nuc.validate()
+    assert nucleus_failure(PZ2, nuc.values) is None
     j = nuc.values
     for a, b in itertools.product(PZ2.elements, repeat=2):
         assert PZ2.leq(PZ2.mult(j[a], j[b]), j[PZ2.mult(a, b)])
@@ -165,12 +169,121 @@ def test_nucleus_is_least_among_valid_identifying_nuclei():
             continue
         values = tuple(PZ2.meet(c for c in family if PZ2.leq(a, c))
                        for a in PZ2.elements)
-        candidate = Nucleus(PZ2, values)
-        try:
-            candidate.validate()
-        except Exception:
+        if nucleus_failure(PZ2, values) is not None:
             continue
         if any(values[r] != values[s] for r, s in presentation.pairs):
             continue
         assert all(PZ2.leq(nuc(a), values[a]) for a in PZ2.elements)
 
+
+def _seeded_relations(count, seed):
+    """(quantale, pairs): `count` relations of one to three pairs on each
+    of the small corpus, Rel(2), P(Z/3) and P(S3)."""
+    rng = random.Random(seed)
+    quantales = [*small_quantales().values(), rel_quantale(2), PZ3,
+                 group_powerset_quantale(symmetric_group_3())]
+    return [(q, {(rng.choice(q.elements), rng.choice(q.elements))
+                 for _ in range(rng.randint(1, 3))})
+            for q in quantales for _ in range(count)]
+
+
+def test_the_construction_satisfies_what_it_no_longer_checks():
+    # the module docstring's argument: the saturated elements hold top and
+    # are meet-closed, so j is a closure with them as its closed elements,
+    # it identifies every saturated pair, and it is an involutive quantic
+    # nucleus
+    for q, pairs in _seeded_relations(6, 29):
+        presentation = rel(q, pairs)
+        sat = saturate_relation(presentation)
+        closed = saturated_elements(q, sat)
+        assert q.top in closed
+        assert all(q.carrier.meet2(a, b) in closed
+                   for a in closed for b in closed)
+        j = nucleus_from_relation(presentation).values
+        assert nucleus_failure(q, j) is None, (q, sorted(pairs))
+        assert all(j[r] == j[s] for r, s in sat | presentation.pairs)
+        assert closed == {a for a in q.elements if j[a] == a}
+
+
+def test_quotient_names_an_involute_that_is_not_closed():
+    # the closure of {{}, {g}, top} on P(Z/3): {g}* = {g2} is not closed
+    family = (0, 2, 7)
+    values = tuple(PZ3.meet(c for c in family if PZ3.leq(a, c))
+                   for a in PZ3.elements)
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"inv-closed fails at \(2,\)"):
+        quotient(PZ3, Nucleus(PZ3, values))
+
+
+def test_quotient_names_a_value_that_is_not_closed():
+    # j(0) = {e}, but j({e}) = top: j is not idempotent
+    values = (1, 7, 7, 7, 7, 7, 7, 7)
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"j\(0\) = 1 is not a closed element above 0"):
+        quotient(PZ3, Nucleus(PZ3, values))
+
+
+def test_quotient_refuses_exactly_the_tables_that_are_not_nuclei():
+    # every value table on P(Z/2), and every closure operator on P(Z/3) and
+    # the small corpus: quotient raises InternalInvariantViolation iff the
+    # brute-force predicate finds a broken nucleus law
+    tables = [(PZ2, values)
+              for values in itertools.product(PZ2.elements, repeat=4)]
+    for q in [PZ3, *small_quantales().values()]:
+        tables += [(q, values) for values in all_closure_operators(q.carrier)]
+    refused = 0
+    for q, values in tables:
+        failure = nucleus_failure(q, values)
+        if failure is None:
+            quotient(q, Nucleus(q, values))
+            continue
+        with pytest.raises(InternalInvariantViolation):
+            quotient(q, Nucleus(q, values))
+        refused += 1
+    assert 0 < refused < len(tables)
+
+
+def _saturation_without(clause):
+    """saturate_relation with its involution or its left-product clause
+    left out."""
+    def saturate(rel):
+        q = rel.quantale
+        done = set()
+        todo = deque(rel.pairs)
+        while todo:
+            pair = todo.popleft()
+            if pair in done:
+                continue
+            done.add(pair)
+            r, s = pair
+            if clause != "involution":
+                todo.append((q.inv(r), q.inv(s)))
+            if clause != "left-product":
+                for a in q.elements:
+                    todo.append((q.mult(a, r), q.mult(a, s)))
+        return frozenset(done)
+    return saturate
+
+
+@pytest.mark.parametrize("clause", ["involution", "left-product"])
+def test_quotient_refuses_a_planted_saturation_fault(monkeypatch, clause):
+    # a saturation missing a clause gives fewer pairs, so its j is still a
+    # closure identifying R and lies below the least nucleus identifying
+    # R: it is a nucleus exactly when it is that least one.  So the
+    # quotient's checks must refuse the relations whose j the fault
+    # changes, and only those
+    seeded = [(q, pairs) for q, pairs in _seeded_relations(20, 31)
+              if q.size > 5]
+    least = [nucleus_from_relation(rel(q, pairs)).values
+             for q, pairs in seeded]
+    monkeypatch.setattr(nucleus, "saturate_relation",
+                        _saturation_without(clause))
+    refused = 0
+    for (q, pairs), values in zip(seeded, least):
+        if nucleus_from_relation(rel(q, pairs)).values == values:
+            quotient_by_relation(q, pairs)
+            continue
+        with pytest.raises(InternalInvariantViolation):
+            quotient_by_relation(q, pairs)
+        refused += 1
+    assert refused > 0
