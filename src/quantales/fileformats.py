@@ -219,12 +219,11 @@ def map_from_doc(doc, validate=True):
 
 def relation_from_doc(doc, quantale):
     pairs = _int_pairs(_require(doc, "pairs", list), "pairs")
-    n = quantale.size
-    for r, s in pairs:
-        if not (0 <= r < n and 0 <= s < n):
-            raise FormatError(f"relation pair ({r},{s}) out of range")
     from .nucleus import RelationPresentation
-    return RelationPresentation(quantale, frozenset(pairs))
+    try:
+        return RelationPresentation(quantale, pairs)
+    except ValueError as e:  # a pair out of range, the first in doc order
+        raise FormatError(f"relation {e}") from e
 
 
 def load_json(path, with_sha256=False):

@@ -474,6 +474,8 @@ def validate_quantale(q):
     pools = {"Q": list(q.elements), "J": facts.J}
     for arity, laws in _runs(QUANTALE_LAWS):
         laws = _undecided(laws, facts)
+        if not laws:
+            continue
         if arity < 3:
             for w in itertools.product(pools["Q"], repeat=arity):
                 for law in laws:
@@ -519,6 +521,8 @@ def validate_hom(h, source, target):
     for arity, laws in _runs(HOM_LAWS):
         if facts is not None:
             laws = _undecided(laws, facts)
+        if not laws:
+            continue
         for w in itertools.product(pool, repeat=arity):
             for law in laws:
                 if not law.holds(h, source, target, *w):

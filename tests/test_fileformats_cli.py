@@ -316,6 +316,16 @@ def test_cli_quotient(files):
     assert rep["quotient"]["hom"] == [0, 1, 1, 1]
 
 
+def test_cli_quotient_names_the_first_pair_out_of_range(files, capsys):
+    # RelationPresentation checks the range once; the loader names its
+    # first bad pair in the order of the document, as an input error
+    ff.save_json(files / "rel.json", {"pairs": [[1, 2], [0, 9], [-1, 0]]})
+    assert main(["quotient", "--quantale", str(files / "pz2.quantale.json"),
+                 "--relation", str(files / "rel.json")]) == 2
+    assert capsys.readouterr().err == \
+        "error: relation pair (0,9) out of range\n"
+
+
 def test_the_exit_code_and_verdict_are_read_off_the_checks(files,
                                                            monkeypatch,
                                                            capsys):

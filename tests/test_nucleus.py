@@ -13,9 +13,10 @@ from quantales.nucleus import (InternalInvariantViolation, Nucleus,
                                quotient, quotient_by_relation,
                                saturate_relation, saturated_elements)
 from quantales.quantale import validate_hom
+from quantales.suplattice import join_irreducibles
 
 from _helpers import all_closure_operators, least_closure_identifying, \
-    nucleus_failure, small_quantales, sup_maps_between, \
+    left_saturation, nucleus_failure, small_quantales, sup_maps_between, \
     three_clause_saturation
 
 PZ2 = group_powerset_quantale(cyclic_group(2))
@@ -31,7 +32,7 @@ def test_saturation_of_empty_relation_is_empty():
 
 
 def test_saturation_of_e_g_pair():
-    sat = saturate_relation(rel(PZ2, [(1, 2)]))
+    sat = left_saturation(PZ2, [(1, 2)])
     assert sat == {(0, 0), (1, 2), (2, 1), (3, 3)}
     # involution closure holds for every pair
     for r, s in sat:
@@ -42,7 +43,7 @@ def test_saturation_closed_under_one_sided_products():
     rng = random.Random(3)
     for _ in range(10):
         pairs = {(rng.randrange(4), rng.randrange(4))}
-        sat = saturate_relation(rel(PZ2, pairs))
+        sat = left_saturation(PZ2, pairs)
         for (r, s), a in itertools.product(sat, PZ2.elements):
             assert (PZ2.mult(a, r), PZ2.mult(a, s)) in sat
             assert (PZ2.mult(r, a), PZ2.mult(s, a)) in sat
@@ -61,7 +62,7 @@ def test_saturation_matches_the_three_clause_closure():
         for _ in range(20):
             pairs = {(rng.choice(q.elements), rng.choice(q.elements))
                      for _ in range(rng.randint(1, 3))}
-            assert saturate_relation(rel(q, pairs)) == \
+            assert left_saturation(q, pairs) == \
                 three_clause_saturation(q, pairs)
 
 
@@ -287,3 +288,58 @@ def test_quotient_refuses_a_planted_saturation_fault(monkeypatch, clause):
             quotient_by_relation(q, pairs)
         refused += 1
     assert refused > 0
+
+
+def test_j_saturation_of_e_g_pair():
+    # J(P(Z/2)) = {{e}, {g}}: left products by bottom and top, which give
+    # (0, 0) and (3, 3) in the full saturation, are left out
+    assert saturate_relation(rel(PZ2, [(1, 2)])) == {(1, 2), (2, 1)}
+
+
+def _differential_corpus():
+    """The seeded relations, and two seeded one-pair relations on Rel(3):
+    the J-saturation of each of these has a few dozen pairs, the full one
+    thousands."""
+    q = rel_quantale(3)
+    rng = random.Random(30)
+    return _seeded_relations(6, 29) + [
+        (q, {(rng.randrange(q.size), rng.randrange(q.size))})
+        for _ in range(2)]
+
+
+def test_j_saturation_cuts_out_the_elements_of_the_full_saturation():
+    # the module docstring's lemma: the J-saturated pairs lie among the
+    # fully saturated ones, and both are respected by the same elements
+    for q, pairs in _differential_corpus():
+        j_saturated = saturate_relation(rel(q, pairs))
+        saturated = left_saturation(q, pairs)
+        assert j_saturated <= saturated
+        assert saturated_elements(q, j_saturated) == \
+            saturated_elements(q, saturated), (q, sorted(pairs))
+
+
+def test_quotient_refuses_a_saturation_short_of_an_irreducible(monkeypatch):
+    # left products by J minus its last irreducible give fewer pairs, so,
+    # as for a missing clause, the quotient must refuse exactly the
+    # relations whose j this changes.  Where the others generate the last
+    # one under products (P(G), Rel(2)) nothing changes; on the small
+    # corpus some j do
+    seeded = _seeded_relations(20, 31)
+    least = [nucleus_from_relation(rel(q, pairs)).values
+             for q, pairs in seeded]
+
+    def saturate(presentation):
+        q = presentation.quantale
+        return left_saturation(q, presentation.pairs,
+                               join_irreducibles(q.carrier)[:-1])
+    monkeypatch.setattr(nucleus, "saturate_relation", saturate)
+    refused = 0
+    for (q, pairs), values in zip(seeded, least):
+        if nucleus_from_relation(rel(q, pairs)).values == values:
+            quotient_by_relation(q, pairs)
+            continue
+        with pytest.raises(InternalInvariantViolation):
+            quotient_by_relation(q, pairs)
+        refused += 1
+    assert refused > 0
+
