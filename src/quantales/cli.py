@@ -18,8 +18,8 @@ or to its other output, and `--out` on a suite example, which writes no file.
 `report-verify` fails closed: every embedded input must match its
 `doc_sha256` (the digest of its canonical JSON), the verdict must agree
 with the checks, and each failed check is replayed through the
-definition that produced it (a law witness through its predicate or
-one-element sweep, a structural failure by reloading the embedded input,
+definition that produced it (a law witness by the law engine on
+one-element pools, a structural failure by reloading the embedded input,
 a relation failure by rebuilding its instance from family, x and
 parameters) or counted as a problem.  Each problem is a failed check of
 its own report, which it never writes.  The nested `frobenius` and
@@ -42,6 +42,7 @@ from .freeprod import (CORE_PARAMETERS, DEFAULT_TRACES, Q_TAG, REDUCTION,
                        check_maxlen, core_failure, verify_adjunction_on_words,
                        verify_beck_chevalley, verify_pullback_frobenius,
                        verify_relation_compatibility)
+from .laws import fails_at
 from .nucleus import nucleus_from_relation, quotient
 from .openness import (BATTERY, MAP_LAWS, MissingDirectImage, NotALocale,
                        NotUnital, check_locale_meet_lemma, frobenius_report,
@@ -453,17 +454,15 @@ def _replay_document(doc, chk):
                        None)
             if law is None:
                 raise FormatError(f"no {part} law {chk.get('law')!r}")
-            witness = _witness(chk, [carrier] * law.arity)
-            return [not law.holds(*law_args, *witness)]
+            return [fails_at(law, law_args,
+                             _witness(chk, [carrier] * law.arity))]
     return [False]
 
 
 def _replay_map_law(doc, chk):
-    p = _rebuild_map(doc)
-    name = chk["check"]
-    carriers = [p.target if r == "x" else p.source
-                for r in MAP_LAWS[name].roles]
-    witness = _witness(chk, carriers)
+    p, name = _rebuild_map(doc), chk["check"]
+    witness = _witness(chk, [p.target if r == "x" else p.source
+                             for r in MAP_LAWS[name].roles])
     try:
         return [violates(p, name, witness)]
     except MissingDirectImage:

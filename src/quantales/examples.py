@@ -24,12 +24,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .laws import JOIN_IRREDUCIBLES, Decision, Law, run
 from .openness import frobenius_report
 from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
-                       finite_subquantale, require, tabulate_quantale,
-                       validate_hom, validate_quantale)
+                       _QuantaleFacts, finite_subquantale, require,
+                       tabulate_quantale, validate_hom, validate_quantale)
 from .subspaces import RationalSubspace
-from .suplattice import FiniteSupLattice, _bits, join_irreducibles
+from .suplattice import FiniteSupLattice, _bits
 
 
 class InvalidGroupTable(ValueError):
@@ -600,23 +601,22 @@ def omega_support_map(q, name=""):
     the top is multiplicatively idempotent; the returned map is checked to
     be a semiopen surjection satisfying both Frobenius conditions.
 
-    On a validated quantale the first hypothesis is decided on J x J:
-    products preserve joins, hence order, and every nonbottom element lies
-    above a join-irreducible, so ab = bottom for nonbottom a and b forces
-    jk = bottom for some j <= a and k <= b in J(Q).  Where J x J fails,
-    or q is not validated, all pairs are swept for the reported witness.
+    On a validated quantale the first hypothesis, a law of the engine, is
+    swept on J x J: products preserve joins, hence order, and every
+    nonbottom element lies above a join-irreducible, so ab = bottom for
+    nonbottom a and b forces jk = bottom for some j <= a and k <= b in
+    J(Q).  Where J x J fails, or q is not validated, all pairs are swept
+    for the reported witness.
     """
     if not q.is_finite:
         raise HypothesisFailure("finite carrier required")
     top, bot = q.top, q.bottom
     if q.mult(top, top) != top:
         raise HypothesisFailure("top is not multiplicatively idempotent")
-    if not (getattr(q, "_validated", False)
-            and _zero_divisor(q, join_irreducibles(q.carrier)) is None):
-        witness = _zero_divisor(q, q.elements)
-        if witness is not None:
-            raise HypothesisFailure(
-                "nonbottom elements multiply to bottom", witness)
+    witness = run((_NO_ZERO_DIVISORS,), (q,), _QuantaleFacts(q))[1]
+    if witness is not None:
+        raise HypothesisFailure("nonbottom elements multiply to bottom",
+                                witness)
     omega = omega_quantale()
     star = (bot, top)
 
@@ -632,16 +632,12 @@ def omega_support_map(q, name=""):
     return p
 
 
-def _zero_divisor(q, pool):
-    """The first pair of nonbottom elements of the pool whose product is
-    bottom, or None."""
-    bot = q.bottom
-    for a in pool:
-        if a != bot:
-            for b in pool:
-                if b != bot and q.mult(a, b) == bot:
-                    return a, b
-    return None
+# the first hypothesis of `omega_support_map`
+_NO_ZERO_DIVISORS = Law(
+    "no-zero-divisors", ("Q", "Q"),
+    lambda q, a, b: q.bottom in (a, b) or q.mult(a, b) != q.bottom,
+    decisions=(Decision(lambda facts: facts.q._validated, JOIN_IRREDUCIBLES,
+                        pools=("J", "J")),))
 
 
 def delta_embedding_map(n):

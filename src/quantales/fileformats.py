@@ -37,7 +37,8 @@ report embeds, so each input document is encoded once.
 `python -m json.tool FILE` prints it indented.  A file written in the
 indented layout of earlier versions loads to the same value and so keeps
 its `doc_sha256`; only its file `sha256` differs from that of the same
-document written now.
+document written now.  A file is written whole or not at all, through a
+new file renamed over it (`_write`).
 
 Loaders raise FormatError for malformed documents; semantic failures (a
 relation that is not a lattice, a table that is not a quantale, a table
@@ -47,8 +48,11 @@ owning modules.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import stat
 
 from .quantale import FiniteInvQuantale, QuantaleMap, require, \
     validate_hom, validate_quantale
@@ -249,13 +253,34 @@ def canonical_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _write(path, pieces):
+    """Write the pieces to a new file beside path, renamed over path once
+    whole: a write cut short leaves path as it was, and no file behind.
+    The permission bits are those open(path, "w") leaves: the replaced
+    file's, else 0o666 less the umask.  An OSError names path, as the
+    one of open(path, "w") would."""
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+                fh.writelines(pieces)
+            os.replace(tmp, target)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
+
+
 def save_json(path, doc):
-    """Write the canonical text and a newline.  The document is serialized
-    before the file is opened, so one that cannot be (a TypeError) leaves
-    an existing file as it was."""
-    text = canonical_json(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the canonical text and a newline (`_write`).  The document is
+    serialized before the file is opened, so one that cannot be (a
+    TypeError) leaves an existing file as it was."""
+    _write(path, [canonical_json(doc), "\n"])
 
 
 def _object_pieces(doc, given):
@@ -290,8 +315,7 @@ def save_report(path, report):
     pieces = _object_pieces(report, {
         "inputs": _object_pieces(report["inputs"], inputs)})
     pieces.append("\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+    _write(path, pieces)
 
 
 def doc_digest(doc):

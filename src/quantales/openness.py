@@ -9,33 +9,31 @@ evaluations of such a check count the table entries it read.  A
 map with an effective carrier and no groupoid has no sweep that could
 prove a law, so its checks raise `Undecidable`.
 
-On finite carriers fr1, fr1_right, fr2, direct_image_involution and
-locale-meet sweep their Q-arguments a and b over the join-irreducibles
-J(Q) alone, and record the reduction, when both carriers are validated
-quantales and p_! is a sup-map.  That premise is decided as
-`validate_hom` decides hom-join: p_!(bottom) = bottom and
-p_!(a v j) = p_!(a) v p_!(j) for every a and every j in J(Q), which by
-induction on b = j1 v ... v jk gives p_!(a v b) = p_!(a) v p_!(b).  Each
-side of these laws then preserves joins in a and in b, bottom included:
-the products of both quantales distribute over joins and absorb bottom,
-both involutions preserve joins, and so does p_!.  Locale-meet is
-checked only between locales, validated quantales whose product is
-meet: there a(b v c) = ab v ac makes the lattice distributive, so a
-finite frame, and a meet - preserves joins.  Every element is the join
-of the join-irreducibles below it, so the two sides agree everywhere
-once they agree on J.  A witness of the reduced sweep is confirmed, and
-then the full sweep runs and reports its own first witness, so a failing
-check keeps the witness, display and evaluations of the full sweep.
+Each law of a map is written once, as a `laws.Law` of MAP_LAWS: the
+roles of its witness (a and b over Q, x over X), its hoisted sweep and
+its decisions, run by `laws.run` for a check and for the replay of a
+recorded witness (`violates`).  `BATTERY` names the laws of
+`frobenius_report` in report order.  The decisions, in order:
+- from a groupoid table, for every law but locale-meet;
+- on finite carriers, but for semiopenness, a sweep of the Q-arguments a
+  and b over the join-irreducibles J(Q) alone, recorded as the
+  reduction, when both carriers are validated quantales and p_! is a
+  sup-map.  That premise is decided as `validate_hom` decides hom-join,
+  once per map (`QuantaleMap.facts`): p_!(bottom) = bottom and
+  p_!(a v j) = p_!(a) v p_!(j) for every a and every j in J(Q), which by
+  induction on b = j1 v ... v jk gives p_!(a v b) = p_!(a) v p_!(b).
+  Each side of these laws then preserves joins in a and in b, bottom
+  included: both products distribute over joins and absorb bottom, and
+  both involutions and p_! preserve joins.  Locale-meet is checked only
+  between locales, validated quantales whose product is meet: there
+  a(b v c) = ab v ac makes the lattice distributive, so a finite frame,
+  where a meet - preserves joins.  Every element is the join of the
+  join-irreducibles below it, so the two sides agree everywhere once
+  they agree on J.  A witness found on J is confirmed (one that holds
+  on re-check raises `UnconfirmedWitness`), and the full sweep then
+  reports its own first witness, evaluations and display.
 Semiopenness is never reduced: it is the check that makes p_! the left
 adjoint of p*, and it costs |Q| |X| evaluations.
-
-Each law of a map is written once, as its MAP_LAWS entry: the roles of
-its witness elements, its sweep over one pool per witness element, and
-its decision from a groupoid table (none for locale-meet).  A check runs
-the sweep on the carriers (or their join-irreducibles), or the decision
-on the table; the witness it finds is then re-verified, and a recorded
-witness replayed (`violates`), by running the sweep on one-element pools.
-`BATTERY` names the laws of `frobenius_report` in report order.
 
 `frobenius_report` runs the battery on a map once: semiopenness, fr1, its
 right-module version, fr2, the involution of p_!, surjectivity and the
@@ -47,15 +45,15 @@ one report, which also keeps the map it certified with its direct image.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
-from .quantale import Undecidable, _HomFacts, is_surjective
+from .laws import (JOIN_IRREDUCIBLES, Decision, Law, UnconfirmedWitness,
+                   fails_at, run)
+from .quantale import Undecidable, is_surjective
 from .subspaces import RationalSubspace
-from .suplattice import join_irreducibles, left_adjoint_candidate
+from .suplattice import left_adjoint_candidate
 
 GROUPOID_TABLE = "groupoid table"
-JOIN_IRREDUCIBLES = "join-irreducibles"
 
 
 class NotUnital(ValueError):
@@ -81,14 +79,10 @@ class Check:
     reduction: str | None = None
 
     def to_json(self):
-        out = {
-            "check": self.name,
-            "ok": self.ok,
-            "witness": _jsonable(self.witness),
-            "witness_display": self.witness_display,
-            "mode": self.mode,
-            "evaluations": self.evaluations,
-        }
+        out = {"check": self.name, "ok": self.ok,
+               "witness": _jsonable(self.witness),
+               "witness_display": self.witness_display, "mode": self.mode,
+               "evaluations": self.evaluations}
         if self.reduction is not None:
             out["reduction"] = self.reduction
         return out
@@ -102,12 +96,6 @@ def _jsonable(value):
     if isinstance(value, RationalSubspace):
         return value.to_json()
     return repr(value)
-
-
-def _display(p, roles, witness):
-    return ", ".join(
-        f"{r}={(p.target if r == 'x' else p.source).name_of(w)}"
-        for r, w in zip(roles, witness))
 
 
 # -- the laws ------------------------------------------------------------------
@@ -176,17 +164,14 @@ def _locale_meet_law(p, a, sa, b):  # p_!(a meet b) = p_!(a) meet p_!(b)
 
 # -- the laws of a groupoid support map, from its table -------------------------
 #
-# decide(G) returns the first failing witness (or None) and the number of
-# table entries read; the lemma beside `examples._support_map` says why.
+# The lemma beside `examples._support_map` passes every law of such a map
+# but FR2, which its table decides.
 
-def _always_holds(groupoid):
-    return None, 0
-
-
-def _fr2_from_table(groupoid):
+def _fr2_from_table(facts):
     """FR2 fails iff some unit y has a loop h != y; the witness is
     (span{sum of the loops at y}, {y}, span{y - h}) for the first such y
-    and its first such h."""
+    and its first such h.  Returns it or None, and the entries read."""
+    groupoid = facts.groupoid
     mult, inv, dim = groupoid.mult, groupoid.inv, groupoid.size
     loops = []  # (unit, arrow) for each arrow whose source is its target
     for k in range(dim):
@@ -205,92 +190,61 @@ def _fr2_from_table(groupoid):
             RationalSubspace.from_vectors(dim, [b])), reads
 
 
-# name -> (roles, sweep, table decision); roles a and b range over the
-# source Q, x over the target X of p: Q -> X
-MapLaw = namedtuple("MapLaw", "roles sweep table")
-MAP_LAWS = {
-    "semiopen": MapLaw("ax", _pair_sweep(_semiopen), _always_holds),
-    "fr1": MapLaw("ax", _pair_sweep(_fr1), _always_holds),
-    "fr1_right": MapLaw("ax", _pair_sweep(_fr1_right), _always_holds),
-    "fr2": MapLaw("axb", _sweep_fr2, _fr2_from_table),
-    "direct_image_involution": MapLaw("a", _sweep_involution, _always_holds),
-    "locale-meet": MapLaw("ab", _pair_sweep(_locale_meet_law), None),
-}
+def _map_law(name, roles, sweep, table=None, groupoid=True, on_j=True):
+    """The law of a map p: Q -> X whose roles a and b range over Q and x
+    over X: with `groupoid`, passed by the lemma on a groupoid support map
+    or decided from its `table`; else swept, on J(Q) first with `on_j`
+    when p_! is a sup-map."""
+    pools = tuple("X" if r == "x" else "Q" for r in roles)
+    decisions = ()
+    if groupoid:
+        decisions += (Decision(lambda facts: facts.groupoid is not None,
+                               GROUPOID_TABLE, table=table),)
+    if on_j:
+        decisions += (Decision(
+            lambda facts: facts.sup_map, JOIN_IRREDUCIBLES,
+            pools=tuple("J" if k == "Q" else k for k in pools)),)
+    return Law(name, pools, sweep=sweep, decisions=decisions, roles=roles)
+
+
+MAP_LAWS = {law.name: law for law in (
+    _map_law("semiopen", "ax", _pair_sweep(_semiopen), on_j=False),
+    _map_law("fr1", "ax", _pair_sweep(_fr1)),
+    _map_law("fr1_right", "ax", _pair_sweep(_fr1_right)),
+    _map_law("fr2", "axb", _sweep_fr2, _fr2_from_table),
+    _map_law("direct_image_involution", "a", _sweep_involution),
+    _map_law("locale-meet", "ab", _pair_sweep(_locale_meet_law),
+             groupoid=False),
+)}
 
 # the checks of `frobenius_report`, in report order
 BATTERY = ("semiopen", "fr1", "fr1_right", "fr2", "direct_image_involution")
 
 
-class UnconfirmedWitness(RuntimeError):
-    """A witness found by a sweep does not fail its law on re-check."""
-
-
 def violates(p, name, witness):
-    """Whether the witness fails the named law of p.
-
-    The law's sweep runs on one-element pools.  Semiopenness of a finite
-    map without a direct image is judged on the meet candidate for p_!;
-    every other law needs p to be semiopen.
-    """
+    """Whether the witness fails the named law of p, on one-element
+    pools.  Semiopenness of a finite map without a direct image is judged
+    on the meet candidate for p_!; every other law needs p semiopen."""
     if p.direct_image is None:
         p = _with_meet_candidate(p) if name == "semiopen" else \
             _require_direct(p)
-    return MAP_LAWS[name].sweep(p, *([w] for w in witness))[0] is not None
-
-
-def _confirmed(p, name, witness):
-    if not violates(p, name, witness):
-        raise UnconfirmedWitness(f"{name} witness {witness} holds on re-check")
-    return witness
-
-
-def _check(name, p):
-    """Decide the law of a groupoid support map from its table; sweep it on
-    any other map."""
-    if p.groupoid is None:
-        return _swept(name, p)
-    witness, count = MAP_LAWS[name].table(p.groupoid)
-    if witness is None:
-        return Check(name, True, mode="decided", evaluations=count,
-                     reduction=GROUPOID_TABLE)
-    return Check(name, False, _confirmed(p, name, witness),
-                 _display(p, MAP_LAWS[name].roles, witness), "decided",
-                 evaluations=count, reduction=GROUPOID_TABLE)
+    return fails_at(MAP_LAWS[name], (p,), witness)
 
 
 def _swept(name, p):
-    """Sweep the law over the finite carriers and re-verify any witness.
-    The sweep is first made on J(Q) where the module docstring allows it,
-    and repeated on all of Q only to report a failure."""
-    Q, X = p.source, p.target
-    if not (Q.is_finite and X.is_finite):
+    """The Check of the named law of p, by the runner (module docstring);
+    a map with an effective carrier needs a groupoid table."""
+    if p.groupoid is None and not (p.source.is_finite and p.target.is_finite):
         raise Undecidable(f"{name} of map {p.name or '?'}: an effective "
                           f"carrier is decided only from a groupoid table")
-    roles, sweep, _ = MAP_LAWS[name]
-    qs, xs = list(Q.elements), list(X.elements)
-    if name != "semiopen" and _reduces(p):
-        J = join_irreducibles(Q.carrier)
-        witness, count = sweep(p, *(xs if r == "x" else J for r in roles))
-        if witness is None:
-            return Check(name, True, evaluations=count,
-                         reduction=JOIN_IRREDUCIBLES)
-        _confirmed(p, name, witness)
-    witness, count = sweep(p, *(xs if r == "x" else qs for r in roles))
-    if witness is None:
-        return Check(name, True, evaluations=count)
-    return Check(name, False, _confirmed(p, name, witness),
-                 _display(p, roles, witness), evaluations=count)
-
-
-def _reduces(p):
-    """Whether both carriers are validated quantales and p_! is a sup-map:
-    p_!(bottom) = bottom and the join decision of `validate_hom`, which
-    reads only the lattices, passes p_!."""
-    Q, X = p.source, p.target
-    if not all(getattr(c, "_validated", False) for c in (Q, X)):
-        return False
-    facts = _HomFacts(p.shriek, Q, X)
-    return facts.values[Q.bottom] == X.bottom and facts.preserves_joins
+    law = MAP_LAWS[name]
+    _, witness, count, decision = run((law,), (p,), p.facts)
+    display = witness and ", ".join(
+        f"{r}={(p.target if r == 'x' else p.source).name_of(w)}"
+        for r, w in zip(law.roles, witness))
+    return Check(name, witness is None, witness, display,
+                 "exhaustive" if decision is None or decision.pools else
+                 "decided", count, decision and decision.reduction)
 
 
 def _with_meet_candidate(p):
@@ -302,18 +256,13 @@ def _with_meet_candidate(p):
 
 
 def check_semiopen(p):
-    """Equip p with a direct image, or report why none exists.
-
-    On finite carriers without a supplied direct image the candidate
-    p_!(a) = meet {x : a <= p*(x)} is swept against the adjunction on all
-    pairs (it is the direct image exactly when the sweep passes); a
-    supplied direct image is swept on all pairs of finite carriers, or
-    decided from the table of a groupoid support map.  Returns
-    (map_with_direct_image_or_None, Check).
-    """
+    """Equip p with a direct image, or report why none exists: (p with
+    its direct image, or None; Check).  Without a supplied direct image
+    the candidate p_!(a) = meet {x : a <= p*(x)} of finite carriers is
+    checked, which is the direct image exactly when the check passes."""
     if p.direct_image is None:
         p = _with_meet_candidate(p)
-    chk = _check("semiopen", p)
+    chk = _swept("semiopen", p)
     return (p if chk.ok else None), chk
 
 
@@ -328,24 +277,24 @@ def _require_direct(p):
 
 def check_fr1(p):
     """p_!(a p*(x)) = p_!(a) x."""
-    return _check("fr1", _require_direct(p))
+    return _swept("fr1", _require_direct(p))
 
 
 def check_fr1_right(p):
     """p_!(p*(x) a) = x p_!(a), the right-module version of fr1."""
-    return _check("fr1_right", _require_direct(p))
+    return _swept("fr1_right", _require_direct(p))
 
 
 def check_fr2(p, pool=None, seed=None):
     """p_!(a p*(x) b) = p_!(a) x p_!(b); witness is the first failing triple.
     `pool` and `seed` are accepted for callers of the older signature and
     change nothing."""
-    return _check("fr2", _require_direct(p))
+    return _swept("fr2", _require_direct(p))
 
 
 def check_direct_image_involution(p):
     """p_!(a*) = p_!(a)*: direct images of semiopen maps preserve involution."""
-    return _check("direct_image_involution", _require_direct(p))
+    return _swept("direct_image_involution", _require_direct(p))
 
 
 @dataclass(frozen=True)
@@ -386,15 +335,14 @@ class FrobeniusReport:
 
     def to_json(self):
         checks = [getattr(self, name) for name in BATTERY]
-        return {
-            "map": self.map_name,
-            "checks": [c.to_json() for c in checks if c is not None],
-            "surjective": self.surjective,
-            "surjective_mode": self.surjective_mode,
-            "unit_identity": self.unit_identity,
-            "weakly_open": self.weakly_open,
-            "open_by_sufficient_condition": self.open_by_sufficient_condition,
-        }
+        return {"map": self.map_name,
+                "checks": [c.to_json() for c in checks if c is not None],
+                "surjective": self.surjective,
+                "surjective_mode": self.surjective_mode,
+                "unit_identity": self.unit_identity,
+                "weakly_open": self.weakly_open,
+                "open_by_sufficient_condition":
+                    self.open_by_sufficient_condition}
 
 
 def frobenius_report(p):
@@ -403,10 +351,8 @@ def frobenius_report(p):
     if enriched is None:
         return FrobeniusReport(p.name, None, semi)
     p = enriched
-    fr1 = check_fr1(p)
-    fr1r = check_fr1_right(p)
-    fr2 = check_fr2(p)
-    invc = check_direct_image_involution(p)
+    checks = [check(p) for check in (check_fr1, check_fr1_right, check_fr2,
+                                     check_direct_image_involution)]
     if p.groupoid is not None:
         # p_!(p*(U)) = U for every groupoid (examples._support_map)
         mode, surj = "decided", True
@@ -414,8 +360,8 @@ def frobenius_report(p):
         mode, surj = "exhaustive", is_surjective(p)
     e = p.target.unit
     unit_identity = None if e is None else p.shriek(p.star(e)) == e
-    return FrobeniusReport(p.name, p, semi, fr1, fr1r, fr2, invc,
-                           surj, mode, unit_identity)
+    return FrobeniusReport(p.name, p, semi, *checks, surj, mode,
+                           unit_identity)
 
 
 def is_locale_quantale(q):

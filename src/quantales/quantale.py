@@ -9,9 +9,9 @@ effective carrier is checked here: the validators raise `Undecidable` on
 one, and the maps between such carriers are decided by `openness` from a
 groupoid table.
 
-Each law is written once, as an entry (name, arity, predicate) of
-QUANTALE_LAWS or HOM_LAWS: the validators loop over these tables, and a
-recorded witness is re-checked by calling the predicate of its law.
+Each law is written once, as a `laws.Law` of QUANTALE_LAWS or HOM_LAWS,
+with the pool of each argument and the decisions that may pass it; the
+validators and the replay of a witness run them through `laws.run`.
 
 On a finite carrier the unary laws are swept over every element.  The
 binary laws are decided on Q x J, J being the join-irreducibles (every
@@ -25,37 +25,32 @@ swept:
   j in J, then by induction on b = j1 v ... v jk inv(a v b) =
   inv(a) v inv(b) for every b other than bottom, and a = bottom gives
   inv(bottom) <= inv(b).  An involution is a bijection, so some b has
-  inv(b) = bottom; hence inv(bottom) = bottom, which covers the empty
-  join;
-- involution-monotone follows from the same decision: a <= b means
-  b = a v b, so inv(b) = inv(a) v inv(b);
+  inv(b) = bottom; hence inv(bottom) = bottom, the empty join;
+- involution-monotone follows: a <= b means b = a v b, so
+  inv(b) = inv(a) v inv(b);
 - involution-antimult on Q x J, when the join decision passes and the
-  rows are their J-extensions (the decision of distrib-left below, made
-  once and shared).  The law on Q x J reads xj = (j*x*)*, so
-  (b v c)j = (j*(b* v c*))* = (j*b* v j*c*)* = bj v cj, and by
-  distrib-left in the right argument (b v c)a = ba v ca for every a:
-  distrib-right.  So for b = j1 v ... v jk, (ab)* = V(a jm)* =
-  V jm* a* = (V jm*)a* = b*a*, and bottom absorption covers b = bottom.
-  On a carrier that is not distributive the law is swept.
+  rows are their J-extensions (the decision of distrib-left below).  The
+  law on Q x J reads xj = (j*x*)*, so (b v c)j = (j*(b* v c*))* =
+  (j*b* v j*c*)* = bj v cj, and by distrib-left in the right argument
+  (b v c)a = ba v ca for every a: distrib-right.  So for
+  b = j1 v ... v jk, (ab)* = V(a jm)* = V jm* a* = (V jm*)a* = b*a*, and
+  bottom absorption covers b = bottom.  Elsewhere the law is swept.
 Each ternary law declares the pools its arguments range over:
 - assoc on J x J x J: once both distributive laws hold, both sides of
   (ab)c = a(bc) preserve joins in each argument (bottom absorption
   covers the empty join);
 - distrib-left on Q x Q x J: a(b v c) = ab v ac for every c follows by
   induction on c = j1 v ... v jk, with bottom-absorb-right for the empty
-  join.  On a distributive carrier the law is first decided without the
-  sweep.  There every j in J is join-prime, so J(b v c) = J(b) | J(c)
-  for the set J(b) of join-irreducibles below b, and the J-extension
-  b -> V{aj : j in J(b)} of a row preserves binary joins.  A row that
-  equals its J-extension therefore satisfies distrib-left (and every
-  row of a quantale does, by bottom-absorb-right and distrib-left).
-  The comparison peels one maximal j off J(b) at a time
+  join.  On a distributive carrier every j in J is join-prime, so
+  J(b v c) = J(b) | J(c) for the set J(b) of join-irreducibles below b,
+  and the J-extension b -> V{aj : j in J(b)} of a row preserves binary
+  joins: a row equal to it satisfies distrib-left, and every row of a
+  quantale is, by bottom-absorb-right and distrib-left.  The comparison peels one maximal j off J(b) at a time
   (`suplattice.distributive_peeling`): n^2 table reads and joins in all.
-  On a carrier that is not distributive the law is read from the raw
-  product and join tables on the same Q x Q x J triples, without a call
-  per triple.  Only a pass is decided this way: when some row differs,
-  or a triple fails, the Q x Q x J sweep runs, so a table fails with the
-  same law and witness as it would without the decision;
+  On another carrier the law is read from the raw product and join
+  tables on the same triples, without a call per triple.  Only a pass
+  is decided this way; otherwise the Q x Q x J sweep runs and finds the
+  same law and witness;
 - distrib-right is derived, with no sweep: (b v c)a = (a*(b* v c*))* =
   (a*b* v a*c*)* = ba v ca by involution-involutive, involution-join,
   involution-antimult and distrib-left.
@@ -94,11 +89,10 @@ the other laws of HOM_LAWS are decided the same way (`_HomFacts`):
 
 from __future__ import annotations
 
-import itertools
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from .laws import DERIVED, JOIN_IRREDUCIBLES, Decision, Law, run
 from .suplattice import (SupMap, distributive_peeling, join_irreducibles,
                          left_adjoint, preserves_joins_on_j, validate_lattice)
 
@@ -255,24 +249,8 @@ class EffectiveInvQuantale:
     unit = None
     label = ""
 
-    @property
-    def bottom(self):
-        raise NotImplementedError
-
-    def leq(self, a, b):
-        raise NotImplementedError
-
-    def join(self, items):
-        raise NotImplementedError
-
     def join2(self, a, b):
         return self.join([a, b])
-
-    def mult(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def name_of(self, a):
         return repr(a)
@@ -281,28 +259,17 @@ class EffectiveInvQuantale:
         return f"{type(self).__name__}({self.label})"
 
 
-# holds(q, *witness) for QUANTALE_LAWS and holds(h, source, target,
-# *witness) for HOM_LAWS, where h: source -> target.  `finite` is how
-# validation sweeps a ternary law: one pool per argument, "Q" for every
-# element and "J" for the join-irreducibles, or DERIVED for a law that
-# follows from the laws before it; other laws take every element.
-# `decide(facts)`, where given, is True only when validation may pass the
-# law without its sweep; `facts` is the _QuantaleFacts or
-# _HomFacts of the table under validation.
-Law = namedtuple("Law", "name arity holds finite decide",
-                 defaults=(None, None))
-
-DERIVED = "derived"
-
-
 class _QuantaleFacts:
-    """The premises the decisions of one exhaustive validation of a finite
-    table read, each computed on first use, from the raw tables (module
-    docstring).  A decision is asked only once the laws before it hold."""
+    """The pools Q and J of the validation of a finite table, and the
+    premises its decisions read from the raw tables, each computed on
+    first use once the runs of laws before it hold (module docstring)."""
 
     def __init__(self, q):
         self.q = q
         self.J = join_irreducibles(q.carrier)
+
+    def pool(self, kind):
+        return self.J if kind == "J" else self.q.elements
 
     @cached_property
     def inv_preserves_joins(self):
@@ -317,17 +284,13 @@ class _QuantaleFacts:
     @cached_property
     def rows_are_j_extensions(self):
         """The carrier is distributive and each row of the product equals
-        the J-extension of its values on J.
-
-        A table that `from_join_irreducibles` built passes without the
-        n^2 comparison.  It built row a by ab = ab' v c_j(a) for
-        (b', j) = peel[b], c_j being its column for j, so by induction ab
-        is the join of c_i(a) over J(b).  The comparison asks whether
-        ab = ab' v aj, and aj is the join over J(j) = J(j') | {j}, where
-        J(j') lies in J(b') = J(b) - {j}: both sides are the join over
-        J(b).  The record names the table it was built for, so a table
-        put in its place is compared.
-        """
+        the J-extension of its values on J: ab = ab' v aj for (b', j) =
+        peel[b].  A table that `from_join_irreducibles` built passes
+        without the n^2 comparison: it built ab = ab' v c_j(a), c_j its
+        column for j, so ab is the join of c_i(a) over J(b), and so is
+        ab' v aj, aj being the join over J(j) = J(j') | {j} with J(j') in
+        J(b') = J(b) - {j}.  The record names the table it was built for,
+        so a table put in its place is compared."""
         if self.peel is None:
             return False
         if self.q._j_extended is self.q.mult_table:
@@ -361,12 +324,24 @@ class _QuantaleFacts:
 
 
 class _HomFacts:
-    """The same for a homomorphism h between finite validated quantales
-    with h(bottom) = bottom."""
+    """The same for a homomorphism h: source -> target, asked once
+    h(bottom) = bottom holds and true only between finite validated
+    quantales.  Its pools are J(source) and `names` for the carriers: X
+    for a homomorphism, Q and X for p_! (`QuantaleMap.facts`)."""
 
-    def __init__(self, h, source, target):
+    def __init__(self, h, source, target, names="X", groupoid=None):
         self.h, self.source, self.target = h, source, target
-        self.J = join_irreducibles(source.carrier)
+        self.carriers = dict(zip(names, (source, target)))
+        self.groupoid = groupoid
+        self.validated = all(getattr(c, "_validated", False)
+                             for c in (source, target))
+
+    def pool(self, kind):
+        return self.J if kind == "J" else self.carriers[kind].elements
+
+    @cached_property
+    def J(self):
+        return join_irreducibles(self.source.carrier)
 
     @cached_property
     def values(self):
@@ -375,8 +350,15 @@ class _HomFacts:
     @cached_property
     def preserves_joins(self):
         """h(a v j) = h(a) v h(j) for every a and every j in J."""
-        return preserves_joins_on_j(self.values, self.source.carrier,
-                                    self.target.carrier)
+        return self.validated and preserves_joins_on_j(
+            self.values, self.source.carrier, self.target.carrier)
+
+    @cached_property
+    def sup_map(self):
+        """h(bottom) = bottom, and the join decision passes h."""
+        return (self.validated
+                and self.values[self.source.bottom] == self.target.bottom
+                and self.preserves_joins)
 
     def mult_on_j(self):
         """h(ij) = h(i)h(j) for i and j in J, h being a sup-map."""
@@ -395,103 +377,69 @@ class _HomFacts:
         return all(h[sinv[j]] == tinv[h[j]] for j in self.J)
 
 
-def _undecided(laws, facts):
-    """The laws of a run that facts do not decide, in order."""
-    return [law for law in laws if not (law.decide and law.decide(facts))]
+def _passes(premise, reduction=JOIN_IRREDUCIBLES):
+    """The decisions of a law that premise alone passes."""
+    return (Decision(premise, reduction),)
 
 
 # Search order: unary, binary, ternary, then the unit laws (which hold
-# vacuously when no unit is declared).
+# vacuously when no unit is declared); the pools and decisions are those
+# of the module docstring.
 QUANTALE_LAWS = (
-    Law("bottom-absorb-right", 1, lambda q, a: q.mult(a, q.bottom) == q.bottom),
-    Law("bottom-absorb-left", 1, lambda q, a: q.mult(q.bottom, a) == q.bottom),
-    Law("involution-involutive", 1, lambda q, a: q.inv(q.inv(a)) == a),
-    # the binary laws are decided on Q x J (module docstring): monotone
-    # and join by one decision, antimult on a distributive carrier
-    Law("involution-monotone", 2,
+    Law("bottom-absorb-right", ("Q",),
+        lambda q, a: q.mult(a, q.bottom) == q.bottom),
+    Law("bottom-absorb-left", ("Q",),
+        lambda q, a: q.mult(q.bottom, a) == q.bottom),
+    Law("involution-involutive", ("Q",), lambda q, a: q.inv(q.inv(a)) == a),
+    Law("involution-monotone", ("Q", "Q"),
         lambda q, a, b: not q.leq(a, b) or q.leq(q.inv(a), q.inv(b)),
-        None, lambda facts: facts.inv_preserves_joins),
-    Law("involution-antimult", 2,
+        decisions=_passes(lambda facts: facts.inv_preserves_joins)),
+    Law("involution-antimult", ("Q", "Q"),
         lambda q, a, b: q.inv(q.mult(a, b)) == q.mult(q.inv(b), q.inv(a)),
-        None, _QuantaleFacts.antimult_on_j),
-    Law("involution-join", 2,
+        decisions=_passes(_QuantaleFacts.antimult_on_j)),
+    Law("involution-join", ("Q", "Q"),
         lambda q, a, b: q.inv(q.join2(a, b)) == q.join2(q.inv(a), q.inv(b)),
-        None, lambda facts: facts.inv_preserves_joins),
-    # both sides preserve joins in each argument once both distributive
-    # laws hold, and distrib-left is checked next
-    Law("assoc", 3,
-        lambda q, a, b, c: q.mult(q.mult(a, b), c) == q.mult(a, q.mult(b, c)),
-        ("J", "J", "J")),
-    # every c is a join of join-irreducibles: induct on it, using
-    # bottom-absorb-right for the empty join; decided by the J-extension
-    # of each row on a distributive carrier, else on the raw tables
-    Law("distrib-left", 3, lambda q, a, b, c: q.mult(a, q.join2(b, c))
-        == q.join2(q.mult(a, b), q.mult(a, c)), ("Q", "Q", "J"),
-        _QuantaleFacts.distrib_left),
-    # (b v c)a = (a*(b* v c*))* = (a*b* v a*c*)* = ba v ca, by the three
-    # involution laws on all pairs and distrib-left
-    Law("distrib-right", 3, lambda q, a, b, c: q.mult(q.join2(b, c), a)
-        == q.join2(q.mult(b, a), q.mult(c, a)), DERIVED),
-    Law("unit-left", 1, lambda q, a: q.unit is None or q.mult(q.unit, a) == a),
-    Law("unit-right", 1, lambda q, a: q.unit is None or q.mult(a, q.unit) == a),
+        decisions=_passes(lambda facts: facts.inv_preserves_joins)),
+    Law("assoc", ("J", "J", "J"),
+        lambda q, a, b, c: q.mult(q.mult(a, b), c) == q.mult(a, q.mult(b, c))),
+    Law("distrib-left", ("Q", "Q", "J"), lambda q, a, b, c: q.mult(
+        a, q.join2(b, c)) == q.join2(q.mult(a, b), q.mult(a, c)),
+        decisions=_passes(_QuantaleFacts.distrib_left)),
+    Law("distrib-right", ("Q", "Q", "Q"), lambda q, a, b, c: q.mult(
+        q.join2(b, c), a) == q.join2(q.mult(b, a), q.mult(c, a)),
+        decisions=_passes(lambda facts: True, DERIVED)),
+    Law("unit-left", ("Q",), lambda q, a: q.unit is None
+        or q.mult(q.unit, a) == a),
+    Law("unit-right", ("Q",), lambda q, a: q.unit is None
+        or q.mult(a, q.unit) == a),
 )
 
 # decided on J between finite validated quantales (module docstring)
 HOM_LAWS = (
-    Law("hom-bottom", 0, lambda h, s, t: h(s.bottom) == t.bottom),
-    Law("hom-join", 2,
+    Law("hom-bottom", (), lambda h, s, t: h(s.bottom) == t.bottom),
+    Law("hom-join", ("X", "X"),
         lambda h, s, t, a, b: h(s.join2(a, b)) == t.join2(h(a), h(b)),
-        None, lambda facts: facts.preserves_joins),
-    Law("hom-mult", 2,
+        decisions=_passes(lambda facts: facts.preserves_joins)),
+    Law("hom-mult", ("X", "X"),
         lambda h, s, t, a, b: h(s.mult(a, b)) == t.mult(h(a), h(b)),
-        None, _HomFacts.mult_on_j),
-    Law("hom-involution", 1, lambda h, s, t, a: h(s.inv(a)) == t.inv(h(a)),
-        None, _HomFacts.involution_on_j),
+        decisions=_passes(_HomFacts.mult_on_j)),
+    Law("hom-involution", ("X",), lambda h, s, t, a: h(s.inv(a)) == t.inv(h(a)),
+        decisions=_passes(_HomFacts.involution_on_j)),
 )
 
 
-def _runs(laws):
-    """Consecutive laws of equal arity, as (arity, [law, ...])."""
-    return [(arity, list(run))
-            for arity, run in itertools.groupby(laws, lambda law: law.arity)]
-
-
 def validate_quantale(q):
-    """None if all involutive-quantale laws hold, else a Violation with witness.
-
-    A finite carrier is checked exhaustively: the unary laws of
-    QUANTALE_LAWS on every element, the binary ones on every pair unless
-    decided on Q x J, the ternary ones on the pools each declares unless
-    decided (see the module docstring).  An effective carrier raises
-    `Undecidable`.
-    """
+    """None if all involutive-quantale laws hold, else a Violation with
+    witness: each law of QUANTALE_LAWS decided or swept on its pools
+    (module docstring).  An effective carrier raises `Undecidable`."""
     if not q.is_finite:
         raise Undecidable(f"the laws of {q.label or q!r} range over an "
                           f"effective carrier")
     if getattr(q, "_validated", False):
         return None
-    facts = _QuantaleFacts(q)
-    pools = {"Q": list(q.elements), "J": facts.J}
-    for arity, laws in _runs(QUANTALE_LAWS):
-        laws = _undecided(laws, facts)
-        if not laws:
-            continue
-        if arity < 3:
-            for w in itertools.product(pools["Q"], repeat=arity):
-                for law in laws:
-                    if not law.holds(q, *w):
-                        return Violation(law.name, w)
-            continue
-        for law in laws:
-            if law.finite == DERIVED:
-                continue
-            holds = law.holds
-            for a, b, c in itertools.product(
-                    *(pools[kind] for kind in law.finite)):
-                if not holds(q, a, b, c):
-                    return Violation(law.name, (a, b, c))
-    q._validated = True
-    return None
+    law, witness, *_ = run(QUANTALE_LAWS, (q,), _QuantaleFacts(q))
+    q._validated = witness is None
+    return None if witness is None else Violation(law.name, witness)
 
 
 def find_unit(q):
@@ -503,31 +451,15 @@ def find_unit(q):
 
 
 def validate_hom(h, source, target):
-    """None if h: source -> target satisfies HOM_LAWS, else a Violation.
-
-    Exhaustive over a finite source; an effective source raises
-    `Undecidable`.  Between finite quantales that have both been
-    validated, a law is swept only when its decision on join-irreducibles
-    does not pass it (see the module docstring).
-    """
+    """None if h: source -> target satisfies HOM_LAWS, else a Violation:
+    each law swept over a finite source unless decided on join-irreducibles
+    (module docstring).  An effective source raises `Undecidable`."""
     if not source.is_finite:
         raise Undecidable("the laws of a homomorphism range over its "
                           "effective source")
-    facts = None
-    pool = list(source.elements)
-    if target.is_finite and getattr(source, "_validated", False) \
-            and getattr(target, "_validated", False):
-        facts = _HomFacts(h, source, target)
-    for arity, laws in _runs(HOM_LAWS):
-        if facts is not None:
-            laws = _undecided(laws, facts)
-        if not laws:
-            continue
-        for w in itertools.product(pool, repeat=arity):
-            for law in laws:
-                if not law.holds(h, source, target, *w):
-                    return Violation(law.name, w)
-    return None
+    law, witness, *_ = run(HOM_LAWS, (h, source, target),
+                           _HomFacts(h, source, target))
+    return None if witness is None else Violation(law.name, witness)
 
 
 @dataclass(frozen=True)
@@ -535,12 +467,10 @@ class QuantaleMap:
     """A map p: source -> target, held as its inverse image p*: target -> source.
 
     `groupoid` is the finite groupoid G when p is its support map
-    Max Q[G] -> P(G) (`examples._support_map`); the openness checks then
-    decide from G's table.  `with_direct_image` keeps it only when the new
-    direct image is the support map itself (the same function object),
-    because the table decides the laws of that map and no other; the other
-    constructors leave it None.
-    """
+    Max Q[G] -> P(G) (`examples._support_map`), whose laws the openness
+    checks decide from G's table.  `with_direct_image` keeps it only for
+    the support map itself (the same function object); the other
+    constructors leave it None."""
     source: object
     target: object
     inverse_image: object
@@ -550,6 +480,12 @@ class QuantaleMap:
 
     def star(self, x):
         return self.inverse_image(x)
+
+    @cached_property
+    def facts(self):
+        """The facts of p_!: Q -> X that every check of this map reads."""
+        return _HomFacts(self.shriek, self.source, self.target, "QX",
+                         self.groupoid)
 
     def shriek(self, a):
         if self.direct_image is None:
@@ -587,13 +523,11 @@ def identity_map(q):
 
 
 def is_surjective(p):
-    """Decide surjectivity of p: Q -> X for a finite X: p* is injective.
-
-    This is the definition, and it needs no direct image.  When p_! is
-    the left adjoint of p*, it agrees with p_!(p*(x)) = x for every x:
-    p* p_! p* = p*, so an injective p* gives p_! p* = id, and p_! p* = id
-    makes p* injective.  An effective X raises `Undecidable`.
-    """
+    """Decide surjectivity of p: Q -> X for a finite X: p* is injective,
+    the definition, which needs no direct image.  It agrees with
+    p_!(p*(x)) = x for every x when p_! is the left adjoint of p*: as
+    p* p_! p* = p*, p* is injective iff p_! p* = id.  An effective X
+    raises `Undecidable`."""
     X = p.target
     if not X.is_finite:
         raise Undecidable("surjectivity of a map into an effective carrier "
@@ -653,28 +587,20 @@ def finite_subquantale(ambient, seeds, max_size=64, label=""):
     ambient one when the closure holds it, else `find_unit`'s
     (`tabulate_quantale`).
     """
-    handles = []
-    seen = set()
-
-    def add(h):
-        if h not in seen:
-            seen.add(h)
-            handles.append(h)
-
-    add(ambient.bottom)
-    for s in seeds:
-        add(s)
+    closure = dict.fromkeys([ambient.bottom, *seeds])  # an ordered set
+    add = closure.setdefault
     while True:
-        frozen = list(handles)
+        frozen = list(closure)
         for a in frozen:
             add(ambient.inv(a))
             for b in frozen:
                 add(ambient.join([a, b]))
                 add(ambient.mult(a, b))
-        if len(handles) == len(frozen):
+        if len(closure) == len(frozen):
             break
-        if len(handles) > max_size:
+        if len(closure) > max_size:
             raise ValueError(f"subquantale closure exceeded {max_size} elements")
+    handles = list(closure)
     q = tabulate_quantale(handles, ambient.leq, ambient.mult, ambient.inv,
                           ambient.name_of, unit=ambient.unit, label=label)
     return q, handles

@@ -244,9 +244,9 @@ def validate_quantale_swept(q):
                         return Violation(law.name, w)
             continue
         for law in laws:
-            if law.finite == DERIVED:
+            if any(d.reduction == DERIVED for d in law.decisions):
                 continue
-            for w in itertools.product(*(pools[kind] for kind in law.finite)):
+            for w in itertools.product(*(pools[kind] for kind in law.pools)):
                 if not law.holds(q, *w):
                     return Violation(law.name, w)
     return None
@@ -272,7 +272,7 @@ def map_law_swept(name, p, pools=None):
     image; a witness is re-checked on one-element pools.  Given pools
     (qs, xs), such as those of `probe_pools`, the sweep runs on them
     instead, in mode "sampled"."""
-    roles, sweep, _ = MAP_LAWS[name]
+    roles, sweep = MAP_LAWS[name].roles, MAP_LAWS[name].sweep
     carriers = [p.target if r == "x" else p.source for r in roles]
     if pools is None:
         mode, args = "exhaustive", [list(c.elements) for c in carriers]

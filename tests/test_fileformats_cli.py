@@ -744,6 +744,71 @@ def test_a_document_that_cannot_be_serialized_leaves_the_file_alone(
         assert not (tmp_path / "new.json").exists()
 
 
+class _CutShort(list):
+    """Pieces of a file whose writing stops after the first piece."""
+
+    def __iter__(self):
+        yield self[0]
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("save", ["save_json", "save_report"])
+def test_a_write_cut_short_leaves_the_previous_file(save, tmp_path,
+                                                    monkeypatch):
+    path = tmp_path / "r.json"
+    doc = {"inputs": {}, "checks": [{"check": "x", "ok": True}]}
+    getattr(ff, save)(path, doc)
+    before = path.read_bytes()
+    real_write = ff._write
+    monkeypatch.setattr(ff, "_write", lambda path, pieces: real_write(
+        path, _CutShort(pieces)))
+    with pytest.raises(KeyboardInterrupt):
+        getattr(ff, save)(path, {**doc, "checks": []})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_a_write_that_fails_names_its_path_as_open_does(where, tmp_path):
+    # the message of the CLI's "error:" line, and no file left behind
+    path = tmp_path / "no-such-dir" / "r.json" \
+        if where == "missing-directory" else tmp_path / "d"
+    if where == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    with pytest.raises(OSError) as written:
+        ff.save_json(path, {})
+    assert type(written.value) is type(opened.value)
+    assert str(written.value) == str(opened.value)
+    assert os.listdir(tmp_path) == ([] if where == "missing-directory"
+                                    else ["d"])
+
+
+def test_a_write_keeps_the_permission_bits_that_open_gives(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        ff.save_json(tmp_path / "new.json", {})
+        assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o644
+        old = tmp_path / "old.json"
+        old.write_text("{}\n")
+        old.chmod(0o600)
+        ff.save_json(old, {"pairs": []})
+        assert old.stat().st_mode & 0o777 == 0o600
+        assert old.read_text() == '{"pairs":[]}\n'
+    finally:
+        os.umask(umask)
+
+
+def test_a_write_through_a_link_replaces_the_file_it_names(tmp_path):
+    target = tmp_path / "q.json"
+    ff.save_json(target, {})
+    (tmp_path / "link.json").symlink_to(target)
+    ff.save_json(tmp_path / "link.json", {"pairs": []})
+    assert (tmp_path / "link.json").is_symlink()
+    assert target.read_text() == '{"pairs":[]}\n'
+
+
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 

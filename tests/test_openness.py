@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import pytest
 
+from quantales import quantale
 from quantales.examples import (cyclic_group, discrete_to_point_map,
                                 group_algebra_support_map,
                                 group_powerset_quantale, matrix_support_map,
                                 omega_pair_projection_map, omega_quantale,
                                 omega_support_map, open_inclusion_map,
                                 sierpinski_closed_point_map,
-                                standard_map_corpus,
+                                standard_map_corpus, symmetric_group_3,
                                 z2_group_algebra_finite_map)
 from quantales.openness import (MissingDirectImage, NotALocale, check_fr1,
                                 check_fr2, check_locale_meet_lemma,
@@ -30,6 +31,20 @@ def test_identity_is_semiopen_and_frobenius():
     assert rep.semiopen.ok and rep.fr1.ok and rep.fr1_right.ok and rep.fr2.ok
     assert rep.surjective and rep.unit_identity
     assert rep.open_by_sufficient_condition
+
+
+def test_the_battery_decides_that_p_shriek_is_a_sup_map_once(monkeypatch):
+    # one facts object per map serves every check of its battery: fr1,
+    # fr1_right, fr2 and the involution of p_! all sweep on J(Q)
+    ps3 = group_powerset_quantale(symmetric_group_3())
+    real, calls = quantale.preserves_joins_on_j, []
+    monkeypatch.setattr(quantale, "preserves_joins_on_j",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = frobenius_report(identity_map(ps3))
+    assert [c.reduction for c in (rep.fr1, rep.fr1_right, rep.fr2,
+                                  rep.direct_image_involution)] == \
+        ["join-irreducibles"] * 4
+    assert len(calls) == 1
 
 
 def test_sierpinski_closed_point_semiopen_with_fr1_witness():

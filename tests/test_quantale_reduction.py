@@ -87,10 +87,12 @@ def test_distributive_peeling_matches_its_definition():
 
 
 def test_ternary_laws_declare_their_finite_sweep():
-    assert {law.name: law.finite for law in QUANTALE_LAWS if law.arity == 3} \
+    assert {law.name: law.pools for law in QUANTALE_LAWS if law.arity == 3} \
         == {"assoc": ("J", "J", "J"), "distrib-left": ("Q", "Q", "J"),
-            "distrib-right": DERIVED}
-    assert all(law.finite is None for law in QUANTALE_LAWS if law.arity < 3)
+            "distrib-right": ("Q", "Q", "Q")}
+    assert [d.reduction for d in LAW["distrib-right"].decisions] == [DERIVED]
+    assert all(law.pools == ("Q",) * law.arity
+               for law in QUANTALE_LAWS if law.arity < 3)
 
 
 def test_corpus_quantales_pass_both_validators():
@@ -218,7 +220,7 @@ def test_ps3_binary_law_decisions_evaluate_q_times_j():
     for name in ("involution-monotone", "involution-antimult",
                  "involution-join"):
         before = q.inv_table.reads
-        assert LAW[name].decide(facts)
+        assert LAW[name].decisions[0].premise(facts)
         reads[name] = q.inv_table.reads - before
     assert reads == {"involution-monotone": 3 * 384,
                      "involution-antimult": 3 * 384, "involution-join": 0}

@@ -678,3 +678,14 @@ def _serializes_json(name, node):
 def test_only_fileformats_writes_json():
     # one writer: every document goes out as fileformats.canonical_json
     assert _lint(_serializes_json) == []
+
+
+def _runs_a_law(name, node):
+    return (name != "laws.py" and isinstance(node, ast.Attribute)
+            and node.attr in ("holds", "sweep"))
+
+
+def test_only_the_law_engine_runs_a_law():
+    # one runner: every law record is checked, decided and replayed by
+    # laws.run, the only reader of a predicate or a hoisted sweep
+    assert _lint(_runs_a_law) == []
