@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .suplattice import (FiniteSupLattice, SupMap, is_sup_map, left_adjoint,
-                         preserves_all_meets, right_adjoint, validate_lattice)
+                         right_adjoint, validate_lattice)
 from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
                        Violation, find_unit, finite_subquantale, identity_map,
                        is_surjective, validate_hom, validate_quantale)

@@ -497,9 +497,13 @@ class FiniteTopology:
         return top
 
     def validate(self):
-        family = set(self.opens)
-        if frozenset() not in family or frozenset(range(self.points)) not in family:
+        family, space = set(self.opens), frozenset(range(self.points))
+        if frozenset() not in family or space not in family:
             raise ValueError("a topology contains the empty set and the space")
+        for u in self.opens:
+            if not u <= space:
+                raise ValueError(f"open {set(u)} has points outside "
+                                 f"range({self.points})")
         for u, v in itertools.combinations(self.opens, 2):
             if u | v not in family or u & v not in family:
                 raise ValueError(f"opens not closed under union/intersection: "

@@ -15,25 +15,29 @@ its decisions, run by `laws.run` for a check and for the replay of a
 recorded witness (`violates`).  `BATTERY` names the laws of
 `frobenius_report` in report order.  The decisions, in order:
 - from a groupoid table, for every law but locale-meet;
-- on finite carriers, but for semiopenness, a sweep of the Q-arguments a
-  and b over the join-irreducibles J(Q) alone, recorded as the
-  reduction, when both carriers are validated quantales and p_! is a
-  sup-map.  That premise is decided as `validate_hom` decides hom-join,
-  once per map (`QuantaleMap.facts`): p_!(bottom) = bottom and
-  p_!(a v j) = p_!(a) v p_!(j) for every a and every j in J(Q), which by
-  induction on b = j1 v ... v jk gives p_!(a v b) = p_!(a) v p_!(b).
-  Each side of these laws then preserves joins in a and in b, bottom
-  included: both products distribute over joins and absorb bottom, and
-  both involutions and p_! preserve joins.  Locale-meet is checked only
-  between locales, validated quantales whose product is meet: there
-  a(b v c) = ab v ac makes the lattice distributive, so a finite frame,
-  where a meet - preserves joins.  Every element is the join of the
-  join-irreducibles below it, so the two sides agree everywhere once
-  they agree on J.  A witness found on J is confirmed (one that holds
-  on re-check raises `UnconfirmedWitness`), and the full sweep then
-  reports its own first witness, evaluations and display.
-Semiopenness is never reduced: it is the check that makes p_! the left
-adjoint of p*, and it costs |Q| |X| evaluations.
+- on finite carriers, a sweep of the Q-arguments a and b over the
+  join-irreducibles J(Q) alone, recorded as the reduction, when both
+  carriers are validated quantales and p_! is a sup-map.  That premise
+  is decided as `validate_hom` decides hom-join, once per map
+  (`QuantaleMap.facts`): p_!(bottom) = bottom and p_!(a v j) = p_!(a) v
+  p_!(j) for every a and every j in J(Q), which by induction on b = j1 v
+  ... v jk gives p_!(a v b) = p_!(a) v p_!(b).  Each side of fr1,
+  fr1_right, fr2 and the involution law then preserves joins in a and
+  in b, bottom included: both products distribute over joins and absorb
+  bottom, and both involutions and p_! preserve joins.  Locale-meet is
+  checked only between locales, validated quantales whose product is
+  meet: there a(b v c) = ab v ac makes the lattice distributive, so a
+  finite frame, where a meet - preserves joins.  Every element is the
+  join of the join-irreducibles below it, so the two sides agree
+  everywhere once they agree on J.  Semiopenness, p_!(a) <= x iff a <=
+  p*(x), needs no premise on p*: for a fixed x, {a : p_!(a) <= x} and
+  {a : a <= p*(x)} are down-sets that hold bottom and are closed under
+  binary joins, and such a set holds a exactly when it holds every
+  join-irreducible below a.  A witness found on J is confirmed (one that
+  holds on re-check raises `UnconfirmedWitness`), and the full sweep
+  then reports its own first witness, evaluations and display.  A map
+  whose p_! is not a sup-map, supplied or the meet candidate, is swept
+  in full.
 
 `frobenius_report` runs the battery on a map once: semiopenness, fr1, its
 right-module version, fr2, the involution of p_!, surjectivity and the
@@ -190,25 +194,24 @@ def _fr2_from_table(facts):
             RationalSubspace.from_vectors(dim, [b])), reads
 
 
-def _map_law(name, roles, sweep, table=None, groupoid=True, on_j=True):
+def _map_law(name, roles, sweep, table=None, groupoid=True):
     """The law of a map p: Q -> X whose roles a and b range over Q and x
     over X: with `groupoid`, passed by the lemma on a groupoid support map
-    or decided from its `table`; else swept, on J(Q) first with `on_j`
-    when p_! is a sup-map."""
+    or decided from its `table`; else swept, on J(Q) first when p_! is a
+    sup-map."""
     pools = tuple("X" if r == "x" else "Q" for r in roles)
     decisions = ()
     if groupoid:
         decisions += (Decision(lambda facts: facts.groupoid is not None,
                                GROUPOID_TABLE, table=table),)
-    if on_j:
-        decisions += (Decision(
-            lambda facts: facts.sup_map, JOIN_IRREDUCIBLES,
-            pools=tuple("J" if k == "Q" else k for k in pools)),)
+    decisions += (Decision(
+        lambda facts: facts.sup_map, JOIN_IRREDUCIBLES,
+        pools=tuple("J" if k == "Q" else k for k in pools)),)
     return Law(name, pools, sweep=sweep, decisions=decisions, roles=roles)
 
 
 MAP_LAWS = {law.name: law for law in (
-    _map_law("semiopen", "ax", _pair_sweep(_semiopen), on_j=False),
+    _map_law("semiopen", "ax", _pair_sweep(_semiopen)),
     _map_law("fr1", "ax", _pair_sweep(_fr1)),
     _map_law("fr1_right", "ax", _pair_sweep(_fr1_right)),
     _map_law("fr2", "axb", _sweep_fr2, _fr2_from_table),

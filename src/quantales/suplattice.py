@@ -416,15 +416,3 @@ def left_adjoint(f):
                 raise NoLeftAdjoint((m, l))
     return SupMap(cod, dom, values)
 
-
-def preserves_all_meets(f):
-    """None if f preserves top and binary meets (= all meets, finitely), else witness."""
-    dom, cod = f.dom, f.cod
-    if f.values[dom.top] != cod.top:
-        return ()
-    for i in range(dom.size):
-        for j in range(i + 1, dom.size):
-            if f.values[dom.meet2(i, j)] != cod.meet2(f.values[i], f.values[j]):
-                return (i, j)
-    return None
-

@@ -296,6 +296,15 @@ def test_finite_topology_validation():
     assert len(top.opens) == 3
 
 
+def test_finite_topology_rejects_an_open_with_points_outside_the_space():
+    # closed under union and intersection, but {0,1,5} is not a subset of
+    # the two points, and it would become the locale's top and unit
+    with pytest.raises(ValueError, match="outside range"):
+        FiniteTopology.build(2, [set(), {0, 1}, {0, 1, 5}])
+    with pytest.raises(ValueError, match="outside range"):
+        FiniteTopology.build(1, [set(), {0}, {-1}, {-1, 0}])
+
+
 def test_locale_maps_continuity_and_openness():
     indiscrete = FiniteTopology.build(2, [frozenset(), frozenset({0, 1})])
     with pytest.raises(NotContinuous):

@@ -21,8 +21,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quantales"
 
 ALLOWED = {
-    "suplattice.preserves_all_meets":
-        "semiopenness decided on meet-irreducibles is to call it",
     "tensor.induced_from_bimorphism":
         "the tensor acceptance test checks the universal property with it",
     "nucleus.quotient_by_relation":

@@ -1,17 +1,20 @@
 """The map laws of finite maps, swept on join-irreducibles, against the
 sweep over all of Q (`map_law_swept` in _helpers): the finite corpus, the
-identity of P(S3) and seeded one-entry perturbations of p_!, some of which
-are not sup-maps and must take the full sweep.  Locale-meet is compared
-too on the maps between locales, and on perturbations of their p_! that
-stay sup-maps, so that the reduced sweep runs and sometimes fails."""
+identity of P(S3), seeded one-entry perturbations of p_!, some of which
+are not sup-maps and must take the full sweep, and seeded perturbations
+that stay sup-maps, so that the reduced sweep runs and sometimes fails.
+Locale-meet is compared too on the maps between locales.  A planted
+fault shows that the comparison catches a reduction taken without its
+premise."""
 
 import random
 
 import pytest
 
 from _helpers import map_law_swept
-from quantales.examples import (group_powerset_quantale, standard_map_corpus,
-                                symmetric_group_3)
+from quantales import quantale
+from quantales.examples import (cyclic_group, group_powerset_quantale,
+                                standard_map_corpus, symmetric_group_3)
 from quantales.openness import (Check, FrobeniusReport, _swept,
                                 check_direct_image_involution, check_fr1,
                                 check_fr1_right, check_fr2,
@@ -51,6 +54,19 @@ def _perturbed(p, seed):
     return p.with_direct_image(tuple(table).__getitem__)
 
 
+def _perturbed_sup_map(p, seed):
+    """p with p_! moved at random on some join-irreducibles and extended
+    by joins, a -> V{v(j) : j <= a}: a sup-map on a distributive carrier,
+    whatever the values v on J."""
+    rng = random.Random(seed)
+    Q, X = p.source, p.target
+    J = join_irreducibles(Q.carrier)
+    v = {j: rng.choice([p.shriek(j), rng.choice(list(X.elements))])
+         for j in J}
+    table = tuple(X.join(v[j] for j in J if Q.leq(j, a)) for a in Q.elements)
+    return p.with_direct_image(table.__getitem__)
+
+
 def _agree(p):
     """Each law of p checks as the full sweep does, with no more
     evaluations; the reduction is recorded exactly on reduced passes."""
@@ -60,7 +76,7 @@ def _agree(p):
         assert (got.ok, got.witness, got.witness_display, got.mode) == \
             (want.ok, want.witness, want.witness_display, want.mode), name
         assert not {"pool", "seed"} & got.to_json().keys()
-        if got.ok and reduces and name != "semiopen":
+        if got.ok and reduces:
             assert got.reduction == "join-irreducibles", name
             assert got.evaluations <= want.evaluations, name
         else:
@@ -98,6 +114,34 @@ def test_perturbed_direct_images_agree_with_the_full_sweep(name):
     assert not all(reduced)
 
 
+def test_sup_map_perturbations_agree_and_some_fail_semiopen_on_j():
+    failed_on_j = 0
+    for name, p in CERTIFIED.items():
+        for k in range(6):
+            q = _perturbed_sup_map(p, f"{name}:{k}")
+            if _agree(q) and not check_semiopen(q)[1].ok:
+                failed_on_j += 1  # a sup-map: the J sweep found the witness
+    assert failed_on_j > 0
+
+
+def _not_a_sup_map_of_pz2():
+    """The identity of P(Z/2) with p_! = (0, 1, 2, 0): right on J(Q) =
+    {{e}, {g}}, but p_!({e,g}) is {} rather than {e} v {g}."""
+    pz2 = group_powerset_quantale(cyclic_group(2))
+    return identity_map(pz2).with_direct_image((0, 1, 2, 0).__getitem__)
+
+
+def test_planted_fault_a_reduction_without_its_premise_is_caught(monkeypatch):
+    # swept in full, semiopen fails off J; taken as a sup-map, p passes
+    # semiopen on J, and the comparison with the full sweep catches it
+    assert not _agree(_not_a_sup_map_of_pz2())
+    assert check_semiopen(_not_a_sup_map_of_pz2())[1].witness_display == \
+        "a={e,g}, x={}"
+    monkeypatch.setattr(quantale._HomFacts, "sup_map", True)
+    with pytest.raises(AssertionError, match="semiopen"):
+        _agree(_not_a_sup_map_of_pz2())
+
+
 def test_perturbations_cover_sup_maps_and_tables_that_are_not():
     kinds = {_is_sup_map(_perturbed(p, f"{name}:{k}"))
              for name, p in CERTIFIED.items() for k in range(6)}
@@ -108,19 +152,6 @@ def test_perturbations_cover_sup_maps_and_tables_that_are_not():
 
 LOCALE_MAPS = {name: p for name, p in CERTIFIED.items()
                if is_locale_quantale(p.source) and is_locale_quantale(p.target)}
-
-
-def _perturbed_sup_map(p, seed):
-    """p with p_! moved at random on some join-irreducibles and extended
-    by joins, a -> V{v(j) : j <= a}: a sup-map on a distributive carrier,
-    whatever the values v on J."""
-    rng = random.Random(seed)
-    Q, X = p.source, p.target
-    J = join_irreducibles(Q.carrier)
-    v = {j: rng.choice([p.shriek(j), rng.choice(list(X.elements))])
-         for j in J}
-    table = tuple(X.join(v[j] for j in J if Q.leq(j, a)) for a in Q.elements)
-    return p.with_direct_image(table.__getitem__)
 
 
 def _locale_meet_agrees(p):
