@@ -19,4 +19,4 @@ from .subspaces import RationalSubspace
 from .freeprod import (PullbackContext, Word, all_words,
                        verify_adjunction_on_words, verify_beck_chevalley,
                        verify_pullback_frobenius,
-                       verify_relation_compatibility, word, word_direct_image)
+                       verify_relation_compatibility, word_direct_image)

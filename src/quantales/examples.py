@@ -556,6 +556,9 @@ def finite_locale_map(point_map, dom_top, cod_top, with_direct_image=False,
     point_map = tuple(point_map)
     if len(point_map) != dom_top.points:
         raise ValueError("point map must cover the domain")
+    if not all(type(v) is int and 0 <= v < cod_top.points
+               for v in point_map):
+        raise ValueError("point map values must be points of the codomain")
     source = locale_quantale(dom_top)
     target = locale_quantale(cod_top)
     dom_family = set(dom_top.opens)

@@ -326,8 +326,8 @@ class FrobeniusReport:
 
     @property
     def hypothesis_for_pullback(self):
-        return bool(self.semiopen.ok and self.surjective
-                    and self.fr1 and self.fr1.ok and self.fr2 and self.fr2.ok)
+        """The paper's sufficient condition for stable weak openness."""
+        return self.open_by_sufficient_condition
 
     @property
     def wos_consistent(self):

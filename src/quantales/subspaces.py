@@ -153,9 +153,6 @@ class RationalSubspace:
             raise ValueError("ambient dimensions differ")
         return all(other.contains_vector(row) for row in self.basis)
 
-    def add(self, other):
-        return RationalSubspace.from_vectors(self.dim, self.basis + other.basis)
-
     def __repr__(self):
         if not self.basis:
             return "span{}"

@@ -27,7 +27,9 @@ products of singletons, and "nonbottom elements never multiply to
 bottom" is swept on every pair instead of decided on J x J, and the
 associativity of a groupoid table is swept on all n^3 triples instead of
 on the composable ones, and a relation is saturated under left products
-by every element instead of by join-irreducibles.  The support
+by every element instead of by join-irreducibles, and the counit and
+the Beck-Chevalley square are evaluated on every one-letter word instead
+of decided by the definition of the candidate direct image.  The support
 maps have the `GroupoidPowerset` oracle as their target; the tests that
 list its elements run on the map's `tabulated` twin instead.  The
 library decides the maps and laws of effective carriers from a groupoid
@@ -724,6 +726,11 @@ def check_bi_ideal_invariants(g):
 # The pullback verifiers build words through `family_instance` and `Word`;
 # the word-algebra acceptance test checks these operations.
 
+def word(*letters):
+    """The word of the given (tag, element) letters."""
+    return Word(tuple(letters))
+
+
 class GradeIndex(NamedTuple):
     n: int
     start: str
@@ -922,10 +929,16 @@ def oracle_relation_failures(ctx, maxlen):
     return out
 
 
+def oracle_counit_failures(ctx):
+    """The counit evaluated on every one-letter Y-word: the elements y
+    with h(y) != y."""
+    return [y for y in ctx.Y.elements
+            if word_direct_image(ctx, Word(((Y_TAG, y),))) != y]
+
+
 def oracle_adjunction_ok(ctx, maxlen):
     """Counit on every letter, and the unit chain of every word up to maxlen."""
-    if any(word_direct_image(ctx, Word(((Y_TAG, y),))) != y
-           for y in ctx.Y.elements):
+    if oracle_counit_failures(ctx):
         return False
     for w in all_words(ctx.Y, ctx.Q, maxlen):
         try:
@@ -933,6 +946,19 @@ def oracle_adjunction_ok(ctx, maxlen):
         except ChainFailure:
             return False
     return True
+
+
+def oracle_beck_chevalley_failures(ctx):
+    """The square of direct and inverse images evaluated on every
+    one-letter Q-word: the elements a with h(a) != f*(p_!(a))."""
+    failures = []
+    for a in ctx.Q.elements:
+        lhs = word_direct_image(ctx, Word(((Q_TAG, a),)))
+        rhs = ctx.f.star(ctx.p.shriek(a))
+        if lhs != rhs:
+            failures.append({"a": a, "lhs": ctx.Y.name_of(lhs),
+                             "rhs": ctx.Y.name_of(rhs)})
+    return failures
 
 
 def oracle_frobenius_failures(ctx, maxlen, flank_budget=1):

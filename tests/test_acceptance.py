@@ -22,7 +22,7 @@ from quantales.freeprod import (PullbackContext, Word,
                                 verify_adjunction_on_words,
                                 verify_beck_chevalley,
                                 verify_pullback_frobenius,
-                                verify_relation_compatibility, word,
+                                verify_relation_compatibility,
                                 word_direct_image)
 from quantales.nucleus import (RelationPresentation, nucleus_from_relation,
                                quotient_by_relation, saturate_relation)
@@ -36,7 +36,7 @@ from quantales.tensor import TensorLattice, induced_from_bimorphism, unit_iso
 from _helpers import (corpus_lattices, fr2_forces_fr1, grade_of,
                       group_algebra_handles, least_closure_identifying,
                       map_law_swept, matrix_max_handles, probe_pools,
-                      small_quantales, sup_maps_between, tabulated,
+                      small_quantales, sup_maps_between, tabulated, word,
                       word_involution, word_multiply)
 
 
@@ -270,12 +270,16 @@ def test_criterion_8_pullback_theorem_instance():
         assert all(r.instances > 0 for r in rc.families.values())
 
         adj = verify_adjunction_on_words(ctx, maxlen=4, max_traces=None)
-        assert adj.ok and adj.counit_ok
+        assert adj.ok
+        assert adj.to_json()["counit"] == \
+            {"decided_by": "definition of h", "instances": 0}
         assert adj.traces_kept == adj.words_checked > 0
         assert all(t.steps or len(t.word) == 1 for t in adj.traces)
 
         bc = verify_beck_chevalley(ctx)
-        assert bc.ok and bc.checked == 4
+        # decided by the definition of h, so no element is evaluated
+        assert bc.ok and bc.checked == 0
+        assert bc.to_json()["reduction"] == "definition of h"
 
         pf = verify_pullback_frobenius(ctx, maxlen=4)
         assert pf.ok and len(pf.cases) == 16

@@ -15,8 +15,9 @@ from quantales.examples import (FiniteGroupoidData, FiniteTopology,
                                 groupoid_support_map, locale_quantale,
                                 matrix_max_quantale, matrix_support_map,
                                 omega_quantale, omega_support_map,
-                                pair_groupoid, product_groupoid,
-                                rel_quantale, sierpinski_topology,
+                                pair_groupoid, point_topology,
+                                product_groupoid, rel_quantale,
+                                sierpinski_topology,
                                 standard_map_corpus, symmetric_group_3)
 from quantales.quantale import is_surjective, validate_hom, validate_quantale
 from quantales.subspaces import RationalSubspace
@@ -52,13 +53,15 @@ def test_rref_is_representation_independent():
 
 
 def test_subspace_order_join_and_membership():
+    # a join of subspaces is their sum, as the library takes it
+    q = group_algebra_quantale(cyclic_group(3))
     v = RationalSubspace.from_vectors(3, [(1, 0, 0)])
     w = RationalSubspace.from_vectors(3, [(0, 1, 0)])
-    both = v.add(w)
+    both = q.join([v, w])
     assert v.leq(both) and w.leq(both)
     assert both.contains_vector((2, -3, 0))
     assert not both.contains_vector((0, 0, 1))
-    assert v.add(RationalSubspace.zero(3)) == v
+    assert q.join([v, RationalSubspace.zero(3)]) == v
 
 
 def test_matrix_unit_products():
@@ -315,6 +318,16 @@ def test_locale_maps_continuity_and_openness():
         # the image of the point is the closed point of the Sierpinski space
         finite_locale_map([0], discrete_topology(1), sierpinski_topology(),
                           with_direct_image=True)
+
+
+def test_locale_maps_reject_points_outside_the_codomain():
+    # without the check these built maps: p* constant bottom, (0, 0, 0),
+    # and p* sending the top of the codomain to a proper open, (0, 0, 2)
+    with pytest.raises(ValueError, match="points of the codomain"):
+        finite_locale_map([5], point_topology(), sierpinski_topology())
+    with pytest.raises(ValueError, match="points of the codomain"):
+        finite_locale_map([-1, 0], discrete_topology(2),
+                          sierpinski_topology())
 
 
 def test_standard_corpus_builds():

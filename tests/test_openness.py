@@ -16,7 +16,7 @@ from quantales.openness import (MissingDirectImage, NotALocale, check_fr1,
                                 check_semiopen, frobenius_report,
                                 is_locale_quantale)
 from quantales.quantale import (FiniteInvQuantale, QuantaleMap, identity_map,
-                                is_surjective)
+                                is_surjective, validate_hom)
 from quantales.subspaces import RationalSubspace
 
 from _helpers import (fr2_forces_fr1, map_battery_swept, matrix_max_handles,
@@ -213,12 +213,35 @@ def test_fragment_matches_ambient_support_map():
     assert names == ("span{[1,1]}", "{e}", "span{[1,-1]}")
 
 
+def test_fr1_and_fr1_right_agree_when_p_star_preserves_the_involution():
+    # why the fr1 label of head_q and mid_yq suffices: with p* an
+    # involutive homomorphism, p_!(a*) = p_!(a)*, and fr1_right at (a, x)
+    # is fr1 at (a*, x*) under the involution.  validate_hom refuses an
+    # effective target, so only the finite maps pass it
+    checked = 0
+    for name, p in standard_map_corpus():
+        try:
+            if validate_hom(p.star, p.target, p.source) is not None:
+                continue
+        except quantale.Undecidable:
+            continue
+        rep = frobenius_report(p)
+        assert (rep.fr1 is None) == (rep.fr1_right is None), name
+        if rep.fr1 is not None:
+            assert rep.fr1.ok == rep.fr1_right.ok, name
+            checked += 1
+    assert checked == 8
+
+
 def test_corpus_lemma_sweep():
     # on every corpus map: fr1 implies right fr1; the surjectivity
     # biconditional; and fr2 with the unit identity forces fr1 and
     # surjectivity
     for name, p in standard_map_corpus():
         rep = frobenius_report(p)
+        # the pullback hypothesis is the paper's sufficient condition
+        assert rep.hypothesis_for_pullback == \
+            rep.open_by_sufficient_condition, name
         if not rep.semiopen.ok:
             continue
         if rep.fr1.ok:

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from quantales import fileformats as ff
+from quantales import freeprod
 from quantales.cli import main
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 group_powerset_quantale, omega_support_map,
@@ -21,15 +22,18 @@ from quantales.examples import (cyclic_group, delta_embedding_map,
                                 z2_group_algebra_finite_map)
 from quantales.freeprod import (CORE_PARAMETERS, FAMILIES, FAMILY_HYPOTHESIS,
                                 NEIGHBOURS, UNIT_FAMILIES, Y_TAG,
-                                PullbackContext, all_words, core_failure,
-                                family_instance, verify_adjunction_on_words,
+                                PullbackContext, Word, all_words,
+                                core_failure, family_instance,
+                                verify_adjunction_on_words,
+                                verify_beck_chevalley,
                                 verify_pullback_frobenius,
                                 verify_relation_compatibility)
 from quantales.quantale import (InvalidQuantale, QuantaleMap, Undecidable,
                                 identity_map)
 
 from _helpers import (check_cores_swept, family_instance_oracle,
-                      oracle_adjunction_ok, oracle_frobenius_failures,
+                      oracle_adjunction_ok, oracle_beck_chevalley_failures,
+                      oracle_counit_failures, oracle_frobenius_failures,
                       oracle_relation_failures)
 
 VERIFIERS = (verify_relation_compatibility, verify_adjunction_on_words,
@@ -161,7 +165,7 @@ def test_the_y_letter_lemma_needs_an_associative_y():
     assert {"q.y.y", "right-action", "left-action"} <= failing
 
 
-@pytest.mark.parametrize("verifier", VERIFIERS)
+@pytest.mark.parametrize("verifier", VERIFIERS + (verify_beck_chevalley,))
 def test_a_base_map_without_a_direct_image_is_undecidable(verifier):
     # h is undefined without p_!, so no verdict, not a vacuous pass
     ctx = _readme_square()
@@ -245,7 +249,9 @@ def test_the_rel3_session_sweeps_no_y_neighbour(tmp_path):
 
 def _agrees_with_the_sweep(ctx):
     """Both core verifiers give the failure records of the full sweep, in
-    its order; returns the relation report."""
+    its order, and the counit and the Beck-Chevalley square, recorded as
+    decided by the definition of h, fail nowhere under the oracles, for
+    any p_! and f*; returns the relation report."""
     rc = verify_relation_compatibility(ctx)
     swept = check_cores_swept(ctx, FAMILIES, ctx.X.elements)
     assert list(rc.families) == list(swept)
@@ -256,6 +262,13 @@ def _agrees_with_the_sweep(ctx):
     unit = check_cores_swept(ctx, UNIT_FAMILIES, xs)
     assert [f for f in adj.failures if "instance" in f] == \
         [f for fam in UNIT_FAMILIES for f in unit[fam].failures]
+    assert adj.to_json()["counit"] == \
+        {"decided_by": "definition of h", "instances": 0}
+    assert oracle_counit_failures(ctx) == []
+    bc = verify_beck_chevalley(ctx).to_json()
+    assert (bc["ok"], bc["checked"], bc["reduction"]) == \
+        (True, 0, "definition of h")
+    assert oracle_beck_chevalley_failures(ctx) == []
     return rc
 
 
@@ -348,6 +361,35 @@ def test_perturbed_squares_give_the_failures_of_the_sweep(perturb):
     # the perturbations fail cores, and among them Y-free cores over
     # which the sweep finds holding cores as well as failing ones
     assert failing > 20 and held > 20
+
+
+# -- the facts decided by the definition of h -----------------------------------
+
+def test_the_decided_records_evaluate_nothing(monkeypatch):
+    # verify_beck_chevalley computes no h-value, and the adjunction
+    # without traces builds no one-letter Y-word, where the loops they
+    # replace evaluated |Q| and |Y| one-letter words
+    ctx = _readme_square()
+    calls, built = [], []
+    evaluate = freeprod.word_direct_image
+
+    def counted(c, w):
+        calls.append(w)
+        return evaluate(c, w)
+
+    class CountedWord(Word):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(freeprod, "word_direct_image", counted)
+    monkeypatch.setattr(freeprod, "Word", CountedWord)
+    assert verify_beck_chevalley(ctx).ok and calls == []
+    assert verify_adjunction_on_words(ctx, max_traces=0).ok
+    assert not [w for w in built if len(w) == 1 and w.first_tag == Y_TAG]
+    # the counters see what they count: a trace evaluates and builds words
+    verify_adjunction_on_words(ctx, max_traces=1)
+    assert calls and built
 
 
 # -- the swap rule against the per-family oracle --------------------------------
