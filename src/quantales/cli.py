@@ -21,7 +21,8 @@ with the checks, and each failed check is replayed through the
 definition that produced it (a law witness by the law engine on
 one-element pools, a structural failure by reloading the embedded input,
 a relation failure by rebuilding its instance from family, x and
-parameters) or counted as a problem.  Each problem is a failed check of
+parameters, a failed pullback hypothesis by rerunning the battery on the
+embedded p) or counted as a problem.  Each problem is a failed check of
 its own report, which it never writes.  The nested `frobenius` and
 `hypothesis` blocks are not read yet.
 """
@@ -476,6 +477,14 @@ def _replay_wos(doc, chk):
     return [not frobenius_report(_rebuild_map(doc)).wos_consistent]
 
 
+def _replay_pullback_hypothesis(doc, chk):
+    # p, rebuilt from its embedded document, fails `PullbackContext.build`
+    if "p" not in doc.get("inputs", {}):
+        raise FormatError("pullback-hypothesis needs the embedded p")
+    p = ff.map_from_doc(doc["inputs"]["p"]["doc"])
+    return [not frobenius_report(p).hypothesis_for_pullback]
+
+
 def _replay_relation_compatibility(doc, chk):
     """Rebuild each recorded failure from its family, x and parameters; it
     replays when it is filed under its family and equals, field for field,
@@ -523,6 +532,7 @@ _REPLAY_RULES = {
     "quantale": _replay_document,
     "map": _replay_document,
     "wos": _replay_wos,
+    "pullback-hypothesis": _replay_pullback_hypothesis,
     "relation-compatibility": _replay_relation_compatibility,
     **{name: _replay_map_law for name in MAP_LAWS},
 }

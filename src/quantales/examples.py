@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .laws import JOIN_IRREDUCIBLES, Decision, Law, run
@@ -29,6 +28,7 @@ from .openness import frobenius_report
 from .quantale import (EffectiveInvQuantale, FiniteInvQuantale, QuantaleMap,
                        _QuantaleFacts, finite_subquantale, require,
                        tabulate_quantale, validate_hom, validate_quantale)
+from .records import FrozenRecord, setfield
 from .subspaces import RationalSubspace
 from .suplattice import FiniteSupLattice, _bits
 
@@ -61,18 +61,27 @@ class HypothesisFailure(ValueError):
 
 # -- groups and groupoids ----------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteGroupoidData:
+class FiniteGroupoidData(FrozenRecord):
     """A finite groupoid by tables; mult entries are None where undefined.
     A group is the groupoid with one unit.  It is validated when built, so
     every instance is a groupoid."""
-    names: tuple
-    mult: tuple
-    inv: tuple
-    units: tuple
+    __slots__ = ("names", "mult", "inv", "units")
 
-    def __post_init__(self):
+    def __init__(self, names, mult, inv, units):
+        setfield(self, "names", names)
+        setfield(self, "mult", mult)
+        setfield(self, "inv", inv)
+        setfield(self, "units", units)
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.names, self.mult, self.inv, self.units)
+                == (other.names, other.mult, other.inv, other.units))
+
+    def __hash__(self):  # the groupoid keys functools.cache
+        return hash((self.names, self.mult, self.inv, self.units))
 
     @property
     def size(self):
@@ -483,10 +492,12 @@ def z2_group_algebra_finite_map():
 
 # -- finite topological spaces -------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteTopology:
-    points: int
-    opens: tuple
+class FiniteTopology(FrozenRecord):
+    __slots__ = ("points", "opens")
+
+    def __init__(self, points, opens):
+        setfield(self, "points", points)
+        setfield(self, "opens", opens)
 
     @staticmethod
     def build(points, opens):

@@ -66,10 +66,10 @@ only over those that fail, where the sweep may find failing cores.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .openness import frobenius_report
 from .quantale import require, validate_quantale
+from .records import FrozenRecord, Record, setfield
 
 Y_TAG = "y"
 Q_TAG = "q"
@@ -93,14 +93,17 @@ class HypothesisNotSatisfied(ValueError):
                          "with both Frobenius conditions")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(FrozenRecord):
     """A nonempty sequence of letters tagged 'y' or 'q', strictly alternating."""
-    letters: tuple
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        setfield(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         ls = tuple((t, int(e)) for t, e in self.letters)
-        object.__setattr__(self, "letters", ls)
+        setfield(self, "letters", ls)
         if not ls:
             raise ValueError("words are nonempty")
         for (t1, _), (t2, _) in zip(ls, ls[1:]):
@@ -109,6 +112,14 @@ class Word:
         for t, _ in ls:
             if t not in (Y_TAG, Q_TAG):
                 raise ValueError(f"unknown tag {t!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __len__(self):
         return len(self.letters)
@@ -138,12 +149,14 @@ def all_words(Y, Q, max_len):
 
 # -- pullback contexts ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PullbackContext:
+class PullbackContext(FrozenRecord):
     """A base square: p: Q -> X certified, f: Y -> X arbitrary."""
-    p: object
-    f: object
-    report: object = None
+    __slots__ = ("p", "f", "report")
+
+    def __init__(self, p, f, report=None):
+        setfield(self, "p", p)
+        setfield(self, "f", f)
+        setfield(self, "report", report)
 
     @property
     def Y(self):
@@ -291,13 +304,15 @@ def family_instance(ctx, family, x, a=None, a2=None, y=None, y2=None,
             Word(left + rpre + ((Y_TAG, fx),) + rpost + right))
 
 
-@dataclass(frozen=True)
-class Instance:
-    family: str
-    hypothesis: str
-    x: int
-    left_word: Word
-    right_word: Word
+class Instance(FrozenRecord):
+    __slots__ = ("family", "hypothesis", "x", "left_word", "right_word")
+
+    def __init__(self, family, hypothesis, x, left_word, right_word):
+        setfield(self, "family", family)
+        setfield(self, "hypothesis", hypothesis)
+        setfield(self, "x", x)
+        setfield(self, "left_word", left_word)
+        setfield(self, "right_word", right_word)
 
     def to_json(self, ctx=None):
         out = {"family": self.family, "hypothesis": self.hypothesis,
@@ -310,12 +325,14 @@ class Instance:
         return out
 
 
-@dataclass
-class FamilyResult:
-    family: str
-    hypothesis: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
+class FamilyResult(Record):
+    __slots__ = ("family", "hypothesis", "instances", "failures")
+
+    def __init__(self, family, hypothesis):
+        self.family = family
+        self.hypothesis = hypothesis
+        self.instances = 0
+        self.failures = []
 
     @property
     def ok(self):
@@ -398,11 +415,13 @@ def _check_cores(ctx, families, xs):
     return results
 
 
-@dataclass
-class RelationCompatibilityReport:
+class RelationCompatibilityReport(Record):
     """Per-family outcome of checking the direct-image candidate against
     the relation cores; `instances` counts cores."""
-    families: dict
+    __slots__ = ("families",)
+
+    def __init__(self, families):
+        self.families = families
 
     @property
     def ok(self):
@@ -434,12 +453,14 @@ def verify_relation_compatibility(ctx, maxlen=4):
 
 # -- adjunction on words ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewriteStep:
-    family: str
-    x: int
-    before: Word
-    after: Word
+class RewriteStep(FrozenRecord):
+    __slots__ = ("family", "x", "before", "after")
+
+    def __init__(self, family, x, before, after):
+        setfield(self, "family", family)
+        setfield(self, "x", x)
+        setfield(self, "before", before)
+        setfield(self, "after", after)
 
     def to_json(self, ctx=None):
         out = {"family": self.family, "x": self.x,
@@ -451,12 +472,14 @@ class RewriteStep:
         return out
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    word: Word
-    bound: Word
-    steps: tuple
-    result: int
+class RewriteTrace(FrozenRecord):
+    __slots__ = ("word", "bound", "steps", "result")
+
+    def __init__(self, word, bound, steps, result):
+        setfield(self, "word", word)
+        setfield(self, "bound", bound)
+        setfield(self, "steps", steps)
+        setfield(self, "result", result)
 
     def to_json(self, ctx=None):
         out = {"word": list(self.word.letters),
@@ -521,13 +544,15 @@ def _unit_chain(ctx, w):
     return RewriteTrace(w, bound, tuple(steps), result)
 
 
-@dataclass
-class AdjunctionReport:
-    maxlen: int
-    cores: int = 0
-    words_checked: int = 0
-    failures: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
+class AdjunctionReport(Record):
+    __slots__ = ("maxlen", "cores", "words_checked", "failures", "traces")
+
+    def __init__(self, maxlen):
+        self.maxlen = maxlen
+        self.cores = 0
+        self.words_checked = 0
+        self.failures = []
+        self.traces = []
 
     @property
     def ok(self):

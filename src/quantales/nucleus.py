@@ -43,10 +43,8 @@ is onto, as j(c) = c for closed c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .quantale import FiniteInvQuantale, InvalidQuantale, \
-    tabulate_quantale, validate_hom
+from .quantale import InvalidQuantale, tabulate_quantale, validate_hom
+from .records import FrozenRecord, setfield
 from .suplattice import LatticeError, SupMap, _bits, join_irreducibles
 
 
@@ -54,18 +52,17 @@ class InternalInvariantViolation(RuntimeError):
     """The constructed nucleus failed its own laws; this signals a bug."""
 
 
-@dataclass(frozen=True)
-class RelationPresentation:
-    quantale: FiniteInvQuantale
-    pairs: frozenset
+class RelationPresentation(FrozenRecord):
+    __slots__ = ("quantale", "pairs")
 
-    def __post_init__(self):
-        n = self.quantale.size
-        pairs = [(int(r), int(s)) for r, s in self.pairs]
+    def __init__(self, quantale, pairs):
+        n = quantale.size
+        pairs = [(int(r), int(s)) for r, s in pairs]
         for r, s in pairs:
             if not (0 <= r < n and 0 <= s < n):
                 raise ValueError(f"pair ({r},{s}) out of range")
-        object.__setattr__(self, "pairs", frozenset(pairs))
+        setfield(self, "quantale", quantale)
+        setfield(self, "pairs", frozenset(pairs))
 
 
 def saturate_relation(rel):
@@ -94,10 +91,12 @@ def saturated_elements(q, saturated):
     return frozenset(_bits(((1 << q.size) - 1) & ~differ))
 
 
-@dataclass(frozen=True)
-class Nucleus:
-    quantale: FiniteInvQuantale
-    values: tuple
+class Nucleus(FrozenRecord):
+    __slots__ = ("quantale", "values")
+
+    def __init__(self, quantale, values):
+        setfield(self, "quantale", quantale)
+        setfield(self, "values", values)
 
     def __call__(self, a):
         return self.values[a]
@@ -112,10 +111,12 @@ def nucleus_from_relation(rel):
     return Nucleus(q, tuple(lat.meet(_bits(up & closed)) for up in lat.up))
 
 
-@dataclass(frozen=True)
-class QuotientQuantale:
-    quantale: FiniteInvQuantale
-    closed: tuple
+class QuotientQuantale(FrozenRecord):
+    __slots__ = ("quantale", "closed")
+
+    def __init__(self, quantale, closed):
+        setfield(self, "quantale", quantale)
+        setfield(self, "closed", closed)
 
 
 def quotient(q, nuc):

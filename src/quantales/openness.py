@@ -49,11 +49,10 @@ one report, which also keeps the map it certified with its direct image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laws import (JOIN_IRREDUCIBLES, Decision, Law, UnconfirmedWitness,
                    fails_at, run)
 from .quantale import Undecidable, is_surjective
+from .records import FrozenRecord, setfield
 from .subspaces import RationalSubspace
 from .suplattice import left_adjoint_candidate
 
@@ -72,15 +71,19 @@ class MissingDirectImage(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    witness: tuple | None = None
-    witness_display: str | None = None
-    mode: str = "exhaustive"
-    evaluations: int = 0
-    reduction: str | None = None
+class Check(FrozenRecord):
+    __slots__ = ("name", "ok", "witness", "witness_display", "mode",
+                 "evaluations", "reduction")
+
+    def __init__(self, name, ok, witness=None, witness_display=None,
+                 mode="exhaustive", evaluations=0, reduction=None):
+        setfield(self, "name", name)
+        setfield(self, "ok", ok)
+        setfield(self, "witness", witness)
+        setfield(self, "witness_display", witness_display)
+        setfield(self, "mode", mode)
+        setfield(self, "evaluations", evaluations)
+        setfield(self, "reduction", reduction)
 
     def to_json(self):
         out = {"check": self.name, "ok": self.ok,
@@ -300,19 +303,25 @@ def check_direct_image_involution(p):
     return _swept("direct_image_involution", _require_direct(p))
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(FrozenRecord):
     """The whole battery on one map; every notion about p is read off it."""
-    map_name: str
-    certified: object  # p carrying its direct image, None unless semiopen
-    semiopen: Check
-    fr1: Check | None = None
-    fr1_right: Check | None = None
-    fr2: Check | None = None
-    direct_image_involution: Check | None = None
-    surjective: bool | None = None
-    surjective_mode: str | None = None
-    unit_identity: bool | None = None  # p_!(p*(e)) = e, None without unit
+    __slots__ = ("map_name", "certified", "semiopen", "fr1", "fr1_right",
+                 "fr2", "direct_image_involution", "surjective",
+                 "surjective_mode", "unit_identity")
+
+    def __init__(self, map_name, certified, semiopen, fr1=None,
+                 fr1_right=None, fr2=None, direct_image_involution=None,
+                 surjective=None, surjective_mode=None, unit_identity=None):
+        setfield(self, "map_name", map_name)
+        setfield(self, "certified", certified)  # p with p_! if semiopen
+        setfield(self, "semiopen", semiopen)
+        setfield(self, "fr1", fr1)
+        setfield(self, "fr1_right", fr1_right)
+        setfield(self, "fr2", fr2)
+        setfield(self, "direct_image_involution", direct_image_involution)
+        setfield(self, "surjective", surjective)
+        setfield(self, "surjective_mode", surjective_mode)
+        setfield(self, "unit_identity", unit_identity)  # p_!(p*(e)) = e
 
     @property
     def weakly_open(self):
@@ -374,13 +383,16 @@ def is_locale_quantale(q):
                     enumerate(q.mult_table) for b, ab in enumerate(row)))
 
 
-@dataclass(frozen=True)
-class LocaleMeetReport:
-    map_name: str
-    fr2_ok: bool
-    applicable: bool
-    meet_preserved: bool | None
-    witness: tuple | None
+class LocaleMeetReport(FrozenRecord):
+    __slots__ = ("map_name", "fr2_ok", "applicable", "meet_preserved",
+                 "witness")
+
+    def __init__(self, map_name, fr2_ok, applicable, meet_preserved, witness):
+        setfield(self, "map_name", map_name)
+        setfield(self, "fr2_ok", fr2_ok)
+        setfield(self, "applicable", applicable)
+        setfield(self, "meet_preserved", meet_preserved)
+        setfield(self, "witness", witness)
 
     def to_json(self):
         return {"map": self.map_name, "fr2_ok": self.fr2_ok,

@@ -89,20 +89,28 @@ the other laws of HOM_LAWS are decided the same way (`_HomFacts`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .laws import DERIVED, JOIN_IRREDUCIBLES, Decision, Law, run
+from .records import FrozenRecord, setfield
 from .suplattice import (SupMap, distributive_peeling, join_irreducibles,
                          left_adjoint, preserves_joins_on_j, validate_lattice)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
     """A failed law together with the witnessing elements."""
-    law: str
-    witness: tuple
-    detail: str = ""
+    __slots__ = ("law", "witness", "detail")
+
+    def __init__(self, law, witness, detail=""):
+        setfield(self, "law", law)
+        setfield(self, "witness", witness)
+        setfield(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.law, self.witness, self.detail)
+                == (other.law, other.witness, other.detail))
 
     def __str__(self):
         msg = f"{self.law} fails at {self.witness}"
@@ -462,8 +470,7 @@ def validate_hom(h, source, target):
     return None if witness is None else Violation(law.name, witness)
 
 
-@dataclass(frozen=True)
-class QuantaleMap:
+class QuantaleMap(FrozenRecord):
     """A map p: source -> target, held as its inverse image p*: target -> source.
 
     `groupoid` is the finite groupoid G when p is its support map
@@ -471,12 +478,17 @@ class QuantaleMap:
     checks decide from G's table.  `with_direct_image` keeps it only for
     the support map itself (the same function object); the other
     constructors leave it None."""
-    source: object
-    target: object
-    inverse_image: object
-    direct_image: object = None
-    name: str = ""
-    groupoid: object = None
+    __slots__ = ("source", "target", "inverse_image", "direct_image", "name",
+                 "groupoid", "__dict__")  # `facts` is cached in __dict__
+
+    def __init__(self, source, target, inverse_image, direct_image=None,
+                 name="", groupoid=None):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "inverse_image", inverse_image)
+        setfield(self, "direct_image", direct_image)
+        setfield(self, "name", name)
+        setfield(self, "groupoid", groupoid)
 
     def star(self, x):
         return self.inverse_image(x)
@@ -507,7 +519,8 @@ class QuantaleMap:
 
     def with_direct_image(self, fn):
         groupoid = self.groupoid if fn is self.direct_image else None
-        return replace(self, direct_image=fn, groupoid=groupoid)
+        return QuantaleMap(self.source, self.target, self.inverse_image, fn,
+                           self.name, groupoid)
 
     def star_sup_map(self):
         """p* as a SupMap between finite carriers."""

@@ -19,9 +19,10 @@ gave, so reports written before still replay.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .records import FrozenRecord, setfield
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -98,10 +99,20 @@ def rref(vectors, dim):
     return tuple(_fraction_row(row, row[col]) for col, row in zip(pivots, rows))
 
 
-@dataclass(frozen=True)
-class RationalSubspace:
-    dim: int
-    basis: tuple
+class RationalSubspace(FrozenRecord):
+    __slots__ = ("dim", "basis")
+
+    def __init__(self, dim, basis):
+        setfield(self, "dim", dim)
+        setfield(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.basis) == (other.dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.dim, self.basis))
 
     @staticmethod
     def from_vectors(dim, vectors):

@@ -13,7 +13,7 @@ include the bottom, and their join, in a finite lattice, is one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord, setfield
 
 
 class LatticeError(ValueError):
@@ -281,17 +281,16 @@ def _closure(up):
     return closed
 
 
-@dataclass(frozen=True)
-class SupMap:
+class SupMap(FrozenRecord):
     """A function between lattices given by its value table (not yet checked)."""
-    dom: FiniteSupLattice
-    cod: FiniteSupLattice
-    values: tuple
+    __slots__ = ("dom", "cod", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.dom.size:
+    def __init__(self, dom, cod, values):
+        if len(values) != dom.size:
             raise LatticeError("value table length does not match domain size")
-        object.__setattr__(self, "values", tuple(self.values))
+        setfield(self, "dom", dom)
+        setfield(self, "cod", cod)
+        setfield(self, "values", tuple(values))
 
     def __call__(self, i):
         return self.values[i]

@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from .records import FrozenRecord, setfield
 from .suplattice import (NotSupPreserving, SupMap, _bits, is_sup_map,
                          join_irreducibles, validate_lattice)
 
@@ -73,10 +73,20 @@ class NotBimorphism(ValueError):
             f"at {witness}")
 
 
-@dataclass(frozen=True)
-class BiIdeal:
-    factors: tuple
-    members: frozenset
+class BiIdeal(FrozenRecord):
+    __slots__ = ("factors", "members")
+
+    def __init__(self, factors, members):
+        setfield(self, "factors", factors)
+        setfield(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.members) == (other.factors, other.members)
+
+    def __hash__(self):
+        return hash((self.factors, self.members))
 
     def leq(self, other):
         if self.factors != other.factors:

@@ -41,7 +41,6 @@ Expected values frozen in the tests were computed with these.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -155,7 +154,7 @@ def tabulated(p):
     `GroupoidPowerset` oracle: the twin whose target elements a sweep
     over X, or a check that reads X's table, can list."""
     from quantales.examples import powerset_quantale
-    return replace(p, target=powerset_quantale(p.groupoid, p.target.label))
+    return p.replace(target=powerset_quantale(p.groupoid, p.target.label))
 
 
 def leq_pairs(lat):

@@ -7,7 +7,6 @@ success) and enforces its wall-clock budget.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 from quantales.examples import (cyclic_group, delta_embedding_map,
                                 discrete_to_point_map,
@@ -62,7 +61,7 @@ def test_criterion_1_matrix_example():
                                  decided.fr2)} == {"decided"}
         # the same battery swept on probe pools, without the groupoid,
         # into the tabulated Rel(2)
-        p = replace(tabulated(matrix_support_map(2)), groupoid=None)
+        p = tabulated(matrix_support_map(2)).replace(groupoid=None)
         pools = probe_pools(p, 20, 0, matrix_max_handles(2))
         assert map_law_swept("semiopen", p, pools).ok
         # surjectivity: p_! p* is the identity on all sixteen relations
@@ -81,7 +80,7 @@ def test_criterion_2_group_algebra_example():
             decided = check_fr2(group_algebra_support_map(group))
             assert not decided.ok and decided.mode == "decided"
             # swept on probe pools, without the groupoid
-            p = replace(group_algebra_support_map(group), groupoid=None)
+            p = group_algebra_support_map(group).replace(groupoid=None)
             pools = probe_pools(p, pool, 0, group_algebra_handles(group))
             assert map_law_swept("semiopen", p, pools).ok
             fr1 = map_law_swept("fr1", p, pools)
@@ -94,7 +93,7 @@ def test_criterion_2_group_algebra_example():
         minus = RationalSubspace.from_vectors(2, [(1, -1)])
         p = group_algebra_support_map(cyclic_group(2))
         assert check_fr2(p).witness == (plus, 1, minus)
-        swept = replace(p, groupoid=None)
+        swept = p.replace(groupoid=None)
         fr2 = map_law_swept("fr2", swept, probe_pools(
             swept, 50, 0, group_algebra_handles(cyclic_group(2))))
         assert fr2.witness == (plus, 1, minus)

@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -492,7 +491,7 @@ def test_effective_examples_name_no_seed_that_nothing_used(tmp_path,
     written = report.read_bytes()
     decided = cli._example_map
     monkeypatch.setattr(cli, "_example_map",
-                        lambda e: replace(decided(e), groupoid=None))
+                        lambda e: decided(e).replace(groupoid=None))
     with pytest.raises(Undecidable):
         main(argv)
     assert report.read_bytes() == written

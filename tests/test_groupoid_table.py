@@ -12,7 +12,6 @@ groupoid an effective map is refused, not sampled.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -106,7 +105,7 @@ def test_sampled_sweep_on_lines_agrees_with_the_decided_battery(name):
     # the laws that hold for every groupoid hold on the lines of each, and
     # FR2 on those of the principal ones
     g = GROUPOIDS[name]()
-    p = replace(groupoid_support_map(g), groupoid=None)
+    p = groupoid_support_map(g).replace(groupoid=None)
     lines = _lines(random.Random(f"lines:{name}"), g.size, 16)
     singletons = [1 << k for k in range(g.size)]
     for law in ("semiopen", "fr1", "fr1_right"):
@@ -139,8 +138,8 @@ def test_a_decided_witness_that_does_not_fail_is_refused():
     # a map that keeps the groupoid with a direct image sending every
     # subspace to the whole group still has FR2 decided false, but the
     # table's witness holds for it on re-check
-    p = replace(group_algebra_support_map(cyclic_group(2)),
-                direct_image=lambda a: 3)
+    p = group_algebra_support_map(cyclic_group(2)).replace(
+        direct_image=lambda a: 3)
     with pytest.raises(UnconfirmedWitness):
         check_fr2(p)
 
@@ -163,7 +162,7 @@ def test_a_replaced_direct_image_is_swept_not_decided():
 def test_effective_carriers_without_a_table_are_refused():
     # no sweep proves a law on an effective carrier, so without the
     # groupoid every check raises instead of passing on samples
-    p = replace(tabulated(matrix_support_map(2)), groupoid=None)
+    p = tabulated(matrix_support_map(2)).replace(groupoid=None)
     for check in (frobenius_report, check_semiopen, check_fr1,
                   check_fr1_right, check_fr2, check_direct_image_involution):
         with pytest.raises(Undecidable):
@@ -181,7 +180,7 @@ def test_effective_carriers_without_a_table_are_refused():
     with pytest.raises(Undecidable):
         validate_hom(q.star, q.target, q.source)
     with pytest.raises(Undecidable):
-        frobenius_report(replace(q, groupoid=None))
+        frobenius_report(q.replace(groupoid=None))
 
 
 def test_product_groupoid_composes_componentwise():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from quantales import quantale
@@ -99,7 +97,7 @@ def test_matrix_support_map_full_profile():
     assert rep.surjective and rep.unit_identity
     assert rep.direct_image_involution.ok
     assert rep.hypothesis_for_pullback
-    q = replace(tabulated(p), groupoid=None)
+    q = tabulated(p).replace(groupoid=None)
     swept = map_battery_swept(q, probe_pools(q, 20, 0, matrix_max_handles(2)))
     assert all(c.ok and c.mode == "sampled" for c in swept)
     e = q.target.unit
@@ -166,9 +164,9 @@ def test_fr2_implies_fr1_reports(lemma_reports):
 def test_lemmas_read_the_battery_of_the_report(lemma_reports):
     # a report whose checks contradict a lemma makes its property false
     rep = lemma_reports["pair-projection"]
-    assert not replace(rep, unit_identity=True).wos_consistent
+    assert not rep.replace(unit_identity=True).wos_consistent
     rep = lemma_reports["omega-support"]
-    assert not fr2_forces_fr1(replace(rep, fr1=replace(rep.fr1, ok=False)))
+    assert not fr2_forces_fr1(rep.replace(fr1=rep.fr1.replace(ok=False)))
 
 
 def test_report_keeps_the_map_it_certified():

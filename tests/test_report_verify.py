@@ -192,23 +192,57 @@ def test_inconsistent_wos_claim_does_not_replay(tmp_path):
     assert _replay(tmp_path, doc) == 1
 
 
-def test_unreplayable_failed_check_fails_closed(tmp_path, capsys):
-    # the sierpinski map fails the pullback hypothesis; report-verify has no
-    # rule for that check and must not pass it
-    mpath = _write(tmp_path / "sp.json",
-                   ff.map_to_doc(sierpinski_closed_point_map()))
-    three = sierpinski_closed_point_map().target
-    ident = QuantaleMap.from_table(three, three, tuple(three.elements))
-    fpath = _write(tmp_path / "id.json", ff.map_to_doc(ident))
+def _pullback_report(tmp_path, p, f, code):
+    paths = [_write(tmp_path / f"{role}.json", ff.map_to_doc(m))
+             for role, m in (("p", p), ("f", f))]
     report = tmp_path / "pb.report.json"
-    assert main(["pullback-verify", "--p", mpath, "--f", fpath,
-                 "--report", str(report)]) == 1
-    assert "seed" not in ff.load_json(report)
+    assert main(["pullback-verify", "--p", paths[0], "--f", paths[1],
+                 "--maxlen", "3", "--report", str(report)]) == code
+    return report
+
+
+def test_unreplayable_failed_check_fails_closed(tmp_path, capsys):
+    # report-verify has no rule for a failed pullback-frobenius check and
+    # must not pass it
+    report = _pullback_report(tmp_path, omega_support_map(PZ2),
+                              delta_embedding_map(2), 0)
+    doc, chk = _failed(report, "pullback-frobenius")
+    chk["ok"] = False
+    doc["verdict"] = "violation"
     capsys.readouterr()
-    assert main(["report-verify", str(report)]) == 1
+    assert _replay(tmp_path, doc) == 1
     out = capsys.readouterr().out
     assert "replayed 0 witnesses, 1 problems" in out
-    assert "pullback-hypothesis: no replay rule" in out
+    assert "pullback-frobenius: no replay rule" in out
+
+
+@pytest.mark.parametrize("make_p", [z2_group_algebra_finite_map,
+                                    sierpinski_closed_point_map],
+                         ids=["negative-control", "sierpinski"])
+def test_a_failed_pullback_hypothesis_replays_on_the_embedded_p(
+        make_p, tmp_path, capsys):
+    # pullback-verify stops at the hypothesis; report-verify reruns the
+    # battery on the embedded p
+    p = make_p()
+    report = _pullback_report(tmp_path, p, identity_map(p.target), 1)
+    assert "seed" not in ff.load_json(report)
+    capsys.readouterr()
+    assert main(["report-verify", str(report)]) == 0
+    assert "replayed 1 witnesses, 0 problems" in capsys.readouterr().out
+
+
+def test_a_failed_hypothesis_of_a_map_that_passes_it_does_not_replay(
+        tmp_path, capsys):
+    report = _pullback_report(tmp_path, omega_support_map(PZ2),
+                              delta_embedding_map(2), 0)
+    doc, chk = _failed(report, "pullback-hypothesis")
+    chk["ok"] = False
+    doc["verdict"] = "violation"
+    capsys.readouterr()
+    assert _replay(tmp_path, doc) == 1
+    out = capsys.readouterr().out
+    assert "replayed 1 witnesses, 1 problems" in out
+    assert "pullback-hypothesis: recorded failure does not replay" in out
 
 
 def test_embedded_inputs_are_checked_against_their_digest(tmp_path, capsys):

@@ -6,7 +6,6 @@ eliminate in Fractions.  The handles must be the same, entry for entry.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -179,7 +178,7 @@ def test_effective_examples_print_the_pinned_verdicts(name, tmp_path,
     assert {(c["mode"], c["reduction"]) for c in checks} == {
         ("decided", "groupoid table")}
     assert main(["report-verify", str(report)]) == 0
-    p = replace(tabulated(build()), groupoid=None)
+    p = tabulated(build()).replace(groupoid=None)
     swept = map_battery_swept(p, probe_pools(p, pool, 0, handles()))
     assert [c.evaluations for c in swept] == evaluations
     # the sweep finds the witness that the table gives
